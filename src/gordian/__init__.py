@@ -64,7 +64,6 @@ from .linalg import (
 from .logics import (
     AxiomSchema,
     LogicSpec,
-    RuleSchema,
     check_toa_condition,
     instantiate,
     knotted_logic,

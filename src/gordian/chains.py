@@ -208,6 +208,76 @@ def eval_vector(chain: ChainAlgebra, f: Formula, var_order, grid) -> list[int]:
     return columns[f]
 
 
+# Grids over at most this many variables are kept for the life of the
+# process; larger ones (424k points at k = 6) are rebuilt on each call.
+CACHED_GRID_MAX_VARS = 4
+
+
+def canonical_grid(chain: ChainAlgebra, k: int) -> tuple[tuple[int, ...], ...]:
+    """Valuations of ``k`` variables into a Sugihara chain, one per class
+    of valuations equal up to relabelling the absolute-value levels.
+
+    A Sugihara operation returns one of its arguments, its negation or a
+    constant, so the values a valuation uses, with their negations and the
+    constants, form a subalgebra.  Any bijection between two such level sets
+    that keeps the order of the levels and the signs (and, on even chains,
+    level 1, which holds the constants 1 and -1; on odd chains level 0 is
+    both) is an isomorphism of the subalgebras, and it preserves
+    designation.  So every valuation takes each formula to a designated
+    value exactly when its relabelling does, and a consequence holds on the
+    chain iff it holds at the canonical points: those whose levels, with 1
+    added on even chains, are exactly ``1..m`` (plus 0) for some ``m``.
+
+    The points are generated directly: the level patterns, pruning any
+    prefix whose skipped levels outnumber the variables left to fill them,
+    then the signs.
+    """
+    odd = chain.unit == 0
+    half_width = chain.carrier[-1]
+    reference = sugihara_chain(half_width, odd=odd)
+    if chain.carrier != reference.carrier or chain._fuse != reference._fuse:
+        raise ValueError(f"{chain.name} is not a Sugihara chain")
+    if k <= CACHED_GRID_MAX_VARS:
+        return _cached_sugihara_grid(half_width, odd, k)
+    return _sugihara_grid(half_width, odd, k)
+
+
+def _sugihara_grid(half_width: int, odd: bool, k: int) -> tuple[tuple[int, ...], ...]:
+    # Level patterns first (absolute values, in lexicographic order), then
+    # every choice of signs for each.  A pattern's state is the bit mask of
+    # its levels >= 1 (level 1 preset on even chains) and its highest level.
+    levels = range(0 if odd else 1, half_width + 1)
+    patterns = [((), 0 if odd else 0b10, 0 if odd else 1)]
+    for left in range(k - 1, -1, -1):
+        extended = []
+        for prefix, mask, top in patterns:
+            for level in levels:
+                grown = mask | (1 << level) if level else mask
+                highest = max(top, level)
+                if highest - grown.bit_count() <= left:  # skipped levels
+                    extended.append((prefix + (level,), grown, highest))
+        patterns = extended
+    signs = {level: (-level, level) if level else (0,) for level in levels}
+    points: list[tuple[int, ...]] = []
+    for pattern, _, _ in patterns:
+        points.extend(itertools.product(*(signs[level] for level in pattern)))
+    return tuple(points)
+
+
+_cached_sugihara_grid = lru_cache(maxsize=None)(_sugihara_grid)
+
+
+def designated_points(chain: ChainAlgebra, sigma, var_order) -> list[tuple[int, ...]]:
+    """The canonical-grid valuations (tuples over ``var_order``) that
+    designate every formula in ``sigma``."""
+    points = canonical_grid(chain, len(var_order))
+    unit = chain.unit
+    for h in sigma:
+        values = eval_vector(chain, h, var_order, points)
+        points = [point for point, value in zip(points, values) if value >= unit]
+    return list(points)
+
+
 def brute_force_consequence(chains, sigma, f: Formula):
     """Exhaustively check the consequence over every valuation into each
     chain.  Returns ``None`` if it holds, else ``(chain, valuation)``."""

@@ -8,12 +8,15 @@ Problem file format (``#`` starts a comment):
     prove p -> r       # exactly one prove line
 
 Exit codes: 0 proved (or kernel branch for ``gordan``), 1 refuted (or
-strict-dual branch), 2 unknown, 3 usage or input error.
+strict-dual branch), 2 unknown, 3 usage or input error, or any failure
+(a formula nested too deeply, an internal error), reported on standard
+error with nothing on standard output.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -352,11 +355,27 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_PROVED
+    # A command's output is held back until it has finished, so that a
+    # failure part-way never leaves a verdict on standard output.
+    stdout, sys.stdout = sys.stdout, io.StringIO()
     try:
-        return args.func(args)
+        code = args.func(args)
     except (GordianError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:  # the boundary: a crash must not read as a verdict
+        import traceback  # only here, to keep it off every run's start-up
+
+        traceback.print_exc(file=sys.stderr)
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    finally:
+        buffer, sys.stdout = sys.stdout, stdout
+    stdout.write(buffer.getvalue())
+    return code
 
 
 if __name__ == "__main__":

@@ -23,21 +23,17 @@ from .engine import (
     prove_disjunction,
 )
 from .errors import InvalidCertificateError, PreconditionFailedError
-from .logics import LogicSpec, lookup_logic
+from .logics import LogicSpec, resolve_logic
 from .normalize import Goal, MultClause
 from .oracles import decide
 from .rand import random_mult_formula
 from .syntax import ONE, ZERO, Formula, Imp, Var, render, variables_of
 
 
-def _resolve(logic: LogicSpec | str) -> LogicSpec:
-    return lookup_logic(logic) if isinstance(logic, str) else logic
-
-
 def density_precondition(logic: LogicSpec | str, budget: EngineBudget = DEFAULT_BUDGET) -> bool:
     """True iff the engine proves 1 -> 0 in the logic; the transform is
     only sound past this gate."""
-    logic = _resolve(logic)
+    logic = resolve_logic(logic)
     if not logic.has_toa:
         return False
     return prove_consequence(logic, [], Imp(ONE, ZERO), budget).status == "proved"
@@ -75,7 +71,7 @@ def density_transform(
 
     The input certificate is re-verified against the logic's oracle before
     transforming, and the output combination is re-proved the same way."""
-    logic = _resolve(logic)
+    logic = resolve_logic(logic)
     sigma = list(sigma)
     if not density_precondition(logic, budget):
         raise PreconditionFailedError(f"{logic.name} does not prove 1 -> 0")
@@ -106,7 +102,8 @@ def density_transform(
         out_weights = (a, c)  # b == 0: substitute psi for the fresh variable
     out_disjuncts = [Imp(phi, psi)] + ([chi] if chi is not None else [])
     out_lambdas = out_weights[: len(out_disjuncts)]
-    assert any(out_lambdas)
+    if not any(out_lambdas):
+        raise InvalidCertificateError("transformed weights are all zero")
 
     out_combo = combination_formula(out_lambdas, out_disjuncts)
     verdict = decide(logic, sigma, out_combo, budget=budget.hilbert)
@@ -153,7 +150,7 @@ def check_density_property(
     instances with a fresh middle variable, keep those whose three-disjunct
     goal the engine proves, transform each certificate and require the
     output to re-prove.  Failures are collected, expected none."""
-    logic = _resolve(logic)
+    logic = resolve_logic(logic)
     if not density_precondition(logic, budget):
         raise PreconditionFailedError(f"{logic.name} does not prove 1 -> 0")
     rng = Random(seed)

@@ -6,9 +6,12 @@ hypotheses in the multiplicative fragment, or by exhibiting a countermodel:
 
 * Abelian: one exact linear program decides both directions at once (with
   no hypotheses this is literally the strict-dual/kernel dichotomy).
-* Mingle logics: ``lambda`` ranges over 0/1 vectors (subset form), decided
-  against the Sugihara decision chains; refutations come from a direct
-  valuation sweep.
+* Mingle logics: ``lambda`` ranges over 0/1 vectors (subset form).  The
+  hypotheses and disjuncts are evaluated once per decision chain over its
+  canonical grid; a point designating no disjunct is the countermodel,
+  otherwise greedy elimination over the same value table yields the
+  largest valid subset, whose combination is then evaluated to back the
+  certificate.
 * Everything else: iterative deepening on ``sum(lambda)`` against the
   Hilbert oracle; exhaustion is reported as Unknown, never Refuted.
 
@@ -18,31 +21,33 @@ time with excluded middle, which is recorded as a checkable step list.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import InvalidCertificateError, LogicWithoutToAError
 from .linalg import (
     IntMatrix,
     Kernel,
-    StrictDual,
     _clear_denominators,
     _primitive,
     feasible_point_or_farkas,
     gordan,
     translate_abelian,
 )
-from .logics import LogicSpec, lookup_logic
+from .chains import eval_vector
+from .logics import LogicSpec, resolve_logic
 from .normalize import Goal, decompose_consequence
 from .oracles import (
+    ChainExhaustiveWitness,
     Countermodel,
     HilbertBudget,
     LinearWitness,
     MultWitness,
-    countermodel_refutes,
+    chain_tables,
+    checked_countermodel,
     decide,
     decision_chains,
     find_chain_countermodel,
+    refuting_point,
 )
 from .syntax import (
     ONE,
@@ -101,10 +106,6 @@ def combination_formula(lambdas, disjuncts) -> Formula:
     return acc
 
 
-def _resolve(logic: LogicSpec | str) -> LogicSpec:
-    return lookup_logic(logic) if isinstance(logic, str) else logic
-
-
 def prove_disjunction(
     logic: LogicSpec | str,
     goal: Goal,
@@ -117,7 +118,7 @@ def prove_disjunction(
     iterative-deepening search even where a one-shot method exists (used to
     cross-check the subset form on the mingle logics).
     """
-    logic = _resolve(logic)
+    logic = resolve_logic(logic)
     if not logic.has_toa:
         raise LogicWithoutToAError(f"{logic.name} has no theorem of alternatives")
     if strategy == "auto":
@@ -152,7 +153,6 @@ def _prove_abelian(logic: LogicSpec, goal: Goal) -> ProofResult:
         result = gordan(matrix)
         if isinstance(result, Kernel):
             return _abelian_proved(goal, result.x, mu=(), scale=1)
-        assert isinstance(result, StrictDual)
         valuation = dict(zip(variables, (-y for y in result.y)))
         return _abelian_refuted(goal, valuation)
 
@@ -166,7 +166,8 @@ def _prove_abelian(logic: LogicSpec, goal: Goal) -> ProofResult:
     if x is not None:
         ints, _ = _clear_denominators(x)
         return _abelian_proved(goal, ints[:n], mu=tuple(ints[n:]), scale=1)
-    assert y is not None
+    if y is None:
+        raise InvalidCertificateError("the LP returned neither a point nor a Farkas vector")
     # Farkas y: <y, disjunct form> <= -y_last < 0 and <y, hyp form> >= 0,
     # so y itself (restricted to the variable rows) is the countermodel.
     valuation = dict(zip(variables, _primitive(list(y[: len(variables)]))))
@@ -181,15 +182,15 @@ def _abelian_proved(goal: Goal, lambdas, mu, scale) -> ProofResult:
         (m * translate_abelian(hyp) for m, hyp in zip(cert.witness.mu, goal.hypotheses)),
         start=0 * combo,
     )
-    assert total == scale * combo
+    if total != scale * combo:
+        raise InvalidCertificateError("hypothesis weights do not sum to the combination")
     return ProofResult("proved", goal, certificate=cert)
 
 
 def _abelian_refuted(goal: Goal, valuation: dict[str, int]) -> ProofResult:
     full = {v: 0 for v in variables_of(goal.hypotheses + goal.clause.disjuncts)}
     full.update(valuation)
-    cm = Countermodel.of("Z", full)
-    assert countermodel_refutes(cm, goal.hypotheses, goal.clause.disjuncts)
+    cm = checked_countermodel(Countermodel.of("Z", full), goal.hypotheses, goal.clause.disjuncts)
     return ProofResult("refuted", goal, countermodel=cm)
 
 
@@ -197,25 +198,85 @@ def _abelian_refuted(goal: Goal, valuation: dict[str, int]) -> ProofResult:
 
 
 def _prove_subsets(logic: LogicSpec, goal: Goal, budget: EngineBudget) -> ProofResult:
-    cm = _chain_countermodel(logic, goal, budget)
-    if cm is not None:
-        return ProofResult("refuted", goal, countermodel=cm)
-    disjuncts = goal.clause.disjuncts
-    n = len(disjuncts)
-    for r in range(1, n + 1):
-        for indices in itertools.combinations(range(n), r):
-            lambdas = tuple(1 if i in indices else 0 for i in range(n))
-            combo = combination_formula(lambdas, disjuncts)
-            verdict = decide(logic, goal.hypotheses, combo, widen=budget.widen)
-            if verdict.status == "proved":
-                return ProofResult(
-                    "proved", goal, certificate=ToACertificate(lambdas, verdict.witness)
-                )
-    return ProofResult(
-        "unknown",
-        goal,
-        reason="valid on the decision chains but no subset combination proved",
-    )
+    """Subset form, settled from one value table per decision chain.
+
+    The hypotheses are evaluated over each chain's canonical grid, and the
+    disjuncts at the points that designate them all (the kept points).  A
+    kept point designating no disjunct is a countermodel.  Otherwise the
+    largest valid subset is found by greedy elimination
+    (:func:`_largest_valid_subset`), and its combination formula is
+    evaluated at the kept points before it is certified.
+    """
+    hyps, disjuncts = goal.hypotheses, goal.clause.disjuncts
+    var_order = sorted(variables_of(hyps + disjuncts))
+    chains = decision_chains(logic, len(var_order), budget.widen)
+    tables = []
+    for chain, points, rows in chain_tables(chains, hyps, disjuncts, var_order):
+        point = refuting_point(chain, points, rows)
+        if point is not None:
+            cm = Countermodel.of(chain.name, dict(zip(var_order, point)))
+            return ProofResult(
+                "refuted", goal, countermodel=checked_countermodel(cm, hyps, disjuncts)
+            )
+        tables.append((chain, points, rows))
+    support = _largest_valid_subset(tables, len(disjuncts))
+    if not support:
+        return ProofResult(
+            "unknown",
+            goal,
+            reason="valid on the decision chains but no subset combination proved",
+        )
+    lambdas = tuple(1 if i in support else 0 for i in range(len(disjuncts)))
+    combo = combination_formula(lambdas, disjuncts)
+    for chain, points, _ in tables:
+        if any(v < chain.unit for v in eval_vector(chain, combo, var_order, points)):
+            raise InvalidCertificateError(
+                f"subset combination is not designated on {chain.name}"
+            )
+    # The combination's own decision chains are subalgebras of the goal's.
+    named = decision_chains(logic, len(variables_of(hyps + (combo,))), budget.widen)
+    witness = ChainExhaustiveWitness(tuple(c.name for c in named))
+    return ProofResult("proved", goal, certificate=ToACertificate(lambdas, witness))
+
+
+def _dominance(value: int) -> tuple[int, int]:
+    return abs(value), value
+
+
+def _largest_valid_subset(tables, n: int) -> set[int]:
+    """The union of all subsets of the ``n`` disjuncts whose sum is
+    designated at every kept point of ``tables`` (the largest such subset),
+    or the empty set when there is none.
+
+    On a Sugihara chain ``a + b = ~(~a * ~b)`` is whichever argument has
+    the larger absolute value, ties going to the larger one; so the sum of
+    a subset S at a point is its dominant value there, the maximum of S's
+    values under that order.
+
+    Elimination keeps a set T that contains every valid subset, starting
+    from all disjuncts.  Let x be a kept point where the sum of T is an
+    undesignated value v, and S a subset of T that contains a disjunct
+    taking the value v at x.  Since v is dominant among T's values and S's
+    lie among them, v is also the sum of S at x, so S is not valid.  Hence
+    dropping every disjunct that takes the value v at x keeps every valid
+    subset inside T.  When no such point is left, T itself is valid, so it
+    is the largest valid subset (the union of two valid subsets is valid,
+    since at each point its sum is one of the two designated sums).
+    """
+    # Only the distinct value rows matter, with their chain's unit.
+    rows = {(chain.unit, values) for chain, _, chain_rows in tables for values in chain_rows}
+    support = set(range(n))
+    changed = True
+    while changed and support:
+        changed = False
+        for unit, values in rows:
+            top = max((values[i] for i in support), key=_dominance)
+            if top < unit:
+                support = {i for i in support if values[i] != top}
+                changed = True
+                if not support:
+                    return support
+    return support
 
 
 def _chain_countermodel(
@@ -225,7 +286,7 @@ def _chain_countermodel(
     chains = decision_chains(logic, k, budget.widen)
     cm = find_chain_countermodel(chains, goal.hypotheses, goal.clause.disjuncts)
     if cm is not None:
-        assert countermodel_refutes(cm, goal.hypotheses, goal.clause.disjuncts)
+        checked_countermodel(cm, goal.hypotheses, goal.clause.disjuncts)
     return cm
 
 
@@ -301,7 +362,8 @@ def expand_combination(cert: ToACertificate, goal: Goal) -> ExpansionSketch:
     # peel the right-nested fold: one term splits off per step
     for position in range(len(support) - 1):
         current = state[position]
-        assert isinstance(current, Imp) and isinstance(current.left, Imp)
+        if not (isinstance(current, Imp) and isinstance(current.left, Imp)):
+            raise InvalidCertificateError("combination is not a right-nested sum")
         state[position : position + 1] = [current.left.left, current.right]
         record("sum_split", current.left.left)
     # expand each left-nested scalar multiple into copies
@@ -412,7 +474,7 @@ def prove_consequence(
     Proved iff every goal is proved; any refuted goal refutes the
     consequence (the decomposition is equivalence-preserving over chains).
     """
-    logic = _resolve(logic)
+    logic = resolve_logic(logic)
     goals = decompose_consequence(
         sigma, f, max_literals=budget.max_literals, max_goals=budget.max_goals
     )
@@ -445,7 +507,7 @@ def check_excluded_middle(
 ) -> ExcludedMiddleReport:
     """Any logic with an alternatives theorem proves p | ~p and 0 -> 1;
     run both through the engine and report."""
-    logic = _resolve(logic)
+    logic = resolve_logic(logic)
     p = Var("p")
     lem = prove_consequence(logic, [], Disj(p, neg(p)), budget)
     zero_one = prove_consequence(logic, [], Imp(ZERO, ONE), budget)

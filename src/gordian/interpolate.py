@@ -11,8 +11,12 @@ Multiplicative level:
   generate exactly the cone's intersection with the X-subspace, and each
   row renders back as the implication (negative part) -> (positive part).
 * Mingle logics (X of at most 2 variables): the finitely many semantic
-  classes of formulas over X are enumerated against the decision chains and
-  the derivable representatives kept.
+  classes of formulas over X are enumerated by their value tables on the
+  decision chains for X, each candidate's table computed from its two
+  children's through the chain's fusion and implication tables.  A class
+  is kept when its representative is designated at every point of the
+  hypotheses' canonical grids (one per decision chain, built once) that
+  designates all hypotheses.
 
 Full-language hypotheses reduce to the multiplicative level by splitting
 conjunctions, recursing over disjunctive clauses, and joining the two
@@ -24,18 +28,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .chains import eval_vector
+from .chains import designated_points, eval_vector
 from .engine import DEFAULT_BUDGET, EngineBudget, prove_consequence
 from .errors import (
     EnumerationBudgetExceededError,
+    InvalidCertificateError,
     NotMultiplicativeError,
     SizeBudgetExceededError,
     UnsupportedLogicError,
 )
 from .linalg import LinForm, project_fm, translate_abelian
-from .logics import LogicSpec, lookup_logic
+from .logics import LogicSpec, resolve_logic
 from .normalize import to_mult_clauses
-from .oracles import decision_chains, sugihara_decide
+from .oracles import decision_chains
 from .syntax import (
     ONE,
     Conj,
@@ -53,14 +58,11 @@ from .syntax import (
 )
 
 
-def _resolve(logic: LogicSpec | str) -> LogicSpec:
-    return lookup_logic(logic) if isinstance(logic, str) else logic
-
-
 def _form_to_formula(form: LinForm) -> Formula:
     """A multiplicative formula whose linear reading is ``form``:
     (product of negative-coefficient powers) -> (product of positive ones)."""
-    assert form.constant == 0
+    if form.constant != 0:
+        raise InvalidCertificateError(f"projected row {form} has a constant part")
 
     def monomial(signed: int) -> Formula:
         factors = [
@@ -89,7 +91,7 @@ def mult_uniform_interpolant(
     sigma = list(sigma)
     if not frozenset(x_vars) <= variables_of(sigma):
         raise ValueError("X must be a subset of the hypotheses' variables")
-    return _mult_interpolant(_resolve(logic), sigma, frozenset(x_vars), depth, class_cap)
+    return _mult_interpolant(resolve_logic(logic), sigma, frozenset(x_vars), depth, class_cap)
 
 
 def _mult_interpolant(
@@ -111,8 +113,19 @@ def _mult_interpolant(
                 f"{logic.name}: enumeration supports at most 2 shared variables"
             )
         reps = _enumerate_classes(logic, sorted(x_vars), depth, class_cap)
+        var_order = sorted(variables_of(sigma))
+        tables = [
+            (chain, designated_points(chain, sigma, var_order))
+            for chain in decision_chains(logic, len(var_order))
+        ]
         kept = [
-            f for f in reps if sugihara_decide(logic, sigma, f).status == "proved"
+            f
+            for f in reps
+            if all(
+                value >= chain.unit
+                for chain, points in tables
+                for value in eval_vector(chain, f, var_order, points)
+            )
         ]
         return sorted(kept, key=render)
     raise UnsupportedLogicError(f"no interpolation procedure for {logic.name}")
@@ -123,35 +136,62 @@ def _enumerate_classes(
 ) -> list[Formula]:
     """One shortest representative per semantic class of multiplicative
     formulas over ``x_vars``, classes separated by their value vectors over
-    the decision chains.  Local finiteness makes this saturate."""
+    the decision chains.  Local finiteness makes this saturate.
+
+    A signature is the value vector over every chain's full grid, each
+    chain's values coded as distinct bytes, so that a candidate's signature
+    is read off its children's through the fusion and implication tables.
+    Each depth combines only pairs with at least one class found at the
+    depth before (every other pair was tried already), in the same order as
+    the full product of the known classes, so the representatives found are
+    those of the full product.
+    """
     chains = decision_chains(logic, len(x_vars))
+    elements = [(chain, v) for chain in chains for v in chain.carrier]
+    n = len(elements)
+    if n * n > 256:
+        raise UnsupportedLogicError(f"{n} chain elements are too many for byte tables")
+    code = {element: i for i, element in enumerate(elements)}
+    fuse_table, imp_table = bytearray(256), bytearray(256)
+    for chain in chains:
+        for table, operation in ((fuse_table, chain._fuse), (imp_table, chain._imp)):
+            for (a, b), value in operation.items():
+                table[code[chain, a] * n + code[chain, b]] = code[chain, value]
     grids = [
-        list(itertools.product(chain.carrier, repeat=len(x_vars))) for chain in chains
+        (chain, list(itertools.product(chain.carrier, repeat=len(x_vars))))
+        for chain in chains
     ]
+    width = sum(len(grid) for _, grid in grids)
 
-    def signature(f: Formula) -> tuple:
-        return tuple(
-            tuple(eval_vector(chain, f, x_vars, grid))
-            for chain, grid in zip(chains, grids)
-        )
-
-    classes: dict[tuple, Formula] = {}
+    classes: dict[bytes, Formula] = {}
     for atom in [Var(v) for v in x_vars] + [ONE, ZERO]:
-        classes.setdefault(signature(atom), atom)
+        sig = bytes(
+            code[chain, value]
+            for chain, grid in grids
+            for value in eval_vector(chain, atom, x_vars, grid)
+        )
+        classes.setdefault(sig, atom)
+    fresh_from = 0  # classes at this index and later were found last depth
     for _ in range(depth):
-        known = list(classes.values())
-        new: list[Formula] = []
-        for a, b in itertools.product(known, repeat=2):
-            for candidate in (Fuse(a, b), Imp(a, b)):
-                sig = signature(candidate)
-                if sig not in classes:
-                    classes[sig] = candidate
-                    new.append(candidate)
-                    if len(classes) > class_cap:
-                        raise EnumerationBudgetExceededError(
-                            f"more than {class_cap} semantic classes"
-                        )
-        if not new:
+        # Read as big-endian integers, n * sig_a + sig_b spells every pair
+        # code a * n + b at once: each is below 256, so no digit carries.
+        known = [(int.from_bytes(sig, "big"), f) for sig, f in classes.items()]
+        fresh = known[fresh_from:]
+        for position, (number_a, a) in enumerate(known):
+            partners = known if position >= fresh_from else fresh
+            scaled = n * number_a
+            for number_b, b in partners:
+                pairs = (scaled + number_b).to_bytes(width, "big")
+                for build, table in ((Fuse, fuse_table), (Imp, imp_table)):
+                    sig = pairs.translate(table)
+                    if sig not in classes:
+                        classes[sig] = build(a, b)
+                        if len(classes) > class_cap:
+                            raise EnumerationBudgetExceededError(
+                                f"more than {class_cap} semantic classes"
+                            )
+        fresh_from = len(known)
+        if len(classes) == fresh_from:
             break
     return list(classes.values())
 
@@ -171,7 +211,7 @@ def lift_interpolant(
     side means that branch admits only theorems over X, so the join is
     empty too.  The base case is the multiplicative interpolant.
     """
-    logic = _resolve(logic)
+    logic = resolve_logic(logic)
     sigma = list(sigma)
     x_vars = frozenset(x_vars)
     if not x_vars <= variables_of(sigma):
@@ -237,7 +277,7 @@ def verify_interpolant(
     """Check the defining equivalence on concrete probes: the interpolant
     uses only X, follows from the hypotheses, and proves exactly the same
     probes.  Probes must share only X-variables with the hypotheses."""
-    logic = _resolve(logic)
+    logic = resolve_logic(logic)
     sigma, pi = list(sigma), list(pi)
     x_vars = frozenset(x_vars)
     checks: list[InterpolationCheck] = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import NotMultiplicativeError
+from .errors import InvalidCertificateError, NotMultiplicativeError
 from .syntax import Formula, Fuse, Imp, MVar, One, Var, Zero
 
 
@@ -267,14 +267,16 @@ def gordan(matrix: IntMatrix) -> GordanResult:
     x, y = feasible_point_or_farkas(rows, rhs)
     if x is not None:
         ints, _ = _clear_denominators(x)
-        assert any(ints) and all(v >= 0 for v in ints)
-        assert all(sum(row[j] * ints[j] for j in range(n)) == 0 for row in matrix.rows)
+        if not (any(ints) and all(v >= 0 for v in ints)) or any(
+            sum(row[j] * ints[j] for j in range(n)) != 0 for row in matrix.rows
+        ):
+            raise InvalidCertificateError("kernel vector fails its check")
         return Kernel(tuple(ints))
-    assert y is not None
+    if y is None:
+        raise InvalidCertificateError("the LP returned neither a point nor a Farkas vector")
     dual = _primitive([-v for v in y[:m]])
-    assert all(
-        sum(dual[i] * matrix.rows[i][j] for i in range(m)) > 0 for j in range(n)
-    )
+    if any(sum(dual[i] * matrix.rows[i][j] for i in range(m)) <= 0 for j in range(n)):
+        raise InvalidCertificateError("strict dual vector fails its check")
     return StrictDual(tuple(dual))
 
 
@@ -347,7 +349,8 @@ def cone_solve(
     valuation ``y`` with ``<y, g> >= 0`` for every generator and
     ``<y, target> < 0``.  All forms must have constant part 0.
     """
-    assert target.constant == 0 and all(g.constant == 0 for g in generators)
+    if target.constant != 0 or any(g.constant != 0 for g in generators):
+        raise ValueError("cone membership needs forms with constant part 0")
     variables = sorted(
         frozenset().union(target.variables(), *(g.variables() for g in generators))
     )
@@ -360,17 +363,18 @@ def cone_solve(
     x, y = feasible_point_or_farkas(rows, rhs)
     if x is not None:
         mu, scale = _clear_denominators(x)
-        assert scale >= 1
         combination = LinForm()
         for m_j, g in zip(mu, generators):
             combination = combination + m_j * g
-        assert combination == scale * target
+        if scale < 1 or combination != scale * target:
+            raise InvalidCertificateError("cone combination fails its check")
         return ConeMembership(mu=tuple(mu), scale=scale)
-    assert y is not None
+    if y is None:
+        raise InvalidCertificateError("the LP returned neither a point nor a Farkas vector")
     dual = _primitive([-v for v in y])
     valuation = dict(zip(variables, dual))
-    assert all(g.evaluate(valuation) >= 0 for g in generators)
-    assert target.evaluate(valuation) < 0
+    if any(g.evaluate(valuation) < 0 for g in generators) or target.evaluate(valuation) >= 0:
+        raise InvalidCertificateError("separating valuation fails its check")
     return valuation
 
 

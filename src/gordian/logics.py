@@ -15,7 +15,6 @@ from typing import Callable
 
 from .errors import MissingMetavariableError, UnknownLogicError
 from .syntax import (
-    Conj,
     Formula,
     Imp,
     MVar,
@@ -35,25 +34,7 @@ class AxiomSchema:
     template: Formula
 
 
-@dataclass(frozen=True)
-class RuleSchema:
-    name: str
-    premises: tuple[Formula, ...]
-    conclusion: Formula
-
-
 _PHI = MVar("PHI")
-_PSI = MVar("PSI")
-
-MP = RuleSchema("mp", (_PHI, Imp(_PHI, _PSI)), _PSI)
-ADJ = RuleSchema("adj", (_PHI, _PSI), Conj(_PHI, _PSI))
-
-
-def u_rule(n: int) -> RuleSchema:
-    """The unperforated rule for a fixed n >= 1: from n*f infer f."""
-    if n < 1:
-        raise ValueError("u_n requires n >= 1")
-    return RuleSchema(f"u_{n}", (scalar(n, _PHI),), _PHI)
 
 
 @dataclass(frozen=True)
@@ -136,7 +117,6 @@ class LogicSpec:
     extra_axioms: tuple[AxiomSchema, ...] = ()
     families: tuple[AxiomFamily, ...] = ()
     has_toa: bool = False
-    proves_one_to_zero: bool = False
     oracle_kind: str = "hilbert"
 
     @property
@@ -189,7 +169,6 @@ def _make_registry() -> dict[str, LogicSpec]:
             "IULm",
             extra_axioms=(_COLLAPSE, _ZERO_ONE),
             has_toa=True,
-            proves_one_to_zero=True,
             oracle_kind="abelian",
         ),
         LogicSpec(
@@ -197,7 +176,6 @@ def _make_registry() -> dict[str, LogicSpec]:
             "IULm",
             extra_axioms=(_MINGLE_IN, _MINGLE_OUT),
             has_toa=True,
-            proves_one_to_zero=False,
             oracle_kind="sugihara",
         ),
         LogicSpec(
@@ -205,7 +183,6 @@ def _make_registry() -> dict[str, LogicSpec]:
             "IULm",
             extra_axioms=(_MINGLE_IN, _MINGLE_OUT, _ONE_ZERO),
             has_toa=True,
-            proves_one_to_zero=True,
             oracle_kind="sugihara",
         ),
         LogicSpec(
@@ -213,7 +190,6 @@ def _make_registry() -> dict[str, LogicSpec]:
             "IULm",
             families=(_BALANCE,),
             has_toa=True,
-            proves_one_to_zero=True,
             oracle_kind="hilbert",
         ),
     ]
@@ -270,6 +246,11 @@ def lookup_logic(name: str) -> LogicSpec:
         f"unknown logic {name!r}; available: {', '.join(sorted(_REGISTRY))}, "
         "knotted(t,u,r:k:m:s[,...])"
     )
+
+
+def resolve_logic(logic: LogicSpec | str) -> LogicSpec:
+    """A :class:`LogicSpec` as given, or the one registered under the name."""
+    return lookup_logic(logic) if isinstance(logic, str) else logic
 
 
 def registered_logics() -> tuple[str, ...]:

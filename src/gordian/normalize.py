@@ -148,18 +148,30 @@ def _cnf(f: Formula, budget: _Budget) -> list[tuple[Formula, ...]]:
     return [(f,)]
 
 
-def _drop_subsumed(clauses: list[MultClause]) -> list[MultClause]:
-    sets = [frozenset(c.disjuncts) for c in clauses]
-    kept = []
-    for i, c in enumerate(clauses):
-        if any(
-            sets[j] < sets[i] or (sets[j] == sets[i] and j < i)
-            for j in range(len(clauses))
-            if j != i
-        ):
-            continue
-        kept.append(c)
-    return sorted(set(kept), key=MultClause.render)
+def _drop_subsumed(raw, max_literals: int) -> list[MultClause]:
+    """The distinct literal sets of the ``raw`` clauses that contain no
+    other, as clauses sorted by their rendering.
+
+    Equal-length distinct sets cannot contain each other, and containment
+    is transitive, so each set is tested only against the kept sets of
+    strictly smaller length.  A set kept in that order stays in the result,
+    so the clause form is known to exceed ``max_literals`` (raising
+    SizeBudgetExceededError) as soon as the kept sets do."""
+    distinct = sorted({frozenset(clause) for clause in raw}, key=len)
+    kept: list[frozenset] = []
+    total = 0
+    for length, group in itertools.groupby(distinct, key=len):
+        shorter = list(kept)
+        for literals in group:
+            if any(smaller < literals for smaller in shorter):
+                continue
+            kept.append(literals)
+            total += length
+            if total > max_literals:
+                raise SizeBudgetExceededError(
+                    f"clause form has more than {max_literals} literals"
+                )
+    return sorted((MultClause.of(literals) for literals in kept), key=MultClause.render)
 
 
 def to_mult_clauses(f: Formula, max_literals: int = DEFAULT_LITERAL_CAP) -> list[MultClause]:
@@ -168,15 +180,7 @@ def to_mult_clauses(f: Formula, max_literals: int = DEFAULT_LITERAL_CAP) -> list
     Raises SizeBudgetExceededError when the clause form would exceed
     ``max_literals`` literals (or the rewriting work guard trips first)."""
     budget = _Budget(max_literals)
-    clauses = _drop_subsumed(
-        [MultClause.of(c) for c in _cnf(_push(f, budget), budget)]
-    )
-    total = sum(len(c.disjuncts) for c in clauses)
-    if total > max_literals:
-        raise SizeBudgetExceededError(
-            f"clause form has {total} literals (cap {max_literals})"
-        )
-    return clauses
+    return _drop_subsumed(_cnf(_push(f, budget), budget), max_literals)
 
 
 def decompose_consequence(

@@ -5,8 +5,12 @@ finite multiplicative ``sigma``, and return machine-checkable evidence:
 
 * ``abelian``: complete, by exact rational cone membership of the linear
   readings; refutations carry an integer valuation ("Z", the integers).
-* ``sugihara``: complete for the mingle logics, by exhausting valuations
-  into the decision chains derived from the variable count.
+* ``sugihara``: complete for the mingle logics, by exhausting the
+  canonical valuations (:func:`chains.canonical_grid`, one per class of
+  valuations equal up to relabelling absolute-value levels) into the
+  decision chains derived from the variable count.  :func:`chain_tables`
+  evaluates a goal once per chain; the engine's subset search reads the
+  same tables.
 * ``hilbert``: budgeted forward saturation over axiom-schema instances with
   modus ponens and the unperforated rule; Proved or Unknown, never Refuted.
 """
@@ -19,14 +23,15 @@ from dataclasses import dataclass
 from .chains import (
     ChainAlgebra,
     chain_from_name,
+    designated_points,
     eval_abelian,
     eval_formula,
     eval_vector,
     sugihara_chain,
 )
-from .errors import NotMultiplicativeError, UnsupportedLogicError
+from .errors import InvalidCertificateError, NotMultiplicativeError, UnsupportedLogicError
 from .linalg import ConeMembership, LinForm, cone_solve, translate_abelian
-from .logics import LogicSpec, instantiate, lookup_logic, match_template
+from .logics import LogicSpec, instantiate, match_template, resolve_logic
 from .syntax import (
     ONE,
     ZERO,
@@ -145,6 +150,14 @@ def countermodel_refutes(cm: Countermodel, sigma, disjuncts) -> bool:
     )
 
 
+def checked_countermodel(cm: Countermodel, sigma, disjuncts) -> Countermodel:
+    """``cm`` itself, once :func:`countermodel_refutes` confirms it; raises
+    InvalidCertificateError otherwise (a check that ``python -O`` keeps)."""
+    if not countermodel_refutes(cm, sigma, disjuncts):
+        raise InvalidCertificateError(f"countermodel {cm} does not refute the goal")
+    return cm
+
+
 # --- Abelian ------------------------------------------------------------------
 
 
@@ -159,9 +172,7 @@ def abelian_decide(sigma, phi: Formula) -> OracleVerdict:
         return Proved(LinearWitness(result.mu, result.scale))
     valuation = {v: 0 for v in variables_of(sigma + [phi])}
     valuation.update(result)
-    cm = Countermodel.of("Z", valuation)
-    assert countermodel_refutes(cm, sigma, [phi])
-    return Refuted(cm)
+    return Refuted(checked_countermodel(Countermodel.of("Z", valuation), sigma, [phi]))
 
 
 def verify_linear_witness(witness: LinearWitness, sigma, phi: Formula) -> bool:
@@ -174,16 +185,12 @@ def verify_linear_witness(witness: LinearWitness, sigma, phi: Formula) -> bool:
 # --- Sugihara -----------------------------------------------------------------
 
 
-def _resolve(logic: LogicSpec | str) -> LogicSpec:
-    return lookup_logic(logic) if isinstance(logic, str) else logic
-
-
 def decision_chains(logic: LogicSpec | str, k: int, widen: int = 0) -> list[ChainAlgebra]:
     """Decision chains for a k-variable question.  The odd chain of
     half-width k+1 suffices for the odd-unit logic; the mingle logic with
     separate unit also needs the even chain of half-width k+2, since
     neither parity's chains embed in the other's."""
-    logic = _resolve(logic)
+    logic = resolve_logic(logic)
     if logic.name == "IUMLm":
         return [sugihara_chain(k + 1 + widen, odd=True)]
     if logic.name == "RMt":
@@ -194,21 +201,35 @@ def decision_chains(logic: LogicSpec | str, k: int, widen: int = 0) -> list[Chai
     raise UnsupportedLogicError(f"no chain decision procedure for {logic.name}")
 
 
+def chain_tables(chains, sigma, disjuncts, var_order):
+    """For each chain in turn: the chain, the canonical points (tuples over
+    ``var_order``) designating all of ``sigma``, and one row per point of
+    the disjuncts' values there.  Each formula is evaluated once per chain,
+    at the points that survived the hypotheses before it."""
+    for chain in chains:
+        points = designated_points(chain, sigma, var_order)
+        columns = [eval_vector(chain, d, var_order, points) for d in disjuncts]
+        yield chain, points, list(zip(*columns)) if columns else [()] * len(points)
+
+
+def refuting_point(chain: ChainAlgebra, points, rows):
+    """The first point at which no disjunct is designated, or ``None``."""
+    unit = chain.unit
+    for point, values in zip(points, rows):
+        if max(values, default=unit - 1) < unit:
+            return point
+    return None
+
+
 def find_chain_countermodel(chains, sigma, disjuncts):
-    """First valuation designating all of ``sigma`` and none of
+    """First canonical valuation designating all of ``sigma`` and none of
     ``disjuncts``, scanning the given chains; ``None`` if there is none."""
     sigma, disjuncts = list(sigma), list(disjuncts)
     var_order = sorted(variables_of(sigma + disjuncts))
-    for chain in chains:
-        grid = list(itertools.product(chain.carrier, repeat=len(var_order)))
-        hyp_vecs = [eval_vector(chain, h, var_order, grid) for h in sigma]
-        dis_vecs = [eval_vector(chain, d, var_order, grid) for d in disjuncts]
-        unit = chain.unit
-        for idx, point in enumerate(grid):
-            if any(vec[idx] >= unit for vec in dis_vecs):
-                continue
-            if all(vec[idx] >= unit for vec in hyp_vecs):
-                return Countermodel.of(chain.name, dict(zip(var_order, point)))
+    for chain, points, rows in chain_tables(chains, sigma, disjuncts, var_order):
+        point = refuting_point(chain, points, rows)
+        if point is not None:
+            return Countermodel.of(chain.name, dict(zip(var_order, point)))
     return None
 
 
@@ -216,14 +237,13 @@ def sugihara_decide(
     logic: LogicSpec | str, sigma, phi: Formula, widen: int = 0
 ) -> OracleVerdict:
     """Complete decision for the mingle logics by chain exhaustion."""
-    logic = _resolve(logic)
+    logic = resolve_logic(logic)
     sigma = list(sigma)
     _require_multiplicative(sigma + [phi])
     chains = decision_chains(logic, len(variables_of(sigma + [phi])), widen)
     cm = find_chain_countermodel(chains, sigma, [phi])
     if cm is not None:
-        assert countermodel_refutes(cm, sigma, [phi])
-        return Refuted(cm)
+        return Refuted(checked_countermodel(cm, sigma, [phi]))
     return Proved(ChainExhaustiveWitness(tuple(c.name for c in chains)))
 
 
@@ -299,7 +319,7 @@ def hilbert_search(
     until the target appears or the budget runs out.  Proved answers carry a
     checkable derivation; there are no Refuted answers.
     """
-    logic = _resolve(logic)
+    logic = resolve_logic(logic)
     budget = budget or HilbertBudget()
     sigma = list(sigma)
     _require_multiplicative(sigma + [phi])
@@ -430,7 +450,7 @@ def verify_derivation(logic: LogicSpec | str, lines, hypotheses=()) -> Derivatio
     instance, a hypothesis, or follow from earlier lines by mp (or the
     unperforated rule / adjunction where the logic has them).  The stated
     justifications are not trusted."""
-    logic = _resolve(logic)
+    logic = resolve_logic(logic)
     formulas = [line.formula if isinstance(line, DerivationLine) else line for line in lines]
     hypotheses = list(hypotheses)
     rules = set(logic.rules) | set(logic.mult_rules)
@@ -469,7 +489,7 @@ def decide(
     widen: int = 0,
 ) -> OracleVerdict:
     """Route a multiplicative consequence question to the logic's oracle."""
-    logic = _resolve(logic)
+    logic = resolve_logic(logic)
     if logic.oracle_kind == "abelian":
         return abelian_decide(sigma, phi)
     if logic.oracle_kind == "sugihara":

@@ -1,16 +1,22 @@
+import itertools
+from random import Random
+
 import pytest
 
 from gordian.chains import (
     ChainAlgebra,
     abelian_grid_refute,
     brute_force_consequence,
+    canonical_grid,
     chain_from_name,
     eval_abelian,
     eval_formula,
+    eval_vector,
     sugihara_chain,
 )
 from gordian.errors import MissingVariableError, NotMultiplicativeError
 from gordian.linalg import translate_abelian
+from gordian.rand import random_mult_formula
 from gordian.syntax import parse
 
 
@@ -95,3 +101,42 @@ def test_grid_refute_examples():
 def test_grid_refute_rejects_lattice():
     with pytest.raises(NotMultiplicativeError):
         abelian_grid_refute([], parse("p | q"), 1)
+
+
+def _relabel(point, odd: bool):
+    """Map the levels in use (with 1 on even chains) onto 1..m, in order,
+    keeping signs: the canonical representative of ``point``."""
+    levels = sorted({abs(v) for v in point if v} | (set() if odd else {1}))
+    rank = {level: i + 1 for i, level in enumerate(levels)}
+    return tuple((1 if v > 0 else -1) * rank[abs(v)] if v else 0 for v in point)
+
+
+@pytest.mark.parametrize("odd", [True, False])
+def test_canonical_grid_keeps_designation(odd):
+    rng = Random(5150 + odd)
+    for k in range(5):
+        chain = sugihara_chain(k + 1 if odd else k + 2, odd=odd)
+        names = [f"v{i}" for i in range(k)]
+        canonical = canonical_grid(chain, k)
+        full = list(itertools.product(chain.carrier, repeat=k))
+        assert len(set(canonical)) == len(canonical)
+        assert set(canonical) == {_relabel(point, odd) for point in full}
+        index = {point: i for i, point in enumerate(canonical)}
+        # with no variables, leaves are constants only
+        leaves = 0.2 if k else 1.0
+        for _ in range(12):
+            f = random_mult_formula(rng, names or ["unused"], 4, constant_weight=leaves)
+            on_full = eval_vector(chain, f, names, full)
+            on_canonical = eval_vector(chain, f, names, canonical)
+            for point, value in zip(full, on_full):
+                image = on_canonical[index[_relabel(point, odd)]]
+                assert chain.designated(value) == chain.designated(image), (f, point)
+    assert len(canonical_grid(sugihara_chain(5, odd=True), 4)) == 1697
+    assert len(canonical_grid(sugihara_chain(6, odd=False), 4)) == 2400
+    assert len(canonical_grid(sugihara_chain(6, odd=True), 5)) == 24483
+
+
+def test_canonical_grid_rejects_other_chains():
+    lukasiewicz = ChainAlgebra("l3", (-1, 0, 1), 1, -1, lambda a, b: max(-1, a + b - 1))
+    with pytest.raises(ValueError):
+        canonical_grid(lukasiewicz, 2)

@@ -1,5 +1,6 @@
 import json
 
+from gordian import cli
 from gordian.cli import main
 from gordian.engine import combination_formula
 from gordian.normalize import Goal
@@ -193,3 +194,26 @@ def test_density_rejects_lattice_input(capsys):
         capsys, "density", "--logic", "A", "--phi", "q | q", "--psi", "q"
     )
     assert code == 3
+
+
+def test_deep_formula_is_an_error_not_a_verdict(tmp_path, capsys):
+    # both are refuted at p = 1, but nesting this deep exhausts the
+    # recursive formula code; that must never read as exit 1 ("refuted")
+    for conclusion in ("400*p -> p", "p^600 -> p"):
+        problem = write(tmp_path, "deep.txt", f"logic A\nprove {conclusion}\n")
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "prove", problem, "--format", fmt)
+            assert code == 3, (conclusion, fmt)
+            assert out == "" and err.startswith("error:")
+
+
+def test_internal_error_is_exit_three(tmp_path, capsys, monkeypatch):
+    def crash(args):
+        print("proved")
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_prove", crash)
+    problem = write(tmp_path, "p.txt", "logic A\nprove p -> p\n")
+    code, out, err = run(capsys, "prove", problem)
+    assert code == 3 and out == ""
+    assert "internal error: KeyError" in err

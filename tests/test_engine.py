@@ -1,3 +1,4 @@
+import itertools
 from random import Random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from helpers import (
     abelian_goal_countermodel,
     goal_holds_brute_force,
+    iuml_chain_family,
     random_goal,
     rmt_chain_family,
 )
@@ -20,7 +22,12 @@ from gordian.engine import (
 from gordian.errors import InvalidCertificateError, LogicWithoutToAError
 from gordian.logics import lookup_logic
 from gordian.normalize import Goal
-from gordian.oracles import countermodel_refutes, decide, verify_linear_witness
+from gordian.oracles import (
+    countermodel_refutes,
+    decide,
+    sugihara_decide,
+    verify_linear_witness,
+)
 from gordian.syntax import parse, plus, scalar
 
 
@@ -99,14 +106,31 @@ def test_abelian_completeness_against_semantic_lp():
 
 
 def test_mingle_collapse_general_vs_subset():
+    # The one-table subset search, the deepening search and brute force
+    # over the full grids agree, and the greedy subset is the union of all
+    # subsets whose combination sugihara_decide proves.
     rng = Random(1311)
-    for _ in range(50):
-        goal = random_goal(rng, max_depth=3)
-        subset = prove_disjunction("RMt", goal)
-        general = prove_disjunction("RMt", goal, strategy="deepening")
-        brute = goal_holds_brute_force(rmt_chain_family(3), goal)
-        assert subset.status == general.status
-        assert (subset.status == "proved") == brute
+    families = {"RMt": rmt_chain_family(3), "IUMLm": iuml_chain_family(3)}
+    for _ in range(150):
+        for logic, chains in families.items():
+            goal = random_goal(rng, max_disjuncts=4, max_depth=3)
+            subset = prove_disjunction(logic, goal)
+            general = prove_disjunction(logic, goal, strategy="deepening")
+            brute = goal_holds_brute_force(chains, goal)
+            assert subset.status == general.status
+            assert (subset.status == "proved") == brute
+            if subset.status != "proved":
+                continue
+            n = len(goal.clause.disjuncts)
+            union = set()
+            for size in range(1, n + 1):
+                for picked in itertools.combinations(range(n), size):
+                    lambdas = tuple(int(i in picked) for i in range(n))
+                    combo = combination_formula(lambdas, goal.clause.disjuncts)
+                    if sugihara_decide(logic, goal.hypotheses, combo).status == "proved":
+                        union.update(picked)
+            chosen = {i for i, weight in enumerate(subset.certificate.lambdas) if weight}
+            assert chosen == union, (goal.render(), subset.certificate.lambdas)
 
 
 def test_proved_certificates_reverify():

@@ -1,16 +1,22 @@
+import itertools
+import time
 from random import Random
 
 import pytest
 
+from gordian.chains import eval_vector
 from gordian.engine import prove_consequence
-from gordian.errors import UnsupportedLogicError
+from gordian.errors import EnumerationBudgetExceededError, UnsupportedLogicError
 from gordian.interpolate import (
+    _enumerate_classes,
     lift_interpolant,
     mult_uniform_interpolant,
     verify_interpolant,
 )
+from gordian.logics import lookup_logic
+from gordian.oracles import decision_chains, sugihara_decide
 from gordian.rand import random_mult_formula
-from gordian.syntax import parse, render, variables_of
+from gordian.syntax import ONE, ZERO, Fuse, Imp, Var, parse, render, variables_of
 
 
 def test_abelian_elimination():
@@ -145,3 +151,80 @@ def test_projection_rows_lie_in_the_original_cone():
         for row in project_fm(gens, keep):
             assert row.variables() <= keep
             assert nonneg_combination(row, gens) is not None, (gens, keep, row)
+
+
+def _reference_classes(logic, x_vars, depth):
+    """Class enumeration by direct evaluation: every pair of known classes,
+    each candidate's signature from eval_vector over the full grids."""
+    chains = decision_chains(logic, len(x_vars))
+    grids = [list(itertools.product(c.carrier, repeat=len(x_vars))) for c in chains]
+
+    def signature(f):
+        return tuple(
+            tuple(eval_vector(c, f, x_vars, grid)) for c, grid in zip(chains, grids)
+        )
+
+    classes = {}
+    for atom in [Var(v) for v in x_vars] + [ONE, ZERO]:
+        classes.setdefault(signature(atom), atom)
+    for _ in range(depth):
+        known = list(classes.values())
+        size = len(classes)
+        for a, b in itertools.product(known, repeat=2):
+            for candidate in (Fuse(a, b), Imp(a, b)):
+                classes.setdefault(signature(candidate), candidate)
+        if len(classes) == size:
+            break
+    return list(classes.values())
+
+
+def test_class_tables_match_direct_evaluation():
+    for logic, x_vars, depth in [
+        ("IUMLm", ["p"], 4),
+        ("RMt", ["p"], 3),
+        ("IUMLm", ["p", "r"], 2),
+        ("RMt", ["p", "r"], 2),
+    ]:
+        spec = lookup_logic(logic)
+        assert _enumerate_classes(spec, x_vars, depth, 4096) == _reference_classes(
+            spec, x_vars, depth
+        ), (logic, x_vars)
+
+
+def test_sugihara_interpolant_matches_per_class_decisions():
+    rng = Random(6161)
+    tasks = 0
+    while tasks < 12:
+        sigma = [
+            random_mult_formula(rng, ["p", "q", "r"], rng.randint(1, 2))
+            for _ in range(rng.randint(1, 2))
+        ]
+        in_use = sorted(variables_of(sigma))
+        if len(in_use) < 2:
+            continue
+        tasks += 1
+        logic = ("RMt", "IUMLm")[tasks % 2]
+        x_vars = sorted(rng.sample(in_use, rng.randint(1, 2)))
+        depth = 2 if logic == "RMt" and len(x_vars) == 2 else 3
+        spec = lookup_logic(logic)
+        expected = sorted(
+            (
+                f
+                for f in _reference_classes(spec, x_vars, depth)
+                if sugihara_decide(spec, sigma, f).status == "proved"
+            ),
+            key=render,
+        )
+        assert mult_uniform_interpolant(logic, sigma, x_vars, depth=depth) == expected
+
+
+def test_mingle_interpolation_at_default_depth_is_fast():
+    sigma = [parse("p -> q"), parse("q -> r")]
+    start = time.perf_counter()
+    pi = mult_uniform_interpolant("IUMLm", sigma, ["p", "r"])
+    assert time.perf_counter() - start < 5.0
+    assert parse("p -> r") in pi
+    start = time.perf_counter()
+    with pytest.raises(EnumerationBudgetExceededError):
+        mult_uniform_interpolant("RMt", sigma, ["p", "r"])
+    assert time.perf_counter() - start < 20.0

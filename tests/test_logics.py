@@ -5,6 +5,7 @@ import pytest
 from helpers import meta_to_vars
 
 from gordian.chains import eval_abelian, eval_formula, sugihara_chain
+from gordian.engine import prove_consequence
 from gordian.errors import MissingMetavariableError, UnknownLogicError
 from gordian.logics import (
     AxiomSchema,
@@ -34,7 +35,9 @@ def test_lookup_iuml_is_rmt_plus_one_zero():
     rmt_names = {a.name for a in rmt.extra_axioms}
     iuml_names = {a.name for a in iuml.extra_axioms}
     assert iuml_names == rmt_names | {"one_zero"}
-    assert iuml.proves_one_to_zero and not rmt.proves_one_to_zero
+    one_zero = parse("1 -> 0")
+    assert prove_consequence(iuml, [], one_zero).status == "proved"
+    assert prove_consequence(rmt, [], one_zero).status == "refuted"
 
 
 def test_lookup_unknown():

@@ -1,4 +1,5 @@
 import itertools
+import time
 from random import Random
 
 import pytest
@@ -7,7 +8,16 @@ from helpers import iuml_chain_family
 
 from gordian.chains import eval_abelian, eval_formula, sugihara_chain
 from gordian.errors import SizeBudgetExceededError
-from gordian.normalize import Goal, MultClause, decompose_consequence, to_mult_clauses
+from gordian.normalize import (
+    Goal,
+    MultClause,
+    _Budget,
+    _cnf,
+    _drop_subsumed,
+    _push,
+    decompose_consequence,
+    to_mult_clauses,
+)
 from gordian.rand import random_formula
 from gordian.syntax import conj_all, disj_all, parse, render, variables, variables_of
 
@@ -27,6 +37,62 @@ def test_to_mult_clauses_budget():
     deep = parse(f"({wide}) -> z")
     with pytest.raises(SizeBudgetExceededError):
         to_mult_clauses(deep, max_literals=64)
+
+
+def _quadratic_drop_subsumed(raw, max_literals):
+    """The earlier all-pairs subsumption, followed by the literal cap."""
+    clauses = [MultClause.of(c) for c in raw]
+    sets = [frozenset(c.disjuncts) for c in clauses]
+    kept = [
+        c
+        for i, c in enumerate(clauses)
+        if not any(
+            sets[j] < sets[i] or (sets[j] == sets[i] and j < i)
+            for j in range(len(clauses))
+            if j != i
+        )
+    ]
+    out = sorted(set(kept), key=MultClause.render)
+    if sum(len(c.disjuncts) for c in out) > max_literals:
+        raise SizeBudgetExceededError("over the cap")
+    return out
+
+
+def test_drop_subsumed_matches_all_pairs():
+    rng = Random(2024)
+    compared = 0
+    for _ in range(300):
+        f = random_formula(rng, ["p", "q", "r"], rng.randint(2, 5), lattice_weight=0.5)
+        budget = _Budget(4096)
+        try:
+            raw = _cnf(_push(f, budget), budget)
+        except SizeBudgetExceededError:
+            continue  # the rewriting guard, before any subsumption
+        if len(raw) > 400:
+            continue  # keeps the all-pairs reference quick
+        for cap in (4096, 12):
+            try:
+                expected = _quadratic_drop_subsumed(raw, cap)
+            except SizeBudgetExceededError:
+                with pytest.raises(SizeBudgetExceededError):
+                    _drop_subsumed(raw, cap)
+                continue
+            assert _drop_subsumed(raw, cap) == expected
+            compared += len(raw) > 1
+    assert compared > 100
+
+
+def test_clause_cap_is_checked_while_dropping_subsumed():
+    # 11,664 clauses, none subsumed: the cap trips long before the
+    # all-pairs subsumption over them would finish
+    f = parse(
+        "((s * (1) -> 1) -> (s & 1) * (q | p)) * ((1) * s & r & (0 | r) * ((0) * p))"
+        " -> (r & ((r -> q) -> (s & r) | (r -> s) -> 1 -> r))"
+    )
+    start = time.perf_counter()
+    with pytest.raises(SizeBudgetExceededError):
+        to_mult_clauses(f)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_decompose_examples():

@@ -1,0 +1,81 @@
+"""Certificate and countermodel checks hold under ``python -O``.
+
+``-O`` strips ``assert`` statements, so each check below must be an
+explicit test that raises InvalidCertificateError.  The scenarios run in a
+child interpreter started with ``-O``.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCRIPT = r'''
+import sys
+
+from gordian import engine, oracles
+from gordian.errors import InvalidCertificateError
+from gordian.normalize import Goal
+from gordian.syntax import parse
+
+assert False, "asserts are live: this interpreter is not running with -O"
+
+
+def goal(hyps, disjuncts):
+    return Goal.of([parse(h) for h in hyps], [parse(d) for d in disjuncts])
+
+
+def rejected(label, action):
+    try:
+        action()
+    except InvalidCertificateError:
+        print("rejected:", label)
+    else:
+        print("ACCEPTED:", label)
+
+
+transitive = goal(["p -> q", "q -> r"], ["p -> r"])
+rejected(
+    "abelian weights that do not sum to the combination",
+    lambda: engine._abelian_proved(transitive, (1,), mu=(1, 0), scale=1),
+)
+
+# a valid goal, so the first canonical point designates a disjunct
+excluded_middle = goal([], ["p", "~p"])
+engine.refuting_point = lambda chain, points, rows: points[0]
+rejected(
+    "chain countermodel that does not refute",
+    lambda: engine.prove_disjunction("RMt", excluded_middle),
+)
+engine.refuting_point = oracles.refuting_point
+
+engine._largest_valid_subset = lambda tables, n: {0}
+rejected(
+    "subset whose combination is not designated",
+    lambda: engine.prove_disjunction("IUMLm", excluded_middle),
+)
+
+oracles.find_chain_countermodel = lambda chains, sigma, disjuncts: oracles.Countermodel.of(
+    "sugihara_odd_2", {"p": 1}
+)
+rejected(
+    "oracle countermodel that does not refute",
+    lambda: oracles.sugihara_decide("IUMLm", [], parse("p -> p")),
+)
+'''
+
+
+def test_certificate_checks_survive_optimize():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4 and all(line.startswith("rejected:") for line in lines), lines
