@@ -4,8 +4,9 @@ A disjunction goal is settled by finding a not-all-zero natural vector
 ``lambda`` whose weighted sum of the disjuncts is derivable from the
 hypotheses in the multiplicative fragment, or by exhibiting a countermodel:
 
-* Abelian: one exact linear program decides both directions at once (with
-  no hypotheses this is literally the strict-dual/kernel dichotomy).
+* Abelian: :func:`linalg.linear_alternative`, the package's one exact LP,
+  decides both directions at once: its combination gives ``lambda`` and
+  the hypotheses' weights, its separation the integer countermodel.
 * Mingle logics: ``lambda`` ranges over 0/1 vectors (subset form).  The
   hypotheses and disjuncts are evaluated once per decision chain over its
   canonical grid; a point designating no disjunct is the countermodel,
@@ -24,15 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidCertificateError, LogicWithoutToAError
-from .linalg import (
-    IntMatrix,
-    Kernel,
-    _clear_denominators,
-    _primitive,
-    feasible_point_or_farkas,
-    gordan,
-    translate_abelian,
-)
+from .linalg import Combination, linear_alternative, translate_abelian
 from .chains import eval_vector
 from .logics import LogicSpec, resolve_logic
 from .normalize import Goal, decompose_consequence
@@ -48,6 +41,7 @@ from .oracles import (
     decision_chains,
     find_chain_countermodel,
     refuting_point,
+    verify_linear_witness,
 )
 from .syntax import (
     ONE,
@@ -97,6 +91,8 @@ class ProofResult:
 def combination_formula(lambdas, disjuncts) -> Formula:
     """The weighted sum ``l1*f1 + ... + ln*fn`` over the support of
     ``lambdas``, folded right-nested in disjunct order."""
+    if any(l < 0 for l in lambdas):
+        raise InvalidCertificateError("weights must be nonnegative")
     terms = [scalar(l, d) for l, d in zip(lambdas, disjuncts, strict=True) if l > 0]
     if not terms:
         raise InvalidCertificateError("weights must not all be zero")
@@ -127,7 +123,7 @@ def prove_disjunction(
             "sugihara": "subset",
         }.get(logic.oracle_kind, "deepening")
     if strategy == "linear":
-        return _prove_abelian(logic, goal)
+        return _prove_abelian(goal)
     if strategy == "subset":
         return _prove_subsets(logic, goal, budget)
     if strategy == "deepening":
@@ -138,60 +134,29 @@ def prove_disjunction(
 # --- Abelian: one exact LP -----------------------------------------------------
 
 
-def _prove_abelian(logic: LogicSpec, goal: Goal) -> ProofResult:
-    disjuncts = goal.clause.disjuncts
-    hyps = goal.hypotheses
-    d_forms = [translate_abelian(d) for d in disjuncts]
-    h_forms = [translate_abelian(h) for h in hyps]
+def _prove_abelian(goal: Goal) -> ProofResult:
+    d_forms = [translate_abelian(d) for d in goal.clause.disjuncts]
+    h_forms = [translate_abelian(h) for h in goal.hypotheses]
     variables = sorted(frozenset().union(*(f.variables() for f in d_forms + h_forms)))
-
-    if not hyps and variables:
-        # columns are the disjunct forms: the kernel/strict-dual dichotomy
-        matrix = IntMatrix.of(
-            [[f.get(v) for f in d_forms] for v in variables]
-        )
-        result = gordan(matrix)
-        if isinstance(result, Kernel):
-            return _abelian_proved(goal, result.x, mu=(), scale=1)
-        valuation = dict(zip(variables, (-y for y in result.y)))
-        return _abelian_refuted(goal, valuation)
-
-    n, h = len(disjuncts), len(hyps)
-    rows: list[list[int]] = [
-        [f.get(v) for f in d_forms] + [-f.get(v) for f in h_forms] for v in variables
-    ]
-    rows.append([1] * n + [0] * h)
-    rhs = [0] * len(variables) + [1]
-    x, y = feasible_point_or_farkas(rows, rhs)
-    if x is not None:
-        ints, _ = _clear_denominators(x)
-        return _abelian_proved(goal, ints[:n], mu=tuple(ints[n:]), scale=1)
-    if y is None:
-        raise InvalidCertificateError("the LP returned neither a point nor a Farkas vector")
-    # Farkas y: <y, disjunct form> <= -y_last < 0 and <y, hyp form> >= 0,
-    # so y itself (restricted to the variable rows) is the countermodel.
-    valuation = dict(zip(variables, _primitive(list(y[: len(variables)]))))
-    return _abelian_refuted(goal, valuation)
-
-
-def _abelian_proved(goal: Goal, lambdas, mu, scale) -> ProofResult:
-    lambdas = tuple(int(v) for v in lambdas)
-    cert = ToACertificate(lambdas, LinearWitness(tuple(int(v) for v in mu), scale))
-    combo = translate_abelian(combination_formula(lambdas, goal.clause.disjuncts))
-    total = sum(
-        (m * translate_abelian(hyp) for m, hyp in zip(cert.witness.mu, goal.hypotheses)),
-        start=0 * combo,
+    result = linear_alternative(
+        [[f.get(v) for v in variables] for f in d_forms],
+        [[f.get(v) for v in variables] for f in h_forms],
     )
-    if total != scale * combo:
-        raise InvalidCertificateError("hypothesis weights do not sum to the combination")
-    return ProofResult("proved", goal, certificate=cert)
-
-
-def _abelian_refuted(goal: Goal, valuation: dict[str, int]) -> ProofResult:
+    if isinstance(result, Combination):
+        return _abelian_proved(goal, result.lambdas, result.mu)
+    # the separation makes every disjunct negative and no hypothesis negative
     full = {v: 0 for v in variables_of(goal.hypotheses + goal.clause.disjuncts)}
-    full.update(valuation)
+    full.update(zip(variables, result.y))
     cm = checked_countermodel(Countermodel.of("Z", full), goal.hypotheses, goal.clause.disjuncts)
     return ProofResult("refuted", goal, countermodel=cm)
+
+
+def _abelian_proved(goal: Goal, lambdas, mu) -> ProofResult:
+    cert = ToACertificate(tuple(lambdas), LinearWitness(tuple(mu), 1))
+    combo = combination_formula(cert.lambdas, goal.clause.disjuncts)
+    if not verify_linear_witness(cert.witness, goal.hypotheses, combo):
+        raise InvalidCertificateError("hypothesis weights do not sum to the combination")
+    return ProofResult("proved", goal, certificate=cert)
 
 
 # --- mingle logics: subset weights ---------------------------------------------

@@ -4,8 +4,9 @@ Everything here runs on arbitrary-precision integers and fractions; there is
 no floating point anywhere, so every certificate re-verifies bit-exactly.
 The pieces are: linear readings of multiplicative formulas, a phase-1
 simplex that returns either a feasible point or a Farkas infeasibility
-certificate, the strict-dual/kernel dichotomy for integer matrices,
-Fourier-Motzkin projection, and nonnegative-combination solving.
+certificate, the one theorem-of-alternatives LP over it (read by the
+strict-dual/kernel dichotomy, cone membership and the Abelian engine), and
+Fourier-Motzkin projection.
 """
 
 from __future__ import annotations
@@ -41,9 +42,6 @@ class LinForm:
 
     def variables(self) -> frozenset[str]:
         return frozenset(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs and self.constant == 0
 
     def __add__(self, other: "LinForm") -> "LinForm":
         coeffs = dict(self.coeffs)
@@ -198,13 +196,69 @@ def _clear_denominators(values: list[Fraction]) -> tuple[list[int], int]:
     return ints, denom
 
 
-def _primitive(values: list[Fraction]) -> list[int]:
-    """Integer multiple of ``values`` with coprime entries, same signs."""
-    ints, _ = _clear_denominators(values)
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    return [v // g for v in ints] if g > 1 else ints
+# --- the theorem of alternatives ---------------------------------------------
+
+
+@dataclass(frozen=True)
+class Combination:
+    """Integers ``lambdas, mu >= 0``, ``lambdas`` not all zero, with
+    ``sum(lambdas * forms) == sum(mu * hyps)``."""
+
+    lambdas: tuple[int, ...]
+    mu: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Separation:
+    """Integer ``y`` with ``<y, f> < 0`` for every form and ``<y, h> >= 0``
+    for every hypothesis."""
+
+    y: tuple[int, ...]
+
+
+def linear_alternative(forms, hyps) -> Combination | Separation:
+    """Gordan's theorem with hypotheses on integer columns of one length:
+    exactly one of a :class:`Combination` or a :class:`Separation`.
+
+    Decided by exact feasibility of ``{sum(lambda_i f_i) - sum(mu_j h_j) = 0,
+    sum(lambda) = 1, lambda, mu >= 0}``.  A feasible point, denominators
+    cleared, is the combination; a Farkas vector ``y`` has
+    ``<y, f> <= -y_sum < 0`` and ``<y, h> >= 0``, so its coordinate part is
+    the separation.  Both are checked before they are returned.
+    """
+    n, columns = len(forms), list(forms) + [[-v for v in h] for h in hyps]
+    m = len(columns[0]) if columns else 0
+    if any(len(c) != m for c in columns):
+        raise ValueError("column vectors of different lengths")
+    rows: list[list[int | Fraction]] = [[c[i] for c in columns] for i in range(m)]
+    rows.append([1] * n + [0] * len(hyps))
+    x, y = feasible_point_or_farkas(rows, [0] * m + [1])
+    if x is not None:
+        ints, _ = _clear_denominators(x)
+        if (
+            len(ints) != len(columns)
+            or not any(ints[:n])
+            or any(v < 0 for v in ints)
+            or any(_dot(ints, row) for row in rows[:m])
+        ):
+            raise InvalidCertificateError("combination fails its check")
+        return Combination(tuple(ints[:n]), tuple(ints[n:]))
+    if y is None:
+        raise InvalidCertificateError("the LP returned neither a point nor a Farkas vector")
+    ints, _ = _clear_denominators(y[:m])
+    g = gcd(*ints) or 1  # the primitive multiple: coprime entries, same signs
+    sep = tuple(v // g for v in ints)
+    if (
+        len(sep) != m
+        or any(_dot(sep, f) >= 0 for f in forms)
+        or any(_dot(sep, h) < 0 for h in hyps)
+    ):
+        raise InvalidCertificateError("separating vector fails its check")
+    return Separation(sep)
+
+
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
 
 
 # --- the dichotomy -----------------------------------------------------------
@@ -248,36 +302,18 @@ class Kernel:
     x: tuple[int, ...]
 
 
-GordanResult = StrictDual | Kernel
-
-
-def gordan(matrix: IntMatrix) -> GordanResult:
+def gordan(matrix: IntMatrix) -> StrictDual | Kernel:
     """Exactly one of: a strictly positive dual row vector, or a nonzero
     nonnegative integer kernel vector.
 
-    Decided by exact feasibility of ``{Mx = 0, x >= 0, sum(x) = 1}``; the
-    kernel branch clears denominators, the other branch reads the strict
-    dual off the phase-1 Farkas certificate.  Both certificates are checked
-    before being returned.
+    The matrix's columns are the forms of :func:`linear_alternative`, with
+    no hypotheses: its combination is the kernel vector and its separation,
+    negated, the strict dual.
     """
-    m, n = matrix.m, matrix.n
-    rows: list[list[int | Fraction]] = [list(r) for r in matrix.rows]
-    rows.append([1] * n)
-    rhs: list[int | Fraction] = [0] * m + [1]
-    x, y = feasible_point_or_farkas(rows, rhs)
-    if x is not None:
-        ints, _ = _clear_denominators(x)
-        if not (any(ints) and all(v >= 0 for v in ints)) or any(
-            sum(row[j] * ints[j] for j in range(n)) != 0 for row in matrix.rows
-        ):
-            raise InvalidCertificateError("kernel vector fails its check")
-        return Kernel(tuple(ints))
-    if y is None:
-        raise InvalidCertificateError("the LP returned neither a point nor a Farkas vector")
-    dual = _primitive([-v for v in y[:m]])
-    if any(sum(dual[i] * matrix.rows[i][j] for i in range(m)) <= 0 for j in range(n)):
-        raise InvalidCertificateError("strict dual vector fails its check")
-    return StrictDual(tuple(dual))
+    result = linear_alternative(list(zip(*matrix.rows)), [])
+    if isinstance(result, Combination):
+        return Kernel(result.lambdas)
+    return StrictDual(tuple(-v for v in result.y))
 
 
 # --- Fourier-Motzkin projection ----------------------------------------------
@@ -347,35 +383,21 @@ def cone_solve(
 
     Returns a :class:`ConeMembership` witness, or a separating integer
     valuation ``y`` with ``<y, g> >= 0`` for every generator and
-    ``<y, target> < 0``.  All forms must have constant part 0.
+    ``<y, target> < 0``.  All forms must have constant part 0.  The target
+    is the one form of :func:`linear_alternative`, its weight the scale.
     """
     if target.constant != 0 or any(g.constant != 0 for g in generators):
         raise ValueError("cone membership needs forms with constant part 0")
     variables = sorted(
         frozenset().union(target.variables(), *(g.variables() for g in generators))
     )
-    if not variables:
-        return ConeMembership(mu=(0,) * len(generators), scale=1)
-    rows: list[list[int | Fraction]] = [
-        [g.get(v) for g in generators] for v in variables
-    ]
-    rhs: list[int | Fraction] = [target.get(v) for v in variables]
-    x, y = feasible_point_or_farkas(rows, rhs)
-    if x is not None:
-        mu, scale = _clear_denominators(x)
-        combination = LinForm()
-        for m_j, g in zip(mu, generators):
-            combination = combination + m_j * g
-        if scale < 1 or combination != scale * target:
-            raise InvalidCertificateError("cone combination fails its check")
-        return ConeMembership(mu=tuple(mu), scale=scale)
-    if y is None:
-        raise InvalidCertificateError("the LP returned neither a point nor a Farkas vector")
-    dual = _primitive([-v for v in y])
-    valuation = dict(zip(variables, dual))
-    if any(g.evaluate(valuation) < 0 for g in generators) or target.evaluate(valuation) >= 0:
-        raise InvalidCertificateError("separating valuation fails its check")
-    return valuation
+    result = linear_alternative(
+        [[target.get(v) for v in variables]],
+        [[g.get(v) for v in variables] for g in generators],
+    )
+    if isinstance(result, Combination):
+        return ConeMembership(mu=result.mu, scale=result.lambdas[0])
+    return dict(zip(variables, result.y))
 
 
 def nonneg_combination(

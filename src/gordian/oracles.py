@@ -4,7 +4,8 @@ All three oracles answer the same question, ``decide(sigma, phi)`` for
 finite multiplicative ``sigma``, and return machine-checkable evidence:
 
 * ``abelian``: complete, by exact rational cone membership of the linear
-  readings; refutations carry an integer valuation ("Z", the integers).
+  readings (:func:`linalg.cone_solve`); refutations carry its separating
+  integer valuation ("Z", the integers).
 * ``sugihara``: complete for the mingle logics, by exhausting the
   canonical valuations (:func:`chains.canonical_grid`, one per class of
   valuations equal up to relabelling absolute-value levels) into the
@@ -179,7 +180,11 @@ def verify_linear_witness(witness: LinearWitness, sigma, phi: Formula) -> bool:
     combination = LinForm()
     for mu_j, h in zip(witness.mu, sigma, strict=True):
         combination = combination + mu_j * translate_abelian(h)
-    return witness.scale >= 1 and combination == witness.scale * translate_abelian(phi)
+    return (
+        witness.scale >= 1
+        and min(witness.mu, default=0) >= 0
+        and combination == witness.scale * translate_abelian(phi)
+    )
 
 
 # --- Sugihara -----------------------------------------------------------------
@@ -191,6 +196,8 @@ def decision_chains(logic: LogicSpec | str, k: int, widen: int = 0) -> list[Chai
     separate unit also needs the even chain of half-width k+2, since
     neither parity's chains embed in the other's."""
     logic = resolve_logic(logic)
+    if widen < 0:  # narrower chains lose the completeness argued above
+        raise ValueError(f"chain widening must be at least 0, not {widen}")
     if logic.name == "IUMLm":
         return [sugihara_chain(k + 1 + widen, odd=True)]
     if logic.name == "RMt":

@@ -161,6 +161,18 @@ def test_chain_bound_flag(tmp_path, capsys):
     assert "sugihara_odd_4" in out  # half-width k+1+2 at k=1
 
 
+def test_negative_chain_bound_is_an_error_not_a_verdict(tmp_path, capsys):
+    # narrower chains lose completeness: at bound -2 this refutable
+    # consequence used to come out "proved"
+    problem = write(tmp_path, "p.txt", "logic IUMLm\nassume p * r\nprove p\n")
+    code, out, _ = run(capsys, "prove", problem)
+    assert code == 1
+    for bound in ("-1", "-2", "-3"):
+        code, out, err = run(capsys, "prove", problem, "--chain-bound", bound)
+        assert (code, out) == (3, ""), bound
+        assert err.startswith("error: chain widening must be at least 0"), err
+
+
 def test_derivation_serialization_format(tmp_path, capsys):
     problem = write(tmp_path, "p.txt", "logic BIULm\nprove (p + p) -> p^2\n")
     code, out, _ = run(capsys, "prove", problem)

@@ -12,6 +12,7 @@ from helpers import (
 )
 
 from gordian.engine import (
+    EngineBudget,
     check_excluded_middle,
     check_expansion,
     combination_formula,
@@ -20,11 +21,14 @@ from gordian.engine import (
     prove_disjunction,
 )
 from gordian.errors import InvalidCertificateError, LogicWithoutToAError
+from gordian.linalg import IntMatrix, Kernel, gordan, translate_abelian
 from gordian.logics import lookup_logic
 from gordian.normalize import Goal
 from gordian.oracles import (
+    abelian_decide,
     countermodel_refutes,
     decide,
+    decision_chains,
     sugihara_decide,
     verify_linear_witness,
 )
@@ -73,6 +77,8 @@ def test_combination_formula_shape():
     assert combo == plus(parse("p"), scalar(2, parse("r")))
     with pytest.raises(InvalidCertificateError):
         combination_formula((0, 0, 0), disjuncts)
+    with pytest.raises(InvalidCertificateError):
+        combination_formula((1, -1, 0), disjuncts)
 
 
 def test_prove_consequence_examples():
@@ -103,6 +109,60 @@ def test_abelian_completeness_against_semantic_lp():
         result = prove_disjunction("A", goal)
         countermodel = abelian_goal_countermodel(goal)
         assert (result.status == "proved") == (countermodel is None)
+
+
+def test_abelian_without_hypotheses_is_gordan():
+    # With no hypotheses the engine's LP is the Gordan dichotomy of the
+    # matrix whose columns are the disjuncts' linear forms: the weights are
+    # its kernel vector and the countermodel its negated strict dual.
+    rng = Random(4404)
+    compared, verdicts = 0, set()
+    while compared < 300:
+        goal = random_goal(rng, names=("p", "q", "r", "s"), max_disjuncts=4, max_hyps=0)
+        forms = [translate_abelian(d) for d in goal.clause.disjuncts]
+        variables = sorted(frozenset().union(*(f.variables() for f in forms)))
+        if not variables:
+            continue
+        dichotomy = gordan(IntMatrix.of([[f.get(v) for f in forms] for v in variables]))
+        result = prove_disjunction("A", goal)
+        verdicts.add(result.status)
+        if isinstance(dichotomy, Kernel):
+            assert result.status == "proved"
+            assert result.certificate.lambdas == dichotomy.x
+            assert result.certificate.witness.mu == ()
+        else:
+            assert result.status == "refuted"
+            expected = {v: 0 for v in result.countermodel.mapping}
+            expected.update(zip(variables, (-y for y in dichotomy.y)))
+            assert result.countermodel.mapping == expected
+        compared += 1
+    assert verdicts == {"proved", "refuted"}
+
+
+def test_abelian_single_disjunct_matches_oracle():
+    rng = Random(4405)
+    statuses = set()
+    for _ in range(200):
+        goal = random_goal(rng, max_disjuncts=1)
+        phi = goal.clause.disjuncts[0]
+        status = abelian_decide(goal.hypotheses, phi).status
+        assert prove_disjunction("A", goal).status == status
+        statuses.add(status)
+    assert statuses == {"proved", "refuted"}
+
+
+def test_negative_widening_is_rejected():
+    # narrower decision chains lose completeness: in IUMLm, p * r |- p is
+    # refuted, but at widening -2 it used to come out proved
+    hyps, target = [parse("p * r")], parse("p")
+    for logic in ("RMt", "IUMLm"):
+        for widen in (-1, -2):
+            with pytest.raises(ValueError):
+                decision_chains(logic, 2, widen)
+            with pytest.raises(ValueError):
+                sugihara_decide(logic, hyps, target, widen=widen)
+            with pytest.raises(ValueError):
+                prove_consequence(logic, hyps, target, EngineBudget(widen=widen))
 
 
 def test_mingle_collapse_general_vs_subset():

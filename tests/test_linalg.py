@@ -6,14 +6,17 @@ import pytest
 
 from gordian.errors import NotMultiplicativeError
 from gordian.linalg import (
+    Combination,
     ConeMembership,
     IntMatrix,
     Kernel,
     LinForm,
+    Separation,
     StrictDual,
     cone_solve,
     feasible_point_or_farkas,
     gordan,
+    linear_alternative,
     nonneg_combination,
     project_fm,
     translate_abelian,
@@ -56,14 +59,42 @@ def _verify_gordan(matrix: IntMatrix, result) -> None:
             assert sum(result.y[i] * matrix.rows[i][j] for i in range(matrix.m)) > 0
 
 
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v, strict=True))
+
+
+def _verify_alternative(forms, hyps, result) -> None:
+    if isinstance(result, Combination):
+        assert len(result.lambdas) == len(forms) and len(result.mu) == len(hyps)
+        assert all(v >= 0 for v in result.lambdas + result.mu) and any(result.lambdas)
+        for row in zip(*forms, *hyps):
+            assert _dot(result.lambdas, row[: len(forms)]) == _dot(result.mu, row[len(forms) :])
+    else:
+        assert isinstance(result, Separation)
+        assert all(_dot(result.y, f) < 0 for f in forms)
+        assert all(_dot(result.y, h) >= 0 for h in hyps)
+
+
 def test_gordan_dichotomy_random():
-    rng = Random(5)
+    rng, hyp_rng = Random(5), Random(6)
     for _ in range(300):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         matrix = IntMatrix.of(
             [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
         )
         _verify_gordan(matrix, gordan(matrix))
+        # the same columns as forms of the one LP, without and with hypotheses
+        columns = list(zip(*matrix.rows))
+        _verify_alternative(columns, [], linear_alternative(columns, []))
+        hyps = [
+            [hyp_rng.randint(-5, 5) for _ in range(m)] for _ in range(hyp_rng.randint(1, 3))
+        ]
+        _verify_alternative(columns, hyps, linear_alternative(columns, hyps))
+    # zero coordinates: only the sum row is left, so any forms combine
+    for n, h in ((1, 0), (3, 0), (2, 2)):
+        result = linear_alternative([()] * n, [()] * h)
+        assert isinstance(result, Combination)
+        _verify_alternative([()] * n, [()] * h, result)
 
 
 def test_gordan_branches_exclusive():
@@ -151,13 +182,26 @@ def test_nonneg_combination_scaling():
 def test_cone_solve_dual_is_separating():
     rng = Random(3)
     names = ["x", "y", "z"]
+    cases = []
     for _ in range(200):
         target = LinForm({v: rng.randint(-3, 3) for v in names})
         gens = [
             LinForm({v: rng.randint(-3, 3) for v in names})
             for _ in range(rng.randint(0, 3))
         ]
+        cases.append((target, gens))
+    # no variables at all, and a target whose linear reading is 0
+    zero = translate_abelian(parse("p -> p"))
+    cases += [(LinForm(), []), (LinForm(), [LinForm()]), (zero, []), (zero, [form(x=1, y=-2)])]
+    for target, gens in cases:
+        variables = sorted(frozenset().union(target.variables(), *(g.variables() for g in gens)))
+        columns = [[g.get(v) for v in variables] for g in [target] + gens]
+        alternative = linear_alternative(columns[:1], columns[1:])
+        _verify_alternative(columns[:1], columns[1:], alternative)
         result = cone_solve(target, gens)
+        assert isinstance(result, ConeMembership) == isinstance(alternative, Combination)
+        if not target.coeffs:
+            assert result == ConeMembership((0,) * len(gens), 1)
         if isinstance(result, ConeMembership):
             combo = LinForm()
             for mu, g in zip(result.mu, gens):

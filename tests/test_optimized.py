@@ -14,8 +14,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCRIPT = r'''
 import sys
+from fractions import Fraction
 
-from gordian import engine, oracles
+from gordian import engine, linalg, oracles
 from gordian.errors import InvalidCertificateError
 from gordian.normalize import Goal
 from gordian.syntax import parse
@@ -39,7 +40,7 @@ def rejected(label, action):
 transitive = goal(["p -> q", "q -> r"], ["p -> r"])
 rejected(
     "abelian weights that do not sum to the combination",
-    lambda: engine._abelian_proved(transitive, (1,), mu=(1, 0), scale=1),
+    lambda: engine._abelian_proved(transitive, (1,), mu=(1, 0)),
 )
 
 # a valid goal, so the first canonical point designates a disjunct
@@ -64,6 +65,31 @@ rejected(
     "oracle countermodel that does not refute",
     lambda: oracles.sugihara_decide("IUMLm", [], parse("p -> p")),
 )
+
+# The one Abelian LP: a point that solves nothing, then a Farkas vector
+# that separates nothing, must be caught by every reader of the LP.
+solve = linalg.feasible_point_or_farkas
+p = linalg.LinForm({"p": 1})
+single = goal([], ["p"])
+for label, fake, matrix, gens in [
+    (
+        "LP point that solves nothing",
+        lambda rows, rhs: ([Fraction(1)] * len(rows[0]), None),
+        [[1, 1]],
+        [],
+    ),
+    (
+        "Farkas vector that separates nothing",
+        lambda rows, rhs: (None, [Fraction(1)] * len(rows)),
+        [[1, -1]],
+        [p],
+    ),
+]:
+    linalg.feasible_point_or_farkas = fake
+    rejected(f"gordan: {label}", lambda: linalg.gordan(linalg.IntMatrix.of(matrix)))
+    rejected(f"cone_solve: {label}", lambda: linalg.cone_solve(p, gens))
+    rejected(f"abelian engine: {label}", lambda: engine.prove_disjunction("A", single))
+linalg.feasible_point_or_farkas = solve
 '''
 
 
@@ -78,4 +104,4 @@ def test_certificate_checks_survive_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 4 and all(line.startswith("rejected:") for line in lines), lines
+    assert len(lines) == 10 and all(line.startswith("rejected:") for line in lines), lines
