@@ -101,7 +101,6 @@ from .syntax import (
     Var,
     ZERO,
     Zero,
-    is_multiplicative,
     neg,
     parse,
     parse_template,

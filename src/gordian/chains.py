@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .errors import MissingVariableError, NotMultiplicativeError
+from .errors import MissingVariableError
 from .linalg import translate_abelian
 from .syntax import (
     Conj,
@@ -34,7 +34,8 @@ from .syntax import (
     One,
     Var,
     Zero,
-    is_multiplicative,
+    require_multiplicative,
+    subformulas,
     variables_of,
 )
 
@@ -167,25 +168,14 @@ def eval_formula(chain: ChainAlgebra, valuation, f: Formula) -> int:
     raise TypeError(f"cannot evaluate {f!r}")
 
 
-def _postorder(f: Formula, seen: dict[Formula, None]) -> None:
-    if f in seen:
-        return
-    if isinstance(f, (Conj, Disj, Fuse, Imp)):
-        _postorder(f.left, seen)
-        _postorder(f.right, seen)
-    seen[f] = None
-
-
 def eval_vector(chain: ChainAlgebra, f: Formula, var_order, grid) -> list[int]:
     """Values of ``f`` at every valuation in ``grid`` (tuples over
     ``var_order``), computed bottom-up once per distinct subformula."""
-    seen: dict[Formula, None] = {}
-    _postorder(f, seen)
     columns: dict[Formula, list[int]] = {}
     index = {v: i for i, v in enumerate(var_order)}
     n = len(grid)
     fuse, imp = chain._fuse, chain._imp
-    for node in seen:
+    for node in subformulas(f):
         if isinstance(node, Var):
             if node.name not in index:
                 raise MissingVariableError(f"valuation missing {node.name!r}")
@@ -327,9 +317,7 @@ def abelian_grid_refute(sigma, f: Formula, bound: int):
     every hypothesis while refuting ``f``.  Refutation-sound only: ``None``
     proves nothing."""
     sigma = list(sigma)
-    for g in sigma + [f]:
-        if not is_multiplicative(g):
-            raise NotMultiplicativeError(f"not multiplicative: {g}")
+    require_multiplicative(sigma + [f])
     hyp_forms = [translate_abelian(h) for h in sigma]
     goal_form = translate_abelian(f)
     var_order = sorted(variables_of(sigma + [f]))

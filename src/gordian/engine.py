@@ -270,6 +270,8 @@ def _compositions(total: int, parts: int):
 
 
 def _prove_deepening(logic: LogicSpec, goal: Goal, budget: EngineBudget) -> ProofResult:
+    if budget.lambda_cap < 1:  # no weight vector to try would read as "unknown"
+        raise ValueError(f"weight-sum cap must be at least 1, not {budget.lambda_cap}")
     if logic.oracle_kind == "sugihara":
         cm = _chain_countermodel(logic, goal, budget)
         if cm is not None:

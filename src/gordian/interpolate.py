@@ -33,7 +33,6 @@ from .engine import DEFAULT_BUDGET, EngineBudget, prove_consequence
 from .errors import (
     EnumerationBudgetExceededError,
     InvalidCertificateError,
-    NotMultiplicativeError,
     SizeBudgetExceededError,
     UnsupportedLogicError,
 )
@@ -50,9 +49,9 @@ from .syntax import (
     Imp,
     Var,
     ZERO,
-    is_multiplicative,
     power,
     render,
+    require_multiplicative,
     variables,
     variables_of,
 )
@@ -101,9 +100,7 @@ def _mult_interpolant(
     depth: int = 4,
     class_cap: int = 4096,
 ) -> list[Formula]:
-    for f in sigma:
-        if not is_multiplicative(f):
-            raise NotMultiplicativeError(f"not multiplicative: {f}")
+    require_multiplicative(sigma)
     if logic.oracle_kind == "abelian":
         rows = project_fm([translate_abelian(f) for f in sigma], x_vars)
         return sorted((_form_to_formula(r) for r in rows), key=render)

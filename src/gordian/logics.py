@@ -21,7 +21,6 @@ from .syntax import (
     One,
     Var,
     Zero,
-    is_multiplicative,
     parse_template,
     power,
     scalar,
@@ -139,9 +138,9 @@ class LogicSpec:
         schemas (families excluded; fetch those via family_schemas)."""
         out = list(_MLL_CORE)
         names = {a.name for a in out}
-        base_mult = [a for a in _BASE_AXIOMS[self.base] if is_multiplicative(a.template)]
+        base_mult = [a for a in _BASE_AXIOMS[self.base] if a.template.multiplicative]
         for a in base_mult + [
-            a for a in self.extra_axioms if is_multiplicative(a.template)
+            a for a in self.extra_axioms if a.template.multiplicative
         ]:
             if a.name not in names:
                 out.append(a)

@@ -27,8 +27,8 @@ from .syntax import (
     One,
     Var,
     Zero,
-    is_multiplicative,
     render,
+    require_multiplicative,
 )
 
 DEFAULT_LITERAL_CAP = 4096
@@ -44,9 +44,7 @@ class MultClause:
     def __post_init__(self):
         if not self.disjuncts:
             raise ValueError("a clause needs at least one disjunct")
-        for d in self.disjuncts:
-            if not is_multiplicative(d):
-                raise NotMultiplicativeError(f"not multiplicative: {d}")
+        require_multiplicative(self.disjuncts)
 
     @staticmethod
     def of(disjuncts) -> "MultClause":
@@ -65,9 +63,7 @@ class Goal:
     clause: MultClause
 
     def __post_init__(self):
-        for h in self.hypotheses:
-            if not is_multiplicative(h):
-                raise NotMultiplicativeError(f"not multiplicative: {h}")
+        require_multiplicative(self.hypotheses)
 
     @staticmethod
     def of(hypotheses, disjuncts) -> "Goal":

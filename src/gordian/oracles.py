@@ -30,7 +30,7 @@ from .chains import (
     eval_vector,
     sugihara_chain,
 )
-from .errors import InvalidCertificateError, NotMultiplicativeError, UnsupportedLogicError
+from .errors import InvalidCertificateError, UnsupportedLogicError
 from .linalg import ConeMembership, LinForm, cone_solve, translate_abelian
 from .logics import LogicSpec, instantiate, match_template, resolve_logic
 from .syntax import (
@@ -39,13 +39,11 @@ from .syntax import (
     Conj,
     Formula,
     Imp,
-    One,
-    Var,
     Zero,
-    is_multiplicative,
     metavariables,
     render,
-    size,
+    require_multiplicative,
+    subformulas,
     variables_of,
 )
 
@@ -129,12 +127,6 @@ class Unknown:
 OracleVerdict = Proved | Refuted | Unknown
 
 
-def _require_multiplicative(formulas) -> None:
-    for f in formulas:
-        if not is_multiplicative(f):
-            raise NotMultiplicativeError(f"not multiplicative: {f}")
-
-
 def countermodel_refutes(cm: Countermodel, sigma, disjuncts) -> bool:
     """Exact re-check: the valuation designates every hypothesis and none of
     the disjuncts."""
@@ -167,7 +159,7 @@ def abelian_decide(sigma, phi: Formula) -> OracleVerdict:
     linear form lies in the rational cone of the hypotheses' forms, else
     Refuted with the Farkas-dual integer valuation.  Never Unknown."""
     sigma = list(sigma)
-    _require_multiplicative(sigma + [phi])
+    require_multiplicative(sigma + [phi])
     result = cone_solve(translate_abelian(phi), [translate_abelian(h) for h in sigma])
     if isinstance(result, ConeMembership):
         return Proved(LinearWitness(result.mu, result.scale))
@@ -246,7 +238,7 @@ def sugihara_decide(
     """Complete decision for the mingle logics by chain exhaustion."""
     logic = resolve_logic(logic)
     sigma = list(sigma)
-    _require_multiplicative(sigma + [phi])
+    require_multiplicative(sigma + [phi])
     chains = decision_chains(logic, len(variables_of(sigma + [phi])), widen)
     cm = find_chain_countermodel(chains, sigma, [phi])
     if cm is not None:
@@ -286,15 +278,6 @@ def _scalar_count(f: Formula, g: Formula) -> int | None:
         return None
 
 
-def _subterms(f: Formula, out: dict[Formula, None]) -> None:
-    if f in out:
-        return
-    out[f] = None
-    if not isinstance(f, (Var, One, Zero)):
-        _subterms(f.left, out)
-        _subterms(f.right, out)
-
-
 def _axiom_instances(schemas, pool, max_size, max_instances):
     """Deterministic stream of schema instances over the term pool, larger
     metavariable counts drawing from a shorter prefix of the pool."""
@@ -308,7 +291,7 @@ def _axiom_instances(schemas, pool, max_size, max_instances):
         source = pool[: max(8, len(pool) // (2 ** (len(mvars) - 1)))]
         for combo in itertools.product(source, repeat=len(mvars)):
             instance = instantiate(schema, dict(zip(mvars, combo)))
-            if size(instance) > max_size:
+            if instance.size > max_size:
                 continue
             yield schema.name, instance
             produced += 1
@@ -329,16 +312,14 @@ def hilbert_search(
     logic = resolve_logic(logic)
     budget = budget or HilbertBudget()
     sigma = list(sigma)
-    _require_multiplicative(sigma + [phi])
+    require_multiplicative(sigma + [phi])
 
     schemas = logic.mult_axiom_schemas() + logic.family_schemas(budget.family_bound)
     use_u = "u_n" in logic.mult_rules
 
-    pool_map: dict[Formula, None] = {}
-    for f in sigma + [phi, ONE, ZERO]:
-        _subterms(f, pool_map)
-    pool = sorted(pool_map, key=lambda f: (size(f), render(f)))[: budget.pool_limit]
-    max_size = budget.max_term_size or max(2 * size(phi) + 8, 24)
+    subterms = {g for f in sigma + [phi, ONE, ZERO] for g in subformulas(f)}
+    pool = sorted(subterms, key=lambda f: (f.size, render(f)))[: budget.pool_limit]
+    max_size = budget.max_term_size or max(2 * phi.size + 8, 24)
 
     parents: dict[Formula, tuple] = {}
     queue: list[Formula] = []
@@ -441,11 +422,11 @@ def _matches_axiom(logic: LogicSpec, f: Formula) -> bool:
     for schema in logic.axiom_schemas():
         if match_template(schema.template, f) is not None:
             return True
-    limit = size(f)
+    limit = f.size
     for fam in logic.families:
         for n in itertools.count(0):
             fam_schemas = fam.schemas(n)
-            if all(size(s.template) > limit + 2 for s in fam_schemas):
+            if all(s.template.size > limit + 2 for s in fam_schemas):
                 break
             if any(match_template(s.template, f) is not None for s in fam_schemas):
                 return True

@@ -2,6 +2,9 @@
 
 The tree has exactly six node kinds: variables, the constants 1 and 0, the
 lattice connectives ``&`` and ``|``, fusion ``*`` and implication ``->``.
+A connective node stores its hash, size and multiplicative flag when it is
+built, so no formula-keyed cache exists, and equality and the one walker
+:func:`subformulas` use no recursion.
 Negation, sum, scalar multiples and powers are input notation only; they
 elaborate at construction time via
 
@@ -25,17 +28,20 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
-from .errors import ArityError, FormulaSyntaxError
+from .errors import ArityError, FormulaSyntaxError, NotMultiplicativeError
 
 MAX_REPEAT = 1 << 16
 
 
 class Formula:
-    """Base class for formula nodes.  Instances are immutable and hashable."""
+    """Base class for formula nodes: immutable, hashable, with ``size``
+    (nodes, repeats counted) and ``multiplicative`` (no ``&``/``|`` inside)."""
 
     __slots__ = ()
+    size = 1
+    multiplicative = True
 
     def __str__(self) -> str:
         return render(self)
@@ -56,28 +62,75 @@ class Zero(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Conj(Formula):
-    left: Formula
-    right: Formula
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, slots=True)
-class Disj(Formula):
-    left: Formula
-    right: Formula
+class Binary(Formula):
+    """A connective applied to ``left`` and ``right``; its hash, ``size``
+    and ``multiplicative`` are computed from the children's when it is built."""
+
+    __slots__ = ("left", "right", "size", "multiplicative", "_hash")
+    lattice = False
+
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "size", 1 + left.size + right.size)
+        _set(self, "multiplicative", not self.lattice and left.multiplicative and right.multiplicative)
+        _set(self, "_hash", hash((type(self).__name__, left, right)))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r} of a formula")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        # without recursion; unequal hashes settle most unequal pairs, and
+        # pairs of big subtrees are compared once, so shared ones stay cheap
+        pairs, seen = [self, other], set()
+        while pairs:
+            y, x = pairs.pop(), pairs.pop()
+            if x is y:
+                continue
+            if type(x) is not type(y):
+                return False
+            if not isinstance(x, Binary):
+                if x != y:
+                    return False
+            elif x._hash != y._hash:
+                return False
+            elif x.size < 64 or (id(x), id(y)) not in seen:
+                if x.size >= 64:
+                    seen.add((id(x), id(y)))
+                pairs += (x.left, y.left, x.right, y.right)
+        return True
+
+    def __reduce__(self):
+        return type(self), (self.left, self.right)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(left={self.left!r}, right={self.right!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class Fuse(Formula):
-    left: Formula
-    right: Formula
+class Conj(Binary):
+    __slots__ = ()
+    lattice = True
 
 
-@dataclass(frozen=True, slots=True)
-class Imp(Formula):
-    left: Formula
-    right: Formula
+class Disj(Binary):
+    __slots__ = ()
+    lattice = True
+
+
+class Fuse(Binary):
+    __slots__ = ()
+
+
+class Imp(Binary):
+    __slots__ = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,47 +187,39 @@ def disj_all(fs) -> Formula:
     return reduce(Disj, fs)
 
 
-@lru_cache(maxsize=None)
+def subformulas(f: Formula) -> list[Formula]:
+    """Each distinct subformula of ``f`` once, children before parents and
+    left before right, in time linear in the number of distinct ones."""
+    seen: dict[Formula, None] = {}
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        if isinstance(node, Binary) and (node.left not in seen or node.right not in seen):
+            stack += (node, node.right, node.left)
+        else:
+            seen[node] = None
+    return list(seen)
+
+
 def variables(f: Formula) -> frozenset[str]:
     """Object variables occurring in ``f`` (metavariables excluded)."""
-    if isinstance(f, Var):
-        return frozenset((f.name,))
-    if isinstance(f, (One, Zero, MVar)):
-        return frozenset()
-    return variables(f.left) | variables(f.right)
+    return frozenset(g.name for g in subformulas(f) if isinstance(g, Var))
 
 
 def variables_of(fs) -> frozenset[str]:
-    out: frozenset[str] = frozenset()
-    for f in fs:
-        out |= variables(f)
-    return out
+    return frozenset().union(*map(variables, fs))
 
 
-@lru_cache(maxsize=None)
 def metavariables(f: Formula) -> frozenset[str]:
-    if isinstance(f, MVar):
-        return frozenset((f.name,))
-    if isinstance(f, (Var, One, Zero)):
-        return frozenset()
-    return metavariables(f.left) | metavariables(f.right)
+    return frozenset(g.name for g in subformulas(f) if isinstance(g, MVar))
 
 
-@lru_cache(maxsize=None)
-def is_multiplicative(f: Formula) -> bool:
-    """True iff no lattice connective (&, |) occurs in ``f``."""
-    if isinstance(f, (Var, One, Zero, MVar)):
-        return True
-    if isinstance(f, (Conj, Disj)):
-        return False
-    return is_multiplicative(f.left) and is_multiplicative(f.right)
-
-
-@lru_cache(maxsize=None)
-def size(f: Formula) -> int:
-    if isinstance(f, (Var, One, Zero, MVar)):
-        return 1
-    return 1 + size(f.left) + size(f.right)
+def require_multiplicative(formulas) -> None:
+    for f in formulas:
+        if not f.multiplicative:
+            raise NotMultiplicativeError(f"not multiplicative: {f}")
 
 
 def substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:
@@ -183,8 +228,7 @@ def substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:
         return mapping.get(f.name, f)
     if isinstance(f, (One, Zero, MVar)):
         return f
-    kind = type(f)
-    return kind(substitute(f.left, mapping), substitute(f.right, mapping))
+    return type(f)(substitute(f.left, mapping), substitute(f.right, mapping))
 
 
 # --- parsing ---------------------------------------------------------------
@@ -293,10 +337,7 @@ class _Parser:
         if kind == "int" and self.peek(1)[:2] == ("op", "*"):
             self.take()
             self.take()
-            n = int(value)
-            if n > MAX_REPEAT:
-                raise ArityError(f"scalar multiple {n} out of range 0..{MAX_REPEAT}")
-            return scalar(n, self.parse_factor())
+            return scalar(int(value), self.parse_factor())
         return self.parse_unary()
 
     def parse_unary(self) -> Formula:
@@ -313,10 +354,7 @@ class _Parser:
             if kind != "int":
                 raise FormulaSyntaxError("expected integer exponent after '^'", pos)
             self.take()
-            n = int(value)
-            if n > MAX_REPEAT:
-                raise ArityError(f"power {n} out of range 0..{MAX_REPEAT}")
-            f = power(f, n)
+            f = power(f, int(value))
         return f
 
     def parse_atom(self) -> Formula:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from gordian import cli
 from gordian.cli import main
@@ -6,6 +10,8 @@ from gordian.engine import combination_formula
 from gordian.normalize import Goal
 from gordian.oracles import Countermodel, countermodel_refutes, decide
 from gordian.syntax import parse
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -208,15 +214,58 @@ def test_density_rejects_lattice_input(capsys):
     assert code == 3
 
 
-def test_deep_formula_is_an_error_not_a_verdict(tmp_path, capsys):
-    # both are refuted at p = 1, but nesting this deep exhausts the
-    # recursive formula code; that must never read as exit 1 ("refuted")
+def run_child(tmp_path, problem_text, *argv, hash_seed="0"):
+    """The CLI in a fresh interpreter: pytest's own frames would eat into
+    the stack that deep formulas need."""
+    problem = write(tmp_path, "problem.txt", problem_text)
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gordian.cli", "prove", problem, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_deep_formula_verdicts_and_errors(tmp_path):
+    # about 800 and 600 levels deep: refuted at p = 1
     for conclusion in ("400*p -> p", "p^600 -> p"):
-        problem = write(tmp_path, "deep.txt", f"logic A\nprove {conclusion}\n")
+        code, out, err = run_child(tmp_path, f"logic A\nprove {conclusion}\n", "--format", "json")
+        assert code == 1, (conclusion, err)
+        payload = json.loads(out)
+        assert payload["status"] == "refuted"
+        assert payload["countermodel"] == {"chain": "Z", "valuation": {"p": 1}}
+        code, out, _ = run_child(tmp_path, f"logic A\nprove {conclusion}\n")
+        assert code == 1 and out.startswith("refuted"), conclusion
+    # past the recursion limit a crash must never read as a verdict
+    for conclusion in ("2000*p -> p", "p^4000 -> p"):
         for fmt in ("text", "json"):
-            code, out, err = run(capsys, "prove", problem, "--format", fmt)
+            code, out, err = run_child(tmp_path, f"logic A\nprove {conclusion}\n", "--format", fmt)
             assert code == 3, (conclusion, fmt)
             assert out == "" and err.startswith("error:")
+
+
+def test_output_does_not_depend_on_hash_seed(tmp_path):
+    problems = [
+        "logic A\nassume (p -> q) | (q -> r)\nprove (p -> r) | (r -> p) | (q -> q)\n",
+        "logic RMt\nassume p & q\nprove (p -> q) | (q * r) | ~p\n",
+        "logic IUMLm\nassume p * r\nprove p | (r -> p)\n",
+        "logic BIULm\nprove (p + p) -> p^2\n",
+    ]
+    for text in problems:
+        outputs = {run_child(tmp_path, text, "--format", "json", hash_seed=seed) for seed in "01"}
+        assert len(outputs) == 1, text
+        assert outputs.pop()[1].startswith("{"), text
+
+
+def test_nonpositive_budget_is_an_error_not_a_verdict(tmp_path, capsys):
+    # a weight-sum cap below 1 tries no weights, so a theorem came out unknown
+    problem = write(tmp_path, "p.txt", "logic BIULm\nprove p -> p\n")
+    code, out, _ = run(capsys, "prove", problem, "--budget", "1")
+    assert code == 0
+    for budget in ("0", "-1"):
+        code, out, err = run(capsys, "prove", problem, "--budget", budget)
+        assert (code, out) == (3, ""), budget
+        assert err.startswith("error: weight-sum cap must be at least 1"), err
 
 
 def test_internal_error_is_exit_three(tmp_path, capsys, monkeypatch):

@@ -165,6 +165,14 @@ def test_negative_widening_is_rejected():
                 prove_consequence(logic, hyps, target, EngineBudget(widen=widen))
 
 
+def test_nonpositive_weight_cap_is_rejected():
+    # with no weight vector to try, a theorem would come out unknown
+    for cap in (0, -1):
+        with pytest.raises(ValueError):
+            prove_consequence("BIULm", [], parse("p -> p"), EngineBudget(lambda_cap=cap))
+    assert prove_consequence("BIULm", [], parse("p -> p"), EngineBudget(lambda_cap=1)).status == "proved"
+
+
 def test_mingle_collapse_general_vs_subset():
     # The one-table subset search, the deepening search and brute force
     # over the full grids agree, and the greedy subset is the union of all

@@ -1,7 +1,15 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+import time
+from pathlib import Path
 from random import Random
 
 import pytest
 
+from gordian.engine import prove_consequence
 from gordian.errors import ArityError, FormulaSyntaxError
 from gordian.rand import random_formula, random_mult_formula
 from gordian.syntax import (
@@ -16,13 +24,14 @@ from gordian.syntax import (
     Var,
     ZERO,
     Zero,
-    is_multiplicative,
     neg,
     parse,
     parse_template,
     plus,
     power,
     render,
+    metavariables,
+    subformulas,
     substitute,
     variables,
 )
@@ -155,9 +164,9 @@ def test_substitute_composition():
 
 
 def test_is_multiplicative():
-    assert is_multiplicative(parse("p + ~p"))
-    assert not is_multiplicative(parse("p | ~p"))
-    assert is_multiplicative(parse("(p * q) -> 1"))
+    assert parse("p + ~p").multiplicative
+    assert not parse("p | ~p").multiplicative
+    assert parse("(p * q) -> 1").multiplicative
 
 
 def test_variables():
@@ -168,5 +177,138 @@ def test_variables():
 def test_templates():
     t = parse_template("PHI -> PHI")
     assert t == Imp(MVar("PHI"), MVar("PHI"))
-    assert is_multiplicative(t)
+    assert t.multiplicative
     assert variables(t) == frozenset()
+
+
+# --- the node core: stored hash, size and multiplicative flag ----------------
+
+_BINARY = (Conj, Disj, Fuse, Imp)
+
+
+def _ref_size(f):
+    return 1 + _ref_size(f.left) + _ref_size(f.right) if isinstance(f, _BINARY) else 1
+
+
+def _ref_multiplicative(f):
+    if isinstance(f, (Conj, Disj)):
+        return False
+    if isinstance(f, _BINARY):
+        return _ref_multiplicative(f.left) and _ref_multiplicative(f.right)
+    return True
+
+
+def _ref_names(f, kind):
+    if isinstance(f, _BINARY):
+        return _ref_names(f.left, kind) | _ref_names(f.right, kind)
+    return frozenset((f.name,)) if isinstance(f, kind) else frozenset()
+
+
+def _ref_subterms(f):
+    if isinstance(f, _BINARY):
+        return {f} | _ref_subterms(f.left) | _ref_subterms(f.right)
+    return {f}
+
+
+def _rebuild(f):
+    """A copy sharing no node with ``f``."""
+    if isinstance(f, _BINARY):
+        return type(f)(_rebuild(f.left), _rebuild(f.right))
+    if isinstance(f, (Var, MVar)):
+        return type(f)(str(f.name))
+    return type(f)()
+
+
+def _seeded_formulas():
+    """300 object formulas and 100 templates, both lattice and multiplicative."""
+    rng = Random(20261018)
+    names = ["p", "q", "r", "s"]
+    out = []
+    for i in range(400):
+        if i % 2:
+            f = random_mult_formula(rng, names, rng.randint(0, 6))
+        else:
+            f = random_formula(rng, names, rng.randint(0, 6))
+        if i % 4 == 3:
+            f = substitute(f, {n: MVar(n.upper()) for n in rng.sample(names, 2)})
+        out.append(f)
+    return out
+
+
+def test_separately_built_copies_are_equal_with_equal_hashes():
+    for f in _seeded_formulas():
+        rebuilt = _rebuild(f)
+        assert rebuilt is not f
+        for g in (rebuilt, parse_template(render(f))):
+            assert g == f and hash(g) == hash(f) and not g != f, render(f)
+    left, right = parse("p -> q"), parse("q -> p")
+    assert left != right and left != parse("p * q") and left != "p -> q"
+
+
+def test_stored_data_match_recursive_definitions():
+    for f in _seeded_formulas():
+        assert f.size == _ref_size(f)
+        assert f.multiplicative == _ref_multiplicative(f)
+        assert variables(f) == _ref_names(f, Var)
+        assert metavariables(f) == _ref_names(f, MVar)
+
+
+def test_subformulas_lists_each_node_once_children_first():
+    for f in _seeded_formulas():
+        listed = subformulas(f)
+        assert len(listed) == len(set(listed)) and set(listed) == _ref_subterms(f)
+        position = {g: i for i, g in enumerate(listed)}
+        for g in listed:
+            if isinstance(g, _BINARY):
+                assert position[g.left] < position[g] and position[g.right] < position[g]
+        assert listed[-1] == f
+
+
+def test_shared_tree_stays_linear():
+    f = parse("p" + "^2" * 30)
+    assert f.size == 2**31 - 1
+    start = time.perf_counter()
+    assert variables(f) == frozenset({"p"})
+    assert len(subformulas(f)) == 31
+    # separately parsed copies share no node; a walk over all 2**23 - 1
+    # nodes of the tree would take seconds
+    text = "p" + "^2" * 22
+    assert parse(text) == parse(text) and parse(text) != parse("q" + "^2" * 22)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_nodes_are_immutable():
+    f = parse("p -> q")
+    for target, name in ((f, "left"), (f, "size"), (f, "_hash"), (f.left, "name")):
+        with pytest.raises(AttributeError):
+            setattr(target, name, ZERO)
+    with pytest.raises(AttributeError):
+        del f.right
+    assert f == parse("p -> q")
+
+
+def test_pickle_and_copy_rebuild_the_node():
+    text = "(p -> q * ~r) & (s | 1) -> 3 * p"
+    f = parse(text)
+    assert copy.deepcopy(f) == f and copy.copy(f) == f
+    assert pickle.loads(pickle.dumps(f)) == f
+    # pickled under another hash seed: the hash is recomputed on loading
+    child = (
+        "import pickle, sys; from gordian.syntax import parse; "
+        f"sys.stdout.write(pickle.dumps(parse({text!r})).hex())"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="1")
+    out = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    loaded = pickle.loads(bytes.fromhex(out.stdout))
+    assert loaded == f and hash(loaded) == hash(f)
+    assert {f: "found"}[loaded] == "found"
+
+
+def test_results_pickle_and_copy():
+    for logic, text in [("A", "(p -> q) | (q -> p)"), ("RMt", "p | ~p"), ("IUMLm", "p * q -> p")]:
+        result = prove_consequence(logic, [parse("q -> r")], parse(text))
+        assert pickle.loads(pickle.dumps(result)) == result and copy.deepcopy(result) == result
