@@ -1,12 +1,13 @@
 """Exact integer/rational linear algebra.
 
-Everything here runs on arbitrary-precision integers and fractions; there is
-no floating point anywhere, so every certificate re-verifies bit-exactly.
-The pieces are: linear readings of multiplicative formulas, a phase-1
-simplex that returns either a feasible point or a Farkas infeasibility
-certificate, the one theorem-of-alternatives LP over it (read by the
-strict-dual/kernel dichotomy, cone membership and the Abelian engine), and
-Fourier-Motzkin projection.
+Everything here runs on arbitrary-precision integers; there is no floating
+point anywhere, so every certificate re-verifies bit-exactly.  The pieces
+are: linear readings of multiplicative formulas, a phase-1 simplex that
+pivots an integer tableau (fraction-free, ``Fraction`` only in what it
+returns) to either a feasible point or a Farkas infeasibility certificate,
+the one theorem-of-alternatives LP over it (read by the strict-dual/kernel
+dichotomy, cone membership and the Abelian engine), and Fourier-Motzkin
+projection.
 """
 
 from __future__ import annotations
@@ -113,87 +114,85 @@ def translate_abelian(f: Formula) -> LinForm:
 
 
 def feasible_point_or_farkas(
-    rows: list[list[int | Fraction]], rhs: list[int | Fraction]
+    rows: list[list[int]], rhs: list[int]
 ) -> tuple[list[Fraction] | None, list[Fraction] | None]:
     """Decide ``{A x = b, x >= 0}`` exactly over the rationals.
 
     Returns ``(x, None)`` with a feasible point, or ``(None, y)`` with a
     Farkas certificate satisfying ``y^T A <= 0`` componentwise and
-    ``y^T b > 0``.  Uses a phase-1 tableau with Bland's rule, so it always
-    terminates.
+    ``y^T b > 0``.  The rows must have one length, ``rhs`` one entry per
+    row, and every entry must be an ``int`` (``ValueError`` otherwise).
+
+    Phase 1 pivots a fraction-free integer tableau (Edmonds 1967, Bareiss
+    1968) whose last row holds the reduced costs.  Every entry is the
+    rational tableau's times ``D``, the previous pivot (the basis
+    determinant): pivoting on ``piv = T[r][e]`` keeps row ``r``, sets every
+    other entry to ``(piv * T[i][j] - T[i][e] * T[r][j]) // D``, exact by
+    Sylvester's identity, then ``D = piv``.  Pivots are positive, so signs
+    and cross-multiplied ratios read as in the rational tableau, and
+    Bland's rule makes the rational simplex's pivots and terminates.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
+    m, n = len(rows), len(rows[0]) if rows else 0
+    if len(rhs) != m or any(len(row) != n for row in rows):
+        raise ValueError("rows and right-hand side of different sizes")
+    if not all(isinstance(v, int) for row in [*rows, rhs] for v in row):
+        raise ValueError("feasible_point_or_farkas needs integer entries")
     if m == 0:
         return [], None
-    flip = [Fraction(-1) if Fraction(b) < 0 else Fraction(1) for b in rhs]
-    # columns: n original, m artificial, then b
+    flip = [-1 if b < 0 else 1 for b in rhs]
+    # columns: n original, m artificial, then b; row m: reduced costs
     tab = [
-        [flip[i] * Fraction(rows[i][j]) for j in range(n)]
-        + [Fraction(1) if k == i else Fraction(0) for k in range(m)]
-        + [flip[i] * Fraction(rhs[i])]
-        for i in range(m)
+        [s * a for a in row] + [int(k == i) for k in range(m)] + [s * b]
+        for i, (row, b, s) in enumerate(zip(rows, rhs, flip))
     ]
+    tab.append([-sum(col) for col in zip(*tab)])
+    tab[m][n : n + m] = [0] * m
     basis = [n + i for i in range(m)]
-    cost = [Fraction(0)] * n + [Fraction(1)] * m
-
-    def reduced_cost(j: int) -> Fraction:
-        return cost[j] - sum(cost[basis[i]] * tab[i][j] for i in range(m))
-
+    det = 1
     for _ in range(100_000):
-        entering = -1
-        for j in range(n + m):
-            if reduced_cost(j) < 0:
-                entering = j
-                break
+        costs = tab[m]
+        entering = next((j for j in range(n + m) if costs[j] < 0), -1)
         if entering < 0:
             break
         leaving = -1
-        best: Fraction | None = None
         for i in range(m):
             a = tab[i][entering]
-            if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leaving]
-                ):
-                    best = ratio
-                    leaving = i
+            if a <= 0:
+                continue
+            if leaving >= 0:
+                # b_i / a against b_k / a_k, cross-multiplied: a, a_k > 0
+                best = tab[leaving]
+                diff = tab[i][-1] * best[entering] - best[-1] * a
+                if diff > 0 or (diff == 0 and basis[i] > basis[leaving]):
+                    continue
+            leaving = i
         if leaving < 0:  # pragma: no cover - phase-1 objective is bounded
             raise RuntimeError("unbounded phase-1 objective")
-        piv = tab[leaving][entering]
-        tab[leaving] = [c / piv for c in tab[leaving]]
-        for i in range(m):
-            if i != leaving and tab[i][entering] != 0:
-                factor = tab[i][entering]
-                tab[i] = [c - factor * d for c, d in zip(tab[i], tab[leaving])]
+        prow = tab[leaving]
+        piv = prow[entering]
+        for i, row in enumerate(tab):
+            f = row[entering]
+            if i != leaving and (f or piv != det):
+                tab[i] = [(c * piv - f * d) // det for c, d in zip(row, prow)]
+        det = piv
         basis[leaving] = entering
     else:  # pragma: no cover
         raise RuntimeError("simplex iteration limit exceeded")
 
-    objective = sum(cost[basis[i]] * tab[i][-1] for i in range(m))
-    if objective == 0:
+    if tab[m][-1] == 0:  # the objective, the sum of the artificials, is 0
         x = [Fraction(0)] * n
         for i, b in enumerate(basis):
             if b < n:
-                x[b] = tab[i][-1]
+                x[b] = Fraction(tab[i][-1], det)
         return x, None
     # y_i = flip_i * (1 - reduced cost of artificial i)
-    y = [flip[i] * (Fraction(1) - reduced_cost(n + i)) for i in range(m)]
+    y = [Fraction(flip[i] * (det - tab[m][n + i]), det) for i in range(m)]
     return None, y
 
 
-def _clear_denominators(values: list[Fraction]) -> tuple[list[int], int]:
-    denom = lcm(*(v.denominator for v in values)) if values else 1
-    ints = [int(v * denom) for v in values]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    g = gcd(g, denom)
-    if g > 1:
-        ints = [v // g for v in ints]
-        denom //= g
-    return ints, denom
+def _clear_denominators(values: list[Fraction]) -> list[int]:
+    denom = lcm(*(v.denominator for v in values))
+    return [int(v * denom) for v in values]
 
 
 # --- the theorem of alternatives ---------------------------------------------
@@ -230,11 +229,11 @@ def linear_alternative(forms, hyps) -> Combination | Separation:
     m = len(columns[0]) if columns else 0
     if any(len(c) != m for c in columns):
         raise ValueError("column vectors of different lengths")
-    rows: list[list[int | Fraction]] = [[c[i] for c in columns] for i in range(m)]
+    rows = [[c[i] for c in columns] for i in range(m)]
     rows.append([1] * n + [0] * len(hyps))
     x, y = feasible_point_or_farkas(rows, [0] * m + [1])
     if x is not None:
-        ints, _ = _clear_denominators(x)
+        ints = _clear_denominators(x)
         if (
             len(ints) != len(columns)
             or not any(ints[:n])
@@ -245,7 +244,7 @@ def linear_alternative(forms, hyps) -> Combination | Separation:
         return Combination(tuple(ints[:n]), tuple(ints[n:]))
     if y is None:
         raise InvalidCertificateError("the LP returned neither a point nor a Farkas vector")
-    ints, _ = _clear_denominators(y[:m])
+    ints = _clear_denominators(y[:m])
     g = gcd(*ints) or 1  # the primitive multiple: coprime entries, same signs
     sep = tuple(v // g for v in ints)
     if (

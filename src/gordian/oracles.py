@@ -36,11 +36,12 @@ from .logics import LogicSpec, instantiate, match_template, resolve_logic
 from .syntax import (
     ONE,
     ZERO,
+    Binary,
     Conj,
     Formula,
     Imp,
+    MVar,
     Zero,
-    metavariables,
     render,
     require_multiplicative,
     subformulas,
@@ -280,23 +281,42 @@ def _scalar_count(f: Formula, g: Formula) -> int | None:
 
 def _axiom_instances(schemas, pool, max_size, max_instances):
     """Deterministic stream of schema instances over the term pool, larger
-    metavariable counts drawing from a shorter prefix of the pool."""
+    metavariable counts drawing from a shorter prefix of the pool.
+
+    An instance's size is the template's plus, per metavariable, its number
+    of occurrences times its argument's size less one, so combinations over
+    ``max_size`` are skipped before they are built."""
     produced = 0
     for schema in schemas:
-        mvars = sorted(metavariables(schema.template))
+        occurrences = _metavariable_occurrences(schema.template)
+        mvars = sorted(occurrences)
         if not mvars:
             yield schema.name, schema.template
             produced += 1
             continue
+        counts = [occurrences[v] for v in mvars]
+        fixed = schema.template.size - sum(counts)
         source = pool[: max(8, len(pool) // (2 ** (len(mvars) - 1)))]
         for combo in itertools.product(source, repeat=len(mvars)):
-            instance = instantiate(schema, dict(zip(mvars, combo)))
-            if instance.size > max_size:
+            if fixed + sum(c * f.size for c, f in zip(counts, combo)) > max_size:
                 continue
-            yield schema.name, instance
+            yield schema.name, instantiate(schema, dict(zip(mvars, combo)))
             produced += 1
             if produced >= max_instances:
                 return
+
+
+def _metavariable_occurrences(template: Formula) -> dict[str, int]:
+    """Metavariable name -> number of its leaves in the template's tree."""
+    counts: dict[str, int] = {}
+    stack = [template]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, MVar):
+            counts[f.name] = counts.get(f.name, 0) + 1
+        elif isinstance(f, Binary):
+            stack += (f.left, f.right)
+    return counts
 
 
 def hilbert_search(

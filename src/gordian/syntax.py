@@ -27,7 +27,6 @@ parentheses override.  ``^`` binds tighter than ``~``, so ``~p^2`` is
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import reduce
 
 from .errors import ArityError, FormulaSyntaxError, NotMultiplicativeError
@@ -37,32 +36,74 @@ MAX_REPEAT = 1 << 16
 
 class Formula:
     """Base class for formula nodes: immutable, hashable, with ``size``
-    (nodes, repeats counted) and ``multiplicative`` (no ``&``/``|`` inside)."""
+    (nodes, repeats counted) and ``multiplicative`` (no ``&``/``|`` inside).
+
+    Every node kind is a plain slotted class; ``__init__`` sets the fields
+    named in ``_fields`` and the hash once.  Nodes compare by structure
+    (:class:`Binary` without recursion) and pickle by being rebuilt from
+    their fields, so the hash is recomputed in the loading process."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
     size = 1
     multiplicative = True
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes fields {self._fields}")
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+        _set(self, "_hash", hash((type(self).__name__, *values)))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r} of a formula")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._values() == other._values()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
     def __str__(self) -> str:
         return render(self)
 
 
-@dataclass(frozen=True, slots=True)
-class Var(Formula):
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class One(Formula):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class Zero(Formula):
-    pass
-
-
 _set = object.__setattr__
+
+
+class Var(Formula):
+    __slots__ = ("name", "_hash")
+    _fields = ("name",)
+
+
+class MVar(Formula):
+    """Schema metavariable.  Appears only in axiom/rule templates, never in
+    parsed object formulas; the namespaces are disjoint (metavariable names
+    start with an uppercase letter, object variables with a lowercase one).
+    """
+
+    __slots__ = ("name", "_hash")
+    _fields = ("name",)
+
+
+class One(Formula):
+    __slots__ = ("_hash",)
+
+
+class Zero(Formula):
+    __slots__ = ("_hash",)
 
 
 class Binary(Formula):
@@ -70,6 +111,7 @@ class Binary(Formula):
     and ``multiplicative`` are computed from the children's when it is built."""
 
     __slots__ = ("left", "right", "size", "multiplicative", "_hash")
+    _fields = ("left", "right")
     lattice = False
 
     def __init__(self, left: Formula, right: Formula):
@@ -79,13 +121,7 @@ class Binary(Formula):
         _set(self, "multiplicative", not self.lattice and left.multiplicative and right.multiplicative)
         _set(self, "_hash", hash((type(self).__name__, left, right)))
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r} of a formula")
-
-    __delattr__ = __setattr__
-
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = Formula.__hash__  # defining __eq__ would unset it
 
     def __eq__(self, other) -> bool:
         # without recursion; unequal hashes settle most unequal pairs, and
@@ -108,12 +144,6 @@ class Binary(Formula):
                 pairs += (x.left, y.left, x.right, y.right)
         return True
 
-    def __reduce__(self):
-        return type(self), (self.left, self.right)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(left={self.left!r}, right={self.right!r})"
-
 
 class Conj(Binary):
     __slots__ = ()
@@ -131,16 +161,6 @@ class Fuse(Binary):
 
 class Imp(Binary):
     __slots__ = ()
-
-
-@dataclass(frozen=True, slots=True)
-class MVar(Formula):
-    """Schema metavariable.  Appears only in axiom/rule templates, never in
-    parsed object formulas; the namespaces are disjoint (metavariable names
-    start with an uppercase letter, object variables with a lowercase one).
-    """
-
-    name: str
 
 
 ONE = One()

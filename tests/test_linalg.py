@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 from random import Random
 
@@ -235,3 +236,102 @@ def test_feasible_point_is_exact():
     for row, b in zip(rows, rhs):
         assert sum(Fraction(a) * v for a, v in zip(row, x)) == b
     assert all(v >= 0 for v in x)
+
+
+def _fraction_simplex(rows, rhs):
+    """Reference: the phase-1 simplex on a dense ``Fraction`` tableau with
+    Bland's rule, reduced costs recomputed per column.  The integer tableau
+    must make the same pivots, so it must return equal vectors."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if m == 0:
+        return [], None
+    flip = [Fraction(-1) if Fraction(b) < 0 else Fraction(1) for b in rhs]
+    tab = [
+        [flip[i] * Fraction(rows[i][j]) for j in range(n)]
+        + [Fraction(1) if k == i else Fraction(0) for k in range(m)]
+        + [flip[i] * Fraction(rhs[i])]
+        for i in range(m)
+    ]
+    basis = [n + i for i in range(m)]
+    cost = [Fraction(0)] * n + [Fraction(1)] * m
+
+    def reduced_cost(j):
+        return cost[j] - sum(cost[basis[i]] * tab[i][j] for i in range(m))
+
+    while True:
+        entering = next((j for j in range(n + m) if reduced_cost(j) < 0), -1)
+        if entering < 0:
+            break
+        leaving, best = -1, None
+        for i in range(m):
+            a = tab[i][entering]
+            if a > 0:
+                ratio = tab[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best, leaving = ratio, i
+        piv = tab[leaving][entering]
+        tab[leaving] = [c / piv for c in tab[leaving]]
+        for i in range(m):
+            if i != leaving and tab[i][entering] != 0:
+                factor = tab[i][entering]
+                tab[i] = [c - factor * d for c, d in zip(tab[i], tab[leaving])]
+        basis[leaving] = entering
+    if sum(cost[basis[i]] * tab[i][-1] for i in range(m)) == 0:
+        x = [Fraction(0)] * n
+        for i, b in enumerate(basis):
+            if b < n:
+                x[b] = tab[i][-1]
+        return x, None
+    return None, [flip[i] * (1 - reduced_cost(n + i)) for i in range(m)]
+
+
+def _seeded_systems(rng):
+    for k in range(1200):
+        m, n = rng.randint(0, 6), rng.randint(0, 7)
+        if k % 3 == 0:  # degenerate: entries in {0, 1, -1}
+            rows = [[rng.choice((0, 0, 1, -1)) for _ in range(n)] for _ in range(m)]
+        else:
+            rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        if m and k % 5 == 0:
+            rows[rng.randrange(m)] = [0] * n
+        rhs = [rng.randint(-4, 4) if k % 4 else 0 for _ in range(m)]
+        yield rows, rhs
+
+
+def test_integer_pivoting_equals_fraction_reference():
+    seen = {"point": 0, "farkas": 0, "no rows": 0, "zero row": 0, "negative rhs": 0}
+    for rows, rhs in _seeded_systems(Random(29)):
+        x, y = feasible_point_or_farkas(rows, rhs)
+        assert (x, y) == _fraction_simplex(rows, rhs), (rows, rhs)
+        assert all(type(v) is Fraction for v in (x if y is None else y))
+        seen["point" if y is None else "farkas"] += 1
+        seen["no rows"] += not rows
+        seen["zero row"] += any(not any(r) for r in rows)
+        seen["negative rhs"] += any(b < 0 for b in rhs)
+        if y is not None:
+            assert all(sum(y[i] * rows[i][j] for i in range(len(rows))) <= 0 for j in range(len(rows[0])))
+            assert sum(a * b for a, b in zip(y, rhs)) > 0
+    assert all(count >= 50 for count in seen.values()), seen
+
+
+def test_lp_rejects_malformed_input():
+    for rows, rhs in (
+        ([[Fraction(1, 2)]], [1]),
+        ([[1, 0.5]], [1]),
+        ([[1]], [Fraction(1)]),
+        ([[1, 2], [3]], [1, 1]),
+        ([[1, 2], [3, 4]], [1]),
+        ([], [1]),
+    ):
+        with pytest.raises(ValueError):
+            feasible_point_or_farkas(rows, rhs)
+
+
+def test_gordan_60_by_60_is_fast():
+    rng = Random(1)
+    matrix = IntMatrix.of([[rng.randint(-9, 9) for _ in range(60)] for _ in range(60)])
+    start = time.perf_counter()
+    result = gordan(matrix)
+    assert time.perf_counter() - start < 20
+    _verify_gordan(matrix, result)

@@ -1,11 +1,15 @@
+import itertools
 from random import Random
 
 import pytest
 
 from helpers import rmt_chain_family
 
+from gordian import EngineBudget, HilbertBudget, oracles, prove_consequence
+
 from gordian.chains import abelian_grid_refute, brute_force_consequence
 from gordian.errors import NotMultiplicativeError
+from gordian.logics import instantiate
 from gordian.oracles import (
     Countermodel,
     abelian_decide,
@@ -18,7 +22,7 @@ from gordian.oracles import (
     verify_linear_witness,
 )
 from gordian.rand import random_mult_formula
-from gordian.syntax import parse, render
+from gordian.syntax import metavariables, parse, render
 
 
 def test_abelian_examples():
@@ -241,3 +245,55 @@ def test_hilbert_with_hypotheses_fusion():
     verdict = hilbert_search("MLL", [parse("p")], parse("p * p"))
     assert verdict.status == "proved"
     assert verify_derivation("MLL", verdict.witness.lines, hypotheses=[parse("p")])
+
+
+def _built_then_filtered(schemas, pool, max_size, max_instances, dropped):
+    """Reference stream: build every instance, then drop the oversized
+    (appended to ``dropped``)."""
+    produced = 0
+    for schema in schemas:
+        mvars = sorted(metavariables(schema.template))
+        if not mvars:
+            yield schema.name, schema.template
+            produced += 1
+            continue
+        source = pool[: max(8, len(pool) // (2 ** (len(mvars) - 1)))]
+        for combo in itertools.product(source, repeat=len(mvars)):
+            instance = instantiate(schema, dict(zip(mvars, combo)))
+            if instance.size > max_size:
+                dropped.append(instance)
+                continue
+            yield schema.name, instance
+            produced += 1
+            if produced >= max_instances:
+                return
+
+
+def test_axiom_instances_skip_oversized_before_building(monkeypatch):
+    # the benchmark's hilbert mix: BIULm under a weight cap of 2 and 400
+    # lines, on theorems, two theorems the search misses and seeded goals
+    calls = []
+    real = oracles._axiom_instances
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracles, "_axiom_instances", recording)
+    budget = EngineBudget(lambda_cap=2, hilbert=HilbertBudget(max_lines=400))
+    texts = ["p | ~p", "0 -> 1", "p -> p", "p * q -> q * p", "p + p -> p * p",
+             "p * p -> p + p", "p -> q -> p * q", "p * (q * r) -> (p * q) * r",
+             "(p -> q) | (q -> p)"]
+    problems = [([], parse(t)) for t in texts]
+    rng = Random(13)
+    for _ in range(8):
+        hyps = [random_mult_formula(rng, ["p", "q"], 1) for _ in range(rng.randint(0, 1))]
+        problems.append((hyps, random_mult_formula(rng, ["p", "q"], rng.randint(1, 2))))
+    for hyps, concl in problems:
+        prove_consequence("BIULm", hyps, concl, budget)
+    assert len(calls) >= 10
+    dropped = []
+    for schemas, pool, max_size, max_instances in calls:
+        stream = list(real(schemas, pool, max_size, max_instances))
+        assert stream == list(_built_then_filtered(schemas, pool, max_size, max_instances, dropped))
+    assert dropped

@@ -285,6 +285,16 @@ def test_nodes_are_immutable():
     with pytest.raises(AttributeError):
         del f.right
     assert f == parse("p -> q")
+    # leaves too, for fields they have and names they do not
+    for leaf in (ONE, ZERO, Var("p"), MVar("P")):
+        for name in ("x", "name", "_hash", "size"):
+            with pytest.raises(AttributeError):
+                setattr(leaf, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(leaf, name)
+    assert Var("p").name == "p" and MVar("P").name == "P"
+    assert Var("p") == Var("p") and Var("p") != Var("q") and Var("p") != MVar("p")
+    assert ONE == One() and ONE != ZERO and ZERO == Zero()
 
 
 def test_pickle_and_copy_rebuild_the_node():
