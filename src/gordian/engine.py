@@ -13,8 +13,11 @@ hypotheses in the multiplicative fragment, or by exhibiting a countermodel:
   otherwise greedy elimination over the same value table yields the
   largest valid subset, whose combination is then evaluated to back the
   certificate.
-* Everything else: iterative deepening on ``sum(lambda)`` against the
-  Hilbert oracle; exhaustion is reported as Unknown, never Refuted.
+* Everything else: first a countermodel in the model classes the logic
+  is sound for (:func:`oracles.class_countermodel`: Z through the same LP
+  separation, then Sugihara chains), then iterative deepening on
+  ``sum(lambda)`` against the Hilbert oracle.  Only once the model classes
+  have failed is exhaustion reported, as Unknown, never Refuted.
 
 A certificate expands back into the disjunction by peeling one summand at a
 time with excluded middle, which is recorded as a checkable step list.
@@ -25,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidCertificateError, LogicWithoutToAError
-from .linalg import Combination, linear_alternative, translate_abelian
 from .chains import eval_vector
 from .logics import LogicSpec, resolve_logic
 from .normalize import Goal, decompose_consequence
@@ -35,11 +37,13 @@ from .oracles import (
     HilbertBudget,
     LinearWitness,
     MultWitness,
+    abelian_alternative,
     chain_tables,
+    check_model_classes,
     checked_countermodel,
+    class_countermodel,
     decide,
     decision_chains,
-    find_chain_countermodel,
     refuting_point,
     verify_linear_witness,
 )
@@ -135,20 +139,10 @@ def prove_disjunction(
 
 
 def _prove_abelian(goal: Goal) -> ProofResult:
-    d_forms = [translate_abelian(d) for d in goal.clause.disjuncts]
-    h_forms = [translate_abelian(h) for h in goal.hypotheses]
-    variables = sorted(frozenset().union(*(f.variables() for f in d_forms + h_forms)))
-    result = linear_alternative(
-        [[f.get(v) for v in variables] for f in d_forms],
-        [[f.get(v) for v in variables] for f in h_forms],
-    )
-    if isinstance(result, Combination):
-        return _abelian_proved(goal, result.lambdas, result.mu)
-    # the separation makes every disjunct negative and no hypothesis negative
-    full = {v: 0 for v in variables_of(goal.hypotheses + goal.clause.disjuncts)}
-    full.update(zip(variables, result.y))
-    cm = checked_countermodel(Countermodel.of("Z", full), goal.hypotheses, goal.clause.disjuncts)
-    return ProofResult("refuted", goal, countermodel=cm)
+    result = abelian_alternative(goal.hypotheses, goal.clause.disjuncts)
+    if isinstance(result, Countermodel):
+        return ProofResult("refuted", goal, countermodel=result)
+    return _abelian_proved(goal, result.lambdas, result.mu)
 
 
 def _abelian_proved(goal: Goal, lambdas, mu) -> ProofResult:
@@ -244,17 +238,6 @@ def _largest_valid_subset(tables, n: int) -> set[int]:
     return support
 
 
-def _chain_countermodel(
-    logic: LogicSpec, goal: Goal, budget: EngineBudget
-) -> Countermodel | None:
-    k = len(variables_of(goal.hypotheses + goal.clause.disjuncts))
-    chains = decision_chains(logic, k, budget.widen)
-    cm = find_chain_countermodel(chains, goal.hypotheses, goal.clause.disjuncts)
-    if cm is not None:
-        checked_countermodel(cm, goal.hypotheses, goal.clause.disjuncts)
-    return cm
-
-
 # --- generic: iterative deepening ----------------------------------------------
 
 
@@ -272,10 +255,14 @@ def _compositions(total: int, parts: int):
 def _prove_deepening(logic: LogicSpec, goal: Goal, budget: EngineBudget) -> ProofResult:
     if budget.lambda_cap < 1:  # no weight vector to try would read as "unknown"
         raise ValueError(f"weight-sum cap must be at least 1, not {budget.lambda_cap}")
-    if logic.oracle_kind == "sugihara":
-        cm = _chain_countermodel(logic, goal, budget)
-        if cm is not None:
-            return ProofResult("refuted", goal, countermodel=cm)
+    cm = class_countermodel(
+        logic.model_classes, goal.hypotheses, goal.clause.disjuncts, budget.widen
+    )
+    if cm is not None:
+        # No refutation rests on an unchecked declaration; theorems, which
+        # no class refutes, never pay for the check.
+        check_model_classes(logic)
+        return ProofResult("refuted", goal, countermodel=cm)
     disjuncts = goal.clause.disjuncts
     for total in range(1, budget.lambda_cap + 1):
         for lambdas in _compositions(total, len(disjuncts)):

@@ -55,3 +55,7 @@ class UnsupportedLogicError(GordianError):
 
 class EnumerationBudgetExceededError(GordianError):
     """Raised when a bounded enumeration exceeds its configured budget."""
+
+
+class UnsoundModelClassError(GordianError):
+    """Raised when an axiom or rule of a logic fails in a model class it declares."""

@@ -4,7 +4,9 @@ Templates are ordinary formula trees whose leaves may be metavariables
 (uppercase names, a namespace disjoint from object variables).  A logic is
 a base system plus extra axiom schemas; the registry carries the standard
 presets and parametric knotted extensions.  Each preset also records which
-multiplicative-fragment decision procedure applies to it.
+multiplicative-fragment decision procedure applies to it, and the model
+classes its multiplicative fragment is sound for, which are checked before
+a refutation rests on them (:func:`oracles.check_model_classes`).
 """
 
 from __future__ import annotations
@@ -98,6 +100,13 @@ _BASE_RULES: dict[str, tuple[str, ...]] = {
 
 
 def _balance_schemas(n: int) -> tuple[AxiomSchema, ...]:
+    """``n*PHI -> PHI^n`` and its converse.
+
+    The whole family holds in the model classes BIULm declares, not only
+    the members up to the bound that the declaration check reaches: in Z
+    both sides read ``n*p``, and on an odd Sugihara chain, where fusion and
+    its dual sum are idempotent, both read ``p`` (for n = 0, the constants
+    1 and 0, which are equal there)."""
     return (
         AxiomSchema(f"balance_up_{n}", Imp(scalar(n, _PHI), power(_PHI, n))),
         AxiomSchema(f"balance_down_{n}", Imp(power(_PHI, n), scalar(n, _PHI))),
@@ -117,6 +126,10 @@ class LogicSpec:
     families: tuple[AxiomFamily, ...] = ()
     has_toa: bool = False
     oracle_kind: str = "hilbert"
+    # Model classes the multiplicative fragment is sound for, refuted on in
+    # this order: "Z" (the integers), "sugihara_odd", "sugihara_even".  A
+    # mingle logic's Sugihara classes are also its decision chains.
+    model_classes: tuple[str, ...] = ()
 
     @property
     def rules(self) -> tuple[str, ...]:
@@ -169,6 +182,7 @@ def _make_registry() -> dict[str, LogicSpec]:
             extra_axioms=(_COLLAPSE, _ZERO_ONE),
             has_toa=True,
             oracle_kind="abelian",
+            model_classes=("Z",),
         ),
         LogicSpec(
             "RMt",
@@ -176,6 +190,7 @@ def _make_registry() -> dict[str, LogicSpec]:
             extra_axioms=(_MINGLE_IN, _MINGLE_OUT),
             has_toa=True,
             oracle_kind="sugihara",
+            model_classes=("sugihara_even", "sugihara_odd"),
         ),
         LogicSpec(
             "IUMLm",
@@ -183,6 +198,7 @@ def _make_registry() -> dict[str, LogicSpec]:
             extra_axioms=(_MINGLE_IN, _MINGLE_OUT, _ONE_ZERO),
             has_toa=True,
             oracle_kind="sugihara",
+            model_classes=("sugihara_odd",),
         ),
         LogicSpec(
             "BIULm",
@@ -190,6 +206,7 @@ def _make_registry() -> dict[str, LogicSpec]:
             families=(_BALANCE,),
             has_toa=True,
             oracle_kind="hilbert",
+            model_classes=("Z", "sugihara_odd"),
         ),
     ]
     return {spec.name: spec for spec in presets}
@@ -205,7 +222,9 @@ def knotted_logic(t: int, u: int, witnesses) -> LogicSpec:
     (r_i, k_i, m_i, s_i) per residue i < u, with r_i = s_i = i (mod u) and
     r_i, s_i >= t.  Registered with a theorem of alternatives; its
     side-condition check may still come back Unknown under the Hilbert
-    oracle."""
+    oracle.  Sound on odd Sugihara chains, where fusion and sum are
+    idempotent, but not on Z: ``p^t -> p^(t+u)`` reads ``u*p >= 0``, which
+    fails at p < 0."""
     witnesses = tuple(tuple(int(v) for v in w) for w in witnesses)
     if t < 1 or u < 1 or len(witnesses) != u:
         raise ValueError("need t,u >= 1 and exactly u witnesses")
@@ -226,6 +245,7 @@ def knotted_logic(t: int, u: int, witnesses) -> LogicSpec:
         extra_axioms=tuple(axioms),
         has_toa=True,
         oracle_kind="hilbert",
+        model_classes=("sugihara_odd",),
     )
 
 

@@ -14,12 +14,20 @@ finite multiplicative ``sigma``, and return machine-checkable evidence:
   same tables.
 * ``hilbert``: budgeted forward saturation over axiom-schema instances with
   modus ponens and the unperforated rule; Proved or Unknown, never Refuted.
+
+Before a Hilbert search the engine looks for a countermodel in the model
+classes a logic declares sound (:func:`class_countermodel`), with the two
+complete procedures above: the LP's separation for Z and chain tables for
+the Sugihara classes.  A declaration is checked against the logic's
+multiplicative axioms and rules (:func:`check_model_classes`) before a
+refutation rests on it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .chains import (
     ChainAlgebra,
@@ -30,8 +38,15 @@ from .chains import (
     eval_vector,
     sugihara_chain,
 )
-from .errors import InvalidCertificateError, UnsupportedLogicError
-from .linalg import ConeMembership, LinForm, cone_solve, translate_abelian
+from .errors import InvalidCertificateError, UnsoundModelClassError, UnsupportedLogicError
+from .linalg import (
+    Combination,
+    ConeMembership,
+    LinForm,
+    cone_solve,
+    linear_alternative,
+    translate_abelian,
+)
 from .logics import LogicSpec, instantiate, match_template, resolve_logic
 from .syntax import (
     ONE,
@@ -41,9 +56,11 @@ from .syntax import (
     Formula,
     Imp,
     MVar,
+    Var,
     Zero,
     render,
     require_multiplicative,
+    scalar,
     subformulas,
     variables_of,
 )
@@ -169,6 +186,26 @@ def abelian_decide(sigma, phi: Formula) -> OracleVerdict:
     return Refuted(checked_countermodel(Countermodel.of("Z", valuation), sigma, [phi]))
 
 
+def abelian_alternative(sigma, disjuncts) -> Combination | Countermodel:
+    """:func:`linalg.linear_alternative` on the linear readings of
+    ``sigma |- disjuncts``: the combination of the disjuncts that weights on
+    the hypotheses match, or else its separation, which makes every
+    disjunct negative and no hypothesis negative, as a checked countermodel
+    in Z."""
+    d_forms = [translate_abelian(d) for d in disjuncts]
+    h_forms = [translate_abelian(h) for h in sigma]
+    variables = sorted(frozenset().union(*(f.variables() for f in d_forms + h_forms)))
+    result = linear_alternative(
+        [[f.get(v) for v in variables] for f in d_forms],
+        [[f.get(v) for v in variables] for f in h_forms],
+    )
+    if isinstance(result, Combination):
+        return result
+    full = {v: 0 for v in variables_of(tuple(sigma) + tuple(disjuncts))}
+    full.update(zip(variables, result.y))
+    return checked_countermodel(Countermodel.of("Z", full), sigma, disjuncts)
+
+
 def verify_linear_witness(witness: LinearWitness, sigma, phi: Formula) -> bool:
     combination = LinForm()
     for mu_j, h in zip(witness.mu, sigma, strict=True):
@@ -184,21 +221,18 @@ def verify_linear_witness(witness: LinearWitness, sigma, phi: Formula) -> bool:
 
 
 def decision_chains(logic: LogicSpec | str, k: int, widen: int = 0) -> list[ChainAlgebra]:
-    """Decision chains for a k-variable question.  The odd chain of
-    half-width k+1 suffices for the odd-unit logic; the mingle logic with
-    separate unit also needs the even chain of half-width k+2, since
-    neither parity's chains embed in the other's."""
+    """Decision chains for a k-variable question: the chains of a mingle
+    logic's declared Sugihara classes (:func:`class_chains`), which are
+    complete for it.  The odd chains suffice for the odd-unit logic; the
+    mingle logic with separate unit also needs the even ones, since neither
+    parity's chains embed in the other's."""
     logic = resolve_logic(logic)
-    if widen < 0:  # narrower chains lose the completeness argued above
-        raise ValueError(f"chain widening must be at least 0, not {widen}")
-    if logic.name == "IUMLm":
-        return [sugihara_chain(k + 1 + widen, odd=True)]
-    if logic.name == "RMt":
-        return [
-            sugihara_chain(k + 2 + widen, odd=False),
-            sugihara_chain(k + 1 + widen, odd=True),
-        ]
-    raise UnsupportedLogicError(f"no chain decision procedure for {logic.name}")
+    if logic.oracle_kind != "sugihara":
+        raise UnsupportedLogicError(f"no chain decision procedure for {logic.name}")
+    chains = class_chains(logic.model_classes, k, widen)
+    if not chains:
+        raise UnsupportedLogicError(f"{logic.name} declares no Sugihara class")
+    return chains
 
 
 def chain_tables(chains, sigma, disjuncts, var_order):
@@ -245,6 +279,90 @@ def sugihara_decide(
     if cm is not None:
         return Refuted(checked_countermodel(cm, sigma, [phi]))
     return Proved(ChainExhaustiveWitness(tuple(c.name for c in chains)))
+
+
+# --- sound model classes -------------------------------------------------------
+
+MODEL_CLASSES = ("Z", "sugihara_odd", "sugihara_even")
+
+
+def class_chains(classes, k: int, widen: int = 0) -> list[ChainAlgebra]:
+    """One chain per Sugihara class among ``classes``, in their order, that
+    stands for the whole class on a k-variable question: the odd chain of
+    half-width k+1 and the even chain of half-width k+2.  A k-variable
+    valuation into any chain of a class uses at most k absolute-value
+    levels, so its subalgebra embeds in that chain (see
+    :func:`chains.canonical_grid`), and the chain refutes the question
+    exactly when the class does."""
+    if widen < 0:  # narrower chains lose the completeness argued above
+        raise ValueError(f"chain widening must be at least 0, not {widen}")
+    chains = []
+    for model_class in classes:
+        if model_class == "sugihara_odd":
+            chains.append(sugihara_chain(k + 1 + widen, odd=True))
+        elif model_class == "sugihara_even":
+            chains.append(sugihara_chain(k + 2 + widen, odd=False))
+    return chains
+
+
+def class_countermodel(classes, sigma, disjuncts, widen: int = 0) -> Countermodel | None:
+    """A checked valuation in one of the named model classes that
+    designates every formula of ``sigma`` and none of ``disjuncts``, or
+    ``None`` when the classes have none.
+
+    Z goes first, through the separation of :func:`abelian_alternative`;
+    it is skipped for a question without variables, whose one valuation
+    reads every formula as the designated 0.  The Sugihara classes follow,
+    in their order, through :func:`find_chain_countermodel` on the chains
+    of :func:`class_chains`.  Both searches are complete for their class."""
+    sigma, disjuncts = tuple(sigma), tuple(disjuncts)
+    k = len(variables_of(sigma + disjuncts))
+    if "Z" in classes and k:
+        result = abelian_alternative(sigma, disjuncts)
+        if isinstance(result, Countermodel):
+            return result
+    cm = find_chain_countermodel(class_chains(classes, k, widen), sigma, disjuncts)
+    return None if cm is None else checked_countermodel(cm, sigma, disjuncts)
+
+
+@lru_cache(maxsize=64)
+def check_model_classes(logic: LogicSpec) -> tuple[str, ...]:
+    """The model classes ``logic`` declares, once each is shown sound for
+    its multiplicative fragment; raises UnsoundModelClassError naming the
+    first axiom or rule that fails in a class.  A passed check is kept per
+    spec.
+
+    :func:`class_countermodel`, complete for each class, looks for a
+    countermodel to every multiplicative axiom template, its metavariables
+    read as variables, and to every family member up to the default
+    family bound (each family's docstring says why the rest hold too).  It
+    also checks that the rules preserve designation: ``p, p -> q |- q`` for
+    modus ponens and ``n*p |- p`` for u_n, 2 <= n <= the default u_bound
+    (in Z, ``n*p`` reads n times ``p``; on a Sugihara chain, ``p``)."""
+    default = HilbertBudget()
+    p, q = Var("p"), Var("q")
+    checks = [
+        (f"axiom {s.name}", (), _object_instance(s))
+        for s in logic.mult_axiom_schemas() + logic.family_schemas(default.family_bound)
+    ]
+    checks.append(("rule mp", (p, Imp(p, q)), q))
+    if "u_n" in logic.mult_rules:
+        checks += [(f"rule u_{n}", (scalar(n, p),), p) for n in range(2, default.u_bound + 1)]
+    for model_class in logic.model_classes:
+        if model_class not in MODEL_CLASSES:
+            raise UnsoundModelClassError(f"{logic.name}: unknown model class {model_class!r}")
+        for label, sigma, target in checks:
+            if class_countermodel((model_class,), sigma, (target,)) is not None:
+                raise UnsoundModelClassError(
+                    f"{logic.name} declares {model_class}, where {label} fails"
+                )
+    return logic.model_classes
+
+
+def _object_instance(schema) -> Formula:
+    """The schema's template with each metavariable read as a variable."""
+    names = _metavariable_occurrences(schema.template)
+    return instantiate(schema, {v: Var(v.lower()) for v in names})
 
 
 # --- Hilbert ------------------------------------------------------------------

@@ -75,6 +75,20 @@ def test_prove_unknown_exit_two(tmp_path, capsys):
     assert code in (0, 2)  # proved if the search gets lucky, else unknown
 
 
+def test_biul_refuted_in_z_and_prelinearity_unknown(tmp_path, capsys):
+    problem = write(tmp_path, "p.txt", "logic BIULm\nprove p * q -> p\n")
+    code, out, _ = run(capsys, "prove", problem, "--format", "json")
+    assert code == 1
+    cm = json.loads(out)["goals"][0]["countermodel"]
+    assert cm["chain"] == "Z"
+    rebuilt = Countermodel.of(cm["chain"], cm["valuation"])
+    assert countermodel_refutes(rebuilt, [], [parse("p * q -> p")])
+    # a theorem the search misses: no model class refutes it
+    problem = write(tmp_path, "q.txt", "logic BIULm\nprove (p -> q) | (q -> p)\n")
+    code, out, _ = run(capsys, "prove", problem, "--budget", "2")
+    assert code == 2 and out.startswith("unknown")
+
+
 def test_prove_flag_overrides_directive(tmp_path, capsys):
     problem = write(tmp_path, "p.txt", "logic RMt\nprove 1 -> 0\n")
     code, _, _ = run(capsys, "prove", problem, "--logic", "IUMLm")

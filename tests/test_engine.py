@@ -12,6 +12,7 @@ from helpers import (
 )
 
 from gordian.engine import (
+    DEFAULT_BUDGET,
     EngineBudget,
     check_excluded_middle,
     check_expansion,
@@ -25,10 +26,13 @@ from gordian.linalg import IntMatrix, Kernel, gordan, translate_abelian
 from gordian.logics import lookup_logic
 from gordian.normalize import Goal
 from gordian.oracles import (
+    HilbertBudget,
     abelian_decide,
+    class_countermodel,
     countermodel_refutes,
     decide,
     decision_chains,
+    hilbert_search,
     sugihara_decide,
     verify_linear_witness,
 )
@@ -354,3 +358,70 @@ def test_lambda_cap_yields_unknown():
     assert result.status == "unknown"
     result = prove_disjunction("BIULm", goal, EngineBudget(lambda_cap=2))
     assert result.status == "proved"
+
+
+# The hilbert benchmark workload's budget.
+WORKLOAD_BUDGET = EngineBudget(lambda_cap=2, hilbert=HilbertBudget(max_lines=400))
+
+
+def test_model_classes_never_refute_what_the_search_proves():
+    # One-disjunct BIULm goals of the workload's shape, so that the search
+    # answers for the goal itself; its budget is small to keep this quick.
+    logic = lookup_logic("BIULm")
+    budget = HilbertBudget(max_lines=100, max_instances=1000, pool_limit=10)
+    rng = Random(2718)
+    counts = {"proved": 0, "refuted": 0}
+    for _ in range(300):
+        goal = random_goal(rng, names=("p", "q"), max_disjuncts=1, max_hyps=1, max_depth=3)
+        hyps, disjuncts = goal.hypotheses, goal.clause.disjuncts
+        cm = class_countermodel(logic.model_classes, hyps, disjuncts)
+        proved = hilbert_search(logic, hyps, disjuncts[0], budget).status == "proved"
+        assert not (proved and cm is not None), (goal.render(), cm)
+        if cm is not None:
+            assert countermodel_refutes(cm, hyps, disjuncts)
+            counts["refuted"] += 1
+        counts["proved"] += proved
+    assert counts["proved"] >= 25 and counts["refuted"] >= 100, counts
+
+
+def test_biul_refutations_recheck():
+    rng = Random(3141)
+    chains = set()
+    for _ in range(150):
+        goal = random_goal(rng, names=("p", "q"), max_disjuncts=2, max_hyps=1, max_depth=2)
+        result = prove_disjunction("BIULm", goal, WORKLOAD_BUDGET)
+        if result.status == "refuted":
+            cm = result.countermodel
+            assert countermodel_refutes(cm, goal.hypotheses, goal.clause.disjuncts)
+            chains.add(cm.chain.rstrip("0123456789"))
+    assert chains == {"Z", "sugihara_odd_"}
+
+
+# Theorems of BIULm that the Hilbert search misses; no model class may
+# refute them.  A search that learns to prove one turns it to "proved".
+MISSED_THEOREMS = [
+    "p * (q * r) -> (p * q) * r",
+    "(p * q) * r -> p * (q * r)",
+    "(p -> q) | (q -> p)",
+]
+
+
+@pytest.mark.parametrize("text", MISSED_THEOREMS)
+@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, WORKLOAD_BUDGET], ids=["default", "workload"])
+def test_missed_theorems_stay_unknown(text, budget):
+    assert prove_consequence("BIULm", [], parse(text), budget).status == "unknown"
+
+
+def test_deepening_agrees_with_linear_on_abelian_goals():
+    # In A the model class Z is complete, so the deepening route refutes
+    # exactly what the one LP refutes, with the same countermodel.
+    rng = Random(5772)
+    statuses = set()
+    for _ in range(200):
+        goal = random_goal(rng, max_disjuncts=2, max_depth=3)
+        linear = prove_disjunction("A", goal, strategy="linear")
+        deepening = prove_disjunction("A", goal, strategy="deepening")
+        assert linear.status == deepening.status, goal.render()
+        assert linear.countermodel == deepening.countermodel
+        statuses.add(linear.status)
+    assert statuses == {"proved", "refuted"}

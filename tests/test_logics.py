@@ -1,12 +1,13 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from helpers import meta_to_vars
 
 from gordian.chains import eval_abelian, eval_formula, sugihara_chain
-from gordian.engine import prove_consequence
-from gordian.errors import MissingMetavariableError, UnknownLogicError
+from gordian.engine import prove_consequence, prove_disjunction
+from gordian.errors import GordianError, MissingMetavariableError, UnknownLogicError
 from gordian.logics import (
     AxiomSchema,
     check_toa_condition,
@@ -16,6 +17,8 @@ from gordian.logics import (
     match_template,
     registered_logics,
 )
+from gordian.normalize import Goal
+from gordian.oracles import check_model_classes
 from gordian.syntax import parse, parse_template, render, variables
 
 
@@ -165,3 +168,46 @@ def test_knotted_parameter_validation():
     with pytest.raises(ValueError):
         knotted_logic(2, 2, [(4, 1, 1, 4), (4, 1, 1, 4)])  # wrong residues
     knotted_logic(2, 2, [(4, 1, 1, 4), (5, 1, 1, 5)])
+
+
+KNOTTED_PRESETS = ["knotted(2,1,4:5:6:7)", "knotted(1,1,1:1:1:1)", "knotted(2,2,4:1:1:4,5:1:1:5)"]
+
+
+def test_declared_model_classes_pass_their_check():
+    expected = {
+        "A": ("Z",),
+        "RMt": ("sugihara_even", "sugihara_odd"),
+        "IUMLm": ("sugihara_odd",),
+        "BIULm": ("Z", "sugihara_odd"),
+    }
+    for name, classes in expected.items():
+        assert check_model_classes(lookup_logic(name)) == classes, name
+    for name in KNOTTED_PRESETS:
+        assert check_model_classes(lookup_logic(name)) == ("sugihara_odd",), name
+
+
+@pytest.mark.parametrize(
+    "name, classes, failing",
+    [
+        # Z reads p^1 -> p^2 as p >= 0
+        ("knotted(1,1,1:1:1:1)", ("Z", "sugihara_odd"), "axiom knot_1_2"),
+        ("knotted(2,1,4:5:6:7)", ("sugihara_odd", "Z"), "axiom knot_2_3"),
+        # balance for n = 0 is 1 -> 0, which even chains refute
+        ("BIULm", ("Z", "sugihara_even"), "axiom balance_down_0"),
+        ("RMt", ("Z",), "axiom mingle_in"),
+    ],
+)
+def test_unsound_declaration_is_rejected(name, classes, failing):
+    spec = replace(lookup_logic(name), model_classes=classes)
+    with pytest.raises(GordianError, match=failing):
+        check_model_classes(spec)
+    # the check runs before the first refutation from the declared classes
+    goal = Goal.of([], [parse("p * q -> p")])
+    with pytest.raises(GordianError, match=failing):
+        prove_disjunction(spec, goal, strategy="deepening")
+
+
+def test_unknown_model_class_is_rejected():
+    spec = replace(lookup_logic("BIULm"), model_classes=("Z", "rationals"))
+    with pytest.raises(GordianError, match="unknown model class 'rationals'"):
+        check_model_classes(spec)

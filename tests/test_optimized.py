@@ -1,8 +1,9 @@
-"""Certificate and countermodel checks hold under ``python -O``.
+"""Certificate, countermodel and declaration checks hold under ``python -O``.
 
 ``-O`` strips ``assert`` statements, so each check below must be an
-explicit test that raises InvalidCertificateError.  The scenarios run in a
-child interpreter started with ``-O``.
+explicit test that raises InvalidCertificateError (UnsoundModelClassError
+for a logic's declared model classes).  The scenarios run in a child
+interpreter started with ``-O``.
 """
 
 import os
@@ -14,10 +15,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCRIPT = r'''
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from gordian import engine, linalg, oracles
-from gordian.errors import InvalidCertificateError
+from gordian.errors import InvalidCertificateError, UnsoundModelClassError
+from gordian.logics import lookup_logic
 from gordian.normalize import Goal
 from gordian.syntax import parse
 
@@ -28,10 +31,10 @@ def goal(hyps, disjuncts):
     return Goal.of([parse(h) for h in hyps], [parse(d) for d in disjuncts])
 
 
-def rejected(label, action):
+def rejected(label, action, error=InvalidCertificateError):
     try:
         action()
-    except InvalidCertificateError:
+    except error:
         print("rejected:", label)
     else:
         print("ACCEPTED:", label)
@@ -58,6 +61,7 @@ rejected(
     lambda: engine.prove_disjunction("IUMLm", excluded_middle),
 )
 
+scan = oracles.find_chain_countermodel
 oracles.find_chain_countermodel = lambda chains, sigma, disjuncts: oracles.Countermodel.of(
     "sugihara_odd_2", {"p": 1}
 )
@@ -65,6 +69,11 @@ rejected(
     "oracle countermodel that does not refute",
     lambda: oracles.sugihara_decide("IUMLm", [], parse("p -> p")),
 )
+rejected(
+    "chain countermodel that does not refute a BIULm goal",
+    lambda: engine.prove_disjunction("BIULm", goal([], ["p -> p"])),
+)
+oracles.find_chain_countermodel = scan
 
 # The one Abelian LP: a point that solves nothing, then a Farkas vector
 # that separates nothing, must be caught by every reader of the LP.
@@ -90,6 +99,23 @@ for label, fake, matrix, gens in [
     rejected(f"cone_solve: {label}", lambda: linalg.cone_solve(p, gens))
     rejected(f"abelian engine: {label}", lambda: engine.prove_disjunction("A", single))
 linalg.feasible_point_or_farkas = solve
+
+# The model classes refuted on before the Hilbert search: a declaration is
+# checked before a refutation rests on it, and a Z separation is re-checked
+# like any countermodel.
+knotted_in_z = replace(lookup_logic("knotted(1,1,1:1:1:1)"), model_classes=("Z", "sugihara_odd"))
+rejected(
+    "knotted logic declaring Z, where p -> p^2 fails",
+    lambda: engine.prove_disjunction(knotted_in_z, goal([], ["p * q -> p"])),
+    UnsoundModelClassError,
+)
+separate = oracles.linear_alternative
+oracles.linear_alternative = lambda forms, hyps: linalg.Separation((1,) * len(forms[0]))
+rejected(
+    "Z separation that does not refute a BIULm goal",
+    lambda: engine.prove_disjunction("BIULm", goal(["p"], ["p"])),
+)
+oracles.linear_alternative = separate
 '''
 
 
@@ -104,4 +130,4 @@ def test_certificate_checks_survive_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 10 and all(line.startswith("rejected:") for line in lines), lines
+    assert len(lines) == 13 and all(line.startswith("rejected:") for line in lines), lines
