@@ -38,7 +38,7 @@ from .oracles import (
     HilbertBudget,
     LinearWitness,
 )
-from .syntax import Formula, parse, render
+from .syntax import Formula, Record, parse, render
 
 EXIT_PROVED = 0
 EXIT_REFUTED = 1
@@ -78,22 +78,17 @@ def _parse_problem(text: str) -> tuple[str | None, list[Formula], Formula | None
     return logic_name, assumptions, conclusion
 
 
+def _json(value):
+    """A record as its fields, a tuple as a list and a formula as its text."""
+    if isinstance(value, Formula):
+        return render(value)
+    if isinstance(value, Record):
+        return {name: _json(getattr(value, name)) for name in value._fields}
+    return [_json(v) for v in value] if isinstance(value, tuple) else value
+
+
 def _witness_json(witness) -> dict | None:
-    if witness is None:
-        return None
-    if isinstance(witness, LinearWitness):
-        return {"kind": "linear", "mu": list(witness.mu), "scale": witness.scale}
-    if isinstance(witness, ChainExhaustiveWitness):
-        return {"kind": "chain_exhaustive", "chains": list(witness.chains)}
-    if isinstance(witness, DerivationWitness):
-        return {
-            "kind": "derivation",
-            "lines": [
-                {"index": l.index, "formula": render(l.formula), "justification": l.justification}
-                for l in witness.lines
-            ],
-        }
-    raise TypeError(f"unknown witness {witness!r}")
+    return None if witness is None else {"kind": witness.kind, **_json(witness)}
 
 
 def _countermodel_json(cm: Countermodel | None) -> dict | None:

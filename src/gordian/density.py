@@ -10,7 +10,6 @@ is re-proved by the logic's own oracle rather than replayed step by step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
 
 from .engine import (
@@ -27,7 +26,7 @@ from .logics import LogicSpec, resolve_logic
 from .normalize import Goal, MultClause
 from .oracles import decide
 from .rand import random_mult_formula
-from .syntax import ONE, ZERO, Formula, Imp, Var, render, variables_of
+from .syntax import ONE, ZERO, Formula, Imp, Record, Var, render, variables_of
 
 
 def density_precondition(logic: LogicSpec | str, budget: EngineBudget = DEFAULT_BUDGET) -> bool:
@@ -39,8 +38,7 @@ def density_precondition(logic: LogicSpec | str, budget: EngineBudget = DEFAULT_
     return prove_consequence(logic, [], Imp(ONE, ZERO), budget).status == "proved"
 
 
-@dataclass(frozen=True)
-class DensityCertificate:
+class DensityCertificate(Record):
     disjuncts: tuple[Formula, ...]
     certificate: ToACertificate
 
@@ -116,8 +114,7 @@ def density_transform(
     )
 
 
-@dataclass(frozen=True)
-class DensitySample:
+class DensitySample(Record):
     sigma: tuple[Formula, ...]
     phi: Formula
     psi: Formula
@@ -127,8 +124,7 @@ class DensitySample:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(Record):
     logic: str
     attempted: int
     transformed: int

@@ -25,8 +25,6 @@ time with excluded middle, which is recorded as a checkable step list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InvalidCertificateError, LogicWithoutToAError
 from .chains import eval_vector
 from .logics import LogicSpec, resolve_logic
@@ -53,6 +51,7 @@ from .syntax import (
     Disj,
     Formula,
     Imp,
+    Record,
     Var,
     Zero,
     neg,
@@ -63,28 +62,25 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class EngineBudget:
+class EngineBudget(Record):
     lambda_cap: int = 16
     widen: int = 0
     max_literals: int = 4096
     max_goals: int = 4096
-    hilbert: HilbertBudget = field(default_factory=HilbertBudget)
+    hilbert: HilbertBudget = HilbertBudget()  # immutable, so one instance serves every budget
 
 
 DEFAULT_BUDGET = EngineBudget()
 
 
-@dataclass(frozen=True)
-class ToACertificate:
+class ToACertificate(Record):
     """Not-all-zero weights plus the oracle's witness for the weighted sum."""
 
     lambdas: tuple[int, ...]
     witness: MultWitness
 
 
-@dataclass(frozen=True)
-class ProofResult:
+class ProofResult(Record):
     status: str  # proved / refuted / unknown
     goal: Goal
     certificate: ToACertificate | None = None
@@ -282,15 +278,13 @@ def _prove_deepening(logic: LogicSpec, goal: Goal, budget: EngineBudget) -> Proo
 # --- certificate expansion ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExpansionStep:
+class ExpansionStep(Record):
     rule: str  # sum_split / dedupe / weaken / reorder
     principal: Formula | None
     disjuncts: tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
-class ExpansionSketch:
+class ExpansionSketch(Record):
     steps: tuple[ExpansionStep, ...]
     final: tuple[Formula, ...]
 
@@ -397,8 +391,7 @@ def check_expansion(cert: ToACertificate, goal: Goal, sketch: ExpansionSketch) -
 # --- full consequences ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConsequenceResult:
+class ConsequenceResult(Record):
     status: str
     results: tuple[ProofResult, ...]
 
@@ -442,8 +435,7 @@ def prove_consequence(
     return ConsequenceResult(status, results)
 
 
-@dataclass(frozen=True)
-class ExcludedMiddleReport:
+class ExcludedMiddleReport(Record):
     logic: str
     excluded_middle: ConsequenceResult
     zero_to_one: ConsequenceResult

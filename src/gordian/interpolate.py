@@ -26,7 +26,6 @@ branch interpolants as one disjunction of their conjunctions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .chains import designated_points, eval_vector
 from .engine import DEFAULT_BUDGET, EngineBudget, prove_consequence
@@ -47,6 +46,7 @@ from .syntax import (
     Formula,
     Fuse,
     Imp,
+    Record,
     Var,
     ZERO,
     power,
@@ -243,15 +243,13 @@ def _conj_fold(formulas: list[Formula]) -> Formula:
     return out
 
 
-@dataclass(frozen=True)
-class InterpolationCheck:
+class InterpolationCheck(Record):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class InterpolationReport:
+class InterpolationReport(Record):
     checks: tuple[InterpolationCheck, ...]
 
     @property

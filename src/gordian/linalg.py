@@ -13,30 +13,28 @@ projection.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InvalidCertificateError, NotMultiplicativeError
-from .syntax import Formula, Fuse, Imp, MVar, One, Var, Zero
+from .syntax import Formula, Fuse, Imp, MVar, One, Record, Var, Zero
 
 
-class LinForm:
+class LinForm(Record):
     """An integer linear form ``sum(coeffs[v] * v) + constant``.
 
-    Zero coefficients are never stored.  Instances are immutable and support
-    ``+``, ``-`` and integer scaling.
+    Zero coefficients are never stored.  Instances are immutable records
+    that support ``+``, ``-`` and integer scaling.
     """
 
     __slots__ = ("coeffs", "constant")
+    coeffs: dict[str, int]
+    constant: int
 
     def __init__(self, coeffs: dict[str, int] | None = None, constant: int = 0):
         cleaned = {v: c for v, c in (coeffs or {}).items() if c != 0}
         object.__setattr__(self, "coeffs", cleaned)
         object.__setattr__(self, "constant", constant)
-
-    def __setattr__(self, name, value):  # immutability by convention
-        raise AttributeError("LinForm is immutable")
 
     def get(self, var: str) -> int:
         return self.coeffs.get(var, 0)
@@ -76,12 +74,6 @@ class LinForm:
 
     def _key(self):
         return (tuple(sorted(self.coeffs.items())), self.constant)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LinForm) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         parts = [f"{c}*{v}" for v, c in sorted(self.coeffs.items())]
@@ -198,8 +190,7 @@ def _clear_denominators(values: list[Fraction]) -> list[int]:
 # --- the theorem of alternatives ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class Combination:
+class Combination(Record):
     """Integers ``lambdas, mu >= 0``, ``lambdas`` not all zero, with
     ``sum(lambdas * forms) == sum(mu * hyps)``."""
 
@@ -207,8 +198,7 @@ class Combination:
     mu: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Separation:
+class Separation(Record):
     """Integer ``y`` with ``<y, f> < 0`` for every form and ``<y, h> >= 0``
     for every hypothesis."""
 
@@ -263,11 +253,10 @@ def _dot(u, v) -> int:
 # --- the dichotomy -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
+    def _validate(self) -> None:
         if not self.rows or not self.rows[0]:
             raise ValueError("matrix dimensions must be positive")
         width = len(self.rows[0])
@@ -287,15 +276,13 @@ class IntMatrix:
         return IntMatrix(tuple(tuple(int(v) for v in row) for row in rows))
 
 
-@dataclass(frozen=True)
-class StrictDual:
+class StrictDual(Record):
     """Certificate ``y`` with every entry of ``y^T M`` strictly positive."""
 
     y: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Kernel:
+class Kernel(Record):
     """Certificate ``x`` in the nonnegative integer kernel, not all zero."""
 
     x: tuple[int, ...]
@@ -367,8 +354,7 @@ def _prune(rows: list[LinForm]) -> list[LinForm]:
 # --- nonnegative combinations -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConeMembership:
+class ConeMembership(Record):
     """``sum(mu[j] * generators[j]) == scale * target`` with mu >= 0 integral."""
 
     mu: tuple[int, ...]

@@ -12,8 +12,7 @@ a refutation rests on them (:func:`oracles.check_model_classes`).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import MissingMetavariableError, UnknownLogicError
 from .syntax import (
@@ -21,6 +20,7 @@ from .syntax import (
     Imp,
     MVar,
     One,
+    Record,
     Var,
     Zero,
     parse_template,
@@ -29,8 +29,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class AxiomSchema:
+class AxiomSchema(Record):
     name: str
     template: Formula
 
@@ -38,12 +37,14 @@ class AxiomSchema:
 _PHI = MVar("PHI")
 
 
-@dataclass(frozen=True)
-class AxiomFamily:
+class AxiomFamily(Record):
     """An axiom-schema family indexed by a natural number."""
 
     name: str
-    schemas: Callable[[int], tuple[AxiomSchema, ...]] = field(compare=False)
+    schemas: Callable[[int], tuple[AxiomSchema, ...]]
+
+    def _key(self) -> tuple:  # families compare and hash by name only
+        return (self.name,)
 
 
 def _ax(name: str, text: str) -> AxiomSchema:
@@ -116,8 +117,7 @@ def _balance_schemas(n: int) -> tuple[AxiomSchema, ...]:
 _BALANCE = AxiomFamily("balance", _balance_schemas)
 
 
-@dataclass(frozen=True)
-class LogicSpec:
+class LogicSpec(Record):
     """A named logic: base system, extra axiom schemas, capabilities."""
 
     name: str
@@ -322,16 +322,15 @@ def match_template(template: Formula, f: Formula) -> dict[str, Formula] | None:
 # --- the scaling side condition ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ToAConditionEntry:
+class ToAConditionEntry(Record):
     n: int
     k: int
     m: int
     status: str  # proved / refuted / unknown
+    countermodel: object = None  # a refuted entry's checked oracles.Countermodel
 
 
-@dataclass(frozen=True)
-class ToAConditionReport:
+class ToAConditionReport(Record):
     logic: str
     entries: tuple[ToAConditionEntry, ...]
 
@@ -348,7 +347,9 @@ def check_toa_condition(
 ) -> ToAConditionReport:
     """For each n <= n_max check derivability of (n*p)^k -> m*(p^n) in the
     logic's multiplicative fragment, with candidate (k, m) per n (default
-    (1, 1)).  Budget exhaustion yields Unknown entries, never a failure.
+    (1, 1)).  What the oracle leaves open is refuted by a countermodel in the
+    logic's checked model classes, if they hold one, and else stays Unknown:
+    budget exhaustion is never a failure.
     """
     from . import oracles  # deferred: oracles depends on this module
 
@@ -364,5 +365,8 @@ def check_toa_condition(
             raise ValueError(f"witness for n={n} needs m >= 1 and k >= 0")
         target = Imp(power(scalar(n, p), k), scalar(m, power(p, n)))
         verdict = oracles.decide(logic, [], target, budget=budget)
-        entries.append(ToAConditionEntry(n, k, m, verdict.status))
+        cm = verdict.countermodel if verdict.status == "refuted" else None
+        if verdict.status == "unknown":
+            cm = oracles.class_countermodel(oracles.check_model_classes(logic), [], [target])
+        entries.append(ToAConditionEntry(n, k, m, verdict.status if cm is None else "refuted", cm))
     return ToAConditionReport(logic.name, tuple(entries))

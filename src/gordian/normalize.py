@@ -15,7 +15,6 @@ Hypotheses split on conjunction and fork goals on disjunction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import NotMultiplicativeError, SizeBudgetExceededError
 from .syntax import (
@@ -25,6 +24,7 @@ from .syntax import (
     Fuse,
     Imp,
     One,
+    Record,
     Var,
     Zero,
     render,
@@ -35,13 +35,12 @@ DEFAULT_LITERAL_CAP = 4096
 DEFAULT_GOAL_CAP = 4096
 
 
-@dataclass(frozen=True)
-class MultClause:
+class MultClause(Record):
     """Nonempty disjunction of multiplicative formulas, canonically ordered."""
 
     disjuncts: tuple[Formula, ...]
 
-    def __post_init__(self):
+    def _validate(self) -> None:
         if not self.disjuncts:
             raise ValueError("a clause needs at least one disjunct")
         require_multiplicative(self.disjuncts)
@@ -55,14 +54,13 @@ class MultClause:
         return " | ".join(render(d) for d in self.disjuncts)
 
 
-@dataclass(frozen=True)
-class Goal:
+class Goal(Record):
     """Multiplicative hypotheses entailing a disjunctive clause."""
 
     hypotheses: tuple[Formula, ...]
     clause: MultClause
 
-    def __post_init__(self):
+    def _validate(self) -> None:
         require_multiplicative(self.hypotheses)
 
     @staticmethod

@@ -26,7 +26,6 @@ refutation rests on it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .chains import (
@@ -56,6 +55,7 @@ from .syntax import (
     Formula,
     Imp,
     MVar,
+    Record,
     Var,
     Zero,
     render,
@@ -68,8 +68,7 @@ from .syntax import (
 # --- verdicts and evidence ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearWitness:
+class LinearWitness(Record):
     """Nonnegative integer combination: sum(mu_j * hyp_j) = scale * target
     on the linear readings; the scale is discharged by the unperforated rule."""
 
@@ -79,8 +78,7 @@ class LinearWitness:
     kind = "linear"
 
 
-@dataclass(frozen=True)
-class ChainExhaustiveWitness:
+class ChainExhaustiveWitness(Record):
     """Every valuation into the named decision chains designates the target."""
 
     chains: tuple[str, ...]
@@ -88,15 +86,13 @@ class ChainExhaustiveWitness:
     kind = "chain_exhaustive"
 
 
-@dataclass(frozen=True)
-class DerivationLine:
+class DerivationLine(Record):
     index: int
     formula: Formula
     justification: str
 
 
-@dataclass(frozen=True)
-class DerivationWitness:
+class DerivationWitness(Record):
     lines: tuple[DerivationLine, ...]
 
     kind = "derivation"
@@ -105,8 +101,7 @@ class DerivationWitness:
 MultWitness = LinearWitness | ChainExhaustiveWitness | DerivationWitness
 
 
-@dataclass(frozen=True)
-class Countermodel:
+class Countermodel(Record):
     """A refuting valuation into a named chain ("Z" = the integers)."""
 
     chain: str
@@ -121,22 +116,19 @@ class Countermodel:
         return dict(self.valuation)
 
 
-@dataclass(frozen=True)
-class Proved:
+class Proved(Record):
     witness: MultWitness
 
     status = "proved"
 
 
-@dataclass(frozen=True)
-class Refuted:
+class Refuted(Record):
     countermodel: Countermodel
 
     status = "refuted"
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(Record):
     reason: str
 
     status = "unknown"
@@ -368,8 +360,7 @@ def _object_instance(schema) -> Formula:
 # --- Hilbert ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HilbertBudget:
+class HilbertBudget(Record):
     max_lines: int = 4000
     max_instances: int = 12000
     pool_limit: int = 28
@@ -414,7 +405,7 @@ def _axiom_instances(schemas, pool, max_size, max_instances):
             continue
         counts = [occurrences[v] for v in mvars]
         fixed = schema.template.size - sum(counts)
-        source = pool[: max(8, len(pool) // (2 ** (len(mvars) - 1)))]
+        source = _source(pool, len(mvars))
         for combo in itertools.product(source, repeat=len(mvars)):
             if fixed + sum(c * f.size for c, f in zip(counts, combo)) > max_size:
                 continue
@@ -422,6 +413,26 @@ def _axiom_instances(schemas, pool, max_size, max_instances):
             produced += 1
             if produced >= max_instances:
                 return
+
+
+def _source(pool, k: int):
+    """The prefix of the pool that a schema with k metavariables draws on."""
+    return pool[: max(8, 2 * len(pool) // 2**k)]
+
+
+def _stream_match(schemas, pool, max_size, max_instances, phi: Formula) -> str | None:
+    """The name of the first schema whose instance in :func:`_axiom_instances`
+    is ``phi``, found by matching instead of building the stream; ``None``
+    when there is none, or when the stream could stop at ``max_instances``
+    before ``phi``, which only the stream itself tells."""
+    arities = [len(_metavariable_occurrences(s.template)) for s in schemas]
+    if phi.size > max_size or sum(len(_source(pool, k)) ** k for k in arities) > max_instances:
+        return None
+    for schema, k in zip(schemas, arities):
+        match = match_template(schema.template, phi)
+        if match is not None and all(arg in _source(pool, k) for arg in match.values()):
+            return schema.name
+    return None
 
 
 def _metavariable_occurrences(template: Formula) -> dict[str, int]:
@@ -444,8 +455,9 @@ def hilbert_search(
 
     Forward saturation: hypotheses and axiom-schema instances built from the
     subterm closure are closed under modus ponens and the unperforated rule
-    until the target appears or the budget runs out.  Proved answers carry a
-    checkable derivation; there are no Refuted answers.
+    until the target appears or the budget runs out.  A target the instance
+    stream holds is found by matching, without building the stream.  Proved
+    answers carry a checkable derivation; there are no Refuted answers.
     """
     logic = resolve_logic(logic)
     budget = budget or HilbertBudget()
@@ -472,12 +484,14 @@ def hilbert_search(
     for h in sigma:
         add(h, ("hyp",))
     if phi not in parents:
-        for name, instance in _axiom_instances(
-            schemas, pool, max_size, budget.max_instances
-        ):
-            add(instance, ("axiom", name))
-            if instance == phi:
-                break
+        found = _stream_match(schemas, pool, max_size, budget.max_instances, phi)
+        if found:
+            add(phi, ("axiom", found))
+        else:
+            for name, instance in _axiom_instances(schemas, pool, max_size, budget.max_instances):
+                add(instance, ("axiom", name))
+                if instance == phi:
+                    break
 
     seeded = len(parents)
     head = 0
@@ -546,8 +560,7 @@ def _reconstruct(goal: Formula, parents: dict[Formula, tuple]) -> tuple[Derivati
 # --- derivation checking -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DerivationCheck:
+class DerivationCheck(Record):
     ok: bool
     bad_index: int | None = None
     message: str = ""

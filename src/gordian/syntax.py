@@ -1,4 +1,4 @@
-"""Formula syntax: abstract trees, parsing, printing and substitution.
+"""Immutable records, and formula syntax: trees, parsing, printing, substitution.
 
 The tree has exactly six node kinds: variables, the constants 1 and 0, the
 lattice connectives ``&`` and ``|``, fusion ``*`` and implication ``->``.
@@ -27,65 +27,112 @@ parentheses override.  ``^`` binds tighter than ``~``, so ``~p^2`` is
 from __future__ import annotations
 
 import re
-from functools import reduce
+from operator import attrgetter
 
 from .errors import ArityError, FormulaSyntaxError, NotMultiplicativeError
 
 MAX_REPEAT = 1 << 16
 
 
-class Formula:
-    """Base class for formula nodes: immutable, hashable, with ``size``
-    (nodes, repeats counted) and ``multiplicative`` (no ``&``/``|`` inside).
-
-    Every node kind is a plain slotted class; ``__init__`` sets the fields
-    named in ``_fields`` and the hash once.  Nodes compare by structure
-    (:class:`Binary` without recursion) and pickle by being rebuilt from
-    their fields, so the hash is recomputed in the loading process."""
+class Record:
+    """Base of every immutable value class.  A subclass lists its fields as
+    annotations, in order, with any defaults as class attributes.  Records
+    are built by position or keyword, refuse assignment and deletion,
+    compare and hash by class and ``_key()`` (all fields unless overridden),
+    print as ``Name(field=value, ...)``, pickle by being rebuilt from their
+    fields and check their values in :meth:`_validate`."""
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
-    size = 1
-    multiplicative = True
+    _fields = ()
+    _defaults = {}
 
-    def __init__(self, *values):
-        if len(values) != len(self._fields):
-            raise TypeError(f"{type(self).__name__} takes fields {self._fields}")
-        for name, value in zip(self._fields, values):
+    def __init_subclass__(cls):
+        own, slots = tuple(cls.__annotations__), cls.__dict__.get("__slots__", ())
+        cls._fields += own  # the annotations are this class's own, in order
+        defaults = {n: cls.__dict__[n] for n in own if n in cls.__dict__ and n not in slots}
+        cls._defaults = {**cls._defaults, **defaults}
+        cls._values = _getter(cls._fields)
+        cls._key = cls.__dict__.get("_key", cls._values)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(self._fields, args):
             _set(self, name, value)
-        _set(self, "_hash", hash((type(self).__name__, *values)))
+        self._validate()
+
+    @classmethod
+    def _bind(cls, args, kwargs) -> tuple:
+        """The field values, in order, from arguments and defaults."""
+        rest = cls._fields[len(args) :]
+        try:
+            args += tuple([kwargs.pop(f) if f in kwargs else cls._defaults[f] for f in rest])
+        except KeyError as missing:
+            raise TypeError(f"{cls.__name__} is missing field {missing}") from None
+        if kwargs or len(args) > len(cls._fields):  # unknown, repeated or too many
+            raise TypeError(f"{cls.__name__} takes fields {cls._fields}, not {args} and {kwargs}")
+        return args
+
+    def _validate(self) -> None:
+        pass
 
     def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r} of a formula")
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
 
     __delattr__ = __setattr__
 
-    def __hash__(self) -> int:
-        return self._hash
-
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self._values() == other._values()
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __reduce__(self):
         return type(self), self._values()
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
+        return f"{type(self).__qualname__}({fields})"
 
-    def __str__(self) -> str:
-        return render(self)
+
+def _getter(names):
+    """A method giving the tuple of the named attributes, by ``attrgetter``."""
+    get = attrgetter(*names) if names else lambda self: ()
+    return (lambda self: (get(self),)) if len(names) == 1 else lambda self: get(self)
 
 
 _set = object.__setattr__
 
 
+class Formula(Record):
+    """Base class for formula nodes: immutable, hashable, with ``size``
+    (nodes, repeats counted) and ``multiplicative`` (no ``&``/``|`` inside).
+
+    Every node kind is a plain slotted :class:`Record` that also stores its
+    hash when built.  Nodes compare by structure (:class:`Binary` without
+    recursion) and pickle by being rebuilt from their fields, so the hash is
+    recomputed in the loading process."""
+
+    __slots__ = ()
+    size = 1
+    multiplicative = True
+
+    def __init__(self, *args, **kwargs):
+        Record.__init__(self, *args, **kwargs)
+        _set(self, "_hash", hash((type(self).__name__, *self._values())))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __str__(self) -> str:
+        return render(self)
+
+
 class Var(Formula):
     __slots__ = ("name", "_hash")
-    _fields = ("name",)
+    name: str
 
 
 class MVar(Formula):
@@ -95,7 +142,7 @@ class MVar(Formula):
     """
 
     __slots__ = ("name", "_hash")
-    _fields = ("name",)
+    name: str
 
 
 class One(Formula):
@@ -111,7 +158,8 @@ class Binary(Formula):
     and ``multiplicative`` are computed from the children's when it is built."""
 
     __slots__ = ("left", "right", "size", "multiplicative", "_hash")
-    _fields = ("left", "right")
+    left: Formula
+    right: Formula
     lattice = False
 
     def __init__(self, left: Formula, right: Formula):
@@ -197,14 +245,6 @@ def power(f: Formula, n: int) -> Formula:
     for _ in range(n - 1):
         acc = Fuse(acc, f)
     return acc
-
-
-def conj_all(fs) -> Formula:
-    return reduce(Conj, fs)
-
-
-def disj_all(fs) -> Formula:
-    return reduce(Disj, fs)
 
 
 def subformulas(f: Formula) -> list[Formula]:

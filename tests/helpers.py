@@ -9,13 +9,22 @@ un-decomposed disjunction formula through the generic evaluator.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from random import Random
 
 from gordian.chains import brute_force_consequence, sugihara_chain
 from gordian.linalg import feasible_point_or_farkas, translate_abelian
 from gordian.normalize import Goal
 from gordian.rand import random_mult_formula
-from gordian.syntax import Disj, Formula, MVar, One, Var, Zero
+from gordian.syntax import Conj, Disj, Formula, MVar, One, Var, Zero
+
+
+def conj_all(fs) -> Formula:
+    return reduce(Conj, fs)
+
+
+def disj_all(fs) -> Formula:
+    return reduce(Disj, fs)
 
 
 def random_goal(
@@ -86,6 +95,11 @@ def goal_holds_brute_force(chains, goal: Goal) -> bool:
     for d in goal.clause.disjuncts[1:]:
         disjunction = Disj(disjunction, d)
     return brute_force_consequence(chains, goal.hypotheses, disjunction) is None
+
+
+def replace(record, **changes):
+    """A copy of a :class:`gordian.syntax.Record` with the named fields changed."""
+    return type(record)(**{name: getattr(record, name) for name in record._fields} | changes)
 
 
 def meta_to_vars(template: Formula) -> Formula:

@@ -10,6 +10,8 @@ from random import Random
 
 from helpers import (
     abelian_goal_countermodel,
+    conj_all,
+    disj_all,
     goal_holds_brute_force,
     random_goal,
     rmt_chain_family,
@@ -29,14 +31,7 @@ from gordian.logics import check_toa_condition, lookup_logic
 from gordian.normalize import to_mult_clauses
 from gordian.oracles import countermodel_refutes, sugihara_decide
 from gordian.rand import random_formula, random_mult_formula
-from gordian.syntax import (
-    conj_all,
-    disj_all,
-    parse,
-    render,
-    variables,
-    variables_of,
-)
+from gordian.syntax import parse, render, variables, variables_of
 
 
 def _finish(number: int, description: str, failures, elapsed: float, limit: float):

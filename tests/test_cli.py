@@ -271,6 +271,19 @@ def test_output_does_not_depend_on_hash_seed(tmp_path):
         assert outputs.pop()[1].startswith("{"), text
 
 
+def test_import_leaves_out_dataclasses_and_inspect():
+    # every gordian process pays its import; these two modules (and what
+    # they pull in) took about a third of it.  -S keeps out whatever the
+    # interpreter's site packages import on their own.
+    child = "import sys, gordian.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", child], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_nonpositive_budget_is_an_error_not_a_verdict(tmp_path, capsys):
     # a weight-sum cap below 1 tries no weights, so a theorem came out unknown
     problem = write(tmp_path, "p.txt", "logic BIULm\nprove p -> p\n")

@@ -1,9 +1,8 @@
 import itertools
-from dataclasses import replace
 
 import pytest
 
-from helpers import meta_to_vars
+from helpers import meta_to_vars, replace
 
 from gordian.chains import eval_abelian, eval_formula, sugihara_chain
 from gordian.engine import prove_consequence, prove_disjunction
@@ -18,7 +17,7 @@ from gordian.logics import (
     registered_logics,
 )
 from gordian.normalize import Goal
-from gordian.oracles import check_model_classes
+from gordian.oracles import check_model_classes, countermodel_refutes
 from gordian.syntax import parse, parse_template, render, variables
 
 
@@ -147,6 +146,17 @@ def test_toa_condition_examples():
 def test_toa_condition_all_presets_small():
     for name in ("A", "RMt", "IUMLm", "BIULm"):
         assert check_toa_condition(lookup_logic(name), 3).all_proved, name
+
+
+def test_toa_condition_refutes_on_the_model_classes():
+    # the Hilbert search leaves n = 2, (p + p) -> 2*(p * p), open; p = -1
+    # refutes it in Z, which BIULm declares sound
+    report = check_toa_condition(lookup_logic("BIULm"), 2, {2: (1, 2)})
+    one, two = report.entries
+    assert one.status == "proved" and one.countermodel is None
+    assert two.status == "refuted" and two.countermodel.chain == "Z"
+    assert countermodel_refutes(two.countermodel, [], [parse("(p + p) -> 2*(p * p)")])
+    assert not report.all_proved
 
 
 def test_toa_condition_rejects_bad_witness():

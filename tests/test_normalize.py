@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from helpers import iuml_chain_family
+from helpers import conj_all, disj_all, iuml_chain_family
 
 from gordian.chains import eval_abelian, eval_formula, sugihara_chain
 from gordian.errors import SizeBudgetExceededError
@@ -19,7 +19,7 @@ from gordian.normalize import (
     to_mult_clauses,
 )
 from gordian.rand import random_formula
-from gordian.syntax import conj_all, disj_all, parse, render, variables, variables_of
+from gordian.syntax import parse, render, variables, variables_of
 
 
 def clauses_text(clauses):

@@ -15,7 +15,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCRIPT = r'''
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from gordian import engine, linalg, oracles
@@ -103,6 +102,10 @@ linalg.feasible_point_or_farkas = solve
 # The model classes refuted on before the Hilbert search: a declaration is
 # checked before a refutation rests on it, and a Z separation is re-checked
 # like any countermodel.
+def replace(record, **changes):
+    return type(record)(**{name: getattr(record, name) for name in record._fields} | changes)
+
+
 knotted_in_z = replace(lookup_logic("knotted(1,1,1:1:1:1)"), model_classes=("Z", "sugihara_odd"))
 rejected(
     "knotted logic declaring Z, where p -> p^2 fails",

@@ -22,7 +22,7 @@ from gordian.oracles import (
     verify_linear_witness,
 )
 from gordian.rand import random_mult_formula
-from gordian.syntax import metavariables, parse, render
+from gordian.syntax import Imp, metavariables, parse, render
 
 
 def test_abelian_examples():
@@ -113,6 +113,64 @@ def test_hilbert_examples():
     assert verdict.status == "proved"
     assert len(verdict.witness.lines) <= 5
     assert hilbert_search("MLL", [], parse("p")).status == "unknown"
+
+
+def test_hilbert_axiom_instance_in_one_line(monkeypatch):
+    # a target the instance stream holds is proved without building it
+    def no_stream(*args):
+        raise AssertionError("instance stream built for an axiom instance")
+
+    monkeypatch.setattr(oracles, "_axiom_instances", no_stream)
+    cases = [
+        ("MLL", parse("p -> p"), "axiom identity"),
+        ("MLL", parse("p -> (q -> (p * q))"), "axiom fusion_intro"),
+        ("MLL0", parse("0 -> 1"), "axiom zero_one"),
+        ("BIULm", parse("(p + p) -> p^2"), "axiom balance_up_2"),
+        ("BIULm", parse("p^3 -> 3*p"), "axiom balance_down_3"),
+    ]
+    for logic, phi, just in cases:
+        verdict = hilbert_search(logic, [], phi)
+        assert verdict.status == "proved", render(phi)
+        assert [(line.formula, line.justification) for line in verdict.witness.lines] == [(phi, just)]
+        assert verify_derivation(logic, verdict.witness.lines)
+
+
+def test_hilbert_matching_agrees_with_the_stream(monkeypatch):
+    # same verdicts and derivations as building the stream, also where the
+    # stream would miss an instance: its arguments outside the pool prefix,
+    # the stream cut at max_instances, or the target over max_term_size
+    rng = Random(77)
+    big = parse("((p * q) -> (q * r)) * ~(r -> p)")
+    problems = [
+        ("MLL", [], parse("p -> p")),
+        ("MLL", [], Imp(big, big)),
+        ("MLL", [], parse("(p * q) -> (q * p)")),
+        ("BIULm", [parse("q + q")], parse("q")),
+        ("BIULm", [], parse("(p + p) -> p^2")),
+    ]
+    for _ in range(30):
+        hyps = [random_mult_formula(rng, ["p", "q"], 1) for _ in range(rng.randint(0, 1))]
+        problems.append(("BIULm", hyps, random_mult_formula(rng, ["p", "q"], rng.randint(1, 3))))
+    budgets = [
+        HilbertBudget(max_lines=400),
+        HilbertBudget(max_lines=100, pool_limit=2),
+        HilbertBudget(max_lines=100, max_instances=40),
+        HilbertBudget(max_lines=100, max_term_size=5),
+    ]
+    matched = []
+    real = oracles._stream_match
+
+    def recording(*args):
+        matched.append(real(*args))
+        return matched[-1]
+
+    for logic, sigma, phi in problems:
+        for budget in budgets:
+            monkeypatch.setattr(oracles, "_stream_match", recording)
+            fast = hilbert_search(logic, sigma, phi, budget)
+            monkeypatch.setattr(oracles, "_stream_match", lambda *args: None)
+            assert fast == hilbert_search(logic, sigma, phi, budget), render(phi)
+    assert any(matched) and not all(matched)
 
 
 def test_hilbert_uses_hypotheses_and_mp():

@@ -9,8 +9,12 @@ from random import Random
 
 import pytest
 
-from gordian.engine import prove_consequence
-from gordian.errors import ArityError, FormulaSyntaxError
+from gordian.engine import EngineBudget, prove_consequence
+from gordian.errors import ArityError, FormulaSyntaxError, NotMultiplicativeError
+from gordian.linalg import IntMatrix, Kernel, LinForm, StrictDual
+from gordian.logics import AxiomFamily, knotted_logic, lookup_logic
+from gordian.normalize import Goal, MultClause
+from gordian.oracles import Countermodel, HilbertBudget, LinearWitness, Proved, Refuted, Unknown
 from gordian.rand import random_formula, random_mult_formula
 from gordian.syntax import (
     Conj,
@@ -319,6 +323,132 @@ def test_pickle_and_copy_rebuild_the_node():
 
 
 def test_results_pickle_and_copy():
-    for logic, text in [("A", "(p -> q) | (q -> p)"), ("RMt", "p | ~p"), ("IUMLm", "p * q -> p")]:
+    for logic, text in [
+        ("A", "(p -> q) | (q -> p)"),
+        ("RMt", "p | ~p"),
+        ("IUMLm", "p * q -> p"),
+        ("BIULm", "p * q -> q * p"),  # a derivation witness
+        ("BIULm", "p -> p * p"),  # refuted in Z
+    ]:
         result = prove_consequence(logic, [parse("q -> r")], parse(text))
-        assert pickle.loads(pickle.dumps(result)) == result and copy.deepcopy(result) == result
+        for copied in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
+            assert copied == result and copied is not result
+            assert repr(copied) == repr(result) and hash(copied) == hash(result)
+
+
+# --- records: the immutable value classes ------------------------------------
+
+
+def test_record_construction_by_position_keyword_and_default():
+    default = HilbertBudget()
+    assert (default.max_lines, default.max_term_size, default.u_bound) == (4000, None, 16)
+    assert HilbertBudget(4000, 12000) == default == HilbertBudget(u_bound=16, max_lines=4000)
+    budget = HilbertBudget(10, pool_limit=3)
+    assert (budget.max_lines, budget.max_instances, budget.pool_limit) == (10, 12000, 3)
+    cm = Countermodel(valuation=(("p", 1),), chain="Z")
+    assert cm == Countermodel("Z", (("p", 1),)) and cm.mapping == {"p": 1}
+    # a budget's Hilbert part defaults to one shared, immutable instance
+    assert EngineBudget().hilbert is EngineBudget(lambda_cap=2).hilbert == default
+    for build in (
+        lambda: Countermodel("Z"),  # missing field
+        lambda: Countermodel(chain="Z"),
+        lambda: Countermodel("Z", (), ()),  # too many
+        lambda: Countermodel("Z", (), bogus=1),  # unknown
+        lambda: Countermodel("Z", (), chain="Z"),  # given twice
+        lambda: HilbertBudget(bogus=1),
+    ):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_records_are_immutable():
+    result = prove_consequence("A", [], parse("p -> p")).results[0]
+    spec = lookup_logic("A")
+    for record, name in (
+        (result, "status"),
+        (result, "certificate"),
+        (EngineBudget(), "lambda_cap"),
+        (HilbertBudget(), "max_lines"),
+        (spec, "name"),
+        (spec, "model_classes"),
+    ):
+        for attribute in (name, "not_a_field"):
+            with pytest.raises(AttributeError):
+                setattr(record, attribute, None)
+            with pytest.raises(AttributeError):
+                delattr(record, attribute)
+    assert result.status == "proved" and spec.name == "A" and spec.model_classes == ("Z",)
+
+
+def test_record_equality_is_class_exact_with_equal_hashes():
+    witness = LinearWitness((1,), 1)
+    assert Proved(witness) == Proved(LinearWitness((1,), 1))
+    assert hash(Proved(witness)) == hash(Proved(LinearWitness((1,), 1)))
+    assert Proved(witness) != Refuted(witness) and Proved(witness) != Unknown(witness)
+    assert Kernel((1, 2)) != StrictDual((1, 2)) and Kernel((1, 2)) != (1, 2)
+    assert Kernel((1, 2)) != Kernel((2, 1))
+    goal = Goal.of([parse("q"), parse("p")], [parse("p * q")])
+    again = Goal.of([parse("p"), parse("q"), parse("p")], [parse("p * q")])
+    assert goal == again and hash(goal) == hash(again)
+    assert knotted_logic(2, 1, [(4, 5, 6, 7)]) == lookup_logic("knotted(2,1,4:5:6:7)")
+    assert hash(knotted_logic(2, 1, [(4, 5, 6, 7)])) == hash(lookup_logic("knotted(2,1,4:5:6:7)"))
+    assert lookup_logic("A") != lookup_logic("RMt")
+
+
+def test_axiom_family_equality_ignores_schemas():
+    family = AxiomFamily("balance", lambda n: ())
+    same_name = AxiomFamily("balance", tuple)
+    assert family == same_name and hash(family) == hash(same_name)
+    assert family != AxiomFamily("other", family.schemas)
+    assert lookup_logic("BIULm").families == (same_name,)
+
+
+def test_linear_forms_are_records_keyed_by_sorted_coefficients():
+    form = LinForm({"q": 2, "p": -1, "r": 0}, 3)
+    assert form == LinForm({"p": -1, "q": 2}, 3) and hash(form) == hash(LinForm({"p": -1, "q": 2}, 3))
+    assert form != LinForm({"p": -1, "q": 2}) and repr(form) == "LinForm(-1*p + 2*q + 3)"
+    for name in ("coeffs", "constant"):
+        with pytest.raises(AttributeError):
+            setattr(form, name, None)
+    for copied in (pickle.loads(pickle.dumps(form)), copy.deepcopy(form)):
+        assert copied == form and copied.coeffs == {"p": -1, "q": 2}
+
+
+def test_record_validation_raises():
+    with pytest.raises(ValueError):
+        MultClause(())
+    with pytest.raises(NotMultiplicativeError):
+        MultClause((parse("p & q"),))
+    with pytest.raises(NotMultiplicativeError):
+        Goal((parse("p | q"),), MultClause((parse("p"),)))
+    with pytest.raises(NotMultiplicativeError):
+        Goal.of([], [parse("p"), parse("q & r")])
+    for rows in ((), ((),), ((1, 2), (3,))):
+        with pytest.raises(ValueError):
+            IntMatrix(rows)
+    assert IntMatrix(((1, 2), (3, 4))).n == 2
+
+
+def test_record_reprs():
+    assert repr(Countermodel.of("Z", {"q": 1, "p": -1})) == (
+        "Countermodel(chain='Z', valuation=(('p', -1), ('q', 1)))"
+    )
+    assert repr(EngineBudget()) == (
+        "EngineBudget(lambda_cap=16, widen=0, max_literals=4096, max_goals=4096, "
+        "hilbert=HilbertBudget(max_lines=4000, max_instances=12000, pool_limit=28, "
+        "max_term_size=None, family_bound=8, u_bound=16))"
+    )
+    assert repr(prove_consequence("A", [], parse("p -> p")).results[0]) == (
+        "ProofResult(status='proved', goal=Goal(hypotheses=(), clause=MultClause("
+        "disjuncts=(Imp(left=Var(name='p'), right=Var(name='p')),))), "
+        "certificate=ToACertificate(lambdas=(1,), witness=LinearWitness(mu=(), scale=1)), "
+        "countermodel=None, reason=None)"
+    )
+    assert repr(lookup_logic("knotted(1,1,1:1:1:1)")) == (
+        "LogicSpec(name='knotted(1,1,1:1:1:1)', base='IULstar', extra_axioms=("
+        "AxiomSchema(name='knot_1_2', template=Imp(left=MVar(name='PHI'), "
+        "right=Fuse(left=MVar(name='PHI'), right=MVar(name='PHI')))), "
+        "AxiomSchema(name='scaling_1_1_1_1', template=Imp(left=MVar(name='PHI'), "
+        "right=MVar(name='PHI')))), families=(), has_toa=True, oracle_kind='hilbert', "
+        "model_classes=('sugihara_odd',))"
+    )
