@@ -20,11 +20,8 @@ from .density import (
 from .engine import (
     ConsequenceResult,
     EngineBudget,
-    ProofResult,
-    ToACertificate,
     check_excluded_middle,
     check_expansion,
-    combination_formula,
     expand_combination,
     prove_consequence,
     prove_disjunction,
@@ -51,13 +48,11 @@ from .interpolate import (
     verify_interpolant,
 )
 from .linalg import (
-    ConeMembership,
     IntMatrix,
     Kernel,
     LinForm,
     StrictDual,
     gordan,
-    nonneg_combination,
     project_fm,
     translate_abelian,
 )
@@ -79,10 +74,9 @@ from .oracles import (
     DerivationWitness,
     HilbertBudget,
     LinearWitness,
-    Proved,
-    Refuted,
-    Unknown,
-    abelian_decide,
+    ProofResult,
+    ToACertificate,
+    combination_formula,
     countermodel_refutes,
     decide,
     hilbert_search,

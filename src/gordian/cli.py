@@ -21,12 +21,7 @@ import json
 import sys
 
 from .density import density_goal, density_precondition, density_transform
-from .engine import (
-    EngineBudget,
-    ProofResult,
-    prove_consequence,
-    prove_disjunction,
-)
+from .engine import EngineBudget, prove_consequence, prove_disjunction
 from .errors import GordianError
 from .interpolate import lift_interpolant
 from .linalg import IntMatrix, Kernel, gordan
@@ -37,6 +32,7 @@ from .oracles import (
     DerivationWitness,
     HilbertBudget,
     LinearWitness,
+    ProofResult,
 )
 from .syntax import Formula, Record, parse, render
 

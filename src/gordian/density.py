@@ -12,19 +12,11 @@ from __future__ import annotations
 
 from random import Random
 
-from .engine import (
-    DEFAULT_BUDGET,
-    EngineBudget,
-    ProofResult,
-    ToACertificate,
-    combination_formula,
-    prove_consequence,
-    prove_disjunction,
-)
+from .engine import DEFAULT_BUDGET, EngineBudget, prove_consequence, prove_disjunction
 from .errors import InvalidCertificateError, PreconditionFailedError
 from .logics import LogicSpec, resolve_logic
 from .normalize import Goal, MultClause
-from .oracles import decide
+from .oracles import ProofResult, ToACertificate, combination_formula, decide
 from .rand import random_mult_formula
 from .syntax import ONE, ZERO, Formula, Imp, Record, Var, render, variables_of
 
@@ -110,7 +102,7 @@ def density_transform(
             "transformed combination did not re-prove under the oracle"
         )
     return DensityCertificate(
-        tuple(out_disjuncts), ToACertificate(out_lambdas, verdict.witness)
+        tuple(out_disjuncts), ToACertificate(out_lambdas, verdict.certificate.witness)
     )
 
 

@@ -2,22 +2,21 @@
 
 A disjunction goal is settled by finding a not-all-zero natural vector
 ``lambda`` whose weighted sum of the disjuncts is derivable from the
-hypotheses in the multiplicative fragment, or by exhibiting a countermodel:
+hypotheses in the multiplicative fragment, or by exhibiting a countermodel.
+:func:`prove_disjunction` hands the goal to its logic's procedure in
+:mod:`oracles`:
 
-* Abelian: :func:`linalg.linear_alternative`, the package's one exact LP,
-  decides both directions at once: its combination gives ``lambda`` and
-  the hypotheses' weights, its separation the integer countermodel.
-* Mingle logics: ``lambda`` ranges over 0/1 vectors (subset form).  The
-  hypotheses and disjuncts are evaluated once per decision chain over its
-  canonical grid; a point designating no disjunct is the countermodel,
-  otherwise greedy elimination over the same value table yields the
-  largest valid subset, whose combination is then evaluated to back the
-  certificate.
+* Abelian: :func:`oracles.abelian_alternative`, the one exact LP, decides
+  both directions at once: its combination gives ``lambda`` and the
+  hypotheses' weights, its separation the integer countermodel.
+* Mingle logics: :func:`oracles.prove_subsets`, ``lambda`` over 0/1
+  vectors, from one value table per decision chain.
 * Everything else: first a countermodel in the model classes the logic
   is sound for (:func:`oracles.class_countermodel`: Z through the same LP
   separation, then Sugihara chains), then iterative deepening on
-  ``sum(lambda)`` against the Hilbert oracle.  Only once the model classes
-  have failed is exhaustion reported, as Unknown, never Refuted.
+  ``sum(lambda)``, asking :func:`oracles.decide` (the Hilbert search) for
+  each weighted sum.  Only once the model classes have failed is
+  exhaustion reported, as unknown, never refuted.
 
 A certificate expands back into the disjunction by peeling one summand at a
 time with excluded middle, which is recorded as a checkable step list.
@@ -26,40 +25,23 @@ time with excluded middle, which is recorded as a checkable step list.
 from __future__ import annotations
 
 from .errors import InvalidCertificateError, LogicWithoutToAError
-from .chains import eval_vector
 from .logics import LogicSpec, resolve_logic
 from .normalize import Goal, decompose_consequence
 from .oracles import (
-    ChainExhaustiveWitness,
     Countermodel,
     HilbertBudget,
     LinearWitness,
-    MultWitness,
+    ProofResult,
+    ToACertificate,
     abelian_alternative,
-    chain_tables,
     check_model_classes,
-    checked_countermodel,
     class_countermodel,
+    combination_formula,
     decide,
-    decision_chains,
-    refuting_point,
+    prove_subsets,
     verify_linear_witness,
 )
-from .syntax import (
-    ONE,
-    ZERO,
-    Disj,
-    Formula,
-    Imp,
-    Record,
-    Var,
-    Zero,
-    neg,
-    plus,
-    render,
-    scalar,
-    variables_of,
-)
+from .syntax import ONE, ZERO, Disj, Formula, Imp, Record, Var, Zero, neg, render
 
 
 class EngineBudget(Record):
@@ -71,35 +53,6 @@ class EngineBudget(Record):
 
 
 DEFAULT_BUDGET = EngineBudget()
-
-
-class ToACertificate(Record):
-    """Not-all-zero weights plus the oracle's witness for the weighted sum."""
-
-    lambdas: tuple[int, ...]
-    witness: MultWitness
-
-
-class ProofResult(Record):
-    status: str  # proved / refuted / unknown
-    goal: Goal
-    certificate: ToACertificate | None = None
-    countermodel: Countermodel | None = None
-    reason: str | None = None
-
-
-def combination_formula(lambdas, disjuncts) -> Formula:
-    """The weighted sum ``l1*f1 + ... + ln*fn`` over the support of
-    ``lambdas``, folded right-nested in disjunct order."""
-    if any(l < 0 for l in lambdas):
-        raise InvalidCertificateError("weights must be nonnegative")
-    terms = [scalar(l, d) for l, d in zip(lambdas, disjuncts, strict=True) if l > 0]
-    if not terms:
-        raise InvalidCertificateError("weights must not all be zero")
-    acc = terms[-1]
-    for t in reversed(terms[:-1]):
-        acc = plus(t, acc)
-    return acc
 
 
 def prove_disjunction(
@@ -125,7 +78,7 @@ def prove_disjunction(
     if strategy == "linear":
         return _prove_abelian(goal)
     if strategy == "subset":
-        return _prove_subsets(logic, goal, budget)
+        return prove_subsets(logic, goal, budget.widen)
     if strategy == "deepening":
         return _prove_deepening(logic, goal, budget)
     raise ValueError(f"unknown strategy {strategy!r}")
@@ -147,91 +100,6 @@ def _abelian_proved(goal: Goal, lambdas, mu) -> ProofResult:
     if not verify_linear_witness(cert.witness, goal.hypotheses, combo):
         raise InvalidCertificateError("hypothesis weights do not sum to the combination")
     return ProofResult("proved", goal, certificate=cert)
-
-
-# --- mingle logics: subset weights ---------------------------------------------
-
-
-def _prove_subsets(logic: LogicSpec, goal: Goal, budget: EngineBudget) -> ProofResult:
-    """Subset form, settled from one value table per decision chain.
-
-    The hypotheses are evaluated over each chain's canonical grid, and the
-    disjuncts at the points that designate them all (the kept points).  A
-    kept point designating no disjunct is a countermodel.  Otherwise the
-    largest valid subset is found by greedy elimination
-    (:func:`_largest_valid_subset`), and its combination formula is
-    evaluated at the kept points before it is certified.
-    """
-    hyps, disjuncts = goal.hypotheses, goal.clause.disjuncts
-    var_order = sorted(variables_of(hyps + disjuncts))
-    chains = decision_chains(logic, len(var_order), budget.widen)
-    tables = []
-    for chain, points, rows in chain_tables(chains, hyps, disjuncts, var_order):
-        point = refuting_point(chain, points, rows)
-        if point is not None:
-            cm = Countermodel.of(chain.name, dict(zip(var_order, point)))
-            return ProofResult(
-                "refuted", goal, countermodel=checked_countermodel(cm, hyps, disjuncts)
-            )
-        tables.append((chain, points, rows))
-    support = _largest_valid_subset(tables, len(disjuncts))
-    if not support:
-        return ProofResult(
-            "unknown",
-            goal,
-            reason="valid on the decision chains but no subset combination proved",
-        )
-    lambdas = tuple(1 if i in support else 0 for i in range(len(disjuncts)))
-    combo = combination_formula(lambdas, disjuncts)
-    for chain, points, _ in tables:
-        if any(v < chain.unit for v in eval_vector(chain, combo, var_order, points)):
-            raise InvalidCertificateError(
-                f"subset combination is not designated on {chain.name}"
-            )
-    # The combination's own decision chains are subalgebras of the goal's.
-    named = decision_chains(logic, len(variables_of(hyps + (combo,))), budget.widen)
-    witness = ChainExhaustiveWitness(tuple(c.name for c in named))
-    return ProofResult("proved", goal, certificate=ToACertificate(lambdas, witness))
-
-
-def _dominance(value: int) -> tuple[int, int]:
-    return abs(value), value
-
-
-def _largest_valid_subset(tables, n: int) -> set[int]:
-    """The union of all subsets of the ``n`` disjuncts whose sum is
-    designated at every kept point of ``tables`` (the largest such subset),
-    or the empty set when there is none.
-
-    On a Sugihara chain ``a + b = ~(~a * ~b)`` is whichever argument has
-    the larger absolute value, ties going to the larger one; so the sum of
-    a subset S at a point is its dominant value there, the maximum of S's
-    values under that order.
-
-    Elimination keeps a set T that contains every valid subset, starting
-    from all disjuncts.  Let x be a kept point where the sum of T is an
-    undesignated value v, and S a subset of T that contains a disjunct
-    taking the value v at x.  Since v is dominant among T's values and S's
-    lie among them, v is also the sum of S at x, so S is not valid.  Hence
-    dropping every disjunct that takes the value v at x keeps every valid
-    subset inside T.  When no such point is left, T itself is valid, so it
-    is the largest valid subset (the union of two valid subsets is valid,
-    since at each point its sum is one of the two designated sums).
-    """
-    # Only the distinct value rows matter, with their chain's unit.
-    rows = {(chain.unit, values) for chain, _, chain_rows in tables for values in chain_rows}
-    support = set(range(n))
-    changed = True
-    while changed and support:
-        changed = False
-        for unit, values in rows:
-            top = max((values[i] for i in support), key=_dominance)
-            if top < unit:
-                support = {i for i in support if values[i] != top}
-                changed = True
-                if not support:
-                    return support
-    return support
 
 
 # --- generic: iterative deepening ----------------------------------------------
@@ -267,9 +135,8 @@ def _prove_deepening(logic: LogicSpec, goal: Goal, budget: EngineBudget) -> Proo
                 logic, goal.hypotheses, combo, budget=budget.hilbert, widen=budget.widen
             )
             if verdict.status == "proved":
-                return ProofResult(
-                    "proved", goal, certificate=ToACertificate(lambdas, verdict.witness)
-                )
+                cert = ToACertificate(lambdas, verdict.certificate.witness)
+                return ProofResult("proved", goal, certificate=cert)
     return ProofResult(
         "unknown", goal, reason=f"no combination proved with weight sum <= {budget.lambda_cap}"
     )

@@ -6,8 +6,7 @@ are: linear readings of multiplicative formulas, a phase-1 simplex that
 pivots an integer tableau (fraction-free, ``Fraction`` only in what it
 returns) to either a feasible point or a Farkas infeasibility certificate,
 the one theorem-of-alternatives LP over it (read by the strict-dual/kernel
-dichotomy, cone membership and the Abelian engine), and Fourier-Motzkin
-projection.
+dichotomy and the Abelian procedure), and Fourier-Motzkin projection.
 """
 
 from __future__ import annotations
@@ -349,46 +348,3 @@ def _prune(rows: list[LinForm]) -> list[LinForm]:
         (LinForm(dict(k), c) for k, c in best.items()),
         key=lambda f: f._key(),
     )
-
-
-# --- nonnegative combinations -------------------------------------------------
-
-
-class ConeMembership(Record):
-    """``sum(mu[j] * generators[j]) == scale * target`` with mu >= 0 integral."""
-
-    mu: tuple[int, ...]
-    scale: int
-
-
-def cone_solve(
-    target: LinForm, generators: list[LinForm]
-) -> ConeMembership | dict[str, int]:
-    """Decide membership of ``target`` in the rational cone of ``generators``.
-
-    Returns a :class:`ConeMembership` witness, or a separating integer
-    valuation ``y`` with ``<y, g> >= 0`` for every generator and
-    ``<y, target> < 0``.  All forms must have constant part 0.  The target
-    is the one form of :func:`linear_alternative`, its weight the scale.
-    """
-    if target.constant != 0 or any(g.constant != 0 for g in generators):
-        raise ValueError("cone membership needs forms with constant part 0")
-    variables = sorted(
-        frozenset().union(target.variables(), *(g.variables() for g in generators))
-    )
-    result = linear_alternative(
-        [[target.get(v) for v in variables]],
-        [[g.get(v) for v in variables] for g in generators],
-    )
-    if isinstance(result, Combination):
-        return ConeMembership(mu=result.mu, scale=result.lambdas[0])
-    return dict(zip(variables, result.y))
-
-
-def nonneg_combination(
-    target: LinForm, generators: list[LinForm]
-) -> ConeMembership | None:
-    """Nonnegative integer combination of ``generators`` matching ``target``
-    up to a positive integer scale, or ``None`` if no rational one exists."""
-    result = cone_solve(target, generators)
-    return result if isinstance(result, ConeMembership) else None

@@ -221,7 +221,7 @@ def knotted_logic(t: int, u: int, witnesses) -> LogicSpec:
     """Knotted extension: p^t -> p^(t+u) plus one scaling witness
     (r_i, k_i, m_i, s_i) per residue i < u, with r_i = s_i = i (mod u) and
     r_i, s_i >= t.  Registered with a theorem of alternatives; its
-    side-condition check may still come back Unknown under the Hilbert
+    side-condition check may still come back unknown under the Hilbert
     oracle.  Sound on odd Sugihara chains, where fusion and sum are
     idempotent, but not on Z: ``p^t -> p^(t+u)`` reads ``u*p >= 0``, which
     fails at p < 0."""
@@ -340,7 +340,7 @@ class ToAConditionReport(Record):
 
 
 def check_toa_condition(
-    logic: LogicSpec,
+    logic: LogicSpec | str,
     n_max: int,
     witnesses: dict[int, tuple[int, int]] | None = None,
     budget=None,
@@ -348,11 +348,14 @@ def check_toa_condition(
     """For each n <= n_max check derivability of (n*p)^k -> m*(p^n) in the
     logic's multiplicative fragment, with candidate (k, m) per n (default
     (1, 1)).  What the oracle leaves open is refuted by a countermodel in the
-    logic's checked model classes, if they hold one, and else stays Unknown:
+    logic's checked model classes, if they hold one, and else stays unknown:
     budget exhaustion is never a failure.
     """
     from . import oracles  # deferred: oracles depends on this module
 
+    logic = resolve_logic(logic)
+    if n_max < 1:  # no entry to check would read as "all proved"
+        raise ValueError(f"n_max must be at least 1, not {n_max}")
     if budget is None:
         budget = oracles.HilbertBudget(
             family_bound=max(oracles.HilbertBudget().family_bound, n_max)

@@ -1,26 +1,30 @@
-"""Multiplicative-fragment decision procedures.
+"""The decision procedures of the multiplicative fragment, one per oracle kind.
 
-All three oracles answer the same question, ``decide(sigma, phi)`` for
-finite multiplicative ``sigma``, and return machine-checkable evidence:
+Each procedure settles a goal ``sigma |- d_1 | ... | d_n`` of
+multiplicative formulas with machine-checkable evidence.  The engine reads
+them for its disjunction goals, and :func:`decide`, the one-target entry,
+asks each the one-disjunct question ``sigma |- phi``:
 
-* ``abelian``: complete, by exact rational cone membership of the linear
-  readings (:func:`linalg.cone_solve`); refutations carry its separating
-  integer valuation ("Z", the integers).
-* ``sugihara``: complete for the mingle logics, by exhausting the
-  canonical valuations (:func:`chains.canonical_grid`, one per class of
-  valuations equal up to relabelling absolute-value levels) into the
-  decision chains derived from the variable count.  :func:`chain_tables`
-  evaluates a goal once per chain; the engine's subset search reads the
-  same tables.
-* ``hilbert``: budgeted forward saturation over axiom-schema instances with
-  modus ponens and the unperforated rule; Proved or Unknown, never Refuted.
+* ``abelian``: :func:`abelian_alternative`, the package's one exact LP
+  (:func:`linalg.linear_alternative`) on the linear readings: weights on
+  the disjuncts and hypotheses that balance, or else its separation, an
+  integer countermodel in Z.
+* ``sugihara`` (the mingle logics): :func:`prove_subsets`, weights over 0/1
+  vectors.  The goal is evaluated once per decision chain over its
+  canonical grid (:func:`chains.canonical_grid`, one valuation per class of
+  valuations equal up to relabelling absolute-value levels); a point
+  designating no disjunct is the countermodel, otherwise greedy
+  elimination over the same value table gives the largest valid subset.
+* ``hilbert``: :func:`hilbert_search`, budgeted forward saturation over
+  axiom-schema instances with modus ponens and the unperforated rule, for
+  one target at a time; proved or unknown, never refuted.
 
 Before a Hilbert search the engine looks for a countermodel in the model
 classes a logic declares sound (:func:`class_countermodel`), with the two
-complete procedures above: the LP's separation for Z and chain tables for
-the Sugihara classes.  A declaration is checked against the logic's
-multiplicative axioms and rules (:func:`check_model_classes`) before a
-refutation rests on it.
+complete procedures above: the LP's separation for Z and the chain scan
+(:func:`find_chain_countermodel`) for the Sugihara classes.  A declaration
+is checked against the logic's multiplicative axioms and rules
+(:func:`check_model_classes`) before a refutation rests on it.
 """
 
 from __future__ import annotations
@@ -38,15 +42,9 @@ from .chains import (
     sugihara_chain,
 )
 from .errors import InvalidCertificateError, UnsoundModelClassError, UnsupportedLogicError
-from .linalg import (
-    Combination,
-    ConeMembership,
-    LinForm,
-    cone_solve,
-    linear_alternative,
-    translate_abelian,
-)
+from .linalg import Combination, LinForm, linear_alternative, translate_abelian
 from .logics import LogicSpec, instantiate, match_template, resolve_logic
+from .normalize import Goal, MultClause
 from .syntax import (
     ONE,
     ZERO,
@@ -58,14 +56,14 @@ from .syntax import (
     Record,
     Var,
     Zero,
+    plus,
     render,
-    require_multiplicative,
     scalar,
     subformulas,
     variables_of,
 )
 
-# --- verdicts and evidence ----------------------------------------------------
+# --- evidence and results -----------------------------------------------------
 
 
 class LinearWitness(Record):
@@ -116,25 +114,43 @@ class Countermodel(Record):
         return dict(self.valuation)
 
 
-class Proved(Record):
+class ToACertificate(Record):
+    """Not-all-zero weights on the disjuncts plus the witness for their
+    weighted sum (:func:`combination_formula`)."""
+
+    lambdas: tuple[int, ...]
     witness: MultWitness
 
-    status = "proved"
+
+class ProofResult(Record):
+    """What a procedure settled a goal with: a certificate, a countermodel
+    or the reason it stopped."""
+
+    status: str  # proved / refuted / unknown
+    goal: Goal
+    certificate: ToACertificate | None = None
+    countermodel: Countermodel | None = None
+    reason: str | None = None
 
 
-class Refuted(Record):
-    countermodel: Countermodel
-
-    status = "refuted"
-
-
-class Unknown(Record):
-    reason: str
-
-    status = "unknown"
+def one_target(sigma, phi: Formula) -> Goal:
+    """The one-disjunct goal ``sigma |- phi``, hypotheses in the given order
+    (a linear witness weights them in that order)."""
+    return Goal(tuple(sigma), MultClause((phi,)))
 
 
-OracleVerdict = Proved | Refuted | Unknown
+def combination_formula(lambdas, disjuncts) -> Formula:
+    """The weighted sum ``l1*f1 + ... + ln*fn`` over the support of
+    ``lambdas``, folded right-nested in disjunct order."""
+    if any(l < 0 for l in lambdas):
+        raise InvalidCertificateError("weights must be nonnegative")
+    terms = [scalar(l, d) for l, d in zip(lambdas, disjuncts, strict=True) if l > 0]
+    if not terms:
+        raise InvalidCertificateError("weights must not all be zero")
+    acc = terms[-1]
+    for t in reversed(terms[:-1]):
+        acc = plus(t, acc)
+    return acc
 
 
 def countermodel_refutes(cm: Countermodel, sigma, disjuncts) -> bool:
@@ -162,20 +178,6 @@ def checked_countermodel(cm: Countermodel, sigma, disjuncts) -> Countermodel:
 
 
 # --- Abelian ------------------------------------------------------------------
-
-
-def abelian_decide(sigma, phi: Formula) -> OracleVerdict:
-    """Complete decision for the Abelian reading: Proved iff the target's
-    linear form lies in the rational cone of the hypotheses' forms, else
-    Refuted with the Farkas-dual integer valuation.  Never Unknown."""
-    sigma = list(sigma)
-    require_multiplicative(sigma + [phi])
-    result = cone_solve(translate_abelian(phi), [translate_abelian(h) for h in sigma])
-    if isinstance(result, ConeMembership):
-        return Proved(LinearWitness(result.mu, result.scale))
-    valuation = {v: 0 for v in variables_of(sigma + [phi])}
-    valuation.update(result)
-    return Refuted(checked_countermodel(Countermodel.of("Z", valuation), sigma, [phi]))
 
 
 def abelian_alternative(sigma, disjuncts) -> Combination | Countermodel:
@@ -227,17 +229,6 @@ def decision_chains(logic: LogicSpec | str, k: int, widen: int = 0) -> list[Chai
     return chains
 
 
-def chain_tables(chains, sigma, disjuncts, var_order):
-    """For each chain in turn: the chain, the canonical points (tuples over
-    ``var_order``) designating all of ``sigma``, and one row per point of
-    the disjuncts' values there.  Each formula is evaluated once per chain,
-    at the points that survived the hypotheses before it."""
-    for chain in chains:
-        points = designated_points(chain, sigma, var_order)
-        columns = [eval_vector(chain, d, var_order, points) for d in disjuncts]
-        yield chain, points, list(zip(*columns)) if columns else [()] * len(points)
-
-
 def refuting_point(chain: ChainAlgebra, points, rows):
     """The first point at which no disjunct is designated, or ``None``."""
     unit = chain.unit
@@ -248,29 +239,110 @@ def refuting_point(chain: ChainAlgebra, points, rows):
 
 
 def find_chain_countermodel(chains, sigma, disjuncts):
-    """First canonical valuation designating all of ``sigma`` and none of
-    ``disjuncts``, scanning the given chains; ``None`` if there is none."""
-    sigma, disjuncts = list(sigma), list(disjuncts)
+    """The first canonical valuation, over the given chains in turn, that
+    designates all of ``sigma`` and none of ``disjuncts``.  When there is
+    none, the value tables that show it: per chain, ``(chain, points,
+    rows)``, the canonical points (tuples over the sorted variables) that
+    designate all of ``sigma`` and the disjuncts' values at each.  Each
+    formula is evaluated once per chain, at the points that survived the
+    hypotheses before it."""
+    sigma, disjuncts = tuple(sigma), tuple(disjuncts)
     var_order = sorted(variables_of(sigma + disjuncts))
-    for chain, points, rows in chain_tables(chains, sigma, disjuncts, var_order):
+    tables = []
+    for chain in chains:
+        points = designated_points(chain, sigma, var_order)
+        columns = [eval_vector(chain, d, var_order, points) for d in disjuncts]
+        rows = list(zip(*columns)) if columns else [()] * len(points)
         point = refuting_point(chain, points, rows)
         if point is not None:
             return Countermodel.of(chain.name, dict(zip(var_order, point)))
-    return None
+        tables.append((chain, points, rows))
+    return tables
+
+
+def prove_subsets(logic: LogicSpec, goal: Goal, widen: int = 0) -> ProofResult:
+    """The mingle logics' procedure: weights over 0/1 vectors (subset
+    form), settled from one value table per decision chain.
+
+    The hypotheses are evaluated over each chain's canonical grid, and the
+    disjuncts at the points that designate them all (the kept points).  A
+    kept point designating no disjunct is a countermodel.  Otherwise the
+    largest valid subset is found by greedy elimination
+    (:func:`_largest_valid_subset`), and its combination formula is
+    evaluated at the kept points before it is certified.
+    """
+    hyps, disjuncts = goal.hypotheses, goal.clause.disjuncts
+    var_order = sorted(variables_of(hyps + disjuncts))
+    chains = decision_chains(logic, len(var_order), widen)
+    tables = find_chain_countermodel(chains, hyps, disjuncts)
+    if isinstance(tables, Countermodel):  # no tables: a point refutes the goal
+        cm = checked_countermodel(tables, hyps, disjuncts)
+        return ProofResult("refuted", goal, countermodel=cm)
+    support = _largest_valid_subset(tables, len(disjuncts))
+    if not support:
+        return ProofResult(
+            "unknown",
+            goal,
+            reason="valid on the decision chains but no subset combination proved",
+        )
+    lambdas = tuple(1 if i in support else 0 for i in range(len(disjuncts)))
+    combo = combination_formula(lambdas, disjuncts)
+    for chain, points, _ in tables:
+        if any(v < chain.unit for v in eval_vector(chain, combo, var_order, points)):
+            raise InvalidCertificateError(
+                f"subset combination is not designated on {chain.name}"
+            )
+    # The combination's own decision chains are subalgebras of the goal's.
+    named = decision_chains(logic, len(variables_of(hyps + (combo,))), widen)
+    witness = ChainExhaustiveWitness(tuple(c.name for c in named))
+    return ProofResult("proved", goal, certificate=ToACertificate(lambdas, witness))
+
+
+def _dominance(value: int) -> tuple[int, int]:
+    return abs(value), value
+
+
+def _largest_valid_subset(tables, n: int) -> set[int]:
+    """The union of all subsets of the ``n`` disjuncts whose sum is
+    designated at every kept point of ``tables`` (the largest such subset),
+    or the empty set when there is none.
+
+    On a Sugihara chain ``a + b = ~(~a * ~b)`` is whichever argument has
+    the larger absolute value, ties going to the larger one; so the sum of
+    a subset S at a point is its dominant value there, the maximum of S's
+    values under that order.
+
+    Elimination keeps a set T that contains every valid subset, starting
+    from all disjuncts.  Let x be a kept point where the sum of T is an
+    undesignated value v, and S a subset of T that contains a disjunct
+    taking the value v at x.  Since v is dominant among T's values and S's
+    lie among them, v is also the sum of S at x, so S is not valid.  Hence
+    dropping every disjunct that takes the value v at x keeps every valid
+    subset inside T.  When no such point is left, T itself is valid, so it
+    is the largest valid subset (the union of two valid subsets is valid,
+    since at each point its sum is one of the two designated sums).
+    """
+    # Only the distinct value rows matter, with their chain's unit.
+    rows = {(chain.unit, values) for chain, _, chain_rows in tables for values in chain_rows}
+    support = set(range(n))
+    changed = True
+    while changed and support:
+        changed = False
+        for unit, values in rows:
+            top = max((values[i] for i in support), key=_dominance)
+            if top < unit:
+                support = {i for i in support if values[i] != top}
+                changed = True
+                if not support:
+                    return support
+    return support
 
 
 def sugihara_decide(
     logic: LogicSpec | str, sigma, phi: Formula, widen: int = 0
-) -> OracleVerdict:
-    """Complete decision for the mingle logics by chain exhaustion."""
-    logic = resolve_logic(logic)
-    sigma = list(sigma)
-    require_multiplicative(sigma + [phi])
-    chains = decision_chains(logic, len(variables_of(sigma + [phi])), widen)
-    cm = find_chain_countermodel(chains, sigma, [phi])
-    if cm is not None:
-        return Refuted(checked_countermodel(cm, sigma, [phi]))
-    return Proved(ChainExhaustiveWitness(tuple(c.name for c in chains)))
+) -> ProofResult:
+    """:func:`prove_subsets` on the one-target goal ``sigma |- phi``."""
+    return prove_subsets(resolve_logic(logic), one_target(sigma, phi), widen)
 
 
 # --- sound model classes -------------------------------------------------------
@@ -314,7 +386,7 @@ def class_countermodel(classes, sigma, disjuncts, widen: int = 0) -> Countermode
         if isinstance(result, Countermodel):
             return result
     cm = find_chain_countermodel(class_chains(classes, k, widen), sigma, disjuncts)
-    return None if cm is None else checked_countermodel(cm, sigma, disjuncts)
+    return checked_countermodel(cm, sigma, disjuncts) if isinstance(cm, Countermodel) else None
 
 
 @lru_cache(maxsize=64)
@@ -450,19 +522,20 @@ def _metavariable_occurrences(template: Formula) -> dict[str, int]:
 
 def hilbert_search(
     logic: LogicSpec | str, sigma, phi: Formula, budget: HilbertBudget | None = None
-) -> OracleVerdict:
+) -> ProofResult:
     """Budgeted proof search in the logic's multiplicative fragment.
 
     Forward saturation: hypotheses and axiom-schema instances built from the
     subterm closure are closed under modus ponens and the unperforated rule
     until the target appears or the budget runs out.  A target the instance
-    stream holds is found by matching, without building the stream.  Proved
-    answers carry a checkable derivation; there are no Refuted answers.
+    stream holds is found by matching, without building the stream.  A
+    proof's certificate carries a checkable derivation of ``phi`` under the
+    weight (1,); there are no refuted answers.
     """
     logic = resolve_logic(logic)
     budget = budget or HilbertBudget()
-    sigma = list(sigma)
-    require_multiplicative(sigma + [phi])
+    goal = one_target(sigma, phi)
+    sigma = list(goal.hypotheses)
 
     schemas = logic.mult_axiom_schemas() + logic.family_schemas(budget.family_bound)
     use_u = "u_n" in logic.mult_rules
@@ -497,7 +570,7 @@ def hilbert_search(
     head = 0
     while head < len(queue) and phi not in parents:
         if len(parents) > seeded + budget.max_lines:
-            return Unknown("line budget exhausted")
+            return ProofResult("unknown", goal, reason="line budget exhausted")
         f = queue[head]
         head += 1
         if isinstance(f, Imp):
@@ -514,8 +587,10 @@ def hilbert_search(
                     add(candidate, ("u", n, f))
 
     if phi not in parents:
-        return Unknown("saturation exhausted without reaching the target")
-    return Proved(DerivationWitness(_reconstruct(phi, parents)))
+        reason = "saturation exhausted without reaching the target"
+        return ProofResult("unknown", goal, reason=reason)
+    witness = DerivationWitness(_reconstruct(phi, parents))
+    return ProofResult("proved", goal, certificate=ToACertificate((1,), witness))
 
 
 def _u_candidates(f: Formula):
@@ -626,11 +701,19 @@ def decide(
     phi: Formula,
     budget: HilbertBudget | None = None,
     widen: int = 0,
-) -> OracleVerdict:
-    """Route a multiplicative consequence question to the logic's oracle."""
+) -> ProofResult:
+    """The one-target question ``sigma |- phi``, asked as the one-disjunct
+    goal of the logic's procedure.  A proof's certificate has the weight
+    (1,) and a witness for ``phi`` itself; an Abelian one carries the LP's
+    weight on ``phi`` as its scale."""
     logic = resolve_logic(logic)
-    if logic.oracle_kind == "abelian":
-        return abelian_decide(sigma, phi)
     if logic.oracle_kind == "sugihara":
         return sugihara_decide(logic, sigma, phi, widen=widen)
-    return hilbert_search(logic, sigma, phi, budget=budget)
+    if logic.oracle_kind != "abelian":
+        return hilbert_search(logic, sigma, phi, budget=budget)
+    goal = one_target(sigma, phi)
+    result = abelian_alternative(goal.hypotheses, (phi,))
+    if isinstance(result, Countermodel):
+        return ProofResult("refuted", goal, countermodel=result)
+    witness = LinearWitness(result.mu, result.lambdas[0])
+    return ProofResult("proved", goal, certificate=ToACertificate((1,), witness))

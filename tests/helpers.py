@@ -13,7 +13,13 @@ from functools import reduce
 from random import Random
 
 from gordian.chains import brute_force_consequence, sugihara_chain
-from gordian.linalg import feasible_point_or_farkas, translate_abelian
+from gordian.linalg import (
+    Combination,
+    Separation,
+    feasible_point_or_farkas,
+    linear_alternative,
+    translate_abelian,
+)
 from gordian.normalize import Goal
 from gordian.rand import random_mult_formula
 from gordian.syntax import Conj, Disj, Formula, MVar, One, Var, Zero
@@ -25,6 +31,20 @@ def conj_all(fs) -> Formula:
 
 def disj_all(fs) -> Formula:
     return reduce(Disj, fs)
+
+
+def form_columns(forms) -> list[list[int]]:
+    """The linear forms' coefficient vectors over their sorted variables,
+    as columns for :func:`linalg.linear_alternative`."""
+    variables = sorted(frozenset().union(*(f.variables() for f in forms)))
+    return [[f.get(v) for v in variables] for f in forms]
+
+
+def in_cone(target, generators) -> Combination | Separation:
+    """The one LP with ``target`` as its one form and the generators as
+    hypotheses: a combination puts a multiple of ``target`` in their cone."""
+    target_column, *columns = form_columns([target] + list(generators))
+    return linear_alternative([target_column], columns)
 
 
 def random_goal(

@@ -143,6 +143,9 @@ def test_check_toa(capsys):
     code, out, _ = run(capsys, "check-toa", "--logic", "A", "--n-max", "3")
     assert code == 0
     assert out.count("proved") == 3
+    for n_max in ("0", "-1"):  # no entries must not read as all proved
+        code, out, err = run(capsys, "check-toa", "--logic", "BIULm", "--n-max", n_max)
+        assert code == 3 and out == "" and "n_max" in err
 
 
 def test_usage_errors(tmp_path, capsys):

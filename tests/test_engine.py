@@ -27,7 +27,7 @@ from gordian.logics import lookup_logic
 from gordian.normalize import Goal
 from gordian.oracles import (
     HilbertBudget,
-    abelian_decide,
+    LinearWitness,
     class_countermodel,
     countermodel_refutes,
     decide,
@@ -143,16 +143,40 @@ def test_abelian_without_hypotheses_is_gordan():
     assert verdicts == {"proved", "refuted"}
 
 
-def test_abelian_single_disjunct_matches_oracle():
+def test_decide_is_the_one_disjunct_goal():
+    # decide asks the logic's procedure the one-disjunct question, so it
+    # agrees with prove_disjunction on that goal up to where the weight
+    # sits.  BIULm's decide is the Hilbert search alone, which never
+    # refutes: where the engine refutes on a model class, decide must not
+    # prove.
+    budget = EngineBudget(lambda_cap=1, hilbert=HilbertBudget(max_lines=200))
     rng = Random(4405)
-    statuses = set()
-    for _ in range(200):
-        goal = random_goal(rng, max_disjuncts=1)
-        phi = goal.clause.disjuncts[0]
-        status = abelian_decide(goal.hypotheses, phi).status
-        assert prove_disjunction("A", goal).status == status
-        statuses.add(status)
-    assert statuses == {"proved", "refuted"}
+    for logic in ("A", "RMt", "IUMLm", "BIULm"):
+        statuses = set()
+        # in A the LP puts weight 2 on p
+        goals = [goal_of(["p + p"], ["p"])] + [
+            random_goal(rng, max_disjuncts=1, max_depth=3) for _ in range(60)
+        ]
+        for goal in goals:
+            phi = goal.clause.disjuncts[0]
+            one = decide(logic, goal.hypotheses, phi, budget=budget.hilbert)
+            result = prove_disjunction(logic, goal, budget)
+            statuses.add(result.status)
+            if logic == "BIULm" and result.status == "refuted":
+                assert one.status == "unknown"
+                continue
+            assert one.status == result.status
+            assert one.countermodel == result.countermodel
+            if one.status != "proved":
+                continue
+            if logic == "A":  # the LP's weight on phi is decide's scale
+                assert one.certificate.lambdas == (1,) and result.certificate.witness.scale == 1
+                assert one.certificate.witness == LinearWitness(
+                    result.certificate.witness.mu, result.certificate.lambdas[0]
+                )
+            else:
+                assert one.certificate == result.certificate
+        assert {"proved", "refuted"} <= statuses, logic
 
 
 def test_negative_widening_is_rejected():

@@ -138,7 +138,9 @@ def test_projection_rows_lie_in_the_original_cone():
     # merely implied)
     from random import Random as _Random
 
-    from gordian.linalg import LinForm, nonneg_combination, project_fm
+    from helpers import in_cone
+
+    from gordian.linalg import Combination, LinForm, project_fm
 
     rng = _Random(7777)
     names = ["p", "q", "r", "s"]
@@ -150,7 +152,7 @@ def test_projection_rows_lie_in_the_original_cone():
         keep = set(rng.sample(names, rng.randint(1, 3)))
         for row in project_fm(gens, keep):
             assert row.variables() <= keep
-            assert nonneg_combination(row, gens) is not None, (gens, keep, row)
+            assert isinstance(in_cone(row, gens), Combination), (gens, keep, row)
 
 
 def _reference_classes(logic, x_vars, depth):

@@ -143,6 +143,14 @@ def test_toa_condition_examples():
     assert report.entries[4].status == "proved"
 
 
+def test_toa_condition_takes_a_logic_name_and_rejects_no_entries():
+    assert check_toa_condition("BIULm", 1) == check_toa_condition(lookup_logic("BIULm"), 1)
+    assert check_toa_condition("RMt", 2).all_proved
+    for n_max in (0, -1):  # an empty report would read as "all proved"
+        with pytest.raises(ValueError):
+            check_toa_condition("BIULm", n_max)
+
+
 def test_toa_condition_all_presets_small():
     for name in ("A", "RMt", "IUMLm", "BIULm"):
         assert check_toa_condition(lookup_logic(name), 3).all_proved, name

@@ -47,18 +47,21 @@ rejected(
 
 # a valid goal, so the first canonical point designates a disjunct
 excluded_middle = goal([], ["p", "~p"])
-engine.refuting_point = lambda chain, points, rows: points[0]
+point = oracles.refuting_point
+oracles.refuting_point = lambda chain, points, rows: points[0]
 rejected(
     "chain countermodel that does not refute",
     lambda: engine.prove_disjunction("RMt", excluded_middle),
 )
-engine.refuting_point = oracles.refuting_point
+oracles.refuting_point = point
 
-engine._largest_valid_subset = lambda tables, n: {0}
+subset = oracles._largest_valid_subset
+oracles._largest_valid_subset = lambda tables, n: {0}
 rejected(
     "subset whose combination is not designated",
     lambda: engine.prove_disjunction("IUMLm", excluded_middle),
 )
+oracles._largest_valid_subset = subset
 
 scan = oracles.find_chain_countermodel
 oracles.find_chain_countermodel = lambda chains, sigma, disjuncts: oracles.Countermodel.of(
@@ -77,9 +80,8 @@ oracles.find_chain_countermodel = scan
 # The one Abelian LP: a point that solves nothing, then a Farkas vector
 # that separates nothing, must be caught by every reader of the LP.
 solve = linalg.feasible_point_or_farkas
-p = linalg.LinForm({"p": 1})
 single = goal([], ["p"])
-for label, fake, matrix, gens in [
+for label, fake, matrix, hyps in [
     (
         "LP point that solves nothing",
         lambda rows, rhs: ([Fraction(1)] * len(rows[0]), None),
@@ -90,12 +92,12 @@ for label, fake, matrix, gens in [
         "Farkas vector that separates nothing",
         lambda rows, rhs: (None, [Fraction(1)] * len(rows)),
         [[1, -1]],
-        [p],
+        [parse("p")],
     ),
 ]:
     linalg.feasible_point_or_farkas = fake
     rejected(f"gordan: {label}", lambda: linalg.gordan(linalg.IntMatrix.of(matrix)))
-    rejected(f"cone_solve: {label}", lambda: linalg.cone_solve(p, gens))
+    rejected(f"one-target Abelian question: {label}", lambda: oracles.decide("A", hyps, parse("p")))
     rejected(f"abelian engine: {label}", lambda: engine.prove_disjunction("A", single))
 linalg.feasible_point_or_farkas = solve
 

@@ -12,7 +12,6 @@ from gordian.errors import NotMultiplicativeError
 from gordian.logics import instantiate
 from gordian.oracles import (
     Countermodel,
-    abelian_decide,
     countermodel_refutes,
     decide,
     decision_chains,
@@ -26,12 +25,12 @@ from gordian.syntax import Imp, metavariables, parse, render
 
 
 def test_abelian_examples():
-    verdict = abelian_decide([parse("p -> q"), parse("q -> r")], parse("p -> r"))
-    assert verdict.status == "proved"
-    assert verdict.witness.mu == (1, 1) and verdict.witness.scale == 1
-    verdict = abelian_decide([], parse("p + ~p"))
-    assert verdict.status == "proved" and verdict.witness.mu == ()
-    verdict = abelian_decide([], parse("p"))
+    verdict = decide("A", [parse("p -> q"), parse("q -> r")], parse("p -> r"))
+    assert verdict.status == "proved" and verdict.certificate.lambdas == (1,)
+    assert verdict.certificate.witness.mu == (1, 1) and verdict.certificate.witness.scale == 1
+    verdict = decide("A", [], parse("p + ~p"))
+    assert verdict.status == "proved" and verdict.certificate.witness.mu == ()
+    verdict = decide("A", [], parse("p"))
     assert verdict.status == "refuted"
     assert verdict.countermodel.mapping == {"p": -1}
 
@@ -42,9 +41,9 @@ def test_abelian_witnesses_reverify():
         sigma = [random_mult_formula(rng, ["p", "q", "r"], rng.randint(1, 3))
                  for _ in range(rng.randint(0, 3))]
         phi = random_mult_formula(rng, ["p", "q", "r"], rng.randint(1, 3))
-        verdict = abelian_decide(sigma, phi)
+        verdict = decide("A", sigma, phi)
         if verdict.status == "proved":
-            assert verify_linear_witness(verdict.witness, sigma, phi)
+            assert verify_linear_witness(verdict.certificate.witness, sigma, phi)
         else:
             assert countermodel_refutes(verdict.countermodel, sigma, [phi])
 
@@ -55,7 +54,7 @@ def test_abelian_agrees_with_grid_refutation():
         sigma = [random_mult_formula(rng, ["p", "q"], rng.randint(1, 3))
                  for _ in range(rng.randint(0, 2))]
         phi = random_mult_formula(rng, ["p", "q"], rng.randint(1, 3))
-        verdict = abelian_decide(sigma, phi)
+        verdict = decide("A", sigma, phi)
         grid = abelian_grid_refute(sigma, phi, 4)
         if verdict.status == "proved":
             assert grid is None
@@ -111,7 +110,7 @@ def test_hilbert_examples():
     assert hilbert_search("MLL0", [], parse("0 -> 1")).status == "proved"
     verdict = hilbert_search("BIULm", [], parse("(p + p) -> p^2"))
     assert verdict.status == "proved"
-    assert len(verdict.witness.lines) <= 5
+    assert len(verdict.certificate.witness.lines) <= 5
     assert hilbert_search("MLL", [], parse("p")).status == "unknown"
 
 
@@ -131,8 +130,9 @@ def test_hilbert_axiom_instance_in_one_line(monkeypatch):
     for logic, phi, just in cases:
         verdict = hilbert_search(logic, [], phi)
         assert verdict.status == "proved", render(phi)
-        assert [(line.formula, line.justification) for line in verdict.witness.lines] == [(phi, just)]
-        assert verify_derivation(logic, verdict.witness.lines)
+        lines = verdict.certificate.witness.lines
+        assert [(line.formula, line.justification) for line in lines] == [(phi, just)]
+        assert verify_derivation(logic, lines)
 
 
 def test_hilbert_matching_agrees_with_the_stream(monkeypatch):
@@ -176,7 +176,7 @@ def test_hilbert_matching_agrees_with_the_stream(monkeypatch):
 def test_hilbert_uses_hypotheses_and_mp():
     verdict = hilbert_search("MLL", [parse("p"), parse("p -> q")], parse("q"))
     assert verdict.status == "proved"
-    assert verify_derivation("MLL", verdict.witness.lines,
+    assert verify_derivation("MLL", verdict.certificate.witness.lines,
                              hypotheses=[parse("p"), parse("p -> q")])
 
 
@@ -184,7 +184,7 @@ def test_hilbert_unperforated_rule():
     # from 2*f the rule recovers f
     verdict = hilbert_search("BIULm", [parse("q + q")], parse("q"))
     assert verdict.status == "proved"
-    justs = [line.justification for line in verdict.witness.lines]
+    justs = [line.justification for line in verdict.certificate.witness.lines]
     assert any(j.startswith("u_2") for j in justs)
 
 
@@ -201,7 +201,8 @@ def test_hilbert_proofs_verify():
     for name, sigma, phi in goals:
         verdict = hilbert_search(name, sigma, phi)
         assert verdict.status == "proved", render(phi)
-        assert verify_derivation(name, verdict.witness.lines, hypotheses=sigma), render(phi)
+        lines = verdict.certificate.witness.lines
+        assert verify_derivation(name, lines, hypotheses=sigma), render(phi)
 
 
 def test_verify_derivation_examples():
@@ -249,7 +250,7 @@ def test_hilbert_multi_step_theorems():
     ):
         verdict = hilbert_search("MLL", [], parse(text))
         assert verdict.status == "proved", text
-        assert verify_derivation("MLL", verdict.witness.lines), text
+        assert verify_derivation("MLL", verdict.certificate.witness.lines), text
 
 
 def test_hilbert_proofs_sound_on_chains():
@@ -288,7 +289,7 @@ def test_refuted_instances_admit_no_small_combination():
         sigma = [random_mult_formula(rng, ["p", "q"], rng.randint(1, 2))
                  for _ in range(2)]
         phi = random_mult_formula(rng, ["p", "q"], rng.randint(1, 2))
-        if abelian_decide(sigma, phi).status != "refuted":
+        if decide("A", sigma, phi).status != "refuted":
             continue
         checked += 1
         gens = [translate_abelian(h) for h in sigma]
@@ -302,7 +303,7 @@ def test_refuted_instances_admit_no_small_combination():
 def test_hilbert_with_hypotheses_fusion():
     verdict = hilbert_search("MLL", [parse("p")], parse("p * p"))
     assert verdict.status == "proved"
-    assert verify_derivation("MLL", verdict.witness.lines, hypotheses=[parse("p")])
+    assert verify_derivation("MLL", verdict.certificate.witness.lines, hypotheses=[parse("p")])
 
 
 def _built_then_filtered(schemas, pool, max_size, max_instances, dropped):

@@ -11,10 +11,10 @@ import pytest
 
 from gordian.engine import EngineBudget, prove_consequence
 from gordian.errors import ArityError, FormulaSyntaxError, NotMultiplicativeError
-from gordian.linalg import IntMatrix, Kernel, LinForm, StrictDual
+from gordian.linalg import Combination, IntMatrix, Kernel, LinForm, StrictDual
 from gordian.logics import AxiomFamily, knotted_logic, lookup_logic
 from gordian.normalize import Goal, MultClause
-from gordian.oracles import Countermodel, HilbertBudget, LinearWitness, Proved, Refuted, Unknown
+from gordian.oracles import Countermodel, HilbertBudget, LinearWitness, ToACertificate
 from gordian.rand import random_formula, random_mult_formula
 from gordian.syntax import (
     Conj,
@@ -382,9 +382,10 @@ def test_records_are_immutable():
 
 def test_record_equality_is_class_exact_with_equal_hashes():
     witness = LinearWitness((1,), 1)
-    assert Proved(witness) == Proved(LinearWitness((1,), 1))
-    assert hash(Proved(witness)) == hash(Proved(LinearWitness((1,), 1)))
-    assert Proved(witness) != Refuted(witness) and Proved(witness) != Unknown(witness)
+    cert = ToACertificate((2,), witness)
+    assert cert == ToACertificate((2,), LinearWitness((1,), 1))
+    assert hash(cert) == hash(ToACertificate((2,), LinearWitness((1,), 1)))
+    assert cert != ToACertificate((1,), witness) and cert != Combination((2,), witness)
     assert Kernel((1, 2)) != StrictDual((1, 2)) and Kernel((1, 2)) != (1, 2)
     assert Kernel((1, 2)) != Kernel((2, 1))
     goal = Goal.of([parse("q"), parse("p")], [parse("p * q")])
