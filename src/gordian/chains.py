@@ -15,12 +15,15 @@ and the constant 0 as -1.
 The integers themselves (with fusion as addition and both constants as 0)
 serve as the reference model for the Abelian reading; they are exposed here
 through :func:`eval_abelian` and the bounded grid search
-:func:`abelian_grid_refute`.
+:func:`abelian_grid_refute`.  The evaluators are one :func:`syntax.fold`
+with their own operation tables: at a point of a chain, on columns of grid
+values (:func:`eval_vector`) and in the integers.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 
 from .errors import MissingVariableError
@@ -34,8 +37,9 @@ from .syntax import (
     One,
     Var,
     Zero,
+    fold,
     require_multiplicative,
-    subformulas,
+    variables,
     variables_of,
 )
 
@@ -144,58 +148,46 @@ def chain_from_name(name: str) -> ChainAlgebra:
     raise ValueError(f"unknown chain {name!r}")
 
 
+def _evaluate(f: Formula, valuation, unit: int, zero: int, connective) -> int:
+    """The value of ``f`` at ``valuation``, the constants read as ``unit``
+    and ``zero``, in the algebra whose operations ``connective`` gives."""
+
+    def leaf(node: Formula) -> int:
+        if isinstance(node, Var):
+            try:
+                return valuation[node.name]
+            except KeyError:
+                raise MissingVariableError(f"valuation missing {node.name!r}") from None
+        if isinstance(node, One):
+            return unit
+        if isinstance(node, Zero):
+            return zero
+        raise TypeError(f"cannot evaluate {node!r}")
+
+    return fold(f, leaf, connective)
+
+
 def eval_formula(chain: ChainAlgebra, valuation, f: Formula) -> int:
     """Homomorphic evaluation; designated iff ``chain.unit <= value``."""
-    if isinstance(f, Var):
-        try:
-            return valuation[f.name]
-        except KeyError:
-            raise MissingVariableError(f"valuation missing {f.name!r}") from None
-    if isinstance(f, One):
-        return chain.unit
-    if isinstance(f, Zero):
-        return chain.zero
-    left = eval_formula(chain, valuation, f.left)
-    right = eval_formula(chain, valuation, f.right)
-    if isinstance(f, Conj):
-        return min(left, right)
-    if isinstance(f, Disj):
-        return max(left, right)
-    if isinstance(f, Fuse):
-        return chain.fuse(left, right)
-    if isinstance(f, Imp):
-        return chain.imp(left, right)
-    raise TypeError(f"cannot evaluate {f!r}")
+    operations = {Conj: min, Disj: max, Fuse: chain.fuse, Imp: chain.imp}
+    return _evaluate(f, valuation, chain.unit, chain.zero, operations)
 
 
 def eval_vector(chain: ChainAlgebra, f: Formula, var_order, grid) -> list[int]:
     """Values of ``f`` at every valuation in ``grid`` (tuples over
-    ``var_order``), computed bottom-up once per distinct subformula."""
-    columns: dict[Formula, list[int]] = {}
-    index = {v: i for i, v in enumerate(var_order)}
+    ``var_order``): :func:`eval_formula` on columns of values, a column per
+    node."""
+    used = variables(f)
+    columns = {v: [point[i] for point in grid] for i, v in enumerate(var_order) if v in used}
+    fuse, imp = chain._fuse.__getitem__, chain._imp.__getitem__
+    operations = {
+        Conj: lambda a, b: list(map(min, a, b)),
+        Disj: lambda a, b: list(map(max, a, b)),
+        Fuse: lambda a, b: list(map(fuse, zip(a, b))),
+        Imp: lambda a, b: list(map(imp, zip(a, b))),
+    }
     n = len(grid)
-    fuse, imp = chain._fuse, chain._imp
-    for node in subformulas(f):
-        if isinstance(node, Var):
-            if node.name not in index:
-                raise MissingVariableError(f"valuation missing {node.name!r}")
-            i = index[node.name]
-            columns[node] = [point[i] for point in grid]
-        elif isinstance(node, One):
-            columns[node] = [chain.unit] * n
-        elif isinstance(node, Zero):
-            columns[node] = [chain.zero] * n
-        else:
-            left, right = columns[node.left], columns[node.right]
-            if isinstance(node, Conj):
-                columns[node] = [min(a, b) for a, b in zip(left, right)]
-            elif isinstance(node, Disj):
-                columns[node] = [max(a, b) for a, b in zip(left, right)]
-            elif isinstance(node, Fuse):
-                columns[node] = [fuse[(a, b)] for a, b in zip(left, right)]
-            else:
-                columns[node] = [imp[(a, b)] for a, b in zip(left, right)]
-    return columns[f]
+    return _evaluate(f, columns, [chain.unit] * n, [chain.zero] * n, operations)
 
 
 # Grids over at most this many variables are kept for the life of the
@@ -292,24 +284,8 @@ def brute_force_consequence(chains, sigma, f: Formula):
 def eval_abelian(f: Formula, valuation) -> int:
     """Evaluate over the integers: fusion is addition, implication is
     right-minus-left, both constants are 0; designated iff >= 0."""
-    if isinstance(f, Var):
-        try:
-            return valuation[f.name]
-        except KeyError:
-            raise MissingVariableError(f"valuation missing {f.name!r}") from None
-    if isinstance(f, (One, Zero)):
-        return 0
-    left = eval_abelian(f.left, valuation)
-    right = eval_abelian(f.right, valuation)
-    if isinstance(f, Conj):
-        return min(left, right)
-    if isinstance(f, Disj):
-        return max(left, right)
-    if isinstance(f, Fuse):
-        return left + right
-    if isinstance(f, Imp):
-        return right - left
-    raise TypeError(f"cannot evaluate {f!r}")
+    operations = {Conj: min, Disj: max, Fuse: operator.add, Imp: lambda a, b: b - a}
+    return _evaluate(f, valuation, 0, 0, operations)
 
 
 def abelian_grid_refute(sigma, f: Formula, bound: int):

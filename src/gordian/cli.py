@@ -8,9 +8,9 @@ Problem file format (``#`` starts a comment):
     prove p -> r       # exactly one prove line
 
 Exit codes: 0 proved (or kernel branch for ``gordan``), 1 refuted (or
-strict-dual branch), 2 unknown, 3 usage or input error, or any failure
-(a formula nested too deeply, an internal error), reported on standard
-error with nothing on standard output.
+strict-dual branch), 2 unknown, 3 usage or input error, or any other
+failure (an internal error), reported on standard error with nothing on
+standard output.  Formulas of any depth are read and decided.
 """
 
 from __future__ import annotations
@@ -74,17 +74,22 @@ def _parse_problem(text: str) -> tuple[str | None, list[Formula], Formula | None
     return logic_name, assumptions, conclusion
 
 
-def _json(value):
-    """A record as its fields, a tuple as a list and a formula as its text."""
-    if isinstance(value, Formula):
-        return render(value)
-    if isinstance(value, Record):
-        return {name: _json(getattr(value, name)) for name in value._fields}
-    return [_json(v) for v in value] if isinstance(value, tuple) else value
+def _fields(record: Record) -> dict:
+    """A record's fields, with a formula as its text."""
+    values = {name: getattr(record, name) for name in record._fields}
+    return {name: render(v) if isinstance(v, Formula) else v for name, v in values.items()}
 
 
 def _witness_json(witness) -> dict | None:
-    return None if witness is None else {"kind": witness.kind, **_json(witness)}
+    """A witness's fields, a tuple as a list and a record in it (a
+    derivation line) as its fields."""
+    if witness is None:
+        return None
+    out = {"kind": witness.kind, **_fields(witness)}
+    for name, value in out.items():
+        if isinstance(value, tuple):
+            out[name] = [_fields(v) if isinstance(v, Record) else v for v in value]
+    return out
 
 
 def _countermodel_json(cm: Countermodel | None) -> dict | None:
@@ -353,9 +358,6 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
     except (GordianError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RecursionError:
-        print("error: formula nested too deeply", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # the boundary: a crash must not read as a verdict
         import traceback  # only here, to keep it off every run's start-up

@@ -108,12 +108,15 @@ def _abelian_proved(goal: Goal, lambdas, mu) -> ProofResult:
 def _compositions(total: int, parts: int):
     """All nonnegative integer vectors of the given sum, lexicographically
     from the first coordinate down."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    vector = [total] + [0] * (parts - 1)
+    while True:
+        yield tuple(vector)
+        # the next vector down: take one from the last nonzero coordinate
+        # before the final one, and move all that follows it one place right
+        i = next((i for i in range(parts - 2, -1, -1) if vector[i]), None)
+        if i is None:
+            return
+        vector[i:] = [vector[i] - 1, vector[-1] + 1] + [0] * (parts - i - 2)
 
 
 def _prove_deepening(logic: LogicSpec, goal: Goal, budget: EngineBudget) -> ProofResult:

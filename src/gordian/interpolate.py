@@ -20,7 +20,9 @@ Multiplicative level:
 
 Full-language hypotheses reduce to the multiplicative level by splitting
 conjunctions, recursing over disjunctive clauses, and joining the two
-branch interpolants as one disjunction of their conjunctions.
+branch interpolants as one disjunction of their conjunctions.  That is
+the package's one recursion (``recurse``): its depth grows with the clause
+literals, which ``max_branches`` bounds, not with formula depth.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InvalidCertificateError, NotMultiplicativeError
-from .syntax import Formula, Fuse, Imp, MVar, One, Record, Var, Zero
+from .syntax import Formula, Fuse, Imp, MVar, Record, Var, fold
 
 
 class LinForm(Record):
@@ -86,19 +86,25 @@ def translate_abelian(f: Formula) -> LinForm:
 
     Variables map to themselves, both constants to 0, fusion to addition and
     implication to the difference right-minus-left; the constant part is
-    always 0.
+    always 0.  Plain coefficient dicts are folded into one form.
     """
-    if isinstance(f, Var):
-        return LinForm({f.name: 1})
-    if isinstance(f, (One, Zero)):
-        return LinForm()
-    if isinstance(f, Fuse):
-        return translate_abelian(f.left) + translate_abelian(f.right)
-    if isinstance(f, Imp):
-        return translate_abelian(f.right) - translate_abelian(f.left)
+    if not f.multiplicative:
+        raise NotMultiplicativeError(f"not multiplicative: {f}")
+    return LinForm(fold(f, _linear_leaf, {Fuse: _combine, Imp: lambda a, b: _combine(b, a, -1)}))
+
+
+def _linear_leaf(f: Formula) -> dict[str, int]:
     if isinstance(f, MVar):
         raise NotMultiplicativeError(f"metavariable {f.name} has no linear reading")
-    raise NotMultiplicativeError(f"not multiplicative: {f}")
+    return {f.name: 1} if isinstance(f, Var) else {}
+
+
+def _combine(a: dict[str, int], b: dict[str, int], sign: int = 1) -> dict[str, int]:
+    """The coefficients of ``a + sign * b``."""
+    out = dict(a)
+    for v, c in b.items():
+        out[v] = out.get(v, 0) + sign * c
+    return out
 
 
 # --- exact phase-1 simplex ---------------------------------------------------

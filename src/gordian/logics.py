@@ -6,32 +6,55 @@ a base system plus extra axiom schemas; the registry carries the standard
 presets and parametric knotted extensions.  Each preset also records which
 multiplicative-fragment decision procedure applies to it, and the model
 classes its multiplicative fragment is sound for, which are checked before
-a refutation rests on them (:func:`oracles.check_model_classes`).
+a refutation rests on them (:func:`oracles.check_model_classes`).  A
+schema stores the postorder that :func:`instantiate` runs when it is built,
+and :func:`match_template` keeps a stack of node pairs.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Callable
+from functools import lru_cache
 
 from .errors import MissingMetavariableError, UnknownLogicError
 from .syntax import (
+    Binary,
     Formula,
     Imp,
     MVar,
-    One,
     Record,
     Var,
-    Zero,
     parse_template,
+    postorder,
     power,
+    replace_leaves,
     scalar,
 )
 
 
 class AxiomSchema(Record):
+    """A named template.  When built, it stores the template's
+    :func:`syntax.postorder` with the metavariables as its named leaves,
+    which :func:`instantiate` runs, and ``occurrences``: metavariable name
+    -> number of its leaves in the template's tree."""
+
     name: str
     template: Formula
+
+    def __init__(self, name: str, template: Formula):
+        Record.__init__(self, name, template)
+        entries = postorder(template, lambda leaf: isinstance(leaf, MVar))
+        # how often each entry occurs in the tree, parents before children
+        count = [0] * len(entries)
+        count[-1] = 1
+        for k in range(len(entries) - 1, -1, -1):
+            if type(entries[k]) is tuple:
+                count[entries[k][1]] += count[k]
+                count[entries[k][2]] += count[k]
+        object.__setattr__(self, "postorder", entries)
+        occurrences = {e: count[k] for k, e in enumerate(entries) if type(e) is str}
+        object.__setattr__(self, "occurrences", occurrences)
 
 
 _PHI = MVar("PHI")
@@ -100,6 +123,7 @@ _BASE_RULES: dict[str, tuple[str, ...]] = {
 }
 
 
+@lru_cache(maxsize=None)
 def _balance_schemas(n: int) -> tuple[AxiomSchema, ...]:
     """``n*PHI -> PHI^n`` and its converse.
 
@@ -280,43 +304,32 @@ def registered_logics() -> tuple[str, ...]:
 
 
 def instantiate(schema: AxiomSchema, args: dict[str, Formula]) -> Formula:
-    """Uniformly replace every metavariable; all must be covered."""
-
-    def walk(f: Formula) -> Formula:
-        if isinstance(f, MVar):
-            try:
-                return args[f.name]
-            except KeyError:
-                raise MissingMetavariableError(
-                    f"schema {schema.name}: metavariable {f.name} unbound"
-                ) from None
-        if isinstance(f, (Var, One, Zero)):
-            return f
-        return type(f)(walk(f.left), walk(f.right))
-
-    return walk(schema.template)
+    """Uniformly replace every metavariable; all must be covered.  Runs the
+    schema's stored postorder, so ground subtrees are shared, not rebuilt."""
+    try:
+        return replace_leaves(schema.postorder, args)
+    except KeyError as missing:
+        raise MissingMetavariableError(
+            f"schema {schema.name}: metavariable {missing.args[0]} unbound"
+        ) from None
 
 
 def match_template(template: Formula, f: Formula) -> dict[str, Formula] | None:
     """One-way matching: an assignment with instantiate(template) == f."""
     assignment: dict[str, Formula] = {}
-
-    def walk(t: Formula, g: Formula) -> bool:
+    pairs = [template, f]  # (template node, formula node) pairs still to match
+    while pairs:
+        g, t = pairs.pop(), pairs.pop()
         if isinstance(t, MVar):
-            bound = assignment.get(t.name)
-            if bound is None:
-                assignment[t.name] = g
-                return True
-            return bound == g
-        if type(t) is not type(g):
-            return False
-        if isinstance(t, Var):
-            return t.name == g.name
-        if isinstance(t, (One, Zero)):
-            return True
-        return walk(t.left, g.left) and walk(t.right, g.right)
-
-    return assignment if walk(template, f) else None
+            if assignment.setdefault(t.name, g) != g:
+                return None
+        elif type(t) is not type(g):
+            return None
+        elif isinstance(t, Binary):
+            pairs += (t.right, g.right, t.left, g.left)
+        elif t != g:
+            return None
+    return assignment
 
 
 # --- the scaling side condition ----------------------------------------------

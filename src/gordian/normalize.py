@@ -9,24 +9,25 @@ multiplicative connectives push through them:
 
 Applying these inside-out leaves a lattice tree over multiplicative
 formulas, which then flattens to a conjunction of disjunctive clauses.
-Hypotheses split on conjunction and fork goals on disjunction.
+Hypotheses split on conjunction and fork goals on disjunction.  Both steps
+are loops (:func:`_fold`) over each distinct subformula above the
+multiplicative ones, so formulas of any depth normalize; the work guard
+counts one step per connective node computed and per clause literal.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 
-from .errors import NotMultiplicativeError, SizeBudgetExceededError
+from .errors import SizeBudgetExceededError
 from .syntax import (
     Conj,
     Disj,
     Formula,
     Fuse,
     Imp,
-    One,
     Record,
-    Var,
-    Zero,
     render,
     require_multiplicative,
 )
@@ -88,58 +89,56 @@ class _Budget:
             )
 
 
+def _fold(f: Formula, leaf, connective, budget: _Budget):
+    """The value of ``f`` computed bottom-up once per distinct node, with an
+    explicit stack: ``leaf(g)`` at each maximal multiplicative subtree ``g``,
+    which is not descended into, and above them ``connective[type(node)]``
+    applied to the children's values, one budget step each."""
+    values: dict[Formula, object] = {}
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if node in values:
+            continue
+        if node.multiplicative:
+            values[node] = leaf(node)
+        elif node.left in values and node.right in values:
+            budget.charge()
+            values[node] = connective[type(node)](values[node.left], values[node.right])
+        else:
+            stack += (node, node.right, node.left)
+    return values[f]
+
+
 def _push(f: Formula, budget: _Budget) -> Formula:
     """Rewrite to a lattice tree whose leaves are multiplicative."""
-    budget.charge()
-    if isinstance(f, (Var, One, Zero)):
-        return f
-    if isinstance(f, (Conj, Disj)):
-        return type(f)(_push(f.left, budget), _push(f.right, budget))
-    if isinstance(f, Imp):
-        return _imp(_push(f.left, budget), _push(f.right, budget), budget)
-    if isinstance(f, Fuse):
-        return _fuse(_push(f.left, budget), _push(f.right, budget), budget)
-    raise NotMultiplicativeError(f"cannot normalize {f!r}")
+    connective = {
+        Conj: Conj,
+        Disj: Disj,
+        Imp: lambda left, right: _distribute(left, right, Imp, True, budget),
+        Fuse: lambda left, right: _distribute(left, right, Fuse, False, budget),
+    }
+    return _fold(f, lambda g: g, connective, budget)
 
 
-def _imp(left: Formula, right: Formula, budget: _Budget) -> Formula:
-    budget.charge()
-    if isinstance(left, Conj):
-        return Disj(_imp(left.left, right, budget), _imp(left.right, right, budget))
-    if isinstance(left, Disj):
-        return Conj(_imp(left.left, right, budget), _imp(left.right, right, budget))
-    if isinstance(right, Conj):
-        return Conj(_imp(left, right.left, budget), _imp(left, right.right, budget))
-    if isinstance(right, Disj):
-        return Disj(_imp(left, right.left, budget), _imp(left, right.right, budget))
-    return Imp(left, right)
-
-
-def _fuse(left: Formula, right: Formula, budget: _Budget) -> Formula:
-    budget.charge()
-    if isinstance(left, (Conj, Disj)):
-        return type(left)(
-            _fuse(left.left, right, budget), _fuse(left.right, right, budget)
-        )
-    if isinstance(right, (Conj, Disj)):
-        return type(right)(
-            _fuse(left, right.left, budget), _fuse(left, right.right, budget)
-        )
-    return Fuse(left, right)
+def _distribute(left, right, build, swap: bool, budget: _Budget) -> Formula:
+    """``left``'s lattice tree, its ``&`` and ``|`` exchanged when ``swap``,
+    with each leaf ``a`` replaced by ``right``'s lattice tree whose leaves
+    ``b`` are replaced by ``build(a, b)``."""
+    keep = {Conj: Conj, Disj: Disj}
+    inner = lambda a: _fold(right, lambda b: build(a, b), keep, budget)
+    return _fold(left, inner, {Conj: Disj, Disj: Conj} if swap else keep, budget)
 
 
 def _cnf(f: Formula, budget: _Budget) -> list[tuple[Formula, ...]]:
-    if isinstance(f, Conj):
-        return _cnf(f.left, budget) + _cnf(f.right, budget)
-    if isinstance(f, Disj):
-        left, right = _cnf(f.left, budget), _cnf(f.right, budget)
+    def disj(left, right):
         out = []
         for a, b in itertools.product(left, right):
             budget.charge(len(a) + len(b))
             out.append(a + b)
         return out
-    budget.charge()
-    return [(f,)]
+
+    return _fold(f, lambda g: [(g,)], {Conj: operator.add, Disj: disj}, budget)
 
 
 def _drop_subsumed(raw, max_literals: int) -> list[MultClause]:

@@ -48,11 +48,9 @@ from .normalize import Goal, MultClause
 from .syntax import (
     ONE,
     ZERO,
-    Binary,
     Conj,
     Formula,
     Imp,
-    MVar,
     Record,
     Var,
     Zero,
@@ -406,7 +404,7 @@ def check_model_classes(logic: LogicSpec) -> tuple[str, ...]:
     default = HilbertBudget()
     p, q = Var("p"), Var("q")
     checks = [
-        (f"axiom {s.name}", (), _object_instance(s))
+        (f"axiom {s.name}", (), instantiate(s, {v: Var(v.lower()) for v in s.occurrences}))
         for s in logic.mult_axiom_schemas() + logic.family_schemas(default.family_bound)
     ]
     checks.append(("rule mp", (p, Imp(p, q)), q))
@@ -421,12 +419,6 @@ def check_model_classes(logic: LogicSpec) -> tuple[str, ...]:
                     f"{logic.name} declares {model_class}, where {label} fails"
                 )
     return logic.model_classes
-
-
-def _object_instance(schema) -> Formula:
-    """The schema's template with each metavariable read as a variable."""
-    names = _metavariable_occurrences(schema.template)
-    return instantiate(schema, {v: Var(v.lower()) for v in names})
 
 
 # --- Hilbert ------------------------------------------------------------------
@@ -469,13 +461,12 @@ def _axiom_instances(schemas, pool, max_size, max_instances):
     ``max_size`` are skipped before they are built."""
     produced = 0
     for schema in schemas:
-        occurrences = _metavariable_occurrences(schema.template)
-        mvars = sorted(occurrences)
+        mvars = sorted(schema.occurrences)
         if not mvars:
             yield schema.name, schema.template
             produced += 1
             continue
-        counts = [occurrences[v] for v in mvars]
+        counts = [schema.occurrences[v] for v in mvars]
         fixed = schema.template.size - sum(counts)
         source = _source(pool, len(mvars))
         for combo in itertools.product(source, repeat=len(mvars)):
@@ -497,7 +488,7 @@ def _stream_match(schemas, pool, max_size, max_instances, phi: Formula) -> str |
     is ``phi``, found by matching instead of building the stream; ``None``
     when there is none, or when the stream could stop at ``max_instances``
     before ``phi``, which only the stream itself tells."""
-    arities = [len(_metavariable_occurrences(s.template)) for s in schemas]
+    arities = [len(s.occurrences) for s in schemas]
     if phi.size > max_size or sum(len(_source(pool, k)) ** k for k in arities) > max_instances:
         return None
     for schema, k in zip(schemas, arities):
@@ -505,19 +496,6 @@ def _stream_match(schemas, pool, max_size, max_instances, phi: Formula) -> str |
         if match is not None and all(arg in _source(pool, k) for arg in match.values()):
             return schema.name
     return None
-
-
-def _metavariable_occurrences(template: Formula) -> dict[str, int]:
-    """Metavariable name -> number of its leaves in the template's tree."""
-    counts: dict[str, int] = {}
-    stack = [template]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, MVar):
-            counts[f.name] = counts.get(f.name, 0) + 1
-        elif isinstance(f, Binary):
-            stack += (f.left, f.right)
-    return counts
 
 
 def hilbert_search(
@@ -541,7 +519,12 @@ def hilbert_search(
     use_u = "u_n" in logic.mult_rules
 
     subterms = {g for f in sigma + [phi, ONE, ZERO] for g in subformulas(f)}
-    pool = sorted(subterms, key=lambda f: (f.size, render(f)))[: budget.pool_limit]
+    # the pool is the smallest subterms, ties broken by their text; only
+    # those no larger than the last one's size need to be rendered
+    sizes = sorted(f.size for f in subterms)
+    cutoff = sizes[budget.pool_limit - 1] if 0 < budget.pool_limit < len(sizes) else sizes[-1]
+    candidates = [f for f in subterms if f.size <= cutoff]
+    pool = sorted(candidates, key=lambda f: (f.size, render(f)))[: budget.pool_limit]
     max_size = budget.max_term_size or max(2 * phi.size + 8, 24)
 
     parents: dict[Formula, tuple] = {}
@@ -600,22 +583,24 @@ def _u_candidates(f: Formula):
 
 
 def _reconstruct(goal: Formula, parents: dict[Formula, tuple]) -> tuple[DerivationLine, ...]:
+    """The lines that derive ``goal``, each after its premises: a
+    depth-first postorder from ``goal`` over the justifications, premises
+    in the order they are cited."""
     order: list[Formula] = []
     seen: set[Formula] = set()
-
-    def visit(f: Formula) -> None:
+    stack = [(goal, False)]  # (formula, its premises are done)
+    while stack:
+        f, premises_done = stack.pop()
+        if premises_done:
+            order.append(f)
+            continue
         if f in seen:
-            return
+            continue
         seen.add(f)
         info = parents[f]
-        if info[0] == "mp":
-            visit(info[1])
-            visit(info[2])
-        elif info[0] == "u":
-            visit(info[2])
-        order.append(f)
-
-    visit(goal)
+        stack.append((f, True))
+        premises = info[1:] if info[0] == "mp" else info[2:] if info[0] == "u" else ()
+        stack += [(p, False) for p in reversed(premises)]
     index = {f: i + 1 for i, f in enumerate(order)}
     lines = []
     for f in order:
@@ -666,29 +651,25 @@ def verify_derivation(logic: LogicSpec | str, lines, hypotheses=()) -> Derivatio
     justifications are not trusted."""
     logic = resolve_logic(logic)
     formulas = [line.formula if isinstance(line, DerivationLine) else line for line in lines]
-    hypotheses = list(hypotheses)
+    hypotheses = set(hypotheses)
     rules = set(logic.rules) | set(logic.mult_rules)
-    earlier: list[Formula] = []
-    earlier_set: set[Formula] = set()
+    earlier: set[Formula] = set()
+    # the earlier implications by consequent: mp and u_n conclude from these
+    implications: dict[Formula, list[Imp]] = {}
     for i, f in enumerate(formulas):
+        concluding = implications.get(f, ())
         ok = f in hypotheses or _matches_axiom(logic, f)
         if not ok:
-            for a in earlier:
-                if Imp(a, f) in earlier_set:
-                    ok = True
-                    break
+            ok = any(g.left in earlier for g in concluding)
         if not ok and "adj" in rules and isinstance(f, Conj):
-            ok = f.left in earlier_set and f.right in earlier_set
+            ok = f.left in earlier and f.right in earlier
         if not ok and "u_n" in rules:
-            for a in earlier:
-                n = _scalar_count(a, f)
-                if n is not None and n >= 2:
-                    ok = True
-                    break
+            ok = any((_scalar_count(g, f) or 0) >= 2 for g in concluding)
         if not ok:
             return DerivationCheck(False, i + 1, f"line {i + 1} unjustified: {f}")
-        earlier.append(f)
-        earlier_set.add(f)
+        earlier.add(f)
+        if isinstance(f, Imp):
+            implications.setdefault(f.right, []).append(f)
     return DerivationCheck(True)
 
 

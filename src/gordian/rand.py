@@ -14,15 +14,8 @@ def random_mult_formula(
     constant_weight: float = 0.2,
 ) -> Formula:
     """Random multiplicative formula (->, *, 1, 0 and variables only)."""
-    if max_depth == 0 or rng.random() < 0.3:
-        if rng.random() < constant_weight:
-            return rng.choice([ONE, ZERO])
-        return Var(rng.choice(variables))
-    kind = rng.choice([Imp, Fuse])
-    return kind(
-        random_mult_formula(rng, variables, max_depth - 1, constant_weight),
-        random_mult_formula(rng, variables, max_depth - 1, constant_weight),
-    )
+    connective = lambda: rng.choice([Imp, Fuse])
+    return _random_tree(rng, variables, max_depth, 0.3, constant_weight, connective)
 
 
 def random_formula(
@@ -32,15 +25,29 @@ def random_formula(
     lattice_weight: float = 0.35,
 ) -> Formula:
     """Random formula over the full language."""
-    if max_depth == 0 or rng.random() < 0.25:
-        if rng.random() < 0.2:
-            return rng.choice([ONE, ZERO])
-        return Var(rng.choice(variables))
-    if rng.random() < lattice_weight:
-        kind = rng.choice([Conj, Disj])
-    else:
-        kind = rng.choice([Imp, Fuse])
-    return kind(
-        random_formula(rng, variables, max_depth - 1, lattice_weight),
-        random_formula(rng, variables, max_depth - 1, lattice_weight),
+    connective = lambda: rng.choice(
+        [Conj, Disj] if rng.random() < lattice_weight else [Imp, Fuse]
     )
+    return _random_tree(rng, variables, max_depth, 0.25, 0.2, connective)
+
+
+def _random_tree(rng, variables, max_depth, leaf_weight, constant_weight, connective) -> Formula:
+    """A tree drawn node by node in preorder, left before right: below
+    ``max_depth`` a leaf with probability ``leaf_weight`` (a constant with
+    probability ``constant_weight``, else a variable), otherwise a
+    ``connective()``; then built from the reversed preorder."""
+    preorder: list = []
+    depths = [max_depth]
+    while depths:
+        depth = depths.pop()
+        if depth and rng.random() >= leaf_weight:
+            preorder.append(connective())
+            depths += (depth - 1, depth - 1)
+        elif rng.random() < constant_weight:
+            preorder.append(rng.choice([ONE, ZERO]))
+        else:
+            preorder.append(Var(rng.choice(variables)))
+    built: list[Formula] = []
+    for item in reversed(preorder):
+        built.append(item if isinstance(item, Formula) else item(built.pop(), built.pop()))
+    return built[0]

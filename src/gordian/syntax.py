@@ -3,8 +3,12 @@
 The tree has exactly six node kinds: variables, the constants 1 and 0, the
 lattice connectives ``&`` and ``|``, fusion ``*`` and implication ``->``.
 A connective node stores its hash, size and multiplicative flag when it is
-built, so no formula-keyed cache exists, and equality and the one walker
-:func:`subformulas` use no recursion.
+built, so no formula-keyed cache exists.  No walker recurses, so formulas
+of any depth are handled: equality, :func:`subformulas` (each distinct
+subformula once, children first) and :func:`fold` (a value per node,
+children first) keep explicit stacks, substitution and schema
+instantiation run a :func:`postorder` (:func:`replace_leaves`), and the
+parser and :func:`render` are loops.
 Negation, sum, scalar multiples and powers are input notation only; they
 elaborate at construction time via
 
@@ -263,6 +267,34 @@ def subformulas(f: Formula) -> list[Formula]:
     return list(seen)
 
 
+def fold(f: Formula, leaf, connective):
+    """The value of ``f``, computed bottom-up: ``leaf(node)`` at a leaf, and
+    at a connective node ``connective[type(node)]`` applied to its
+    children's values, once per node object (a subtree shared by reference,
+    as in ``n*f`` and ``f^n``, is computed once).  The stack holds the path
+    from ``f`` to the node whose children are being computed."""
+    if not isinstance(f, Binary):
+        return leaf(f)
+    values: dict[int, object] = {}  # by id: cheaper than hashing formulas
+    path = [f]
+    while path:
+        node = path[-1]
+        left, right = node.left, node.right
+        if id(left) not in values:
+            if isinstance(left, Binary):
+                path.append(left)
+                continue
+            values[id(left)] = leaf(left)
+        if id(right) not in values:
+            if isinstance(right, Binary):
+                path.append(right)
+                continue
+            values[id(right)] = leaf(right)
+        path.pop()
+        values[id(node)] = connective[type(node)](values[id(left)], values[id(right)])
+    return values[id(f)]
+
+
 def variables(f: Formula) -> frozenset[str]:
     """Object variables occurring in ``f`` (metavariables excluded)."""
     return frozenset(g.name for g in subformulas(f) if isinstance(g, Var))
@@ -282,13 +314,41 @@ def require_multiplicative(formulas) -> None:
             raise NotMultiplicativeError(f"not multiplicative: {f}")
 
 
+def postorder(f: Formula, hole) -> tuple:
+    """Each distinct subformula of ``f``, children before parents, as an
+    entry for :func:`replace_leaves`: the name of a leaf for which
+    ``hole(leaf)`` holds, a subtree without such a leaf as it is, or else a
+    connective class with the positions of its children's entries."""
+    position: dict[Formula, int] = {}
+    entries: list = []
+    for node in subformulas(f):
+        position[node] = len(entries)
+        if not isinstance(node, Binary):
+            entries.append(node.name if hole(node) else node)
+            continue
+        i, j = position[node.left], position[node.right]
+        ground = isinstance(entries[i], Formula) and isinstance(entries[j], Formula)
+        entries.append(node if ground else (type(node), i, j))
+    return tuple(entries)
+
+
+def replace_leaves(entries, args: dict[str, Formula]) -> Formula:
+    """The formula a :func:`postorder` describes, each named leaf replaced
+    by its argument; raises KeyError naming a leaf without one."""
+    values: list[Formula] = []
+    for entry in entries:
+        if type(entry) is tuple:
+            build, i, j = entry
+            values.append(build(values[i], values[j]))
+        else:
+            values.append(args[entry] if type(entry) is str else entry)
+    return values[-1]
+
+
 def substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:
     """Homomorphic image of ``f``; variables outside ``mapping`` are fixed."""
-    if isinstance(f, Var):
-        return mapping.get(f.name, f)
-    if isinstance(f, (One, Zero, MVar)):
-        return f
-    return type(f)(substitute(f.left, mapping), substitute(f.right, mapping))
+    entries = postorder(f, lambda leaf: isinstance(leaf, Var) and leaf.name in mapping)
+    return replace_leaves(entries, mapping)
 
 
 # --- parsing ---------------------------------------------------------------
@@ -322,133 +382,96 @@ def _tokenize(text: str, allow_meta: bool) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]]):
-        self.tokens = tokens
-        self.i = 0
+# binary operator -> (precedence, builder); "->" alone is right-associative
+_BINARY = {"|": (0, Disj), "&": (1, Conj), "->": (2, Imp), "+": (3, plus), "*": (4, Fuse)}
 
-    def peek(self, ahead: int = 0) -> tuple[str, str, int]:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
 
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, text: str) -> None:
-        kind, value, pos = self.peek()
-        if kind == "op" and value == text:
-            self.take()
-            return
-        raise FormulaSyntaxError(f"expected {text!r}", pos)
-
-    def at_op(self, text: str) -> bool:
-        kind, value, _ = self.peek()
-        return (kind == "op" and value == text) or (kind == "arrow" and text == "->")
-
-    # precedence levels, low to high: | & -> + * unary
-
-    def parse_formula(self) -> Formula:
-        f = self.parse_disj()
-        kind, value, pos = self.peek()
-        if kind != "end":
-            raise FormulaSyntaxError(f"unexpected {value!r}", pos)
-        return f
-
-    def parse_disj(self) -> Formula:
-        f = self.parse_conj()
-        while self.at_op("|"):
-            self.take()
-            f = Disj(f, self.parse_conj())
-        return f
-
-    def parse_conj(self) -> Formula:
-        f = self.parse_imp()
-        while self.at_op("&"):
-            self.take()
-            f = Conj(f, self.parse_imp())
-        return f
-
-    def parse_imp(self) -> Formula:
-        f = self.parse_plus()
-        if self.peek()[0] == "arrow":
-            self.take()
-            return Imp(f, self.parse_imp())
-        return f
-
-    def parse_plus(self) -> Formula:
-        f = self.parse_fuse()
-        while self.at_op("+"):
-            self.take()
-            f = plus(f, self.parse_fuse())
-        return f
-
-    def parse_fuse(self) -> Formula:
-        f = self.parse_factor()
-        while self.at_op("*"):
-            self.take()
-            f = Fuse(f, self.parse_factor())
-        return f
-
-    def parse_factor(self) -> Formula:
-        # A bare integer directly left of '*' is a scalar multiple of the
-        # next factor; elsewhere integers are the constants 0 and 1.
-        kind, value, pos = self.peek()
-        if kind == "int" and self.peek(1)[:2] == ("op", "*"):
-            self.take()
-            self.take()
-            return scalar(int(value), self.parse_factor())
-        return self.parse_unary()
-
-    def parse_unary(self) -> Formula:
-        if self.at_op("~"):
-            self.take()
-            return neg(self.parse_unary())
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> Formula:
-        f = self.parse_atom()
-        while self.at_op("^"):
-            self.take()
-            kind, value, pos = self.peek()
-            if kind != "int":
-                raise FormulaSyntaxError("expected integer exponent after '^'", pos)
-            self.take()
-            f = power(f, int(value))
-        return f
-
-    def parse_atom(self) -> Formula:
-        kind, value, pos = self.take()
-        if kind == "var":
-            return Var(value)
-        if kind == "mvar":
-            return MVar(value)
-        if kind == "int":
-            if value == "1":
-                return ONE
-            if value == "0":
-                return ZERO
+def _parse(tokens: list[tuple[str, str, int]]) -> Formula:
+    """One precedence loop over the tokens.  ``out`` holds operands and
+    ``pending`` what waits for them: binary operators, ``(`` and the
+    prefixes ``~`` and ``n*``, which apply once their operand and its
+    ``^n`` suffixes are complete."""
+    out: list[Formula] = []
+    pending: list = []
+    i = 0
+    while True:
+        # operand position: scalar prefixes, negations, then an atom or "("
+        kind, value, pos = tokens[i]
+        while kind == "int" and tokens[i + 1][:2] == ("op", "*"):
+            pending.append(int(value))
+            i += 2
+            kind, value, pos = tokens[i]
+        while (kind, value) == ("op", "~"):
+            pending.append(neg)
+            i += 1
+            kind, value, pos = tokens[i]
+        i += 1
+        if (kind, value) == ("op", "("):
+            pending.append("(")
+            continue
+        if kind in ("var", "mvar"):
+            out.append((Var if kind == "var" else MVar)(value))
+        elif kind == "int" and value in ("0", "1"):
+            out.append(ONE if value == "1" else ZERO)
+        elif kind == "int":
             raise FormulaSyntaxError(f"bare integer {value!r} is not a formula", pos)
-        if kind == "op" and value == "(":
-            f = self.parse_disj()
-            self.expect_op(")")
-            return f
-        raise FormulaSyntaxError(f"unexpected {value or 'end of input'!r}", pos)
+        else:
+            raise FormulaSyntaxError(f"unexpected {value or 'end of input'!r}", pos)
+        # operator position: suffixes, prefixes, closed groups, then one operator
+        while True:
+            kind, value, pos = tokens[i]
+            while (kind, value) == ("op", "^"):
+                kind, value, pos = tokens[i + 1]
+                if kind != "int":
+                    raise FormulaSyntaxError("expected integer exponent after '^'", pos)
+                out[-1] = power(out[-1], int(value))
+                i += 2
+                kind, value, pos = tokens[i]
+            while pending and (pending[-1] is neg or type(pending[-1]) is int):
+                prefix = pending.pop()
+                out[-1] = neg(out[-1]) if prefix is neg else scalar(prefix, out[-1])
+            op = "->" if kind == "arrow" else value if kind == "op" else None
+            prec, build = _BINARY.get(op, (-1, None))
+            while pending and type(pending[-1]) is tuple and (
+                pending[-1][0] > prec or (pending[-1][0] == prec and op != "->")
+            ):
+                right = out.pop()
+                out[-1] = pending.pop()[1](out[-1], right)
+            if build is not None:
+                pending.append((prec, build))
+                i += 1
+                break
+            if pending and op == ")":  # the group is an operand: take its suffixes
+                pending.pop()
+                i += 1
+                continue
+            if pending:
+                raise FormulaSyntaxError("expected ')'", pos)
+            if kind != "end":
+                raise FormulaSyntaxError(f"unexpected {value!r}", pos)
+            return out[0]
 
 
 def parse(text: str) -> Formula:
     """Parse formula text; derived connectives elaborate away."""
-    return _Parser(_tokenize(text, allow_meta=False)).parse_formula()
+    return _parse(_tokenize(text, allow_meta=False))
 
 
 def parse_template(text: str) -> Formula:
     """Like :func:`parse` but uppercase names become metavariables."""
-    return _Parser(_tokenize(text, allow_meta=True)).parse_formula()
+    return _parse(_tokenize(text, allow_meta=True))
 
 
 # --- printing --------------------------------------------------------------
 
 _PREC_DISJ, _PREC_CONJ, _PREC_IMP, _PREC_PLUS, _PREC_FUSE, _PREC_UNARY = range(6)
+# connective -> (operator text, precedence, left and right operand precedence)
+_INFIX = {
+    Disj: (" | ", _PREC_DISJ, _PREC_DISJ, _PREC_DISJ + 1),
+    Conj: (" & ", _PREC_CONJ, _PREC_CONJ, _PREC_CONJ + 1),
+    Imp: (" -> ", _PREC_IMP, _PREC_IMP + 1, _PREC_IMP),
+    Fuse: (" * ", _PREC_FUSE, _PREC_FUSE, _PREC_FUSE + 1),
+}
 
 
 def render(f: Formula) -> str:
@@ -459,58 +482,38 @@ def render(f: Formula) -> str:
     Constants appearing as fusion operands are parenthesized so that the
     output never contains a digit directly left of ``*``, which would
     re-parse as a scalar multiple.
+
+    The text is emitted from a stack of pieces still to write: strings and
+    ``(subformula, least precedence without parentheses, fusion operand)``.
     """
-    return _render(f, 0, False)
-
-
-def _render(f: Formula, min_prec: int, fuse_operand: bool) -> str:
-    if isinstance(f, (Var, MVar)):
-        return f.name
-    if isinstance(f, One):
-        return "(1)" if fuse_operand else "1"
-    if isinstance(f, Zero):
-        return "(0)" if fuse_operand else "0"
-    if isinstance(f, Imp):
-        if isinstance(f.right, Zero):
-            text = "~" + _render(f.left, _PREC_UNARY, False)
-            prec = _PREC_UNARY
-        elif isinstance(f.left, Imp) and isinstance(f.left.right, Zero):
-            text = (
-                _render(f.left.left, _PREC_PLUS, False)
-                + " + "
-                + _render(f.right, _PREC_PLUS + 1, False)
-            )
+    out: list[str] = []
+    stack: list = [(f, 0, False)]
+    while stack:
+        piece = stack.pop()
+        if type(piece) is str:
+            out.append(piece)
+            continue
+        f, min_prec, fuse_operand = piece
+        kind = type(f)
+        if kind is Var or kind is MVar:
+            out.append(f.name)
+            continue
+        if kind is One or kind is Zero:
+            text = "1" if kind is One else "0"
+            out.append(f"({text})" if fuse_operand else text)
+            continue
+        # the pieces of f's text, last first
+        if kind is Imp and type(f.right) is Zero:
+            prec, pieces = _PREC_UNARY, ((f.left, _PREC_UNARY, False), "~")
+        elif kind is Imp and type(f.left) is Imp and type(f.left.right) is Zero:
             prec = _PREC_PLUS
+            pieces = ((f.right, _PREC_PLUS + 1, False), " + ", (f.left.left, _PREC_PLUS, False))
         else:
-            text = (
-                _render(f.left, _PREC_IMP + 1, False)
-                + " -> "
-                + _render(f.right, _PREC_IMP, False)
-            )
-            prec = _PREC_IMP
-    elif isinstance(f, Fuse):
-        text = (
-            _render(f.left, _PREC_FUSE, True)
-            + " * "
-            + _render(f.right, _PREC_FUSE + 1, True)
-        )
-        prec = _PREC_FUSE
-    elif isinstance(f, Conj):
-        text = (
-            _render(f.left, _PREC_CONJ, False)
-            + " & "
-            + _render(f.right, _PREC_CONJ + 1, False)
-        )
-        prec = _PREC_CONJ
-    elif isinstance(f, Disj):
-        text = (
-            _render(f.left, _PREC_DISJ, False)
-            + " | "
-            + _render(f.right, _PREC_DISJ + 1, False)
-        )
-        prec = _PREC_DISJ
-    else:  # pragma: no cover
-        raise TypeError(f"not a formula: {f!r}")
-    if prec < min_prec:
-        return "(" + text + ")"
-    return text
+            text, prec, left, right = _INFIX[kind]
+            fuse = kind is Fuse
+            pieces = ((f.right, right, fuse), text, (f.left, left, fuse))
+        if prec < min_prec:
+            stack += (")", *pieces, "(")
+        else:
+            stack += pieces
+    return "".join(out)

@@ -8,13 +8,21 @@ un-decomposed disjunction formula through the generic evaluator.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import reduce
 from random import Random
 
 from gordian.chains import brute_force_consequence, sugihara_chain
+from gordian.errors import (
+    FormulaSyntaxError,
+    MissingMetavariableError,
+    MissingVariableError,
+    NotMultiplicativeError,
+)
 from gordian.linalg import (
     Combination,
+    LinForm,
     Separation,
     feasible_point_or_farkas,
     linear_alternative,
@@ -22,7 +30,24 @@ from gordian.linalg import (
 )
 from gordian.normalize import Goal
 from gordian.rand import random_mult_formula
-from gordian.syntax import Conj, Disj, Formula, MVar, One, Var, Zero
+from gordian.syntax import (
+    ONE,
+    ZERO,
+    Conj,
+    Disj,
+    Formula,
+    Fuse,
+    Imp,
+    MVar,
+    One,
+    Var,
+    Zero,
+    _tokenize,
+    neg,
+    plus,
+    power,
+    scalar,
+)
 
 
 def conj_all(fs) -> Formula:
@@ -131,3 +156,287 @@ def meta_to_vars(template: Formula) -> Formula:
     if isinstance(template, (Var, One, Zero)):
         return template
     return type(template)(meta_to_vars(template.left), meta_to_vars(template.right))
+
+
+# --- recursive reference walkers ----------------------------------------------
+#
+# The library's formula walkers are loops.  These are the recursive walkers
+# they replaced, kept verbatim in substance as the reference the loops are
+# compared against (``test_walkers.py``).  They exhaust the interpreter's
+# stack on formulas some hundreds of levels deep, so compare them on
+# shallow inputs only.
+
+
+class RefParser:
+    """The recursive-descent parser: one method per precedence level."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.i = 0
+
+    def peek(self, ahead=0):
+        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+
+    def take(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect_op(self, text):
+        kind, value, pos = self.peek()
+        if kind == "op" and value == text:
+            self.take()
+            return
+        raise FormulaSyntaxError(f"expected {text!r}", pos)
+
+    def at_op(self, text):
+        kind, value, _ = self.peek()
+        return (kind == "op" and value == text) or (kind == "arrow" and text == "->")
+
+    def parse_formula(self):
+        f = self.parse_disj()
+        kind, value, pos = self.peek()
+        if kind != "end":
+            raise FormulaSyntaxError(f"unexpected {value!r}", pos)
+        return f
+
+    def parse_disj(self):
+        f = self.parse_conj()
+        while self.at_op("|"):
+            self.take()
+            f = Disj(f, self.parse_conj())
+        return f
+
+    def parse_conj(self):
+        f = self.parse_imp()
+        while self.at_op("&"):
+            self.take()
+            f = Conj(f, self.parse_imp())
+        return f
+
+    def parse_imp(self):
+        f = self.parse_plus()
+        if self.peek()[0] == "arrow":
+            self.take()
+            return Imp(f, self.parse_imp())
+        return f
+
+    def parse_plus(self):
+        f = self.parse_fuse()
+        while self.at_op("+"):
+            self.take()
+            f = plus(f, self.parse_fuse())
+        return f
+
+    def parse_fuse(self):
+        f = self.parse_factor()
+        while self.at_op("*"):
+            self.take()
+            f = Fuse(f, self.parse_factor())
+        return f
+
+    def parse_factor(self):
+        kind, value, pos = self.peek()
+        if kind == "int" and self.peek(1)[:2] == ("op", "*"):
+            self.take()
+            self.take()
+            return scalar(int(value), self.parse_factor())
+        return self.parse_unary()
+
+    def parse_unary(self):
+        if self.at_op("~"):
+            self.take()
+            return neg(self.parse_unary())
+        return self.parse_postfix()
+
+    def parse_postfix(self):
+        f = self.parse_atom()
+        while self.at_op("^"):
+            self.take()
+            kind, value, pos = self.peek()
+            if kind != "int":
+                raise FormulaSyntaxError("expected integer exponent after '^'", pos)
+            self.take()
+            f = power(f, int(value))
+        return f
+
+    def parse_atom(self):
+        kind, value, pos = self.take()
+        if kind == "var":
+            return Var(value)
+        if kind == "mvar":
+            return MVar(value)
+        if kind == "int":
+            if value == "1":
+                return ONE
+            if value == "0":
+                return ZERO
+            raise FormulaSyntaxError(f"bare integer {value!r} is not a formula", pos)
+        if kind == "op" and value == "(":
+            f = self.parse_disj()
+            self.expect_op(")")
+            return f
+        raise FormulaSyntaxError(f"unexpected {value or 'end of input'!r}", pos)
+
+
+def ref_parse(text, allow_meta=False):
+    return RefParser(_tokenize(text, allow_meta)).parse_formula()
+
+
+_PREC_DISJ, _PREC_CONJ, _PREC_IMP, _PREC_PLUS, _PREC_FUSE, _PREC_UNARY = range(6)
+
+
+def ref_render(f, min_prec=0, fuse_operand=False):
+    if isinstance(f, (Var, MVar)):
+        return f.name
+    if isinstance(f, One):
+        return "(1)" if fuse_operand else "1"
+    if isinstance(f, Zero):
+        return "(0)" if fuse_operand else "0"
+    if isinstance(f, Imp):
+        if isinstance(f.right, Zero):
+            text = "~" + ref_render(f.left, _PREC_UNARY, False)
+            prec = _PREC_UNARY
+        elif isinstance(f.left, Imp) and isinstance(f.left.right, Zero):
+            text = (
+                ref_render(f.left.left, _PREC_PLUS, False)
+                + " + "
+                + ref_render(f.right, _PREC_PLUS + 1, False)
+            )
+            prec = _PREC_PLUS
+        else:
+            text = ref_render(f.left, _PREC_IMP + 1, False) + " -> " + ref_render(f.right, _PREC_IMP, False)
+            prec = _PREC_IMP
+    elif isinstance(f, Fuse):
+        text = ref_render(f.left, _PREC_FUSE, True) + " * " + ref_render(f.right, _PREC_FUSE + 1, True)
+        prec = _PREC_FUSE
+    elif isinstance(f, Conj):
+        text = ref_render(f.left, _PREC_CONJ, False) + " & " + ref_render(f.right, _PREC_CONJ + 1, False)
+        prec = _PREC_CONJ
+    elif isinstance(f, Disj):
+        text = ref_render(f.left, _PREC_DISJ, False) + " | " + ref_render(f.right, _PREC_DISJ + 1, False)
+        prec = _PREC_DISJ
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    if prec < min_prec:
+        return "(" + text + ")"
+    return text
+
+
+def ref_push(f, budget):
+    budget.charge()
+    if isinstance(f, (Var, One, Zero)):
+        return f
+    if isinstance(f, (Conj, Disj)):
+        return type(f)(ref_push(f.left, budget), ref_push(f.right, budget))
+    if isinstance(f, Imp):
+        return ref_imp(ref_push(f.left, budget), ref_push(f.right, budget), budget)
+    if isinstance(f, Fuse):
+        return ref_fuse(ref_push(f.left, budget), ref_push(f.right, budget), budget)
+    raise NotMultiplicativeError(f"cannot normalize {f!r}")
+
+
+def ref_imp(left, right, budget):
+    budget.charge()
+    if isinstance(left, Conj):
+        return Disj(ref_imp(left.left, right, budget), ref_imp(left.right, right, budget))
+    if isinstance(left, Disj):
+        return Conj(ref_imp(left.left, right, budget), ref_imp(left.right, right, budget))
+    if isinstance(right, Conj):
+        return Conj(ref_imp(left, right.left, budget), ref_imp(left, right.right, budget))
+    if isinstance(right, Disj):
+        return Disj(ref_imp(left, right.left, budget), ref_imp(left, right.right, budget))
+    return Imp(left, right)
+
+
+def ref_fuse(left, right, budget):
+    budget.charge()
+    if isinstance(left, (Conj, Disj)):
+        return type(left)(ref_fuse(left.left, right, budget), ref_fuse(left.right, right, budget))
+    if isinstance(right, (Conj, Disj)):
+        return type(right)(ref_fuse(left, right.left, budget), ref_fuse(left, right.right, budget))
+    return Fuse(left, right)
+
+
+def ref_cnf(f, budget):
+    if isinstance(f, Conj):
+        return ref_cnf(f.left, budget) + ref_cnf(f.right, budget)
+    if isinstance(f, Disj):
+        left, right = ref_cnf(f.left, budget), ref_cnf(f.right, budget)
+        out = []
+        for a, b in itertools.product(left, right):
+            budget.charge(len(a) + len(b))
+            out.append(a + b)
+        return out
+    budget.charge()
+    return [(f,)]
+
+
+def ref_eval_formula(chain, valuation, f):
+    if isinstance(f, Var):
+        try:
+            return valuation[f.name]
+        except KeyError:
+            raise MissingVariableError(f"valuation missing {f.name!r}") from None
+    if isinstance(f, One):
+        return chain.unit
+    if isinstance(f, Zero):
+        return chain.zero
+    left = ref_eval_formula(chain, valuation, f.left)
+    right = ref_eval_formula(chain, valuation, f.right)
+    if isinstance(f, Conj):
+        return min(left, right)
+    if isinstance(f, Disj):
+        return max(left, right)
+    if isinstance(f, Fuse):
+        return chain.fuse(left, right)
+    return chain.imp(left, right)
+
+
+def ref_eval_abelian(f, valuation):
+    if isinstance(f, Var):
+        try:
+            return valuation[f.name]
+        except KeyError:
+            raise MissingVariableError(f"valuation missing {f.name!r}") from None
+    if isinstance(f, (One, Zero)):
+        return 0
+    left = ref_eval_abelian(f.left, valuation)
+    right = ref_eval_abelian(f.right, valuation)
+    if isinstance(f, Conj):
+        return min(left, right)
+    if isinstance(f, Disj):
+        return max(left, right)
+    if isinstance(f, Fuse):
+        return left + right
+    return right - left
+
+
+def ref_translate_abelian(f):
+    if isinstance(f, Var):
+        return LinForm({f.name: 1})
+    if isinstance(f, (One, Zero)):
+        return LinForm()
+    if isinstance(f, Fuse):
+        return ref_translate_abelian(f.left) + ref_translate_abelian(f.right)
+    if isinstance(f, Imp):
+        return ref_translate_abelian(f.right) - ref_translate_abelian(f.left)
+    if isinstance(f, MVar):
+        raise NotMultiplicativeError(f"metavariable {f.name} has no linear reading")
+    raise NotMultiplicativeError(f"not multiplicative: {f}")
+
+
+def ref_instantiate(schema, args):
+    def walk(f):
+        if isinstance(f, MVar):
+            try:
+                return args[f.name]
+            except KeyError:
+                raise MissingMetavariableError(
+                    f"schema {schema.name}: metavariable {f.name} unbound"
+                ) from None
+        if isinstance(f, (Var, One, Zero)):
+            return f
+        return type(f)(walk(f.left), walk(f.right))
+
+    return walk(schema.template)

@@ -232,8 +232,8 @@ def test_density_rejects_lattice_input(capsys):
 
 
 def run_child(tmp_path, problem_text, *argv, hash_seed="0"):
-    """The CLI in a fresh interpreter: pytest's own frames would eat into
-    the stack that deep formulas need."""
+    """The CLI in a fresh interpreter, as a user runs it, at the default
+    recursion limit."""
     problem = write(tmp_path, "problem.txt", problem_text)
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
     proc = subprocess.run(
@@ -244,21 +244,25 @@ def run_child(tmp_path, problem_text, *argv, hash_seed="0"):
 
 
 def test_deep_formula_verdicts_and_errors(tmp_path):
-    # about 800 and 600 levels deep: refuted at p = 1
-    for conclusion in ("400*p -> p", "p^600 -> p"):
-        code, out, err = run_child(tmp_path, f"logic A\nprove {conclusion}\n", "--format", "json")
-        assert code == 1, (conclusion, err)
+    # 800 to 10,000 levels deep, decided at the default recursion limit:
+    # p = 1 refutes them in Z, and the mingle logics prove them
+    verdicts = {"A": (1, "refuted"), "BIULm": (1, "refuted"), "RMt": (0, "proved"), "IUMLm": (0, "proved")}
+    cases = [("A", c) for c in ("400*p -> p", "p^600 -> p", "2000*p -> p", "p^4000 -> p")]
+    cases += [(logic, c) for logic in verdicts for c in ("p^5000 -> p", "2500*p -> p")]
+    for logic, conclusion in cases:
+        expected, status = verdicts[logic]
+        problem = f"logic {logic}\nprove {conclusion}\n"
+        code, out, err = run_child(tmp_path, problem, "--format", "json")
+        assert code == expected, (logic, conclusion, err)
         payload = json.loads(out)
-        assert payload["status"] == "refuted"
-        assert payload["countermodel"] == {"chain": "Z", "valuation": {"p": 1}}
-        code, out, _ = run_child(tmp_path, f"logic A\nprove {conclusion}\n")
-        assert code == 1 and out.startswith("refuted"), conclusion
-    # past the recursion limit a crash must never read as a verdict
-    for conclusion in ("2000*p -> p", "p^4000 -> p"):
-        for fmt in ("text", "json"):
-            code, out, err = run_child(tmp_path, f"logic A\nprove {conclusion}\n", "--format", fmt)
-            assert code == 3, (conclusion, fmt)
-            assert out == "" and err.startswith("error:")
+        assert payload["status"] == status
+        if status == "refuted":
+            assert payload["countermodel"] == {"chain": "Z", "valuation": {"p": 1}}
+        code, out, _ = run_child(tmp_path, problem)
+        assert code == expected and out.startswith(f"{status} ({logic})"), (logic, conclusion)
+    # a malformed deep formula is an input error, never a verdict
+    code, out, err = run_child(tmp_path, "logic A\nprove " + "(" * 5000 + "p\n")
+    assert (code, out) == (3, "") and err.startswith("error: expected ')'"), err
 
 
 def test_output_does_not_depend_on_hash_seed(tmp_path):

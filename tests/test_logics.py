@@ -79,6 +79,8 @@ def test_balance_family_instances():
     assert render(schemas["balance_up_0"].template) == "0 -> 1"
     assert render(schemas["balance_down_0"].template) == "~1"  # 1 -> 0
     assert schemas["balance_up_2"].template == parse_template("(PHI + PHI) -> (PHI * PHI)")
+    # each member is built once, with its postorder, not on every search
+    assert all(a is b for a, b in zip(biul.family_schemas(8), biul.family_schemas(8)))
 
 
 def test_mult_axiom_basis():
