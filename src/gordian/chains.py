@@ -56,7 +56,7 @@ class ChainAlgebra:
     exhaustively and a violation raises ``ValueError``.
     """
 
-    __slots__ = ("name", "carrier", "unit", "zero", "_fuse", "_imp")
+    __slots__ = ("name", "carrier", "unit", "zero", "_fuse", "_imp", "_operations")
 
     def __init__(self, name: str, carrier, unit: int, zero: int, fuse_rule):
         self.name = name
@@ -77,6 +77,8 @@ class ChainAlgebra:
                 if not residual:
                     raise ValueError(f"{name}: no residual for {a} -> {c}")
                 self._imp[(a, c)] = max(residual)
+        # the connectives' operations, as :func:`eval_formula` applies them
+        self._operations = {Conj: min, Disj: max, Fuse: self.fuse, Imp: self.imp}
         if len(self.carrier) <= LAW_CHECK_MAX_SIZE:
             self.check_laws()
 
@@ -169,8 +171,7 @@ def _evaluate(f: Formula, valuation, unit: int, zero: int, connective) -> int:
 
 def eval_formula(chain: ChainAlgebra, valuation, f: Formula) -> int:
     """Homomorphic evaluation; designated iff ``chain.unit <= value``."""
-    operations = {Conj: min, Disj: max, Fuse: chain.fuse, Imp: chain.imp}
-    return _evaluate(f, valuation, chain.unit, chain.zero, operations)
+    return _evaluate(f, valuation, chain.unit, chain.zero, chain._operations)
 
 
 def eval_vector(chain: ChainAlgebra, f: Formula, var_order, grid) -> list[int]:
@@ -281,11 +282,13 @@ def brute_force_consequence(chains, sigma, f: Formula):
 # --- the Abelian reference model ---------------------------------------------
 
 
+_Z_OPERATIONS = {Conj: min, Disj: max, Fuse: operator.add, Imp: lambda a, b: b - a}
+
+
 def eval_abelian(f: Formula, valuation) -> int:
     """Evaluate over the integers: fusion is addition, implication is
     right-minus-left, both constants are 0; designated iff >= 0."""
-    operations = {Conj: min, Disj: max, Fuse: operator.add, Imp: lambda a, b: b - a}
-    return _evaluate(f, valuation, 0, 0, operations)
+    return _evaluate(f, valuation, 0, 0, _Z_OPERATIONS)
 
 
 def abelian_grid_refute(sigma, f: Formula, bound: int):

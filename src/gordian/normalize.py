@@ -10,9 +10,9 @@ multiplicative connectives push through them:
 Applying these inside-out leaves a lattice tree over multiplicative
 formulas, which then flattens to a conjunction of disjunctive clauses.
 Hypotheses split on conjunction and fork goals on disjunction.  Both steps
-are loops (:func:`_fold`) over each distinct subformula above the
-multiplicative ones, so formulas of any depth normalize; the work guard
-counts one step per connective node computed and per clause literal.
+are loops (:func:`_fold`) over the subformulas above the multiplicative
+ones, so formulas of any depth normalize; the work guard counts one step
+per multiplicative leaf computed and per literal of each clause built.
 """
 
 from __future__ import annotations
@@ -90,24 +90,28 @@ class _Budget:
 
 
 def _fold(f: Formula, leaf, connective, budget: _Budget):
-    """The value of ``f`` computed bottom-up once per distinct node, with an
+    """The value of ``f`` computed bottom-up once per node object, with an
     explicit stack: ``leaf(g)`` at each maximal multiplicative subtree ``g``,
-    which is not descended into, and above them ``connective[type(node)]``
-    applied to the children's values, one budget step each."""
-    values: dict[Formula, object] = {}
+    which is not descended into, one budget step each, and above them
+    ``connective[type(node)]`` applied to the children's values.
+
+    It is not :func:`syntax.fold`, which descends to the leaves: here the
+    multiplicative subtrees are the leaves, so they are neither walked nor
+    rebuilt."""
+    values: dict[int, object] = {}  # by id, as in syntax.fold
     stack = [f]
     while stack:
         node = stack.pop()
-        if node in values:
+        if id(node) in values:
             continue
         if node.multiplicative:
-            values[node] = leaf(node)
-        elif node.left in values and node.right in values:
             budget.charge()
-            values[node] = connective[type(node)](values[node.left], values[node.right])
+            values[id(node)] = leaf(node)
+        elif id(node.left) in values and id(node.right) in values:
+            values[id(node)] = connective[type(node)](values[id(node.left)], values[id(node.right)])
         else:
             stack += (node, node.right, node.left)
-    return values[f]
+    return values[id(f)]
 
 
 def _push(f: Formula, budget: _Budget) -> Formula:
@@ -131,14 +135,19 @@ def _distribute(left, right, build, swap: bool, budget: _Budget) -> Formula:
 
 
 def _cnf(f: Formula, budget: _Budget) -> list[tuple[Formula, ...]]:
+    """The distinct clauses of the lattice tree ``f``, a tuple of literals
+    each.  A conjunction merges its children's clauses and builds none, and
+    a disjunction's clauses cost their lengths, so no clause set outgrows
+    the steps charged, however much of ``f`` is shared."""
+
     def disj(left, right):
-        out = []
+        out = {}
         for a, b in itertools.product(left, right):
             budget.charge(len(a) + len(b))
-            out.append(a + b)
+            out[a + b] = None
         return out
 
-    return _fold(f, lambda g: [(g,)], {Conj: operator.add, Disj: disj}, budget)
+    return list(_fold(f, lambda g: {(g,): None}, {Conj: operator.or_, Disj: disj}, budget))
 
 
 def _drop_subsumed(raw, max_literals: int) -> list[MultClause]:

@@ -519,12 +519,7 @@ def hilbert_search(
     use_u = "u_n" in logic.mult_rules
 
     subterms = {g for f in sigma + [phi, ONE, ZERO] for g in subformulas(f)}
-    # the pool is the smallest subterms, ties broken by their text; only
-    # those no larger than the last one's size need to be rendered
-    sizes = sorted(f.size for f in subterms)
-    cutoff = sizes[budget.pool_limit - 1] if 0 < budget.pool_limit < len(sizes) else sizes[-1]
-    candidates = [f for f in subterms if f.size <= cutoff]
-    pool = sorted(candidates, key=lambda f: (f.size, render(f)))[: budget.pool_limit]
+    pool = sorted(subterms, key=lambda f: (f.size, render(f)))[: budget.pool_limit]
     max_size = budget.max_term_size or max(2 * phi.size + 8, 24)
 
     parents: dict[Formula, tuple] = {}

@@ -19,7 +19,7 @@ from gordian.normalize import (
     to_mult_clauses,
 )
 from gordian.rand import random_formula
-from gordian.syntax import parse, render, variables, variables_of
+from gordian.syntax import Conj, Disj, parse, render, variables, variables_of
 
 
 def clauses_text(clauses):
@@ -37,6 +37,33 @@ def test_to_mult_clauses_budget():
     deep = parse(f"({wide}) -> z")
     with pytest.raises(SizeBudgetExceededError):
         to_mult_clauses(deep, max_literals=64)
+
+
+@pytest.mark.parametrize("text", ["(p & p)^20", "20*(p & p)", "(p | q)^20", "20*(p | q)"])
+def test_work_guard_counts_the_clauses_of_shared_subtrees(text):
+    # a few dozen distinct lattice nodes whose clause list holds 2^20
+    # clauses; at a larger exponent an uncounted list would fill memory
+    with pytest.raises(SizeBudgetExceededError):
+        to_mult_clauses(parse(text))
+
+
+def test_work_guard_counts_clauses_built_not_clauses_shared():
+    conj = disj = parse("p")
+    for _ in range(20):
+        conj, disj = Conj(conj, conj), Disj(disj, disj)
+    budget = _Budget(4096)  # conj's tree has 2^20 leaves, all one clause
+    assert _cnf(_push(conj, budget), budget) == [(parse("p"),)]
+    assert budget.used < 100
+    with pytest.raises(SizeBudgetExceededError):  # one clause of 2^20 literals
+        to_mult_clauses(disj)
+
+
+def test_long_conjunctions_stay_within_the_work_guard():
+    names = [f"p{i}" for i in range(2000)]
+    left_nested = parse(" & ".join(names))
+    right_nested = parse(" & (".join(names) + ")" * 1999)
+    for f in (left_nested, right_nested):
+        assert len(to_mult_clauses(f)) == 2000
 
 
 def _quadratic_drop_subsumed(raw, max_literals):
