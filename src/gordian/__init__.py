@@ -3,16 +3,12 @@ reduce to their multiplicative fragment via a theorem of alternatives."""
 
 from .chains import (
     ChainAlgebra,
-    abelian_grid_refute,
-    brute_force_consequence,
     eval_abelian,
     eval_formula,
     sugihara_chain,
 )
 from .density import (
     DensityCertificate,
-    DensityReport,
-    check_density_property,
     density_goal,
     density_precondition,
     density_transform,
@@ -20,9 +16,6 @@ from .density import (
 from .engine import (
     ConsequenceResult,
     EngineBudget,
-    check_excluded_middle,
-    check_expansion,
-    expand_combination,
     prove_consequence,
     prove_disjunction,
 )

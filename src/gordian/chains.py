@@ -1,4 +1,4 @@
-"""Finite chain algebras and brute-force evaluation.
+"""Finite chain algebras and their evaluation.
 
 These totally ordered algebras are the independent semantic layer every
 other component is tested against.  A :class:`ChainAlgebra` carries its
@@ -14,8 +14,7 @@ and the constant 0 as -1.
 
 The integers themselves (with fusion as addition and both constants as 0)
 serve as the reference model for the Abelian reading; they are exposed here
-through :func:`eval_abelian` and the bounded grid search
-:func:`abelian_grid_refute`.  The evaluators are one :func:`syntax.fold`
+through :func:`eval_abelian`.  The evaluators are one :func:`syntax.fold`
 with their own operation tables: at a point of a chain, on columns of grid
 values (:func:`eval_vector`) and in the integers.
 """
@@ -27,21 +26,7 @@ import operator
 from functools import lru_cache
 
 from .errors import MissingVariableError
-from .linalg import translate_abelian
-from .syntax import (
-    Conj,
-    Disj,
-    Formula,
-    Fuse,
-    Imp,
-    One,
-    Var,
-    Zero,
-    fold,
-    require_multiplicative,
-    variables,
-    variables_of,
-)
+from .syntax import Conj, Disj, Formula, Fuse, Imp, One, Var, Zero, fold, variables
 
 LAW_CHECK_MAX_SIZE = 16
 
@@ -261,24 +246,6 @@ def designated_points(chain: ChainAlgebra, sigma, var_order) -> list[tuple[int, 
     return list(points)
 
 
-def brute_force_consequence(chains, sigma, f: Formula):
-    """Exhaustively check the consequence over every valuation into each
-    chain.  Returns ``None`` if it holds, else ``(chain, valuation)``."""
-    sigma = list(sigma)
-    var_order = sorted(variables_of(sigma + [f]))
-    for chain in chains:
-        grid = list(itertools.product(chain.carrier, repeat=len(var_order)))
-        hyp_vectors = [eval_vector(chain, h, var_order, grid) for h in sigma]
-        goal_vector = eval_vector(chain, f, var_order, grid)
-        unit = chain.unit
-        for idx, point in enumerate(grid):
-            if goal_vector[idx] >= unit:
-                continue
-            if all(vec[idx] >= unit for vec in hyp_vectors):
-                return chain, dict(zip(var_order, point))
-    return None
-
-
 # --- the Abelian reference model ---------------------------------------------
 
 
@@ -289,22 +256,3 @@ def eval_abelian(f: Formula, valuation) -> int:
     """Evaluate over the integers: fusion is addition, implication is
     right-minus-left, both constants are 0; designated iff >= 0."""
     return _evaluate(f, valuation, 0, 0, _Z_OPERATIONS)
-
-
-def abelian_grid_refute(sigma, f: Formula, bound: int):
-    """Search integer valuations in ``[-bound, bound]`` for one designating
-    every hypothesis while refuting ``f``.  Refutation-sound only: ``None``
-    proves nothing."""
-    sigma = list(sigma)
-    require_multiplicative(sigma + [f])
-    hyp_forms = [translate_abelian(h) for h in sigma]
-    goal_form = translate_abelian(f)
-    var_order = sorted(variables_of(sigma + [f]))
-    values = range(-bound, bound + 1)
-    for point in itertools.product(values, repeat=len(var_order)):
-        valuation = dict(zip(var_order, point))
-        if goal_form.evaluate(valuation) < 0 and all(
-            h.evaluate(valuation) >= 0 for h in hyp_forms
-        ):
-            return valuation
-    return None

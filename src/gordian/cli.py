@@ -131,7 +131,6 @@ def _print_countermodel(cm: Countermodel, out) -> None:
 def _budget(args) -> EngineBudget:
     return EngineBudget(
         lambda_cap=args.budget,
-        widen=args.chain_bound,
         hilbert=HilbertBudget(max_lines=max(400, 250 * args.budget)),
     )
 
@@ -305,12 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--logic", help="logic name (overrides the problem file)")
         p.add_argument("--budget", type=int, default=16, help="weight-sum cap / derivation budget")
-        p.add_argument(
-            "--chain-bound",
-            type=int,
-            default=0,
-            help="widen the Sugihara decision chains by this many elements per side",
-        )
 
     p = sub.add_parser("prove", help="decide a consequence from a problem file")
     p.add_argument("problem", help="problem file path, or - for stdin")

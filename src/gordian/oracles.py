@@ -139,10 +139,16 @@ def one_target(sigma, phi: Formula) -> Goal:
 
 def combination_formula(lambdas, disjuncts) -> Formula:
     """The weighted sum ``l1*f1 + ... + ln*fn`` over the support of
-    ``lambdas``, folded right-nested in disjunct order."""
+    ``lambdas``, folded right-nested in disjunct order; raises
+    InvalidCertificateError unless the weights are one per disjunct,
+    nonnegative and not all zero."""
+    if len(lambdas) != len(disjuncts):
+        raise InvalidCertificateError(
+            f"expected {len(disjuncts)} weights, got {len(lambdas)}"
+        )
     if any(l < 0 for l in lambdas):
         raise InvalidCertificateError("weights must be nonnegative")
-    terms = [scalar(l, d) for l, d in zip(lambdas, disjuncts, strict=True) if l > 0]
+    terms = [scalar(l, d) for l, d in zip(lambdas, disjuncts) if l > 0]
     if not terms:
         raise InvalidCertificateError("weights must not all be zero")
     acc = terms[-1]
@@ -212,7 +218,7 @@ def verify_linear_witness(witness: LinearWitness, sigma, phi: Formula) -> bool:
 # --- Sugihara -----------------------------------------------------------------
 
 
-def decision_chains(logic: LogicSpec | str, k: int, widen: int = 0) -> list[ChainAlgebra]:
+def decision_chains(logic: LogicSpec | str, k: int) -> list[ChainAlgebra]:
     """Decision chains for a k-variable question: the chains of a mingle
     logic's declared Sugihara classes (:func:`class_chains`), which are
     complete for it.  The odd chains suffice for the odd-unit logic; the
@@ -221,7 +227,7 @@ def decision_chains(logic: LogicSpec | str, k: int, widen: int = 0) -> list[Chai
     logic = resolve_logic(logic)
     if logic.oracle_kind != "sugihara":
         raise UnsupportedLogicError(f"no chain decision procedure for {logic.name}")
-    chains = class_chains(logic.model_classes, k, widen)
+    chains = class_chains(logic.model_classes, k)
     if not chains:
         raise UnsupportedLogicError(f"{logic.name} declares no Sugihara class")
     return chains
@@ -258,7 +264,7 @@ def find_chain_countermodel(chains, sigma, disjuncts):
     return tables
 
 
-def prove_subsets(logic: LogicSpec, goal: Goal, widen: int = 0) -> ProofResult:
+def prove_subsets(logic: LogicSpec, goal: Goal) -> ProofResult:
     """The mingle logics' procedure: weights over 0/1 vectors (subset
     form), settled from one value table per decision chain.
 
@@ -271,7 +277,7 @@ def prove_subsets(logic: LogicSpec, goal: Goal, widen: int = 0) -> ProofResult:
     """
     hyps, disjuncts = goal.hypotheses, goal.clause.disjuncts
     var_order = sorted(variables_of(hyps + disjuncts))
-    chains = decision_chains(logic, len(var_order), widen)
+    chains = decision_chains(logic, len(var_order))
     tables = find_chain_countermodel(chains, hyps, disjuncts)
     if isinstance(tables, Countermodel):  # no tables: a point refutes the goal
         cm = checked_countermodel(tables, hyps, disjuncts)
@@ -291,7 +297,7 @@ def prove_subsets(logic: LogicSpec, goal: Goal, widen: int = 0) -> ProofResult:
                 f"subset combination is not designated on {chain.name}"
             )
     # The combination's own decision chains are subalgebras of the goal's.
-    named = decision_chains(logic, len(variables_of(hyps + (combo,))), widen)
+    named = decision_chains(logic, len(variables_of(hyps + (combo,))))
     witness = ChainExhaustiveWitness(tuple(c.name for c in named))
     return ProofResult("proved", goal, certificate=ToACertificate(lambdas, witness))
 
@@ -336,11 +342,9 @@ def _largest_valid_subset(tables, n: int) -> set[int]:
     return support
 
 
-def sugihara_decide(
-    logic: LogicSpec | str, sigma, phi: Formula, widen: int = 0
-) -> ProofResult:
+def sugihara_decide(logic: LogicSpec | str, sigma, phi: Formula) -> ProofResult:
     """:func:`prove_subsets` on the one-target goal ``sigma |- phi``."""
-    return prove_subsets(resolve_logic(logic), one_target(sigma, phi), widen)
+    return prove_subsets(resolve_logic(logic), one_target(sigma, phi))
 
 
 # --- sound model classes -------------------------------------------------------
@@ -348,7 +352,7 @@ def sugihara_decide(
 MODEL_CLASSES = ("Z", "sugihara_odd", "sugihara_even")
 
 
-def class_chains(classes, k: int, widen: int = 0) -> list[ChainAlgebra]:
+def class_chains(classes, k: int) -> list[ChainAlgebra]:
     """One chain per Sugihara class among ``classes``, in their order, that
     stands for the whole class on a k-variable question: the odd chain of
     half-width k+1 and the even chain of half-width k+2.  A k-variable
@@ -356,18 +360,16 @@ def class_chains(classes, k: int, widen: int = 0) -> list[ChainAlgebra]:
     levels, so its subalgebra embeds in that chain (see
     :func:`chains.canonical_grid`), and the chain refutes the question
     exactly when the class does."""
-    if widen < 0:  # narrower chains lose the completeness argued above
-        raise ValueError(f"chain widening must be at least 0, not {widen}")
     chains = []
     for model_class in classes:
         if model_class == "sugihara_odd":
-            chains.append(sugihara_chain(k + 1 + widen, odd=True))
+            chains.append(sugihara_chain(k + 1, odd=True))
         elif model_class == "sugihara_even":
-            chains.append(sugihara_chain(k + 2 + widen, odd=False))
+            chains.append(sugihara_chain(k + 2, odd=False))
     return chains
 
 
-def class_countermodel(classes, sigma, disjuncts, widen: int = 0) -> Countermodel | None:
+def class_countermodel(classes, sigma, disjuncts) -> Countermodel | None:
     """A checked valuation in one of the named model classes that
     designates every formula of ``sigma`` and none of ``disjuncts``, or
     ``None`` when the classes have none.
@@ -383,7 +385,7 @@ def class_countermodel(classes, sigma, disjuncts, widen: int = 0) -> Countermode
         result = abelian_alternative(sigma, disjuncts)
         if isinstance(result, Countermodel):
             return result
-    cm = find_chain_countermodel(class_chains(classes, k, widen), sigma, disjuncts)
+    cm = find_chain_countermodel(class_chains(classes, k), sigma, disjuncts)
     return checked_countermodel(cm, sigma, disjuncts) if isinstance(cm, Countermodel) else None
 
 
@@ -676,7 +678,6 @@ def decide(
     sigma,
     phi: Formula,
     budget: HilbertBudget | None = None,
-    widen: int = 0,
 ) -> ProofResult:
     """The one-target question ``sigma |- phi``, asked as the one-disjunct
     goal of the logic's procedure.  A proof's certificate has the weight
@@ -684,7 +685,7 @@ def decide(
     weight on ``phi`` as its scale."""
     logic = resolve_logic(logic)
     if logic.oracle_kind == "sugihara":
-        return sugihara_decide(logic, sigma, phi, widen=widen)
+        return sugihara_decide(logic, sigma, phi)
     if logic.oracle_kind != "abelian":
         return hilbert_search(logic, sigma, phi, budget=budget)
     goal = one_target(sigma, phi)

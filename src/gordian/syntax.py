@@ -115,9 +115,10 @@ class Formula(Record):
     (nodes, repeats counted) and ``multiplicative`` (no ``&``/``|`` inside).
 
     Every node kind is a plain slotted :class:`Record` that also stores its
-    hash when built.  Nodes compare by structure (:class:`Binary` without
-    recursion) and pickle by being rebuilt from their fields, so the hash is
-    recomputed in the loading process."""
+    hash when built.  Nodes compare by structure and print as records, and
+    they pickle and copy by being rebuilt (a :class:`Binary` from its
+    postorder), so the hash is recomputed in the loading process; none of
+    these recurse, so they take formulas of any depth."""
 
     __slots__ = ()
     size = 1
@@ -132,6 +133,22 @@ class Formula(Record):
 
     def __str__(self) -> str:
         return render(self)
+
+    def __repr__(self) -> str:
+        # the record text, emitted as :func:`render` emits: from a stack of
+        # strings and nodes still to write, last first
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            piece = stack.pop()
+            if type(piece) is str:
+                out.append(piece)
+            elif isinstance(piece, Binary):
+                name = type(piece).__qualname__
+                stack += (")", piece.right, ", right=", piece.left, f"{name}(left=")
+            else:
+                out.append(Record.__repr__(piece))
+        return "".join(out)
 
 
 class Var(Formula):
@@ -174,6 +191,18 @@ class Binary(Formula):
         _set(self, "_hash", hash((type(self).__name__, left, right)))
 
     __hash__ = Formula.__hash__  # defining __eq__ would unset it
+
+    def __reduce__(self):
+        # each distinct subformula once, children first, a connective by the
+        # positions of its children: flat, so pickle and deepcopy do not recurse
+        position: dict[Formula, int] = {}
+        entries: list = []
+        for node in subformulas(self):
+            position[node] = len(entries)
+            if isinstance(node, Binary):
+                node = (type(node), position[node.left], position[node.right])
+            entries.append(node)
+        return replace_leaves, (tuple(entries), {})
 
     def __eq__(self, other) -> bool:
         # without recursion; unequal hashes settle most unequal pairs, and

@@ -2,8 +2,11 @@
 
 The semantic checks here deliberately take different routes than the
 library code they validate: the Abelian goal check solves for a refuting
-valuation directly (the primal side), and the chain check evaluates the
-un-decomposed disjunction formula through the generic evaluator.
+valuation directly (the primal side), the chain check evaluates the
+un-decomposed disjunction formula over every valuation into full chains
+(:func:`brute_force_consequence`), and :func:`abelian_grid_refute`
+searches a bounded integer grid.  These are the reference semantics the
+decision procedures are validated against.
 """
 
 from __future__ import annotations
@@ -13,12 +16,21 @@ from fractions import Fraction
 from functools import reduce
 from random import Random
 
-from gordian.chains import brute_force_consequence, sugihara_chain
+from gordian.chains import eval_vector, sugihara_chain
+from gordian.density import (
+    DensityCertificate,
+    density_goal,
+    density_precondition,
+    density_transform,
+)
+from gordian.engine import DEFAULT_BUDGET, prove_disjunction
 from gordian.errors import (
     FormulaSyntaxError,
+    InvalidCertificateError,
     MissingMetavariableError,
     MissingVariableError,
     NotMultiplicativeError,
+    PreconditionFailedError,
 )
 from gordian.linalg import (
     Combination,
@@ -28,8 +40,14 @@ from gordian.linalg import (
     linear_alternative,
     translate_abelian,
 )
+from gordian.logics import resolve_logic
 from gordian.normalize import Goal
-from gordian.rand import random_mult_formula
+from gordian.oracles import (
+    Countermodel,
+    ProofResult,
+    _largest_valid_subset,
+    find_chain_countermodel,
+)
 from gordian.syntax import (
     ONE,
     ZERO,
@@ -40,14 +58,107 @@ from gordian.syntax import (
     Imp,
     MVar,
     One,
+    Record,
     Var,
     Zero,
     _tokenize,
     neg,
     plus,
     power,
+    render,
+    require_multiplicative,
     scalar,
+    variables_of,
 )
+
+
+# --- seeded random formulas ---------------------------------------------------
+
+
+def random_mult_formula(
+    rng: Random,
+    variables: list[str],
+    max_depth: int,
+    constant_weight: float = 0.2,
+) -> Formula:
+    """Random multiplicative formula (->, *, 1, 0 and variables only)."""
+    connective = lambda: rng.choice([Imp, Fuse])
+    return _random_tree(rng, variables, max_depth, 0.3, constant_weight, connective)
+
+
+def random_formula(
+    rng: Random,
+    variables: list[str],
+    max_depth: int,
+    lattice_weight: float = 0.35,
+) -> Formula:
+    """Random formula over the full language."""
+    connective = lambda: rng.choice(
+        [Conj, Disj] if rng.random() < lattice_weight else [Imp, Fuse]
+    )
+    return _random_tree(rng, variables, max_depth, 0.25, 0.2, connective)
+
+
+def _random_tree(rng, variables, max_depth, leaf_weight, constant_weight, connective) -> Formula:
+    """A tree drawn node by node in preorder, left before right: below
+    ``max_depth`` a leaf with probability ``leaf_weight`` (a constant with
+    probability ``constant_weight``, else a variable), otherwise a
+    ``connective()``; then built from the reversed preorder."""
+    preorder: list = []
+    depths = [max_depth]
+    while depths:
+        depth = depths.pop()
+        if depth and rng.random() >= leaf_weight:
+            preorder.append(connective())
+            depths += (depth - 1, depth - 1)
+        elif rng.random() < constant_weight:
+            preorder.append(rng.choice([ONE, ZERO]))
+        else:
+            preorder.append(Var(rng.choice(variables)))
+    built: list[Formula] = []
+    for item in reversed(preorder):
+        built.append(item if isinstance(item, Formula) else item(built.pop(), built.pop()))
+    return built[0]
+
+
+# --- reference semantics ---------------------------------------------------------
+
+
+def brute_force_consequence(chains, sigma, f: Formula):
+    """Exhaustively check the consequence over every valuation into each
+    chain.  Returns ``None`` if it holds, else ``(chain, valuation)``."""
+    sigma = list(sigma)
+    var_order = sorted(variables_of(sigma + [f]))
+    for chain in chains:
+        grid = list(itertools.product(chain.carrier, repeat=len(var_order)))
+        hyp_vectors = [eval_vector(chain, h, var_order, grid) for h in sigma]
+        goal_vector = eval_vector(chain, f, var_order, grid)
+        unit = chain.unit
+        for idx, point in enumerate(grid):
+            if goal_vector[idx] >= unit:
+                continue
+            if all(vec[idx] >= unit for vec in hyp_vectors):
+                return chain, dict(zip(var_order, point))
+    return None
+
+
+def abelian_grid_refute(sigma, f: Formula, bound: int):
+    """Search integer valuations in ``[-bound, bound]`` for one designating
+    every hypothesis while refuting ``f``.  Refutation-sound only: ``None``
+    proves nothing."""
+    sigma = list(sigma)
+    require_multiplicative(sigma + [f])
+    hyp_forms = [translate_abelian(h) for h in sigma]
+    goal_form = translate_abelian(f)
+    var_order = sorted(variables_of(sigma + [f]))
+    values = range(-bound, bound + 1)
+    for point in itertools.product(values, repeat=len(var_order)):
+        valuation = dict(zip(var_order, point))
+        if goal_form.evaluate(valuation) < 0 and all(
+            h.evaluate(valuation) >= 0 for h in hyp_forms
+        ):
+            return valuation
+    return None
 
 
 def conj_all(fs) -> Formula:
@@ -135,11 +246,99 @@ def iuml_chain_family(k: int, widen: int = 0):
     return [sugihara_chain(k + 1 + widen, odd=True)]
 
 
+def chain_support(chains, sigma, disjuncts) -> set[int] | None:
+    """``None`` when a point of ``chains`` refutes the goal, else the
+    largest subset of the disjuncts whose sum the chains validate: the
+    mingle procedure's two steps on chains the caller chooses."""
+    tables = find_chain_countermodel(chains, sigma, disjuncts)
+    if isinstance(tables, Countermodel):
+        return None
+    return _largest_valid_subset(tables, len(disjuncts))
+
+
+def widened(chains, widen: int):
+    """The same Sugihara chains, ``widen`` elements wider on each side."""
+    return [sugihara_chain(c.carrier[-1] + widen, odd=c.unit == 0) for c in chains]
+
+
 def goal_holds_brute_force(chains, goal: Goal) -> bool:
     disjunction: Formula = goal.clause.disjuncts[0]
     for d in goal.clause.disjuncts[1:]:
         disjunction = Disj(disjunction, d)
     return brute_force_consequence(chains, goal.hypotheses, disjunction) is None
+
+
+# --- density sampling ---------------------------------------------------------------
+
+
+class DensitySample(Record):
+    sigma: tuple[Formula, ...]
+    phi: Formula
+    psi: Formula
+    chi: Formula
+    input_result: ProofResult
+    output: DensityCertificate | None
+    error: str | None = None
+
+
+class DensityReport(Record):
+    logic: str
+    attempted: int
+    transformed: int
+    failures: tuple[DensitySample, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def check_density_property(
+    logic,
+    sample_count: int,
+    seed: int = 0,
+    budget=DEFAULT_BUDGET,
+    max_attempts: int | None = None,
+) -> DensityReport:
+    """Statistical evidence for the density rule: sample multiplicative
+    instances with a fresh middle variable, keep those whose three-disjunct
+    goal the engine proves, transform each certificate and require the
+    output to re-prove.  Failures are collected, expected none."""
+    logic = resolve_logic(logic)
+    if not density_precondition(logic, budget):
+        raise PreconditionFailedError(f"{logic.name} does not prove 1 -> 0")
+    rng = Random(seed)
+    names = ["x", "y", "z"]
+    fresh = "pfresh"
+    attempts_left = max_attempts if max_attempts is not None else 40 * sample_count
+    transformed = 0
+    attempted = 0
+    failures: list[DensitySample] = []
+    while transformed < sample_count and attempts_left > 0:
+        attempts_left -= 1
+        attempted += 1
+        phi = random_mult_formula(rng, names, rng.randint(1, 3))
+        # half the samples tie the endpoints together so provable goals stay common
+        psi = phi if rng.random() < 0.5 else random_mult_formula(rng, names, rng.randint(1, 3))
+        chi = random_mult_formula(rng, names, rng.randint(1, 2))
+        sigma = [
+            random_mult_formula(rng, names, rng.randint(1, 2))
+            for _ in range(rng.randint(0, 2))
+        ]
+        goal = density_goal(phi, psi, chi, fresh, sorted(set(sigma), key=render))
+        result = prove_disjunction(logic, goal, budget)
+        if result.status != "proved":
+            continue
+        try:
+            out = density_transform(
+                logic, goal.hypotheses, phi, psi, chi, fresh, result.certificate, budget
+            )
+        except InvalidCertificateError as exc:
+            failures.append(
+                DensitySample(goal.hypotheses, phi, psi, chi, result, None, str(exc))
+            )
+            continue
+        transformed += 1
+    return DensityReport(logic.name, attempted, transformed, tuple(failures))
 
 
 def replace(record, **changes):

@@ -3,10 +3,10 @@ from random import Random
 
 import pytest
 
+from helpers import abelian_grid_refute, brute_force_consequence, random_mult_formula
+
 from gordian.chains import (
     ChainAlgebra,
-    abelian_grid_refute,
-    brute_force_consequence,
     canonical_grid,
     chain_from_name,
     eval_abelian,
@@ -16,7 +16,6 @@ from gordian.chains import (
 )
 from gordian.errors import MissingVariableError, NotMultiplicativeError
 from gordian.linalg import translate_abelian
-from gordian.rand import random_mult_formula
 from gordian.syntax import parse
 
 

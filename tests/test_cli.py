@@ -178,22 +178,26 @@ def test_output_deterministic(tmp_path, capsys):
 
 
 def test_chain_bound_flag(tmp_path, capsys):
-    problem = write(tmp_path, "p.txt", "logic IUMLm\nprove p | ~p\n")
-    code, out, _ = run(capsys, "prove", problem, "--chain-bound", "2")
-    assert code == 0
-    assert "sugihara_odd_4" in out  # half-width k+1+2 at k=1
+    # the decision chains are complete at their one width, so there is no
+    # option to widen them: the flag is a usage error, never a verdict
+    problem = write(tmp_path, "p.txt", "logic IUMLm\nassume p * r\nprove p\n")
+    code, out, _ = run(capsys, "prove", problem)
+    assert code == 1 and "sugihara_odd_3" in out  # half-width k+1 at k=2
+    code, out, err = run(capsys, "prove", problem, "--chain-bound", "1")
+    assert (code, out) == (3, "")
+    assert "unrecognized arguments: --chain-bound 1" in err, err
 
 
 def test_negative_chain_bound_is_an_error_not_a_verdict(tmp_path, capsys):
-    # narrower chains lose completeness: at bound -2 this refutable
-    # consequence used to come out "proved"
+    # narrower chains lose completeness: a negative bound once turned this
+    # refutable consequence into "proved"; any bound is now a usage error
     problem = write(tmp_path, "p.txt", "logic IUMLm\nassume p * r\nprove p\n")
     code, out, _ = run(capsys, "prove", problem)
     assert code == 1
     for bound in ("-1", "-2", "-3"):
         code, out, err = run(capsys, "prove", problem, "--chain-bound", bound)
         assert (code, out) == (3, ""), bound
-        assert err.startswith("error: chain widening must be at least 0"), err
+        assert "unrecognized arguments: --chain-bound" in err, err
 
 
 def test_derivation_serialization_format(tmp_path, capsys):

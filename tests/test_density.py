@@ -1,7 +1,8 @@
 import pytest
 
+from helpers import check_density_property
+
 from gordian.density import (
-    check_density_property,
     density_goal,
     density_precondition,
     density_transform,

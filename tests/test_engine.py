@@ -5,8 +5,10 @@ import pytest
 
 from helpers import (
     abelian_goal_countermodel,
+    brute_force_consequence,
     goal_holds_brute_force,
     iuml_chain_family,
+    random_formula,
     random_goal,
     rmt_chain_family,
 )
@@ -14,10 +16,8 @@ from helpers import (
 from gordian.engine import (
     DEFAULT_BUDGET,
     EngineBudget,
-    check_excluded_middle,
-    check_expansion,
+    _prove_deepening,
     combination_formula,
-    expand_combination,
     prove_consequence,
     prove_disjunction,
 )
@@ -31,7 +31,6 @@ from gordian.oracles import (
     class_countermodel,
     countermodel_refutes,
     decide,
-    decision_chains,
     hilbert_search,
     sugihara_decide,
     verify_linear_witness,
@@ -83,6 +82,24 @@ def test_combination_formula_shape():
         combination_formula((0, 0, 0), disjuncts)
     with pytest.raises(InvalidCertificateError):
         combination_formula((1, -1, 0), disjuncts)
+    # one weight per disjunct
+    for lambdas in ((1,), (1, 0, 2, 1)):
+        with pytest.raises(InvalidCertificateError):
+            combination_formula(lambdas, disjuncts)
+
+
+def test_expand_rejects_mismatched_certificates():
+    from gordian.oracles import ChainExhaustiveWitness, ToACertificate
+
+    # a certificate's weights are combined over the goal's own disjuncts:
+    # the wrong number of weights, or all-zero weights, is rejected
+    goal = goal_of([], ["p", "~p"])
+    for cert in (
+        ToACertificate((1,), ChainExhaustiveWitness(())),
+        ToACertificate((0, 0), ChainExhaustiveWitness(())),
+    ):
+        with pytest.raises(InvalidCertificateError):
+            combination_formula(cert.lambdas, goal.clause.disjuncts)
 
 
 def test_prove_consequence_examples():
@@ -103,7 +120,19 @@ def test_consequence_aggregates_goals():
 
 def test_excluded_middle_all_logics():
     for name in ("A", "RMt", "IUMLm", "BIULm"):
-        assert check_excluded_middle(name).ok, name
+        for text in ("p | ~p", "0 -> 1"):
+            assert prove_consequence(name, [], parse(text)).status == "proved", (name, text)
+
+
+def test_dispatch_is_by_oracle_kind():
+    # p * p -> p is a mingle theorem that Z refutes (p = 1): the procedure
+    # is the logic's own, and no caller can pick another
+    goal = goal_of([], ["p * p -> p"])
+    for logic, status in (("RMt", "proved"), ("IUMLm", "proved"), ("A", "refuted")):
+        assert prove_disjunction(logic, goal).status == status, logic
+        assert prove_consequence(logic, [], parse("p * p -> p")).status == status, logic
+    with pytest.raises(TypeError):
+        prove_disjunction("RMt", goal, strategy="linear")
 
 
 def test_abelian_completeness_against_semantic_lp():
@@ -179,20 +208,6 @@ def test_decide_is_the_one_disjunct_goal():
         assert {"proved", "refuted"} <= statuses, logic
 
 
-def test_negative_widening_is_rejected():
-    # narrower decision chains lose completeness: in IUMLm, p * r |- p is
-    # refuted, but at widening -2 it used to come out proved
-    hyps, target = [parse("p * r")], parse("p")
-    for logic in ("RMt", "IUMLm"):
-        for widen in (-1, -2):
-            with pytest.raises(ValueError):
-                decision_chains(logic, 2, widen)
-            with pytest.raises(ValueError):
-                sugihara_decide(logic, hyps, target, widen=widen)
-            with pytest.raises(ValueError):
-                prove_consequence(logic, hyps, target, EngineBudget(widen=widen))
-
-
 def test_nonpositive_weight_cap_is_rejected():
     # with no weight vector to try, a theorem would come out unknown
     for cap in (0, -1):
@@ -211,7 +226,7 @@ def test_mingle_collapse_general_vs_subset():
         for logic, chains in families.items():
             goal = random_goal(rng, max_disjuncts=4, max_depth=3)
             subset = prove_disjunction(logic, goal)
-            general = prove_disjunction(logic, goal, strategy="deepening")
+            general = _prove_deepening(lookup_logic(logic), goal, DEFAULT_BUDGET)
             brute = goal_holds_brute_force(chains, goal)
             assert subset.status == general.status
             assert (subset.status == "proved") == brute
@@ -252,57 +267,6 @@ def test_proved_certificates_reverify():
                 )
 
 
-def test_expand_combination_examples():
-    goal = goal_of([], ["p", "~p"])
-    result = prove_disjunction("RMt", goal)
-    sketch = expand_combination(result.certificate, goal)
-    assert sketch.final == goal.clause.disjuncts
-    assert check_expansion(result.certificate, goal, sketch)
-
-    # lambda = (1, 0): weaken the unused disjunct in
-    from gordian.engine import ToACertificate
-    from gordian.oracles import ChainExhaustiveWitness
-
-    goal2 = goal_of([], ["p -> p", "q"])
-    cert2 = ToACertificate((1, 0), ChainExhaustiveWitness(("sugihara_odd_1",)))
-    sketch2 = expand_combination(cert2, goal2)
-    assert [s.rule for s in sketch2.steps] == ["weaken"]
-    assert check_expansion(cert2, goal2, sketch2)
-
-    # lambda = (2, 0): two copies, dedupe, then weaken
-    cert3 = ToACertificate((2, 0), ChainExhaustiveWitness(("sugihara_odd_1",)))
-    sketch3 = expand_combination(cert3, goal2)
-    rules = [s.rule for s in sketch3.steps]
-    assert "sum_split" in rules and "dedupe" in rules and "weaken" in rules
-    assert check_expansion(cert3, goal2, sketch3)
-
-
-def test_expand_rejects_mismatched_certificates():
-    from gordian.engine import ToACertificate
-    from gordian.oracles import ChainExhaustiveWitness
-
-    goal = goal_of([], ["p", "~p"])
-    with pytest.raises(InvalidCertificateError):
-        expand_combination(
-            ToACertificate((1,), ChainExhaustiveWitness(())), goal
-        )
-    with pytest.raises(InvalidCertificateError):
-        expand_combination(
-            ToACertificate((0, 0), ChainExhaustiveWitness(())), goal
-        )
-
-
-def test_expansion_random_certificates():
-    rng = Random(515)
-    for _ in range(60):
-        goal = random_goal(rng, max_depth=3)
-        result = prove_disjunction("A", goal)
-        if result.status != "proved":
-            continue
-        sketch = expand_combination(result.certificate, goal)
-        assert check_expansion(result.certificate, goal, sketch)
-
-
 def test_biul_deepening_finds_certificates():
     goal = goal_of([], ["p", "~p"])
     result = prove_disjunction("BIULm", goal)
@@ -325,9 +289,6 @@ def test_end_to_end_against_chain_semantics():
     # full pipeline (normalizer + engine + oracle) vs direct evaluation
     from random import Random
 
-    from helpers import iuml_chain_family
-    from gordian.chains import brute_force_consequence
-    from gordian.rand import random_formula
 
     rng = Random(303030)
     for _ in range(60):
@@ -347,7 +308,6 @@ def test_end_to_end_abelian_grid_consistency():
     from random import Random
 
     from gordian.chains import eval_abelian
-    from gordian.rand import random_formula
     from gordian.syntax import variables_of
     import itertools
 
@@ -443,8 +403,8 @@ def test_deepening_agrees_with_linear_on_abelian_goals():
     statuses = set()
     for _ in range(200):
         goal = random_goal(rng, max_disjuncts=2, max_depth=3)
-        linear = prove_disjunction("A", goal, strategy="linear")
-        deepening = prove_disjunction("A", goal, strategy="deepening")
+        linear = prove_disjunction("A", goal)
+        deepening = _prove_deepening(lookup_logic("A"), goal, DEFAULT_BUDGET)
         assert linear.status == deepening.status, goal.render()
         assert linear.countermodel == deepening.countermodel
         statuses.add(linear.status)

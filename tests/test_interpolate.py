@@ -4,6 +4,8 @@ from random import Random
 
 import pytest
 
+from helpers import random_mult_formula
+
 from gordian.chains import eval_vector
 from gordian.engine import prove_consequence
 from gordian.errors import EnumerationBudgetExceededError, UnsupportedLogicError
@@ -15,7 +17,6 @@ from gordian.interpolate import (
 )
 from gordian.logics import lookup_logic
 from gordian.oracles import decision_chains, sugihara_decide
-from gordian.rand import random_mult_formula
 from gordian.syntax import ONE, ZERO, Fuse, Imp, Var, parse, render, variables_of
 
 

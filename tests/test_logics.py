@@ -5,7 +5,7 @@ import pytest
 from helpers import meta_to_vars, replace
 
 from gordian.chains import eval_abelian, eval_formula, sugihara_chain
-from gordian.engine import prove_consequence, prove_disjunction
+from gordian.engine import DEFAULT_BUDGET, _prove_deepening, prove_consequence
 from gordian.errors import GordianError, MissingMetavariableError, UnknownLogicError
 from gordian.logics import (
     AxiomSchema,
@@ -224,7 +224,7 @@ def test_unsound_declaration_is_rejected(name, classes, failing):
     # the check runs before the first refutation from the declared classes
     goal = Goal.of([], [parse("p * q -> p")])
     with pytest.raises(GordianError, match=failing):
-        prove_disjunction(spec, goal, strategy="deepening")
+        _prove_deepening(spec, goal, DEFAULT_BUDGET)
 
 
 def test_unknown_model_class_is_rejected():

@@ -4,7 +4,13 @@ from random import Random
 
 import pytest
 
-from helpers import conj_all, disj_all, iuml_chain_family
+from helpers import (
+    brute_force_consequence,
+    conj_all,
+    disj_all,
+    iuml_chain_family,
+    random_formula,
+)
 
 from gordian.chains import eval_abelian, eval_formula, sugihara_chain
 from gordian.errors import SizeBudgetExceededError
@@ -18,7 +24,6 @@ from gordian.normalize import (
     decompose_consequence,
     to_mult_clauses,
 )
-from gordian.rand import random_formula
 from gordian.syntax import Conj, Disj, parse, render, variables, variables_of
 
 
@@ -184,7 +189,6 @@ def test_decomposition_preserves_consequence_semantics():
     rng = Random(77)
     chains = iuml_chain_family(3)
     from helpers import goal_holds_brute_force
-    from gordian.chains import brute_force_consequence
 
     for _ in range(60):
         sigma = [random_formula(rng, ["p", "q"], rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]

@@ -3,15 +3,22 @@ from random import Random
 
 import pytest
 
-from helpers import rmt_chain_family
+from helpers import (
+    abelian_grid_refute,
+    brute_force_consequence,
+    chain_support,
+    random_mult_formula,
+    rmt_chain_family,
+    widened,
+)
 
 from gordian import EngineBudget, HilbertBudget, oracles, prove_consequence
 
-from gordian.chains import abelian_grid_refute, brute_force_consequence
 from gordian.errors import NotMultiplicativeError
-from gordian.logics import instantiate
+from gordian.logics import instantiate, lookup_logic
 from gordian.oracles import (
     Countermodel,
+    class_chains,
     countermodel_refutes,
     decide,
     decision_chains,
@@ -20,8 +27,7 @@ from gordian.oracles import (
     verify_derivation,
     verify_linear_witness,
 )
-from gordian.rand import random_mult_formula
-from gordian.syntax import Imp, metavariables, parse, render
+from gordian.syntax import Imp, metavariables, parse, render, variables_of
 
 
 def test_abelian_examples():
@@ -93,10 +99,12 @@ def test_sugihara_stable_under_widening():
         sigma = [random_mult_formula(rng, ["p", "q", "r"], rng.randint(1, 3))
                  for _ in range(rng.randint(0, 2))]
         phi = random_mult_formula(rng, ["p", "q", "r"], rng.randint(1, 4))
+        k = len(variables_of(sigma + [phi]))
         for logic in ("RMt", "IUMLm"):
-            base = sugihara_decide(logic, sigma, phi, widen=0)
-            wide = sugihara_decide(logic, sigma, phi, widen=2)
-            assert base.status == wide.status
+            chains = class_chains(lookup_logic(logic).model_classes, k)
+            base = chain_support(chains, sigma, [phi])
+            assert base == chain_support(widened(chains, 2), sigma, [phi])
+            assert (sugihara_decide(logic, sigma, phi).status == "proved") == bool(base)
 
 
 def test_decision_chain_sizes():

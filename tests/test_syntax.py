@@ -9,13 +9,14 @@ from random import Random
 
 import pytest
 
+from helpers import random_formula, random_mult_formula
+
 from gordian.engine import EngineBudget, prove_consequence
 from gordian.errors import ArityError, FormulaSyntaxError, NotMultiplicativeError
 from gordian.linalg import Combination, IntMatrix, Kernel, LinForm, StrictDual
 from gordian.logics import AxiomFamily, knotted_logic, lookup_logic
 from gordian.normalize import Goal, MultClause
 from gordian.oracles import Countermodel, HilbertBudget, LinearWitness, ToACertificate
-from gordian.rand import random_formula, random_mult_formula
 from gordian.syntax import (
     Conj,
     Disj,
@@ -435,7 +436,7 @@ def test_record_reprs():
         "Countermodel(chain='Z', valuation=(('p', -1), ('q', 1)))"
     )
     assert repr(EngineBudget()) == (
-        "EngineBudget(lambda_cap=16, widen=0, max_literals=4096, max_goals=4096, "
+        "EngineBudget(lambda_cap=16, max_literals=4096, max_goals=4096, "
         "hilbert=HilbertBudget(max_lines=4000, max_instances=12000, pool_limit=28, "
         "max_term_size=None, family_bound=8, u_bound=16))"
     )

@@ -1,6 +1,8 @@
 """The formula walkers are loops: they agree with the recursive walkers they
 replaced (kept in ``helpers``) and take inputs of any depth."""
 
+import copy
+import pickle
 from collections import Counter
 from random import Random
 
@@ -22,8 +24,8 @@ from gordian.engine import _compositions
 from gordian.errors import GordianError
 from gordian.linalg import translate_abelian
 from gordian.logics import AxiomSchema, instantiate, match_template
-from gordian.normalize import _Budget, _cnf, _push, to_mult_clauses
-from gordian.oracles import hilbert_search, verify_derivation
+from gordian.normalize import Goal, _Budget, _cnf, _push, to_mult_clauses
+from gordian.oracles import ProofResult, hilbert_search, verify_derivation
 from gordian.syntax import (
     MVar,
     Var,
@@ -200,6 +202,10 @@ def test_walkers_take_any_depth(name):
     assert eval_vector(chain, f, ["p"], [(1,)]) == [value]
     assert eval_abelian(f, {"p": 1}) == translate_abelian(f).evaluate({"p": 1})
     assert [c.disjuncts for c in to_mult_clauses(f)] == [(f,)]
+    assert pickle.loads(pickle.dumps(f)) == f
+    assert copy.deepcopy(f) == f
+    text = repr(ProofResult("unknown", Goal.of([], [f]), reason="deep"))
+    assert f"disjuncts=({f!r},)" in text
 
 
 def test_long_derivations_and_weight_vectors():
