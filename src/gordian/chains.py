@@ -12,11 +12,18 @@ contain the self-inverting element 0, which is both the monoid unit and
 the interpretation of the constant 0; even chains interpret the unit as 1
 and the constant 0 as -1.
 
+The decision procedures evaluate on a chain's canonical grid
+(:func:`canonical_grid`), bit-sliced: a formula's planes map each value it
+takes to a Python integer whose bit j is set iff it takes that value at
+grid point j, and each connective is a few integer operations per level of
+absolute values (:func:`eval_planes`), whatever the number of points.
+
 The integers themselves (with fusion as addition and both constants as 0)
 serve as the reference model for the Abelian reading; they are exposed here
 through :func:`eval_abelian`.  The evaluators are one :func:`syntax.fold`
-with their own operation tables: at a point of a chain, on columns of grid
-values (:func:`eval_vector`) and in the integers.
+with their own operation tables: at a point of a chain, on planes of a
+canonical grid, on columns of point values (:func:`eval_vector`, the test
+suite's reference) and in the integers.
 """
 
 from __future__ import annotations
@@ -135,9 +142,10 @@ def chain_from_name(name: str) -> ChainAlgebra:
     raise ValueError(f"unknown chain {name!r}")
 
 
-def _evaluate(f: Formula, valuation, unit: int, zero: int, connective) -> int:
+def _evaluate(f: Formula, valuation, unit, zero, connective, values=None):
     """The value of ``f`` at ``valuation``, the constants read as ``unit``
-    and ``zero``, in the algebra whose operations ``connective`` gives."""
+    and ``zero``, in the algebra whose operations ``connective`` gives
+    (``values`` as in :func:`syntax.fold`)."""
 
     def leaf(node: Formula) -> int:
         if isinstance(node, Var):
@@ -151,7 +159,7 @@ def _evaluate(f: Formula, valuation, unit: int, zero: int, connective) -> int:
             return zero
         raise TypeError(f"cannot evaluate {node!r}")
 
-    return fold(f, leaf, connective)
+    return fold(f, leaf, connective, values)
 
 
 def eval_formula(chain: ChainAlgebra, valuation, f: Formula) -> int:
@@ -181,7 +189,35 @@ def eval_vector(chain: ChainAlgebra, f: Formula, var_order, grid) -> list[int]:
 CACHED_GRID_MAX_VARS = 4
 
 
-def canonical_grid(chain: ChainAlgebra, k: int) -> tuple[tuple[int, ...], ...]:
+class CanonicalGrid:
+    """The canonical points of a Sugihara chain for ``k`` variables, in
+    order, bit-sliced: point j is bit j of every mask.  ``planes[i]`` maps
+    each value variable i takes to the mask of the points where it takes
+    it; ``codes[i][j]`` is that value at point j plus ``offset``, to decode
+    a point from its index.  ``full`` has a bit per point.  As a sequence,
+    the grid reads as the points' value tuples.  Grids of up to
+    ``CACHED_GRID_MAX_VARS`` variables are shared, so no caller changes
+    their planes (the plane operations build new ones)."""
+
+    __slots__ = ("size", "full", "planes", "codes", "offset")
+
+    def __init__(self, size: int, planes, codes, offset: int):
+        self.size, self.full = size, (1 << size) - 1
+        self.planes, self.codes, self.offset = tuple(planes), tuple(codes), offset
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, j: int) -> tuple[int, ...]:
+        if not 0 <= j < self.size:
+            raise IndexError(j)
+        return tuple(code[j] - self.offset for code in self.codes)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self.size))
+
+
+def canonical_grid(chain: ChainAlgebra, k: int) -> CanonicalGrid:
     """Valuations of ``k`` variables into a Sugihara chain, one per class
     of valuations equal up to relabelling the absolute-value levels.
 
@@ -196,21 +232,24 @@ def canonical_grid(chain: ChainAlgebra, k: int) -> tuple[tuple[int, ...], ...]:
     chain iff it holds at the canonical points: those whose levels, with 1
     added on even chains, are exactly ``1..m`` (plus 0) for some ``m``.
 
-    The points are generated directly: the level patterns, pruning any
-    prefix whose skipped levels outnumber the variables left to fill them,
-    then the signs.
+    The level patterns are generated directly, pruning any prefix whose
+    skipped levels outnumber the variables left to fill them; each pattern
+    owns a block of points, one per choice of signs, and each variable's
+    masks are read off those blocks without visiting a point.
     """
     odd = chain.unit == 0
     half_width = chain.carrier[-1]
     reference = sugihara_chain(half_width, odd=odd)
-    if chain.carrier != reference.carrier or chain._fuse != reference._fuse:
+    if chain is not reference and (
+        chain.carrier != reference.carrier or chain._fuse != reference._fuse
+    ):
         raise ValueError(f"{chain.name} is not a Sugihara chain")
     if k <= CACHED_GRID_MAX_VARS:
         return _cached_sugihara_grid(half_width, odd, k)
     return _sugihara_grid(half_width, odd, k)
 
 
-def _sugihara_grid(half_width: int, odd: bool, k: int) -> tuple[tuple[int, ...], ...]:
+def _sugihara_grid(half_width: int, odd: bool, k: int) -> CanonicalGrid:
     # Level patterns first (absolute values, in lexicographic order), then
     # every choice of signs for each.  A pattern's state is the bit mask of
     # its levels >= 1 (level 1 preset on even chains) and its highest level.
@@ -225,25 +264,144 @@ def _sugihara_grid(half_width: int, odd: bool, k: int) -> tuple[tuple[int, ...],
                 if highest - grown.bit_count() <= left:  # skipped levels
                     extended.append((prefix + (level,), grown, highest))
         patterns = extended
-    signs = {level: (-level, level) if level else (0,) for level in levels}
-    points: list[tuple[int, ...]] = []
+    # A pattern with z nonzero levels owns 2**z points, in the order of
+    # their signs with negative first, its first signed variable's sign the
+    # most significant bit of the point's place in the block.
+    pieces: list[list[bytes]] = [[] for _ in range(k)]
+    size = 0
     for pattern, _, _ in patterns:
-        points.extend(itertools.product(*(signs[level] for level in pattern)))
-    return tuple(points)
+        z = k - pattern.count(0)
+        bit = z
+        for level, piece in zip(pattern, pieces):
+            if level:
+                bit -= 1
+            piece.append(_sign_block(z, bit, level, half_width))
+        size += 1 << z
+    codes = [b"".join(piece) for piece in pieces]
+    carrier = sugihara_chain(half_width, odd=odd).carrier
+    planes = [_value_planes(code, carrier, half_width) for code in codes]
+    return CanonicalGrid(size, planes, codes, half_width)
 
 
 _cached_sugihara_grid = lru_cache(maxsize=None)(_sugihara_grid)
 
 
-def designated_points(chain: ChainAlgebra, sigma, var_order) -> list[tuple[int, ...]]:
-    """The canonical-grid valuations (tuples over ``var_order``) that
-    designate every formula in ``sigma``."""
-    points = canonical_grid(chain, len(var_order))
-    unit = chain.unit
+@lru_cache(maxsize=None)
+def _sign_block(z: int, bit: int, level: int, offset: int) -> bytes:
+    """A variable's codes over a pattern's block of 2**z points: ``level``
+    where the block index has ``bit`` set, ``-level`` where not."""
+    return bytes(offset + (level if s >> bit & 1 else -level) for s in range(1 << z))
+
+
+def _value_planes(code: bytes, values, offset: int) -> dict[int, int]:
+    """The mask of each value in ``code``: one mask per bit of the codes,
+    read as a binary numeral (last point first), then one intersection per
+    value."""
+    full = (1 << len(code)) - 1
+    bits = []
+    for b in range((values[-1] + offset).bit_length()):
+        digit = bytes(48 + (c >> b & 1) for c in range(256))  # code -> "0" or "1"
+        bits.append(int(code.translate(digit)[::-1], 2))
+    planes = {}
+    for value in values:
+        points = full
+        for b, plane in enumerate(bits):
+            points &= plane if (value + offset) >> b & 1 else ~plane
+        if points:
+            planes[value] = points
+    return planes
+
+
+# --- bit-sliced evaluation -----------------------------------------------------
+#
+# A formula's planes on a canonical grid map each value it takes to the mask
+# of the points where it takes it.  The Sugihara operations work on the
+# masks a value (or a level of absolute values) at a time, against running
+# masks of the points where an argument lies below it.
+
+
+def fuse_planes(a: dict, b: dict) -> dict:
+    """Fusion: the argument of larger absolute value, ties to the meet."""
+    out = {}
+    a_below = b_below = 0
+    for level in sorted({abs(v) for v in a.keys() | b.keys()}):
+        an, bn = a.get(-level, 0), b.get(-level, 0)
+        ap, bp = (a.get(level, 0), b.get(level, 0)) if level else (0, 0)
+        a_upto, b_upto = a_below | an | ap, b_below | bn | bp
+        negative = an & b_upto | bn & a_upto
+        positive = ap & (b_below | bp) | bp & a_below
+        if negative:
+            out[-level] = negative
+        if positive:
+            out[level] = positive
+        a_below, b_below = a_upto, b_upto
+    return out
+
+
+def _negate(a: dict) -> dict:
+    return {-v: points for v, points in a.items()}
+
+
+def imp_planes(a: dict, b: dict) -> dict:
+    """``a -> b`` is ``~(a * ~b)``, and negation maps v to -v."""
+    return _negate(fuse_planes(a, _negate(b)))
+
+
+def sum_planes(a: dict, b: dict) -> dict:
+    """``a + b`` is ``~(~a * ~b)``: the argument of larger absolute value,
+    ties to the join."""
+    return _negate(fuse_planes(_negate(a), _negate(b)))
+
+
+def meet_planes(a: dict, b: dict) -> dict:
+    """The meet: at each point the value one argument reaches first going
+    up the chain."""
+    out = {}
+    a_below = b_below = 0
+    for v in sorted(a.keys() | b.keys()):
+        av, bv = a.get(v, 0), b.get(v, 0)
+        points = av & ~b_below | bv & ~a_below
+        if points:
+            out[v] = points
+        a_below |= av
+        b_below |= bv
+    return out
+
+
+def join_planes(a: dict, b: dict) -> dict:
+    """The join, through the order-reversing negation."""
+    return _negate(meet_planes(_negate(a), _negate(b)))
+
+
+PLANE_OPERATIONS = {Conj: meet_planes, Disj: join_planes, Fuse: fuse_planes, Imp: imp_planes}
+
+
+def eval_planes(chain: ChainAlgebra, f: Formula, var_order, grid: CanonicalGrid, values=None):
+    """The planes of ``f`` on ``grid``, the canonical grid of ``chain``
+    over ``var_order``: :func:`eval_formula` on masks, O(levels) integer
+    operations per node.  ``values`` is :func:`syntax.fold`'s memo, shared
+    by the caller across formulas built from one another."""
+    columns = dict(zip(var_order, grid.planes))
+    unit, zero = {chain.unit: grid.full}, {chain.zero: grid.full}
+    return _evaluate(f, columns, unit, zero, PLANE_OPERATIONS, values)
+
+
+def designated_mask(chain: ChainAlgebra, planes: dict) -> int:
+    """The points at which ``planes`` take a designated value."""
+    mask = 0
+    for value, points in planes.items():
+        if value >= chain.unit:
+            mask |= points
+    return mask
+
+
+def kept_mask(chain: ChainAlgebra, sigma, var_order, grid: CanonicalGrid) -> int:
+    """The points of ``grid`` at which every formula of ``sigma`` is
+    designated."""
+    kept = grid.full
     for h in sigma:
-        values = eval_vector(chain, h, var_order, points)
-        points = [point for point, value in zip(points, values) if value >= unit]
-    return list(points)
+        kept &= designated_mask(chain, eval_planes(chain, h, var_order, grid))
+    return kept
 
 
 # --- the Abelian reference model ---------------------------------------------

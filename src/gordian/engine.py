@@ -10,7 +10,8 @@ hypotheses in the multiplicative fragment, or by exhibiting a countermodel.
   both directions at once: its combination gives ``lambda`` and the
   hypotheses' weights, its separation the integer countermodel.
 * Mingle logics: :func:`oracles.prove_subsets`, ``lambda`` over 0/1
-  vectors, from one value table per decision chain.
+  vectors, from the bit-sliced planes of one canonical grid per decision
+  chain.
 * Everything else: first a countermodel in the model classes the logic
   is sound for (:func:`oracles.class_countermodel`: Z through the same LP
   separation, then Sugihara chains), then iterative deepening on

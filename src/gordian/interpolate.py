@@ -15,8 +15,9 @@ Multiplicative level:
   decision chains for X, each candidate's table computed from its two
   children's through the chain's fusion and implication tables.  A class
   is kept when its representative is designated at every point of the
-  hypotheses' canonical grids (one per decision chain, built once) that
-  designates all hypotheses.
+  hypotheses' canonical grids (one per decision chain) that designates
+  all hypotheses: mask arithmetic on the grids' planes, one plane
+  operation per representative, as each is built from earlier ones.
 
 Full-language hypotheses reduce to the multiplicative level by splitting
 conjunctions, recursing over disjunctive clauses, and joining the two
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 
-from .chains import designated_points, eval_vector
+from .chains import canonical_grid, designated_mask, eval_planes, eval_vector, kept_mask
 from .engine import DEFAULT_BUDGET, EngineBudget, prove_consequence
 from .errors import (
     EnumerationBudgetExceededError,
@@ -113,17 +114,18 @@ def _mult_interpolant(
             )
         reps = _enumerate_classes(logic, sorted(x_vars), depth, class_cap)
         var_order = sorted(variables_of(sigma))
-        tables = [
-            (chain, designated_points(chain, sigma, var_order))
-            for chain in decision_chains(logic, len(var_order))
-        ]
+        filters = []
+        for chain in decision_chains(logic, len(var_order)):
+            grid = canonical_grid(chain, len(var_order))
+            filters.append((chain, grid, kept_mask(chain, sigma, var_order, grid), {}))
+        # Each representative is a fusion or implication of earlier ones, so
+        # with one memo per chain, in their order, each costs one operation.
         kept = [
             f
             for f in reps
-            if all(
-                value >= chain.unit
-                for chain, points in tables
-                for value in eval_vector(chain, f, var_order, points)
+            if not any(
+                kept & ~designated_mask(chain, eval_planes(chain, f, var_order, grid, memo))
+                for chain, grid, kept, memo in filters
             )
         ]
         return sorted(kept, key=render)

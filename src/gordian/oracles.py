@@ -12,9 +12,11 @@ asks each the one-disjunct question ``sigma |- phi``:
 * ``sugihara`` (the mingle logics): :func:`prove_subsets`, weights over 0/1
   vectors.  The goal is evaluated once per decision chain over its
   canonical grid (:func:`chains.canonical_grid`, one valuation per class of
-  valuations equal up to relabelling absolute-value levels); a point
-  designating no disjunct is the countermodel, otherwise greedy
-  elimination over the same value table gives the largest valid subset.
+  valuations equal up to relabelling absolute-value levels), bit-sliced:
+  each formula's planes hold one mask of grid points per value.  A kept
+  point (one designating every hypothesis) that designates no disjunct is
+  the countermodel; otherwise greedy elimination against the masks of the
+  disjuncts' running sum gives the largest valid subset.
 * ``hilbert``: :func:`hilbert_search`, budgeted forward saturation over
   axiom-schema instances with modus ponens and the unperforated rule, for
   one target at a time; proved or unknown, never refuted.
@@ -30,16 +32,20 @@ is checked against the logic's multiplicative axioms and rules
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .chains import (
     ChainAlgebra,
+    canonical_grid,
     chain_from_name,
-    designated_points,
+    designated_mask,
     eval_abelian,
     eval_formula,
-    eval_vector,
+    eval_planes,
+    join_planes,
+    kept_mask,
     sugihara_chain,
+    sum_planes,
 )
 from .errors import InvalidCertificateError, UnsoundModelClassError, UnsupportedLogicError
 from .linalg import Combination, LinForm, linear_alternative, translate_abelian
@@ -58,6 +64,7 @@ from .syntax import (
     render,
     scalar,
     subformulas,
+    variables,
     variables_of,
 )
 
@@ -233,50 +240,55 @@ def decision_chains(logic: LogicSpec | str, k: int) -> list[ChainAlgebra]:
     return chains
 
 
-def refuting_point(chain: ChainAlgebra, points, rows):
-    """The first point at which no disjunct is designated, or ``None``."""
-    unit = chain.unit
-    for point, values in zip(points, rows):
-        if max(values, default=unit - 1) < unit:
-            return point
-    return None
+def refuting_point(chain: ChainAlgebra, grid, join):
+    """The first point of ``grid`` at which ``join``, the planes of the
+    disjuncts' join at the kept points, is undesignated, or ``None``."""
+    mask = 0
+    for value, points in join.items():
+        if value < chain.unit:
+            mask |= points
+    return grid[(mask & -mask).bit_length() - 1] if mask else None
 
 
 def find_chain_countermodel(chains, sigma, disjuncts):
     """The first canonical valuation, over the given chains in turn, that
     designates all of ``sigma`` and none of ``disjuncts``.  When there is
-    none, the value tables that show it: per chain, ``(chain, points,
-    rows)``, the canonical points (tuples over the sorted variables) that
-    designate all of ``sigma`` and the disjuncts' values at each.  Each
-    formula is evaluated once per chain, at the points that survived the
-    hypotheses before it."""
+    none, the masks that show it: per chain, ``(chain, grid, kept,
+    planes)``, its canonical grid over the sorted variables, the mask of
+    the points that designate all of ``sigma`` and the disjuncts' planes.
+    Each formula is evaluated once per chain."""
     sigma, disjuncts = tuple(sigma), tuple(disjuncts)
     var_order = sorted(variables_of(sigma + disjuncts))
     tables = []
     for chain in chains:
-        points = designated_points(chain, sigma, var_order)
-        columns = [eval_vector(chain, d, var_order, points) for d in disjuncts]
-        rows = list(zip(*columns)) if columns else [()] * len(points)
-        point = refuting_point(chain, points, rows)
+        grid = canonical_grid(chain, len(var_order))
+        kept = kept_mask(chain, sigma, var_order, grid)
+        planes = [eval_planes(chain, d, var_order, grid) for d in disjuncts]
+        join = reduce(join_planes, planes, {chain.carrier[0]: grid.full})
+        point = refuting_point(chain, grid, {v: m & kept for v, m in join.items()})
         if point is not None:
             return Countermodel.of(chain.name, dict(zip(var_order, point)))
-        tables.append((chain, points, rows))
+        tables.append((chain, grid, kept, planes))
     return tables
 
 
 def prove_subsets(logic: LogicSpec, goal: Goal) -> ProofResult:
     """The mingle logics' procedure: weights over 0/1 vectors (subset
-    form), settled from one value table per decision chain.
+    form), settled from the planes of one canonical grid per decision
+    chain.
 
-    The hypotheses are evaluated over each chain's canonical grid, and the
-    disjuncts at the points that designate them all (the kept points).  A
-    kept point designating no disjunct is a countermodel.  Otherwise the
-    largest valid subset is found by greedy elimination
-    (:func:`_largest_valid_subset`), and its combination formula is
-    evaluated at the kept points before it is certified.
+    The hypotheses are evaluated over each chain's canonical grid, giving
+    the mask of the points that designate them all (the kept points), and
+    the disjuncts over the same grid.  A kept point designating no
+    disjunct is a countermodel.  Otherwise the largest valid subset is
+    found by greedy elimination (:func:`_largest_valid_subset`), and its
+    combination formula is evaluated at the kept points before it is
+    certified.
     """
     hyps, disjuncts = goal.hypotheses, goal.clause.disjuncts
-    var_order = sorted(variables_of(hyps + disjuncts))
+    hyp_vars = variables_of(hyps)
+    disjunct_vars = [variables(d) for d in disjuncts]
+    var_order = sorted(hyp_vars.union(*disjunct_vars))
     chains = decision_chains(logic, len(var_order))
     tables = find_chain_countermodel(chains, hyps, disjuncts)
     if isinstance(tables, Countermodel):  # no tables: a point refutes the goal
@@ -291,19 +303,15 @@ def prove_subsets(logic: LogicSpec, goal: Goal) -> ProofResult:
         )
     lambdas = tuple(1 if i in support else 0 for i in range(len(disjuncts)))
     combo = combination_formula(lambdas, disjuncts)
-    for chain, points, _ in tables:
-        if any(v < chain.unit for v in eval_vector(chain, combo, var_order, points)):
+    for chain, grid, kept, _ in tables:
+        if kept & ~designated_mask(chain, eval_planes(chain, combo, var_order, grid)):
             raise InvalidCertificateError(
                 f"subset combination is not designated on {chain.name}"
             )
     # The combination's own decision chains are subalgebras of the goal's.
-    named = decision_chains(logic, len(variables_of(hyps + (combo,))))
-    witness = ChainExhaustiveWitness(tuple(c.name for c in named))
+    k = len(hyp_vars.union(*(disjunct_vars[i] for i in support)))
+    witness = ChainExhaustiveWitness(tuple(c.name for c in decision_chains(logic, k)))
     return ProofResult("proved", goal, certificate=ToACertificate(lambdas, witness))
-
-
-def _dominance(value: int) -> tuple[int, int]:
-    return abs(value), value
 
 
 def _largest_valid_subset(tables, n: int) -> set[int]:
@@ -321,24 +329,30 @@ def _largest_valid_subset(tables, n: int) -> set[int]:
     undesignated value v, and S a subset of T that contains a disjunct
     taking the value v at x.  Since v is dominant among T's values and S's
     lie among them, v is also the sum of S at x, so S is not valid.  Hence
-    dropping every disjunct that takes the value v at x keeps every valid
-    subset inside T.  When no such point is left, T itself is valid, so it
-    is the largest valid subset (the union of two valid subsets is valid,
-    since at each point its sum is one of the two designated sums).
+    dropping every disjunct that takes the value v at such a point x keeps
+    every valid subset inside T; all such points are handled at once, from
+    the planes of T's sum.  When no such point is left, T itself is valid,
+    so it is the largest valid subset (the union of two valid subsets is
+    valid, since at each point its sum is one of the two designated sums).
     """
-    # Only the distinct value rows matter, with their chain's unit.
-    rows = {(chain.unit, values) for chain, _, chain_rows in tables for values in chain_rows}
     support = set(range(n))
     changed = True
     while changed and support:
         changed = False
-        for unit, values in rows:
-            top = max((values[i] for i in support), key=_dominance)
-            if top < unit:
-                support = {i for i in support if values[i] != top}
+        for chain, _, kept, planes in tables:
+            while support:
+                total = reduce(sum_planes, [planes[i] for i in support])
+                refuted = [
+                    (v, points & kept) for v, points in total.items() if v < chain.unit
+                ]
+                if not any(points for _, points in refuted):
+                    break
+                support = {
+                    i
+                    for i in support
+                    if not any(planes[i].get(v, 0) & points for v, points in refuted)
+                }
                 changed = True
-                if not support:
-                    return support
     return support
 
 

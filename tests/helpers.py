@@ -4,8 +4,9 @@ The semantic checks here deliberately take different routes than the
 library code they validate: the Abelian goal check solves for a refuting
 valuation directly (the primal side), the chain check evaluates the
 un-decomposed disjunction formula over every valuation into full chains
-(:func:`brute_force_consequence`), and :func:`abelian_grid_refute`
-searches a bounded integer grid.  These are the reference semantics the
+(:func:`brute_force_consequence`), :func:`brute_force_support` tries every
+subset's sum point by point, and :func:`abelian_grid_refute` searches a
+bounded integer grid.  These are the reference semantics the
 decision procedures are validated against.
 """
 
@@ -16,7 +17,7 @@ from fractions import Fraction
 from functools import reduce
 from random import Random
 
-from gordian.chains import eval_vector, sugihara_chain
+from gordian.chains import canonical_grid, eval_formula, eval_vector, sugihara_chain
 from gordian.density import (
     DensityCertificate,
     density_goal,
@@ -46,6 +47,7 @@ from gordian.oracles import (
     Countermodel,
     ProofResult,
     _largest_valid_subset,
+    combination_formula,
     find_chain_countermodel,
 )
 from gordian.syntax import (
@@ -91,12 +93,13 @@ def random_formula(
     variables: list[str],
     max_depth: int,
     lattice_weight: float = 0.35,
+    constant_weight: float = 0.2,
 ) -> Formula:
     """Random formula over the full language."""
     connective = lambda: rng.choice(
         [Conj, Disj] if rng.random() < lattice_weight else [Imp, Fuse]
     )
-    return _random_tree(rng, variables, max_depth, 0.25, 0.2, connective)
+    return _random_tree(rng, variables, max_depth, 0.25, constant_weight, connective)
 
 
 def _random_tree(rng, variables, max_depth, leaf_weight, constant_weight, connective) -> Formula:
@@ -254,6 +257,34 @@ def chain_support(chains, sigma, disjuncts) -> set[int] | None:
     if isinstance(tables, Countermodel):
         return None
     return _largest_valid_subset(tables, len(disjuncts))
+
+
+def brute_force_support(chains, sigma, disjuncts) -> set[int]:
+    """The union of every subset of ``disjuncts`` whose sum is designated at
+    each canonical point of ``chains`` that designates all of ``sigma``.
+    Each subset's combination formula, over stand-ins for the disjuncts, is
+    evaluated with :func:`eval_formula` at every distinct row of the
+    disjuncts' values at those points."""
+    sigma, disjuncts = list(sigma), list(disjuncts)
+    var_order = sorted(variables_of(sigma + disjuncts))
+    rows = set()
+    for chain in chains:
+        for point in canonical_grid(chain, len(var_order)):
+            valuation = dict(zip(var_order, point))
+            if all(chain.designated(eval_formula(chain, valuation, h)) for h in sigma):
+                rows.add((chain, tuple(eval_formula(chain, valuation, d) for d in disjuncts)))
+    stand_ins = [f"d{i}" for i in range(len(disjuncts))]
+    union: set[int] = set()
+    for size in range(1, len(disjuncts) + 1):
+        for subset in itertools.combinations(range(len(disjuncts)), size):
+            weights = [1 if i in subset else 0 for i in range(len(disjuncts))]
+            total = combination_formula(weights, [Var(name) for name in stand_ins])
+            if all(
+                chain.designated(eval_formula(chain, dict(zip(stand_ins, row)), total))
+                for chain, row in rows
+            ):
+                union.update(subset)
+    return union
 
 
 def widened(chains, widen: int):

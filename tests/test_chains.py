@@ -3,7 +3,12 @@ from random import Random
 
 import pytest
 
-from helpers import abelian_grid_refute, brute_force_consequence, random_mult_formula
+from helpers import (
+    abelian_grid_refute,
+    brute_force_consequence,
+    random_formula,
+    random_mult_formula,
+)
 
 from gordian.chains import (
     ChainAlgebra,
@@ -11,8 +16,14 @@ from gordian.chains import (
     chain_from_name,
     eval_abelian,
     eval_formula,
+    eval_planes,
     eval_vector,
+    fuse_planes,
+    imp_planes,
+    join_planes,
+    meet_planes,
     sugihara_chain,
+    sum_planes,
 )
 from gordian.errors import MissingVariableError, NotMultiplicativeError
 from gordian.linalg import translate_abelian
@@ -139,3 +150,52 @@ def test_canonical_grid_rejects_other_chains():
     lukasiewicz = ChainAlgebra("l3", (-1, 0, 1), 1, -1, lambda a, b: max(-1, a + b - 1))
     with pytest.raises(ValueError):
         canonical_grid(lukasiewicz, 2)
+
+
+def _decode(planes, size: int) -> list[int]:
+    """The value at each of ``size`` points, checking that the masks
+    partition them."""
+    values = [None] * size
+    for value, mask in planes.items():
+        assert mask, value
+        for j in range(size):
+            if mask >> j & 1:
+                assert values[j] is None, j
+                values[j] = value
+    assert None not in values
+    return values
+
+
+@pytest.mark.parametrize("odd", [True, False])
+def test_plane_operations_match_the_chain_tables(odd):
+    for half_width in range(1, 7):
+        chain = sugihara_chain(half_width, odd=odd)
+        pairs = list(itertools.product(chain.carrier, repeat=2))
+        a, b = {}, {}
+        for j, (x, y) in enumerate(pairs):
+            a[x] = a.get(x, 0) | 1 << j
+            b[y] = b.get(y, 0) | 1 << j
+        plus = lambda x, y: chain.neg(chain.fuse(chain.neg(x), chain.neg(y)))
+        for operation, reference in [
+            (fuse_planes, chain.fuse),
+            (imp_planes, chain.imp),
+            (meet_planes, min),
+            (join_planes, max),
+            (sum_planes, plus),
+        ]:
+            expected = [reference(x, y) for x, y in pairs]
+            assert _decode(operation(a, b), len(pairs)) == expected, (chain, operation)
+
+
+@pytest.mark.parametrize("odd", [True, False])
+def test_eval_planes_agrees_with_eval_formula(odd):
+    rng = Random(2718 + odd)
+    for k in range(5):
+        chain = sugihara_chain(k + 1 if odd else k + 2, odd=odd)
+        names = [f"v{i}" for i in range(k)]
+        grid = canonical_grid(chain, k)
+        for _ in range(12):
+            # with no variables, leaves are constants only
+            f = random_formula(rng, names or ["unused"], 4, constant_weight=0.2 if k else 1.0)
+            expected = [eval_formula(chain, dict(zip(names, point)), f) for point in grid]
+            assert _decode(eval_planes(chain, f, names, grid), len(grid)) == expected, f

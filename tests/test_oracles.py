@@ -6,13 +6,15 @@ import pytest
 from helpers import (
     abelian_grid_refute,
     brute_force_consequence,
+    brute_force_support,
     chain_support,
+    random_goal,
     random_mult_formula,
     rmt_chain_family,
     widened,
 )
 
-from gordian import EngineBudget, HilbertBudget, oracles, prove_consequence
+from gordian import EngineBudget, HilbertBudget, oracles, prove_consequence, prove_disjunction
 
 from gordian.errors import NotMultiplicativeError
 from gordian.logics import instantiate, lookup_logic
@@ -105,6 +107,25 @@ def test_sugihara_stable_under_widening():
             base = chain_support(chains, sigma, [phi])
             assert base == chain_support(widened(chains, 2), sigma, [phi])
             assert (sugihara_decide(logic, sigma, phi).status == "proved") == bool(base)
+
+
+@pytest.mark.parametrize("logic", ["RMt", "IUMLm"])
+def test_subset_weights_are_the_union_of_valid_subsets(logic):
+    """The weights ``prove_subsets`` certifies are exactly the union of the
+    subsets whose sum every kept canonical point designates, tried one by
+    one; none is valid when it refutes or gives up."""
+    rng = Random(1313 + len(logic))
+    for _ in range(40):
+        goal = random_goal(rng, max_disjuncts=6, max_hyps=2, max_depth=3)
+        hyps, disjuncts = goal.hypotheses, goal.clause.disjuncts
+        chains = decision_chains(logic, len(variables_of(hyps + disjuncts)))
+        expected = brute_force_support(chains, hyps, disjuncts)
+        result = prove_disjunction(logic, goal)
+        if result.status == "proved":
+            lambdas = result.certificate.lambdas
+            assert {i for i, weight in enumerate(lambdas) if weight} == expected, goal
+        else:
+            assert expected == set(), goal
 
 
 def test_decision_chain_sizes():
