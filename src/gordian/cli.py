@@ -128,11 +128,9 @@ def _print_countermodel(cm: Countermodel, out) -> None:
     out.write(f"  countermodel: chain {cm.chain}, valuation {assignment}\n")
 
 
-def _budget(args) -> EngineBudget:
-    return EngineBudget(
-        lambda_cap=args.budget,
-        hilbert=HilbertBudget(max_lines=max(400, 250 * args.budget)),
-    )
+def _budget(n: int) -> EngineBudget:
+    """The budget ``--budget N`` stands for; N < 1 raises ValueError."""
+    return EngineBudget(lambda_cap=n, hilbert=HilbertBudget(max_lines=max(400, 250 * n)))
 
 
 def _cmd_prove(args) -> int:
@@ -142,7 +140,7 @@ def _cmd_prove(args) -> int:
     if logic_name is None or conclusion is None:
         raise GordianError("problem needs a logic (flag or directive) and a prove line")
     logic = lookup_logic(logic_name)
-    result = prove_consequence(logic, assumptions, conclusion, _budget(args))
+    result = prove_consequence(logic, assumptions, conclusion, args.budget)
     if args.format == "json":
         payload = {
             "status": result.status,
@@ -197,9 +195,7 @@ def _cmd_interpolate(args) -> int:
     if logic_name is None:
         raise GordianError("interpolate needs a logic (flag or directive)")
     x_vars = [v.strip() for v in args.vars.split(",") if v.strip()]
-    interpolant = lift_interpolant(
-        lookup_logic(logic_name), assumptions, x_vars, _budget(args)
-    )
+    interpolant = lift_interpolant(lookup_logic(logic_name), assumptions, x_vars)
     if args.format == "json":
         payload = {
             "logic": logic_name,
@@ -225,7 +221,7 @@ def _cmd_density(args) -> int:
     if logic_name is None:
         raise GordianError("density needs a logic (flag or directive)")
     logic = lookup_logic(logic_name)
-    budget = _budget(args)
+    budget = args.budget
     if not density_precondition(logic, budget):
         raise GordianError(f"{logic.name} does not prove 1 -> 0; transform refused")
     phi, psi = parse(args.phi), parse(args.psi)
@@ -271,9 +267,7 @@ def _cmd_check_toa(args) -> int:
     for spec in args.witness or []:
         n, k, m = (int(v) for v in spec.split(":"))
         witnesses[n] = (k, m)
-    report = check_toa_condition(
-        logic, args.n_max, witnesses, budget=HilbertBudget(max_lines=max(400, 250 * args.budget))
-    )
+    report = check_toa_condition(logic, args.n_max, witnesses, budget=args.budget.hilbert)
     if args.format == "json":
         payload = {
             "logic": logic.name,
@@ -300,10 +294,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, budget: bool = True) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--logic", help="logic name (overrides the problem file)")
-        p.add_argument("--budget", type=int, default=16, help="weight-sum cap / derivation budget")
+        if budget:
+            p.add_argument("--budget", type=int, default=16, help="weight-sum cap / derivation budget")
 
     p = sub.add_parser("prove", help="decide a consequence from a problem file")
     p.add_argument("problem", help="problem file path, or - for stdin")
@@ -318,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("interpolate", help="uniform interpolant of the assumptions")
     p.add_argument("problem", help="problem file with assume lines, or - for stdin")
     p.add_argument("--vars", required=True, help='shared variables, e.g. "p,r"')
-    common(p)
+    common(p, budget=False)
     p.set_defaults(func=_cmd_interpolate)
 
     p = sub.add_parser("density", help="transform a fresh-variable disjunction certificate")
@@ -348,6 +343,8 @@ def main(argv: list[str] | None = None) -> int:
     # failure part-way never leaves a verdict on standard output.
     stdout, sys.stdout = sys.stdout, io.StringIO()
     try:
+        if "budget" in args:  # prove, density and check-toa
+            args.budget = _budget(args.budget)
         code = args.func(args)
     except (GordianError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from .errors import InvalidCertificateError, PreconditionFailedError
 from .logics import LogicSpec, resolve_logic
 from .normalize import Goal, MultClause
 from .oracles import ToACertificate, combination_formula, decide
-from .syntax import ONE, ZERO, Formula, Imp, Record, Var, variables_of
+from .syntax import ONE, VARIABLE, ZERO, Formula, Imp, Record, Var, variables_of
 
 
 def density_precondition(logic: LogicSpec | str, budget: EngineBudget = DEFAULT_BUDGET) -> bool:
@@ -37,7 +37,11 @@ def density_goal(
 ) -> Goal:
     """The three-disjunct goal ``(phi -> p) | (p -> psi) | chi`` with the
     given fresh middle variable.  Disjunct order is kept as written so that
-    certificate weights line up with the transform's cases."""
+    certificate weights line up with the transform's cases.  Raises
+    PreconditionFailedError unless ``fresh`` is a variable name of the
+    formula grammar."""
+    if not VARIABLE.fullmatch(fresh):
+        raise PreconditionFailedError(f"{fresh!r} is not a variable name")
     p = Var(fresh)
     disjuncts = [Imp(phi, p), Imp(p, psi)] + ([chi] if chi is not None else [])
     return Goal(tuple(sigma), MultClause(tuple(disjuncts)))
@@ -62,15 +66,14 @@ def density_transform(
     is re-proved the same way."""
     logic = resolve_logic(logic)
     sigma = list(sigma)
+    in_goal = density_goal(phi, psi, chi, fresh, sigma)
     if not density_precondition(logic, budget):
         raise PreconditionFailedError(f"{logic.name} does not prove 1 -> 0")
     scope = variables_of(sigma + [phi, psi] + ([chi] if chi is not None else []))
     if fresh in scope:
         raise PreconditionFailedError(f"variable {fresh!r} is not fresh")
 
-    p = Var(fresh)
-    in_disjuncts = [Imp(phi, p), Imp(p, psi)] + ([chi] if chi is not None else [])
-    in_combo = combination_formula(cert.lambdas, in_disjuncts)
+    in_combo = combination_formula(cert.lambdas, in_goal.clause.disjuncts)
     if decide(logic, sigma, in_combo, budget=budget.hilbert).status != "proved":
         raise InvalidCertificateError("input certificate does not re-verify")
 

@@ -43,10 +43,15 @@ from .syntax import Formula, Record
 
 
 class EngineBudget(Record):
+    """The weight-sum cap of the deepening search and the Hilbert search's
+    budget."""
+
     lambda_cap: int = 16
-    max_literals: int = 4096
-    max_goals: int = 4096
     hilbert: HilbertBudget = HilbertBudget()  # immutable, so one instance serves every budget
+
+    def _validate(self) -> None:
+        if self.lambda_cap < 1:  # no weight vector to try would read as "unknown"
+            raise ValueError(f"weight-sum cap must be at least 1, not {self.lambda_cap}")
 
 
 DEFAULT_BUDGET = EngineBudget()
@@ -103,8 +108,6 @@ def _compositions(total: int, parts: int):
 
 
 def _prove_deepening(logic: LogicSpec, goal: Goal, budget: EngineBudget) -> ProofResult:
-    if budget.lambda_cap < 1:  # no weight vector to try would read as "unknown"
-        raise ValueError(f"weight-sum cap must be at least 1, not {budget.lambda_cap}")
     cm = class_countermodel(logic.model_classes, goal.hypotheses, goal.clause.disjuncts)
     if cm is not None:
         # No refutation rests on an unchecked declaration; theorems, which
@@ -158,9 +161,7 @@ def prove_consequence(
     consequence (the decomposition is equivalence-preserving over chains).
     """
     logic = resolve_logic(logic)
-    goals = decompose_consequence(
-        sigma, f, max_literals=budget.max_literals, max_goals=budget.max_goals
-    )
+    goals = decompose_consequence(sigma, f)
     results = tuple(prove_disjunction(logic, g, budget) for g in goals)
     if any(r.status == "refuted" for r in results):
         status = "refuted"

@@ -23,7 +23,7 @@ Full-language hypotheses reduce to the multiplicative level by splitting
 conjunctions, recursing over disjunctive clauses, and joining the two
 branch interpolants as one disjunction of their conjunctions.  That is
 the package's one recursion (``recurse``): its depth grows with the clause
-literals, which ``max_branches`` bounds, not with formula depth.
+literals, which :data:`MAX_BRANCHES` bounds, not with formula depth.
 """
 
 from __future__ import annotations
@@ -59,6 +59,11 @@ from .syntax import (
     variables_of,
 )
 
+# Read at call time: the semantic classes one enumeration may find, and the
+# branches one lifted interpolation may fork.
+CLASS_CAP = 4096
+MAX_BRANCHES = 256
+
 
 def _form_to_formula(form: LinForm) -> Formula:
     """A multiplicative formula whose linear reading is ``form``:
@@ -85,23 +90,19 @@ def mult_uniform_interpolant(
     sigma,
     x_vars,
     depth: int = 4,
-    class_cap: int = 4096,
 ) -> list[Formula]:
     """Finite interpolant for multiplicative hypotheses over the variable
     set ``x_vars``.  Fully supported for the Abelian logic; for the mingle
-    logics via bounded semantic enumeration with at most two variables."""
+    logics via semantic enumeration to ``depth`` with at most two
+    variables."""
     sigma = list(sigma)
     if not frozenset(x_vars) <= variables_of(sigma):
         raise ValueError("X must be a subset of the hypotheses' variables")
-    return _mult_interpolant(resolve_logic(logic), sigma, frozenset(x_vars), depth, class_cap)
+    return _mult_interpolant(resolve_logic(logic), sigma, frozenset(x_vars), depth)
 
 
 def _mult_interpolant(
-    logic: LogicSpec,
-    sigma: list[Formula],
-    x_vars: frozenset[str],
-    depth: int = 4,
-    class_cap: int = 4096,
+    logic: LogicSpec, sigma: list[Formula], x_vars: frozenset[str], depth: int = 4
 ) -> list[Formula]:
     require_multiplicative(sigma)
     if logic.oracle_kind == "abelian":
@@ -112,7 +113,7 @@ def _mult_interpolant(
             raise UnsupportedLogicError(
                 f"{logic.name}: enumeration supports at most 2 shared variables"
             )
-        reps = _enumerate_classes(logic, sorted(x_vars), depth, class_cap)
+        reps = _enumerate_classes(logic, sorted(x_vars), depth)
         var_order = sorted(variables_of(sigma))
         filters = []
         for chain in decision_chains(logic, len(var_order)):
@@ -132,12 +133,11 @@ def _mult_interpolant(
     raise UnsupportedLogicError(f"no interpolation procedure for {logic.name}")
 
 
-def _enumerate_classes(
-    logic: LogicSpec, x_vars: list[str], depth: int, class_cap: int
-) -> list[Formula]:
+def _enumerate_classes(logic: LogicSpec, x_vars: list[str], depth: int) -> list[Formula]:
     """One shortest representative per semantic class of multiplicative
     formulas over ``x_vars``, classes separated by their value vectors over
-    the decision chains.  Local finiteness makes this saturate.
+    the decision chains.  Local finiteness makes this saturate; more than
+    :data:`CLASS_CAP` classes raise EnumerationBudgetExceededError.
 
     A signature is the value vector over every chain's full grid, each
     chain's values coded as distinct bytes, so that a candidate's signature
@@ -187,9 +187,9 @@ def _enumerate_classes(
                     sig = pairs.translate(table)
                     if sig not in classes:
                         classes[sig] = build(a, b)
-                        if len(classes) > class_cap:
+                        if len(classes) > CLASS_CAP:
                             raise EnumerationBudgetExceededError(
-                                f"more than {class_cap} semantic classes"
+                                f"more than {CLASS_CAP} semantic classes"
                             )
         fresh_from = len(known)
         if len(classes) == fresh_from:
@@ -197,20 +197,15 @@ def _enumerate_classes(
     return list(classes.values())
 
 
-def lift_interpolant(
-    logic: LogicSpec | str,
-    sigma,
-    x_vars,
-    budget: EngineBudget = DEFAULT_BUDGET,
-    max_branches: int = 256,
-) -> list[Formula]:
+def lift_interpolant(logic: LogicSpec | str, sigma, x_vars) -> list[Formula]:
     """Interpolant for arbitrary hypotheses.
 
     Hypotheses normalize to clauses; conjunctions split into separate
     hypotheses, and each disjunctive clause forks into two subproblems whose
     interpolants rejoin as (and of one side) | (and of the other).  An empty
     side means that branch admits only theorems over X, so the join is
-    empty too.  The base case is the multiplicative interpolant.
+    empty too.  The base case is the multiplicative interpolant.  More
+    than :data:`MAX_BRANCHES` branches raise SizeBudgetExceededError.
     """
     logic = resolve_logic(logic)
     sigma = list(sigma)
@@ -219,12 +214,12 @@ def lift_interpolant(
         raise ValueError("X must be a subset of the hypotheses' variables")
     clauses = []
     for f in sigma:
-        clauses.extend(list(c.disjuncts) for c in to_mult_clauses(f, budget.max_literals))
+        clauses.extend(list(c.disjuncts) for c in to_mult_clauses(f))
 
     branches = 1
     for c in clauses:
         branches *= len(c)
-    if branches > max_branches:
+    if branches > MAX_BRANCHES:
         raise SizeBudgetExceededError(f"interpolation would fork {branches} branches")
 
     def recurse(cls: list[list[Formula]]) -> list[Formula]:

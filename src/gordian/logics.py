@@ -360,19 +360,18 @@ def check_toa_condition(
 ) -> ToAConditionReport:
     """For each n <= n_max check derivability of (n*p)^k -> m*(p^n) in the
     logic's multiplicative fragment, with candidate (k, m) per n (default
-    (1, 1)).  What the oracle leaves open is refuted by a countermodel in the
-    logic's checked model classes, if they hold one, and else stays unknown:
-    budget exhaustion is never a failure.
+    (1, 1)), under the Hilbert ``budget`` with its family bound raised to
+    ``n_max``.  What the oracle leaves open is refuted by a countermodel in
+    the logic's checked model classes, if they hold one, and else stays
+    unknown: budget exhaustion is never a failure.
     """
     from . import oracles  # deferred: oracles depends on this module
 
     logic = resolve_logic(logic)
     if n_max < 1:  # no entry to check would read as "all proved"
         raise ValueError(f"n_max must be at least 1, not {n_max}")
-    if budget is None:
-        budget = oracles.HilbertBudget(
-            family_bound=max(oracles.HilbertBudget().family_bound, n_max)
-        )
+    budget = budget or oracles.HilbertBudget()
+    budget = oracles.HilbertBudget(budget.max_lines, max(budget.family_bound, n_max))
     p = Var("p")
     entries = []
     for n in range(1, n_max + 1):

@@ -32,8 +32,10 @@ from .syntax import (
     require_multiplicative,
 )
 
-DEFAULT_LITERAL_CAP = 4096
-DEFAULT_GOAL_CAP = 4096
+# Read at call time: the literals of one formula's clause form, and the
+# goals of one decomposition.
+LITERAL_CAP = 4096
+GOAL_CAP = 4096
 
 
 class MultClause(Record):
@@ -150,14 +152,14 @@ def _cnf(f: Formula, budget: _Budget) -> list[tuple[Formula, ...]]:
     return list(_fold(f, lambda g: {(g,): None}, {Conj: operator.or_, Disj: disj}, budget))
 
 
-def _drop_subsumed(raw, max_literals: int) -> list[MultClause]:
+def _drop_subsumed(raw) -> list[MultClause]:
     """The distinct literal sets of the ``raw`` clauses that contain no
     other, as clauses sorted by their rendering.
 
     Equal-length distinct sets cannot contain each other, and containment
     is transitive, so each set is tested only against the kept sets of
     strictly smaller length.  A set kept in that order stays in the result,
-    so the clause form is known to exceed ``max_literals`` (raising
+    so the clause form is known to exceed :data:`LITERAL_CAP` (raising
     SizeBudgetExceededError) as soon as the kept sets do."""
     distinct = sorted({frozenset(clause) for clause in raw}, key=len)
     kept: list[frozenset] = []
@@ -169,44 +171,40 @@ def _drop_subsumed(raw, max_literals: int) -> list[MultClause]:
                 continue
             kept.append(literals)
             total += length
-            if total > max_literals:
+            if total > LITERAL_CAP:
                 raise SizeBudgetExceededError(
-                    f"clause form has more than {max_literals} literals"
+                    f"clause form has more than {LITERAL_CAP} literals"
                 )
     return sorted((MultClause.of(literals) for literals in kept), key=MultClause.render)
 
 
-def to_mult_clauses(f: Formula, max_literals: int = DEFAULT_LITERAL_CAP) -> list[MultClause]:
+def to_mult_clauses(f: Formula) -> list[MultClause]:
     """Clauses whose conjunction is equivalent to ``f`` over chains.
 
     Raises SizeBudgetExceededError when the clause form would exceed
-    ``max_literals`` literals (or the rewriting work guard trips first)."""
-    budget = _Budget(max_literals)
-    return _drop_subsumed(_cnf(_push(f, budget), budget), max_literals)
+    :data:`LITERAL_CAP` literals (or the rewriting work guard trips first)."""
+    budget = _Budget(LITERAL_CAP)
+    return _drop_subsumed(_cnf(_push(f, budget), budget))
 
 
-def decompose_consequence(
-    sigma,
-    f: Formula,
-    max_literals: int = DEFAULT_LITERAL_CAP,
-    max_goals: int = DEFAULT_GOAL_CAP,
-) -> list[Goal]:
+def decompose_consequence(sigma, f: Formula) -> list[Goal]:
     """Equivalent list of multiplicative goals for ``sigma |- f``.
 
     Every hypothesis is normalized to clauses; conjunctions become separate
     hypotheses and each disjunctive clause forks the goal once per disjunct.
-    The conclusion contributes one goal per clause.
+    The conclusion contributes one goal per clause; more than
+    :data:`GOAL_CAP` goals raise SizeBudgetExceededError.
     """
     hyp_clauses: list[MultClause] = []
     for h in sigma:
-        hyp_clauses.extend(to_mult_clauses(h, max_literals))
-    conclusion = to_mult_clauses(f, max_literals)
+        hyp_clauses.extend(to_mult_clauses(h))
+    conclusion = to_mult_clauses(f)
 
     total = len(conclusion)
     for clause in hyp_clauses:
         total *= len(clause.disjuncts)
-        if total > max_goals:
-            raise SizeBudgetExceededError(f"decomposition exceeds {max_goals} goals")
+        if total > GOAL_CAP:
+            raise SizeBudgetExceededError(f"decomposition exceeds {GOAL_CAP} goals")
 
     goals = []
     choices = [clause.disjuncts for clause in hyp_clauses]

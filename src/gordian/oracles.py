@@ -364,6 +364,7 @@ def sugihara_decide(logic: LogicSpec | str, sigma, phi: Formula) -> ProofResult:
 # --- sound model classes -------------------------------------------------------
 
 MODEL_CLASSES = ("Z", "sugihara_odd", "sugihara_even")
+U_RULE_CHECK_MAX = 16  # the largest n of the u_n rule instances checked
 
 
 def class_chains(classes, k: int) -> list[ChainAlgebra]:
@@ -415,17 +416,17 @@ def check_model_classes(logic: LogicSpec) -> tuple[str, ...]:
     read as variables, and to every family member up to the default
     family bound (each family's docstring says why the rest hold too).  It
     also checks that the rules preserve designation: ``p, p -> q |- q`` for
-    modus ponens and ``n*p |- p`` for u_n, 2 <= n <= the default u_bound
-    (in Z, ``n*p`` reads n times ``p``; on a Sugihara chain, ``p``)."""
-    default = HilbertBudget()
+    modus ponens and ``n*p |- p`` for u_n, 2 <= n <= ``U_RULE_CHECK_MAX``
+    (in Z, ``n*p`` reads n times ``p``; on a Sugihara chain, ``p``; so the
+    rule holds for every n where it holds for these)."""
     p, q = Var("p"), Var("q")
     checks = [
         (f"axiom {s.name}", (), instantiate(s, {v: Var(v.lower()) for v in s.occurrences}))
-        for s in logic.mult_axiom_schemas() + logic.family_schemas(default.family_bound)
+        for s in logic.mult_axiom_schemas() + logic.family_schemas(HilbertBudget().family_bound)
     ]
     checks.append(("rule mp", (p, Imp(p, q)), q))
     if "u_n" in logic.mult_rules:
-        checks += [(f"rule u_{n}", (scalar(n, p),), p) for n in range(2, default.u_bound + 1)]
+        checks += [(f"rule u_{n}", (scalar(n, p),), p) for n in range(2, U_RULE_CHECK_MAX + 1)]
     for model_class in logic.model_classes:
         if model_class not in MODEL_CLASSES:
             raise UnsoundModelClassError(f"{logic.name}: unknown model class {model_class!r}")
@@ -441,12 +442,17 @@ def check_model_classes(logic: LogicSpec) -> tuple[str, ...]:
 
 
 class HilbertBudget(Record):
+    """The search's two settable limits: the lines derived past the seeds,
+    and the largest n of a family's members in the axiom basis."""
+
     max_lines: int = 4000
-    max_instances: int = 12000
-    pool_limit: int = 28
-    max_term_size: int | None = None
     family_bound: int = 8
-    u_bound: int = 16
+
+
+# The fixed limits of the instance stream: the subterms it draws arguments
+# from and the instances it holds.
+POOL_LIMIT = 28
+MAX_INSTANCES = 12000
 
 
 def _scalar_count(f: Formula, g: Formula) -> int | None:
@@ -468,9 +474,10 @@ def _scalar_count(f: Formula, g: Formula) -> int | None:
         return None
 
 
-def _axiom_instances(schemas, pool, max_size, max_instances):
+def _axiom_instances(schemas, pool, max_size):
     """Deterministic stream of schema instances over the term pool, larger
-    metavariable counts drawing from a shorter prefix of the pool.
+    metavariable counts drawing from a shorter prefix of the pool, at most
+    :data:`MAX_INSTANCES` of them.
 
     An instance's size is the template's plus, per metavariable, its number
     of occurrences times its argument's size less one, so combinations over
@@ -484,34 +491,14 @@ def _axiom_instances(schemas, pool, max_size, max_instances):
             continue
         counts = [schema.occurrences[v] for v in mvars]
         fixed = schema.template.size - sum(counts)
-        source = _source(pool, len(mvars))
+        source = pool[: max(8, 2 * len(pool) // 2 ** len(mvars))]
         for combo in itertools.product(source, repeat=len(mvars)):
             if fixed + sum(c * f.size for c, f in zip(counts, combo)) > max_size:
                 continue
             yield schema.name, instantiate(schema, dict(zip(mvars, combo)))
             produced += 1
-            if produced >= max_instances:
+            if produced >= MAX_INSTANCES:
                 return
-
-
-def _source(pool, k: int):
-    """The prefix of the pool that a schema with k metavariables draws on."""
-    return pool[: max(8, 2 * len(pool) // 2**k)]
-
-
-def _stream_match(schemas, pool, max_size, max_instances, phi: Formula) -> str | None:
-    """The name of the first schema whose instance in :func:`_axiom_instances`
-    is ``phi``, found by matching instead of building the stream; ``None``
-    when there is none, or when the stream could stop at ``max_instances``
-    before ``phi``, which only the stream itself tells."""
-    arities = [len(s.occurrences) for s in schemas]
-    if phi.size > max_size or sum(len(_source(pool, k)) ** k for k in arities) > max_instances:
-        return None
-    for schema, k in zip(schemas, arities):
-        match = match_template(schema.template, phi)
-        if match is not None and all(arg in _source(pool, k) for arg in match.values()):
-            return schema.name
-    return None
 
 
 def hilbert_search(
@@ -519,12 +506,15 @@ def hilbert_search(
 ) -> ProofResult:
     """Budgeted proof search in the logic's multiplicative fragment.
 
-    Forward saturation: hypotheses and axiom-schema instances built from the
-    subterm closure are closed under modus ponens and the unperforated rule
-    until the target appears or the budget runs out.  A target the instance
-    stream holds is found by matching, without building the stream.  A
-    proof's certificate carries a checkable derivation of ``phi`` under the
-    weight (1,); there are no refuted answers.
+    A target that is a hypothesis, or an instance of one of the schemas
+    the search draws on, is its own one-line derivation; every instance
+    the stream below could build is such a match, so nothing is lost by
+    looking no further.  Otherwise, forward saturation: hypotheses and
+    axiom-schema instances built from the :data:`POOL_LIMIT` smallest
+    subterms are closed under modus ponens and the unperforated rule (from
+    ``n*g`` infer ``g``, every n >= 2) until the target appears or the
+    budget runs out.  A proof's certificate carries a checkable derivation
+    of ``phi`` under the weight (1,); there are no refuted answers.
     """
     logic = resolve_logic(logic)
     budget = budget or HilbertBudget()
@@ -533,10 +523,6 @@ def hilbert_search(
 
     schemas = logic.mult_axiom_schemas() + logic.family_schemas(budget.family_bound)
     use_u = "u_n" in logic.mult_rules
-
-    subterms = {g for f in sigma + [phi, ONE, ZERO] for g in subformulas(f)}
-    pool = sorted(subterms, key=lambda f: (f.size, render(f)))[: budget.pool_limit]
-    max_size = budget.max_term_size or max(2 * phi.size + 8, 24)
 
     parents: dict[Formula, tuple] = {}
     queue: list[Formula] = []
@@ -551,14 +537,14 @@ def hilbert_search(
     for h in sigma:
         add(h, ("hyp",))
     if phi not in parents:
-        found = _stream_match(schemas, pool, max_size, budget.max_instances, phi)
-        if found:
-            add(phi, ("axiom", found))
+        axiom = next((s.name for s in schemas if match_template(s.template, phi) is not None), None)
+        if axiom is not None:
+            add(phi, ("axiom", axiom))
         else:
-            for name, instance in _axiom_instances(schemas, pool, max_size, budget.max_instances):
+            subterms = {g for f in sigma + [phi, ONE, ZERO] for g in subformulas(f)}
+            pool = sorted(subterms, key=lambda f: (f.size, render(f)))[:POOL_LIMIT]
+            for name, instance in _axiom_instances(schemas, pool, max(2 * phi.size + 8, 24)):
                 add(instance, ("axiom", name))
-                if instance == phi:
-                    break
 
     seeded = len(parents)
     head = 0
@@ -577,7 +563,7 @@ def hilbert_search(
             # from n*g conclude g
             for candidate in _u_candidates(f):
                 n = _scalar_count(f, candidate)
-                if n is not None and 2 <= n <= budget.u_bound:
+                if n is not None:
                     add(candidate, ("u", n, f))
 
     if phi not in parents:

@@ -385,10 +385,12 @@ def substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:
 
 # --- parsing ---------------------------------------------------------------
 
+VARIABLE = re.compile(r"[a-z][a-zA-Z0-9_]*")  # the grammar's variable names
+
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<arrow>->)"
-    r"|(?P<var>[a-z][a-zA-Z0-9_]*)"
+    rf"|(?P<var>{VARIABLE.pattern})"
     r"|(?P<mvar>[A-Z][a-zA-Z0-9_]*)"
     r"|(?P<int>\d+)"
     r"|(?P<op>[~*+&|^()])"

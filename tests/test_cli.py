@@ -118,6 +118,11 @@ def test_interpolate(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["interpolant"] == ["p -> r"]
+    # interpolation runs no bounded search, so it takes no --budget
+    code, out, _ = run(
+        capsys, "interpolate", problem, "--logic", "A", "--vars", "p,r", "--budget", "4",
+    )
+    assert (code, out) == (3, "")
 
 
 def test_density_command(capsys):
@@ -146,6 +151,24 @@ def test_check_toa(capsys):
     for n_max in ("0", "-1"):  # no entries must not read as all proved
         code, out, err = run(capsys, "check-toa", "--logic", "BIULm", "--n-max", n_max)
         assert code == 3 and out == "" and "n_max" in err
+
+
+def test_check_toa_raises_the_family_bound_under_any_budget(capsys):
+    # the members balance_*_9 and _10 lie past the default family bound 8,
+    # and the command always passes a budget
+    for extra in ((), ("--budget", "2")):
+        code, out, _ = run(capsys, "check-toa", "--logic", "BIULm", "--n-max", "10", *extra)
+        assert code == 0, out
+        assert out.count(": proved") == 10
+
+
+def test_density_refuses_a_fresh_name_that_is_not_a_variable(capsys):
+    for fresh in ("", "1", "P", "x y"):
+        code, out, err = run(
+            capsys, "density", "--logic", "A", "--phi", "q", "--psi", "q", "--fresh", fresh
+        )
+        assert (code, out) == (3, ""), fresh
+        assert "is not a variable name" in err, err
 
 
 def test_usage_errors(tmp_path, capsys):
@@ -296,12 +319,18 @@ def test_import_leaves_out_dataclasses_and_inspect():
 
 
 def test_nonpositive_budget_is_an_error_not_a_verdict(tmp_path, capsys):
-    # a weight-sum cap below 1 tries no weights, so a theorem came out unknown
-    problem = write(tmp_path, "p.txt", "logic BIULm\nprove p -> p\n")
-    code, out, _ = run(capsys, "prove", problem, "--budget", "1")
-    assert code == 0
+    # a weight-sum cap below 1 tries no weights, so a theorem came out
+    # unknown; in A it was ignored, and check-toa ran on
+    for logic in ("BIULm", "A", "RMt"):
+        problem = write(tmp_path, "p.txt", f"logic {logic}\nprove p -> p\n")
+        code, out, _ = run(capsys, "prove", problem, "--budget", "1")
+        assert code == 0, logic
+        for budget in ("0", "-1", "-3"):
+            code, out, err = run(capsys, "prove", problem, "--budget", budget)
+            assert (code, out) == (3, ""), (logic, budget)
+            assert err.startswith("error: weight-sum cap must be at least 1"), err
     for budget in ("0", "-1"):
-        code, out, err = run(capsys, "prove", problem, "--budget", budget)
+        code, out, err = run(capsys, "check-toa", "--logic", "BIULm", "--budget", budget)
         assert (code, out) == (3, ""), budget
         assert err.startswith("error: weight-sum cap must be at least 1"), err
 

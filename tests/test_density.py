@@ -69,6 +69,17 @@ def test_transform_rejects_stale_variable():
         density_transform("A", [], phi, parse("q"), None, "p", cert)
 
 
+@pytest.mark.parametrize("fresh", ["", "1", "P", "x y"])
+def test_fresh_name_must_be_a_variable(fresh):
+    # Var("1") printed as the constant, and Var("") as nothing at all
+    phi = psi = parse("q")
+    with pytest.raises(PreconditionFailedError):
+        density_goal(phi, psi, None, fresh)
+    cert = ToACertificate((1, 1), LinearWitness((), 1))
+    with pytest.raises(PreconditionFailedError):
+        density_transform("A", [], phi, psi, None, fresh, cert)
+
+
 def test_transform_rejects_logic_without_one_to_zero():
     cert = ToACertificate((1, 1), LinearWitness((), 1))
     with pytest.raises(PreconditionFailedError):

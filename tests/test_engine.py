@@ -1,4 +1,5 @@
 import itertools
+import time
 from random import Random
 
 import pytest
@@ -13,6 +14,7 @@ from helpers import (
     rmt_chain_family,
 )
 
+from gordian import oracles
 from gordian.engine import (
     DEFAULT_BUDGET,
     EngineBudget,
@@ -33,6 +35,7 @@ from gordian.oracles import (
     decide,
     hilbert_search,
     sugihara_decide,
+    verify_derivation,
     verify_linear_witness,
 )
 from gordian.syntax import parse, plus, scalar
@@ -348,11 +351,13 @@ def test_lambda_cap_yields_unknown():
 WORKLOAD_BUDGET = EngineBudget(lambda_cap=2, hilbert=HilbertBudget(max_lines=400))
 
 
-def test_model_classes_never_refute_what_the_search_proves():
+def test_model_classes_never_refute_what_the_search_proves(monkeypatch):
     # One-disjunct BIULm goals of the workload's shape, so that the search
     # answers for the goal itself; its budget is small to keep this quick.
     logic = lookup_logic("BIULm")
-    budget = HilbertBudget(max_lines=100, max_instances=1000, pool_limit=10)
+    budget = HilbertBudget(max_lines=100)
+    monkeypatch.setattr(oracles, "MAX_INSTANCES", 1000)
+    monkeypatch.setattr(oracles, "POOL_LIMIT", 10)
     rng = Random(2718)
     counts = {"proved": 0, "refuted": 0}
     for _ in range(300):
@@ -394,6 +399,32 @@ MISSED_THEOREMS = [
 @pytest.mark.parametrize("budget", [DEFAULT_BUDGET, WORKLOAD_BUDGET], ids=["default", "workload"])
 def test_missed_theorems_stay_unknown(text, budget):
     assert prove_consequence("BIULm", [], parse(text), budget).status == "unknown"
+
+
+@pytest.mark.parametrize("n", [17, 40])
+def test_unperforation_holds_for_every_n(n):
+    # u_n applies for every n >= 2, not only up to a bound
+    sigma = [scalar(n, parse("p"))]
+    result = prove_consequence("BIULm", sigma, parse("p"))
+    assert result.status == "proved"
+    lines = result.results[0].certificate.witness.lines
+    assert verify_derivation("BIULm", lines, hypotheses=sigma)
+    assert lines[-1].justification == f"u_{n} 1"
+
+
+@pytest.mark.parametrize("text", ["p^1000 -> p^1000", "(p*q)^30 -> (p*q)^30"])
+def test_deep_axiom_instance_is_one_line(text):
+    # matched against the schemas, however far outside the term pool its
+    # arguments lie
+    start = time.perf_counter()
+    result = prove_consequence("BIULm", [], parse(text))
+    assert time.perf_counter() - start < 1.0
+    assert result.status == "proved"
+    lines = result.results[0].certificate.witness.lines
+    assert [(line.formula, line.justification) for line in lines] == [
+        (parse(text), "axiom identity")
+    ]
+    assert verify_derivation("BIULm", lines)
 
 
 def test_deepening_agrees_with_linear_on_abelian_goals():

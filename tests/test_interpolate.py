@@ -8,7 +8,12 @@ from helpers import random_mult_formula
 
 from gordian.chains import eval_vector
 from gordian.engine import prove_consequence
-from gordian.errors import EnumerationBudgetExceededError, UnsupportedLogicError
+from gordian import interpolate
+from gordian.errors import (
+    EnumerationBudgetExceededError,
+    SizeBudgetExceededError,
+    UnsupportedLogicError,
+)
 from gordian.interpolate import (
     _enumerate_classes,
     lift_interpolant,
@@ -189,7 +194,7 @@ def test_class_tables_match_direct_evaluation():
         ("RMt", ["p", "r"], 2),
     ]:
         spec = lookup_logic(logic)
-        assert _enumerate_classes(spec, x_vars, depth, 4096) == _reference_classes(
+        assert _enumerate_classes(spec, x_vars, depth) == _reference_classes(
             spec, x_vars, depth
         ), (logic, x_vars)
 
@@ -231,3 +236,15 @@ def test_mingle_interpolation_at_default_depth_is_fast():
     with pytest.raises(EnumerationBudgetExceededError):
         mult_uniform_interpolant("RMt", sigma, ["p", "r"])
     assert time.perf_counter() - start < 20.0
+
+
+def test_class_and_branch_caps(monkeypatch):
+    sigma = [parse("p -> q"), parse("q -> r")]
+    monkeypatch.setattr(interpolate, "CLASS_CAP", 10)
+    with pytest.raises(EnumerationBudgetExceededError):
+        mult_uniform_interpolant("IUMLm", sigma, ["p", "r"], depth=3)
+    branching = [parse("p | q"), parse("q | r")]
+    assert lift_interpolant("A", branching, ["q"]) == []
+    monkeypatch.setattr(interpolate, "MAX_BRANCHES", 3)
+    with pytest.raises(SizeBudgetExceededError):
+        lift_interpolant("A", branching, ["q"])

@@ -13,6 +13,7 @@ from helpers import (
 )
 
 from gordian.chains import eval_abelian, eval_formula, sugihara_chain
+from gordian import normalize
 from gordian.errors import SizeBudgetExceededError
 from gordian.normalize import (
     Goal,
@@ -37,11 +38,13 @@ def test_to_mult_clauses_examples():
     assert clauses_text(to_mult_clauses(parse("(p & q) -> r"))) == ["p -> r | q -> r"]
 
 
-def test_to_mult_clauses_budget():
+def test_to_mult_clauses_budget(monkeypatch):
     wide = " & ".join(f"(a{i} | b{i})" for i in range(8))
     deep = parse(f"({wide}) -> z")
+    assert len(to_mult_clauses(deep)) == 256  # 2048 literals, within the default cap
+    monkeypatch.setattr(normalize, "LITERAL_CAP", 64)
     with pytest.raises(SizeBudgetExceededError):
-        to_mult_clauses(deep, max_literals=64)
+        to_mult_clauses(deep)
 
 
 @pytest.mark.parametrize("text", ["(p & p)^20", "20*(p & p)", "(p | q)^20", "20*(p | q)"])
@@ -90,7 +93,7 @@ def _quadratic_drop_subsumed(raw, max_literals):
     return out
 
 
-def test_drop_subsumed_matches_all_pairs():
+def test_drop_subsumed_matches_all_pairs(monkeypatch):
     rng = Random(2024)
     compared = 0
     for _ in range(300):
@@ -103,13 +106,14 @@ def test_drop_subsumed_matches_all_pairs():
         if len(raw) > 400:
             continue  # keeps the all-pairs reference quick
         for cap in (4096, 12):
+            monkeypatch.setattr(normalize, "LITERAL_CAP", cap)
             try:
                 expected = _quadratic_drop_subsumed(raw, cap)
             except SizeBudgetExceededError:
                 with pytest.raises(SizeBudgetExceededError):
-                    _drop_subsumed(raw, cap)
+                    _drop_subsumed(raw)
                 continue
-            assert _drop_subsumed(raw, cap) == expected
+            assert _drop_subsumed(raw) == expected
             compared += len(raw) > 1
     assert compared > 100
 
@@ -134,6 +138,14 @@ def test_decompose_examples():
     assert [g.render() for g in goals] == ["p |- r", "q |- r"]
     goals = decompose_consequence([parse("p & q")], parse("p"))
     assert [g.render() for g in goals] == ["p, q |- p"]
+
+
+def test_decompose_goal_cap(monkeypatch):
+    sigma = [parse("p | q"), parse("r | s")]
+    assert len(decompose_consequence(sigma, parse("t & u"))) == 8
+    monkeypatch.setattr(normalize, "GOAL_CAP", 7)
+    with pytest.raises(SizeBudgetExceededError):
+        decompose_consequence(sigma, parse("t & u"))
 
 
 def test_decompose_idempotent_on_multiplicative_goals():

@@ -165,9 +165,10 @@ def test_hilbert_axiom_instance_in_one_line(monkeypatch):
 
 
 def test_hilbert_matching_agrees_with_the_stream(monkeypatch):
-    # same verdicts and derivations as building the stream, also where the
-    # stream would miss an instance: its arguments outside the pool prefix,
-    # the stream cut at max_instances, or the target over max_term_size
+    # With the axiom shortcut patched out the search builds the instance
+    # stream: the same verdicts and derivations, or unknown where the stream
+    # misses an axiom instance the shortcut proves, its arguments outside
+    # the pool prefix or the stream cut at its instance cap.
     rng = Random(77)
     big = parse("((p * q) -> (q * r)) * ~(r -> p)")
     problems = [
@@ -180,26 +181,25 @@ def test_hilbert_matching_agrees_with_the_stream(monkeypatch):
     for _ in range(30):
         hyps = [random_mult_formula(rng, ["p", "q"], 1) for _ in range(rng.randint(0, 1))]
         problems.append(("BIULm", hyps, random_mult_formula(rng, ["p", "q"], rng.randint(1, 3))))
-    budgets = [
-        HilbertBudget(max_lines=400),
-        HilbertBudget(max_lines=100, pool_limit=2),
-        HilbertBudget(max_lines=100, max_instances=40),
-        HilbertBudget(max_lines=100, max_term_size=5),
-    ]
-    matched = []
-    real = oracles._stream_match
-
-    def recording(*args):
-        matched.append(real(*args))
-        return matched[-1]
-
-    for logic, sigma, phi in problems:
-        for budget in budgets:
-            monkeypatch.setattr(oracles, "_stream_match", recording)
+    # (pool size, instance cap, line budget): the defaults, then the cuts
+    settings = [(28, 12000, 400), (2, 12000, 100), (28, 40, 100)]
+    shortcut = missed = 0
+    for pool_limit, max_instances, max_lines in settings:
+        monkeypatch.setattr(oracles, "POOL_LIMIT", pool_limit)
+        monkeypatch.setattr(oracles, "MAX_INSTANCES", max_instances)
+        budget = HilbertBudget(max_lines=max_lines)
+        for logic, sigma, phi in problems:
             fast = hilbert_search(logic, sigma, phi, budget)
-            monkeypatch.setattr(oracles, "_stream_match", lambda *args: None)
-            assert fast == hilbert_search(logic, sigma, phi, budget), render(phi)
-    assert any(matched) and not all(matched)
+            with monkeypatch.context() as patched:
+                patched.setattr(oracles, "match_template", lambda template, f: None)
+                slow = hilbert_search(logic, sigma, phi, budget)
+            lines = fast.certificate.witness.lines if fast.certificate else ()
+            one_axiom = len(lines) == 1 and lines[0].justification.startswith("axiom")
+            shortcut += one_axiom
+            if fast != slow:
+                assert one_axiom and slow.status == "unknown", render(phi)
+                missed += 1
+    assert shortcut and missed and shortcut < len(settings) * len(problems)
 
 
 def test_hilbert_uses_hypotheses_and_mp():
@@ -335,7 +335,7 @@ def test_hilbert_with_hypotheses_fusion():
     assert verify_derivation("MLL", verdict.certificate.witness.lines, hypotheses=[parse("p")])
 
 
-def _built_then_filtered(schemas, pool, max_size, max_instances, dropped):
+def _built_then_filtered(schemas, pool, max_size, dropped):
     """Reference stream: build every instance, then drop the oversized
     (appended to ``dropped``)."""
     produced = 0
@@ -353,7 +353,7 @@ def _built_then_filtered(schemas, pool, max_size, max_instances, dropped):
                 continue
             yield schema.name, instance
             produced += 1
-            if produced >= max_instances:
+            if produced >= oracles.MAX_INSTANCES:
                 return
 
 
@@ -381,7 +381,7 @@ def test_axiom_instances_skip_oversized_before_building(monkeypatch):
         prove_consequence("BIULm", hyps, concl, budget)
     assert len(calls) >= 10
     dropped = []
-    for schemas, pool, max_size, max_instances in calls:
-        stream = list(real(schemas, pool, max_size, max_instances))
-        assert stream == list(_built_then_filtered(schemas, pool, max_size, max_instances, dropped))
+    for schemas, pool, max_size in calls:
+        stream = list(real(schemas, pool, max_size))
+        assert stream == list(_built_then_filtered(schemas, pool, max_size, dropped))
     assert dropped

@@ -342,10 +342,11 @@ def test_results_pickle_and_copy():
 
 def test_record_construction_by_position_keyword_and_default():
     default = HilbertBudget()
-    assert (default.max_lines, default.max_term_size, default.u_bound) == (4000, None, 16)
-    assert HilbertBudget(4000, 12000) == default == HilbertBudget(u_bound=16, max_lines=4000)
-    budget = HilbertBudget(10, pool_limit=3)
-    assert (budget.max_lines, budget.max_instances, budget.pool_limit) == (10, 12000, 3)
+    assert (default.max_lines, default.family_bound) == (4000, 8)
+    assert HilbertBudget(4000) == default == HilbertBudget(family_bound=8, max_lines=4000)
+    budget = HilbertBudget(10, family_bound=3)
+    assert (budget.max_lines, budget.family_bound) == (10, 3)
+    assert HilbertBudget(family_bound=3) == HilbertBudget(4000, 3)
     cm = Countermodel(valuation=(("p", 1),), chain="Z")
     assert cm == Countermodel("Z", (("p", 1),)) and cm.mapping == {"p": 1}
     # a budget's Hilbert part defaults to one shared, immutable instance
@@ -436,9 +437,8 @@ def test_record_reprs():
         "Countermodel(chain='Z', valuation=(('p', -1), ('q', 1)))"
     )
     assert repr(EngineBudget()) == (
-        "EngineBudget(lambda_cap=16, max_literals=4096, max_goals=4096, "
-        "hilbert=HilbertBudget(max_lines=4000, max_instances=12000, pool_limit=28, "
-        "max_term_size=None, family_bound=8, u_bound=16))"
+        "EngineBudget(lambda_cap=16, "
+        "hilbert=HilbertBudget(max_lines=4000, family_bound=8))"
     )
     assert repr(prove_consequence("A", [], parse("p -> p")).results[0]) == (
         "ProofResult(status='proved', goal=Goal(hypotheses=(), clause=MultClause("
