@@ -52,7 +52,6 @@ from .linalg import (
 from .logics import (
     AxiomSchema,
     LogicSpec,
-    check_toa_condition,
     instantiate,
     knotted_logic,
     lookup_logic,
@@ -69,6 +68,7 @@ from .oracles import (
     LinearWitness,
     ProofResult,
     ToACertificate,
+    check_toa_condition,
     combination_formula,
     countermodel_refutes,
     decide,

@@ -25,7 +25,7 @@ from .engine import EngineBudget, prove_consequence, prove_disjunction
 from .errors import GordianError
 from .interpolate import lift_interpolant
 from .linalg import IntMatrix, Kernel, gordan
-from .logics import check_toa_condition, lookup_logic
+from .logics import lookup_logic
 from .oracles import (
     ChainExhaustiveWitness,
     Countermodel,
@@ -33,6 +33,7 @@ from .oracles import (
     HilbertBudget,
     LinearWitness,
     ProofResult,
+    check_toa_condition,
 )
 from .syntax import Formula, Record, parse, render
 

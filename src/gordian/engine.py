@@ -6,14 +6,14 @@ hypotheses in the multiplicative fragment, or by exhibiting a countermodel.
 :func:`prove_disjunction` hands the goal to its logic's procedure in
 :mod:`oracles`:
 
-* Abelian: :func:`oracles.abelian_alternative`, the one exact LP, decides
-  both directions at once: its combination gives ``lambda`` and the
+* Abelian: :func:`oracles.prove_abelian`, the one exact LP, decides both
+  directions at once: its combination gives ``lambda`` and the
   hypotheses' weights, its separation the integer countermodel.
 * Mingle logics: :func:`oracles.prove_subsets`, ``lambda`` over 0/1
   vectors, from the bit-sliced planes of one canonical grid per decision
   chain.
-* Everything else: first a countermodel in the model classes the logic
-  is sound for (:func:`oracles.class_countermodel`: Z through the same LP
+* Everything else: first a refutation in the model classes the logic is
+  sound for (:func:`oracles.class_refutation`: Z through the same LP
   separation, then Sugihara chains), then iterative deepening on
   ``sum(lambda)``, asking :func:`oracles.decide` (the Hilbert search) for
   each weighted sum.  Only once the model classes have failed is
@@ -22,22 +22,19 @@ hypotheses in the multiplicative fragment, or by exhibiting a countermodel.
 
 from __future__ import annotations
 
-from .errors import InvalidCertificateError, LogicWithoutToAError
+from .errors import LogicWithoutToAError
 from .logics import LogicSpec, resolve_logic
 from .normalize import Goal, decompose_consequence
 from .oracles import (
     Countermodel,
     HilbertBudget,
-    LinearWitness,
     ProofResult,
     ToACertificate,
-    abelian_alternative,
-    check_model_classes,
-    class_countermodel,
+    class_refutation,
     combination_formula,
     decide,
+    prove_abelian,
     prove_subsets,
-    verify_linear_witness,
 )
 from .syntax import Formula, Record
 
@@ -66,28 +63,10 @@ def prove_disjunction(
     if not logic.has_toa:
         raise LogicWithoutToAError(f"{logic.name} has no theorem of alternatives")
     if logic.oracle_kind == "abelian":
-        return _prove_abelian(goal)
+        return prove_abelian(goal)
     if logic.oracle_kind == "sugihara":
         return prove_subsets(logic, goal)
     return _prove_deepening(logic, goal, budget)
-
-
-# --- Abelian: one exact LP -----------------------------------------------------
-
-
-def _prove_abelian(goal: Goal) -> ProofResult:
-    result = abelian_alternative(goal.hypotheses, goal.clause.disjuncts)
-    if isinstance(result, Countermodel):
-        return ProofResult("refuted", goal, countermodel=result)
-    return _abelian_proved(goal, result.lambdas, result.mu)
-
-
-def _abelian_proved(goal: Goal, lambdas, mu) -> ProofResult:
-    cert = ToACertificate(tuple(lambdas), LinearWitness(tuple(mu), 1))
-    combo = combination_formula(cert.lambdas, goal.clause.disjuncts)
-    if not verify_linear_witness(cert.witness, goal.hypotheses, combo):
-        raise InvalidCertificateError("hypothesis weights do not sum to the combination")
-    return ProofResult("proved", goal, certificate=cert)
 
 
 # --- generic: iterative deepening ----------------------------------------------
@@ -108,11 +87,8 @@ def _compositions(total: int, parts: int):
 
 
 def _prove_deepening(logic: LogicSpec, goal: Goal, budget: EngineBudget) -> ProofResult:
-    cm = class_countermodel(logic.model_classes, goal.hypotheses, goal.clause.disjuncts)
+    cm = class_refutation(logic, goal)
     if cm is not None:
-        # No refutation rests on an unchecked declaration; theorems, which
-        # no class refutes, never pay for the check.
-        check_model_classes(logic)
         return ProofResult("refuted", goal, countermodel=cm)
     disjuncts = goal.clause.disjuncts
     for total in range(1, budget.lambda_cap + 1):

@@ -5,10 +5,10 @@ Templates are ordinary formula trees whose leaves may be metavariables
 a base system plus extra axiom schemas; the registry carries the standard
 presets and parametric knotted extensions.  Each preset also records which
 multiplicative-fragment decision procedure applies to it, and the model
-classes its multiplicative fragment is sound for, which are checked before
-a refutation rests on them (:func:`oracles.check_model_classes`).  A
-schema stores the postorder that :func:`instantiate` runs when it is built,
-and :func:`match_template` keeps a stack of node pairs.
+classes its multiplicative fragment is sound for, which the decision layer
+checks (:func:`oracles.check_model_classes`); this module imports nothing
+from it.  A schema stores the postorder that :func:`instantiate` runs when
+it is built, and :func:`match_template` keeps a stack of node pairs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .syntax import (
     Imp,
     MVar,
     Record,
-    Var,
     parse_template,
     postorder,
     power,
@@ -331,57 +330,3 @@ def match_template(template: Formula, f: Formula) -> dict[str, Formula] | None:
             return None
     return assignment
 
-
-# --- the scaling side condition ----------------------------------------------
-
-
-class ToAConditionEntry(Record):
-    n: int
-    k: int
-    m: int
-    status: str  # proved / refuted / unknown
-    countermodel: object = None  # a refuted entry's checked oracles.Countermodel
-
-
-class ToAConditionReport(Record):
-    logic: str
-    entries: tuple[ToAConditionEntry, ...]
-
-    @property
-    def all_proved(self) -> bool:
-        return all(e.status == "proved" for e in self.entries)
-
-
-def check_toa_condition(
-    logic: LogicSpec | str,
-    n_max: int,
-    witnesses: dict[int, tuple[int, int]] | None = None,
-    budget=None,
-) -> ToAConditionReport:
-    """For each n <= n_max check derivability of (n*p)^k -> m*(p^n) in the
-    logic's multiplicative fragment, with candidate (k, m) per n (default
-    (1, 1)), under the Hilbert ``budget`` with its family bound raised to
-    ``n_max``.  What the oracle leaves open is refuted by a countermodel in
-    the logic's checked model classes, if they hold one, and else stays
-    unknown: budget exhaustion is never a failure.
-    """
-    from . import oracles  # deferred: oracles depends on this module
-
-    logic = resolve_logic(logic)
-    if n_max < 1:  # no entry to check would read as "all proved"
-        raise ValueError(f"n_max must be at least 1, not {n_max}")
-    budget = budget or oracles.HilbertBudget()
-    budget = oracles.HilbertBudget(budget.max_lines, max(budget.family_bound, n_max))
-    p = Var("p")
-    entries = []
-    for n in range(1, n_max + 1):
-        k, m = (witnesses or {}).get(n, (1, 1))
-        if m < 1 or k < 0:
-            raise ValueError(f"witness for n={n} needs m >= 1 and k >= 0")
-        target = Imp(power(scalar(n, p), k), scalar(m, power(p, n)))
-        verdict = oracles.decide(logic, [], target, budget=budget)
-        cm = verdict.countermodel if verdict.status == "refuted" else None
-        if verdict.status == "unknown":
-            cm = oracles.class_countermodel(oracles.check_model_classes(logic), [], [target])
-        entries.append(ToAConditionEntry(n, k, m, verdict.status if cm is None else "refuted", cm))
-    return ToAConditionReport(logic.name, tuple(entries))

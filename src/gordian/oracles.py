@@ -5,10 +5,10 @@ multiplicative formulas with machine-checkable evidence.  The engine reads
 them for its disjunction goals, and :func:`decide`, the one-target entry,
 asks each the one-disjunct question ``sigma |- phi``:
 
-* ``abelian``: :func:`abelian_alternative`, the package's one exact LP
-  (:func:`linalg.linear_alternative`) on the linear readings: weights on
-  the disjuncts and hypotheses that balance, or else its separation, an
-  integer countermodel in Z.
+* ``abelian``: :func:`prove_abelian` on :func:`abelian_alternative`, the
+  package's one exact LP on the linear readings: weights on the disjuncts
+  and hypotheses that balance, re-checked before they are certified, or
+  else its separation, an integer countermodel in Z.
 * ``sugihara`` (the mingle logics): :func:`prove_subsets`, weights over 0/1
   vectors.  The goal is evaluated once per decision chain over its
   canonical grid (:func:`chains.canonical_grid`, one valuation per class of
@@ -19,14 +19,14 @@ asks each the one-disjunct question ``sigma |- phi``:
   disjuncts' running sum gives the largest valid subset.
 * ``hilbert``: :func:`hilbert_search`, budgeted forward saturation over
   axiom-schema instances with modus ponens and the unperforated rule, for
-  one target at a time; proved or unknown, never refuted.
+  one target at a time; proved by a checked derivation, or unknown.
 
-Before a Hilbert search the engine looks for a countermodel in the model
-classes a logic declares sound (:func:`class_countermodel`), with the two
-complete procedures above: the LP's separation for Z and the chain scan
-(:func:`find_chain_countermodel`) for the Sugihara classes.  A declaration
-is checked against the logic's multiplicative axioms and rules
-(:func:`check_model_classes`) before a refutation rests on it.
+Before a Hilbert search, and for :func:`check_toa_condition`, a goal is
+refuted in the model classes a logic declares sound (:func:`class_refutation`)
+with the two complete procedures above: the LP's separation for Z and the
+chain scan (:func:`find_chain_countermodel`) for the Sugihara classes.  A
+declaration is checked against the logic's multiplicative axioms and rules
+(:func:`check_model_classes`) once a refutation rests on it.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .syntax import (
     Var,
     Zero,
     plus,
+    power,
     render,
     scalar,
     subformulas,
@@ -220,6 +221,19 @@ def verify_linear_witness(witness: LinearWitness, sigma, phi: Formula) -> bool:
         and min(witness.mu, default=0) >= 0
         and combination == witness.scale * translate_abelian(phi)
     )
+
+
+def prove_abelian(goal: Goal) -> ProofResult:
+    """The Abelian logic's procedure: :func:`abelian_alternative`, its
+    combination certified once :func:`verify_linear_witness` confirms it."""
+    result = abelian_alternative(goal.hypotheses, goal.clause.disjuncts)
+    if isinstance(result, Countermodel):
+        return ProofResult("refuted", goal, countermodel=result)
+    cert = ToACertificate(tuple(result.lambdas), LinearWitness(tuple(result.mu), 1))
+    combo = combination_formula(cert.lambdas, goal.clause.disjuncts)
+    if not verify_linear_witness(cert.witness, goal.hypotheses, combo):
+        raise InvalidCertificateError("hypothesis weights do not sum to the combination")
+    return ProofResult("proved", goal, certificate=cert)
 
 
 # --- Sugihara -----------------------------------------------------------------
@@ -438,6 +452,16 @@ def check_model_classes(logic: LogicSpec) -> tuple[str, ...]:
     return logic.model_classes
 
 
+def class_refutation(logic: LogicSpec, goal: Goal) -> Countermodel | None:
+    """The checked countermodel to ``goal`` in the model classes ``logic``
+    declares, or ``None``; the declaration is checked only once a refutation
+    rests on it, so theorems, which no class refutes, never pay for that."""
+    cm = class_countermodel(logic.model_classes, goal.hypotheses, goal.clause.disjuncts)
+    if cm is not None:
+        check_model_classes(logic)
+    return cm
+
+
 # --- Hilbert ------------------------------------------------------------------
 
 
@@ -513,8 +537,8 @@ def hilbert_search(
     axiom-schema instances built from the :data:`POOL_LIMIT` smallest
     subterms are closed under modus ponens and the unperforated rule (from
     ``n*g`` infer ``g``, every n >= 2) until the target appears or the
-    budget runs out.  A proof's certificate carries a checkable derivation
-    of ``phi`` under the weight (1,); there are no refuted answers.
+    budget runs out.  A proof carries a derivation of ``phi`` under the
+    weight (1,) that :func:`verify_derivation` accepts; no answer is refuted.
     """
     logic = resolve_logic(logic)
     budget = budget or HilbertBudget()
@@ -542,7 +566,10 @@ def hilbert_search(
             add(phi, ("axiom", axiom))
         else:
             subterms = {g for f in sigma + [phi, ONE, ZERO] for g in subformulas(f)}
-            pool = sorted(subterms, key=lambda f: (f.size, render(f)))[:POOL_LIMIT]
+            # render for the tie-break only what can enter the pool
+            cut = sorted(f.size for f in subterms)[:POOL_LIMIT][-1]
+            small = [f for f in subterms if f.size <= cut]
+            pool = sorted(small, key=lambda f: (f.size, render(f)))[:POOL_LIMIT]
             for name, instance in _axiom_instances(schemas, pool, max(2 * phi.size + 8, 24)):
                 add(instance, ("axiom", name))
 
@@ -559,24 +586,22 @@ def hilbert_search(
                 add(f.right, ("mp", f.left, f))
         for implication in by_antecedent.get(f, ()):
             add(implication.right, ("mp", f, implication))
-        if use_u:
-            # from n*g conclude g
-            for candidate in _u_candidates(f):
-                n = _scalar_count(f, candidate)
-                if n is not None:
-                    add(candidate, ("u", n, f))
+        if use_u and isinstance(f, Imp):
+            # from n*g conclude g: n*g for n >= 2 is ~(...) -> g
+            n = _scalar_count(f, f.right)
+            if n is not None:
+                add(f.right, ("u", n, f))
 
     if phi not in parents:
         reason = "saturation exhausted without reaching the target"
         return ProofResult("unknown", goal, reason=reason)
-    witness = DerivationWitness(_reconstruct(phi, parents))
-    return ProofResult("proved", goal, certificate=ToACertificate((1,), witness))
-
-
-def _u_candidates(f: Formula):
-    # n*g for n >= 2 is ~(...) -> g; the only possible quotient is f.right.
-    if isinstance(f, Imp) and isinstance(f.left, Imp) and isinstance(f.left.right, Zero):
-        yield f.right
+    lines = _reconstruct(phi, parents)
+    check = verify_derivation(logic, lines, sigma)
+    if lines[-1].formula != phi:
+        check = DerivationCheck(False, len(lines), "the last line is not the target")
+    if not check:
+        raise InvalidCertificateError(f"derivation of {render(phi)} rejected: {check.message}")
+    return ProofResult("proved", goal, certificate=ToACertificate((1,), DerivationWitness(lines)))
 
 
 def _reconstruct(goal: Formula, parents: dict[Formula, tuple]) -> tuple[DerivationLine, ...]:
@@ -688,9 +713,62 @@ def decide(
         return sugihara_decide(logic, sigma, phi)
     if logic.oracle_kind != "abelian":
         return hilbert_search(logic, sigma, phi, budget=budget)
-    goal = one_target(sigma, phi)
-    result = abelian_alternative(goal.hypotheses, (phi,))
-    if isinstance(result, Countermodel):
-        return ProofResult("refuted", goal, countermodel=result)
-    witness = LinearWitness(result.mu, result.lambdas[0])
-    return ProofResult("proved", goal, certificate=ToACertificate((1,), witness))
+    verdict = prove_abelian(one_target(sigma, phi))
+    if verdict.status != "proved":
+        return verdict
+    cert = verdict.certificate
+    witness = LinearWitness(cert.witness.mu, cert.lambdas[0])
+    return ProofResult("proved", verdict.goal, certificate=ToACertificate((1,), witness))
+
+
+# --- the scaling side condition ----------------------------------------------
+
+
+class ToAConditionEntry(Record):
+    n: int
+    k: int
+    m: int
+    status: str  # proved / refuted / unknown
+    countermodel: Countermodel | None = None  # a refuted entry's checked countermodel
+
+
+class ToAConditionReport(Record):
+    logic: str
+    entries: tuple[ToAConditionEntry, ...]
+
+    @property
+    def all_proved(self) -> bool:
+        return all(e.status == "proved" for e in self.entries)
+
+
+def check_toa_condition(
+    logic: LogicSpec | str,
+    n_max: int,
+    witnesses: dict[int, tuple[int, int]] | None = None,
+    budget: HilbertBudget | None = None,
+) -> ToAConditionReport:
+    """For each n <= n_max check derivability of (n*p)^k -> m*(p^n) in the
+    logic's multiplicative fragment, with candidate (k, m) per n (default
+    (1, 1)), under the Hilbert ``budget`` with its family bound raised to
+    ``n_max``.  What the oracle leaves open is refuted in the logic's model
+    classes (:func:`class_refutation`), if they hold a countermodel, and
+    else stays unknown: budget exhaustion is never a failure.
+    """
+    logic = resolve_logic(logic)
+    if n_max < 1:  # no entry to check would read as "all proved"
+        raise ValueError(f"n_max must be at least 1, not {n_max}")
+    budget = budget or HilbertBudget()
+    budget = HilbertBudget(budget.max_lines, max(budget.family_bound, n_max))
+    p = Var("p")
+    entries = []
+    for n in range(1, n_max + 1):
+        k, m = (witnesses or {}).get(n, (1, 1))
+        if m < 1 or k < 0:
+            raise ValueError(f"witness for n={n} needs m >= 1 and k >= 0")
+        target = Imp(power(scalar(n, p), k), scalar(m, power(p, n)))
+        verdict = decide(logic, [], target, budget=budget)
+        cm = verdict.countermodel
+        if verdict.status == "unknown":
+            cm = class_refutation(logic, verdict.goal)
+        entries.append(ToAConditionEntry(n, k, m, verdict.status if cm is None else "refuted", cm))
+    return ToAConditionReport(logic.name, tuple(entries))

@@ -4,12 +4,12 @@ import pytest
 
 from helpers import meta_to_vars, replace
 
+from gordian import check_toa_condition
 from gordian.chains import eval_abelian, eval_formula, sugihara_chain
 from gordian.engine import DEFAULT_BUDGET, _prove_deepening, prove_consequence
 from gordian.errors import GordianError, MissingMetavariableError, UnknownLogicError
 from gordian.logics import (
     AxiomSchema,
-    check_toa_condition,
     instantiate,
     knotted_logic,
     lookup_logic,

@@ -39,11 +39,30 @@ def rejected(label, action, error=InvalidCertificateError):
         print("ACCEPTED:", label)
 
 
+# Forged LP weights that do not balance: the Abelian procedure re-checks
+# them for the engine and for the one-target question alike.
 transitive = goal(["p -> q", "q -> r"], ["p -> r"])
+alternative = oracles.abelian_alternative
+oracles.abelian_alternative = lambda sigma, disjuncts: linalg.Combination((1,), (1, 0))
 rejected(
     "abelian weights that do not sum to the combination",
-    lambda: engine._abelian_proved(transitive, (1,), mu=(1, 0)),
+    lambda: engine.prove_disjunction("A", transitive),
 )
+rejected(
+    "one-target abelian weights that do not sum to the target",
+    lambda: oracles.decide("A", transitive.hypotheses, parse("p -> r")),
+)
+oracles.abelian_alternative = alternative
+
+# A derivation whose one line is no axiom instance.
+commute = parse("p * q -> q * p")
+reconstruct = oracles._reconstruct
+oracles._reconstruct = lambda phi, parents: (oracles.DerivationLine(1, commute, "axiom identity"),)
+rejected(
+    "Hilbert derivation with an unjustified line",
+    lambda: engine.prove_disjunction("BIULm", goal([], ["p * q -> q * p"])),
+)
+oracles._reconstruct = reconstruct
 
 # a valid goal, so the first canonical point designates a disjunct
 excluded_middle = goal([], ["p", "~p"])
@@ -135,4 +154,4 @@ def test_certificate_checks_survive_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 13 and all(line.startswith("rejected:") for line in lines), lines
+    assert len(lines) == 15 and all(line.startswith("rejected:") for line in lines), lines

@@ -29,7 +29,7 @@ from gordian.oracles import (
     verify_derivation,
     verify_linear_witness,
 )
-from gordian.syntax import Imp, metavariables, parse, render, variables_of
+from gordian.syntax import ONE, ZERO, Imp, metavariables, parse, render, subformulas, variables_of
 
 
 def test_abelian_examples():
@@ -183,6 +183,14 @@ def test_hilbert_matching_agrees_with_the_stream(monkeypatch):
         problems.append(("BIULm", hyps, random_mult_formula(rng, ["p", "q"], rng.randint(1, 3))))
     # (pool size, instance cap, line budget): the defaults, then the cuts
     settings = [(28, 12000, 400), (2, 12000, 100), (28, 40, 100)]
+    real_match, real_verify = oracles.match_template, oracles.verify_derivation
+
+    def verify_unpatched(*args):
+        # the derivation checker matches axioms through the same function
+        with monkeypatch.context() as restored:
+            restored.setattr(oracles, "match_template", real_match)
+            return real_verify(*args)
+
     shortcut = missed = 0
     for pool_limit, max_instances, max_lines in settings:
         monkeypatch.setattr(oracles, "POOL_LIMIT", pool_limit)
@@ -192,6 +200,7 @@ def test_hilbert_matching_agrees_with_the_stream(monkeypatch):
             fast = hilbert_search(logic, sigma, phi, budget)
             with monkeypatch.context() as patched:
                 patched.setattr(oracles, "match_template", lambda template, f: None)
+                patched.setattr(oracles, "verify_derivation", verify_unpatched)
                 slow = hilbert_search(logic, sigma, phi, budget)
             lines = fast.certificate.witness.lines if fast.certificate else ()
             one_axiom = len(lines) == 1 and lines[0].justification.startswith("axiom")
@@ -385,3 +394,28 @@ def test_axiom_instances_skip_oversized_before_building(monkeypatch):
         stream = list(real(schemas, pool, max_size))
         assert stream == list(_built_then_filtered(schemas, pool, max_size, dropped))
     assert dropped
+
+
+def test_hilbert_pool_renders_only_its_candidates(monkeypatch):
+    # a deep target that is no axiom instance: only the subterms up to the
+    # pool's largest size are rendered for its tie-break, the same pool as
+    # sorting all of them
+    phi = parse("p^600 -> p^600 * 1")
+    rendered, pools = [], []
+    real_render, real_stream = oracles.render, oracles._axiom_instances
+
+    def counting(f):
+        rendered.append(f)
+        return real_render(f)
+
+    def recording(schemas, pool, max_size):
+        pools.append(pool)
+        return real_stream(schemas, pool, max_size)
+
+    monkeypatch.setattr(oracles, "render", counting)
+    monkeypatch.setattr(oracles, "_axiom_instances", recording)
+    hilbert_search("BIULm", [], phi)
+    assert len(rendered) < 100
+    subterms = {g for f in (phi, ONE, ZERO) for g in subformulas(f)}
+    key = lambda f: (f.size, real_render(f))
+    assert pools == [sorted(subterms, key=key)[: oracles.POOL_LIMIT]]
