@@ -68,11 +68,11 @@ from .oracles import (
     LinearWitness,
     ProofResult,
     ToACertificate,
+    check_result,
     check_toa_condition,
     combination_formula,
     countermodel_refutes,
     decide,
-    hilbert_search,
     sugihara_decide,
     verify_derivation,
 )

@@ -4,8 +4,9 @@ For a logic that proves 1 -> 0 and has a theorem of alternatives, a
 certificate for the goal ``(f -> p) | (p -> g) | h`` with ``p`` fresh
 converts into one for ``(f -> g) | h``: with input weights (a, b, c) the
 output weights are (a*b, a*c) when a, b > 0, (b, c) when a = 0 (substitute
-f for p), and (a, c) when b = 0 (substitute g for p).  The output witness
-is re-proved by the logic's own oracle rather than replayed step by step.
+f for p), and (a, c) when b = 0 (substitute g for p).  The input certificate
+passes :func:`oracles.check_result`; the output witness is re-proved by
+:func:`oracles.decide` rather than replayed step by step.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from .engine import DEFAULT_BUDGET, EngineBudget, prove_consequence
 from .errors import InvalidCertificateError, PreconditionFailedError
 from .logics import LogicSpec, resolve_logic
 from .normalize import Goal, MultClause
-from .oracles import ToACertificate, combination_formula, decide
+from .oracles import ProofResult, ToACertificate, check_result, combination_formula, decide
 from .syntax import ONE, VARIABLE, ZERO, Formula, Imp, Record, Var, variables_of
 
 
@@ -60,10 +61,8 @@ def density_transform(
     """Convert a certificate for ``(phi -> p) | (p -> psi) | chi`` into one
     for ``(phi -> psi) | chi`` (``p`` the fresh variable).
 
-    The input certificate's weights are checked by
-    :func:`oracles.combination_formula` and its combination re-verified
-    against the logic's oracle before transforming; the output combination
-    is re-proved the same way."""
+    The input certificate must pass :func:`oracles.check_result`; the output
+    combination is re-proved by :func:`oracles.decide`."""
     logic = resolve_logic(logic)
     sigma = list(sigma)
     in_goal = density_goal(phi, psi, chi, fresh, sigma)
@@ -73,9 +72,7 @@ def density_transform(
     if fresh in scope:
         raise PreconditionFailedError(f"variable {fresh!r} is not fresh")
 
-    in_combo = combination_formula(cert.lambdas, in_goal.clause.disjuncts)
-    if decide(logic, sigma, in_combo, budget=budget.hilbert).status != "proved":
-        raise InvalidCertificateError("input certificate does not re-verify")
+    check_result(logic, ProofResult("proved", in_goal, certificate=cert))
 
     a, b = cert.lambdas[0], cert.lambdas[1]
     c = cert.lambdas[2] if chi is not None else 0

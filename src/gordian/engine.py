@@ -4,7 +4,8 @@ A disjunction goal is settled by finding a not-all-zero natural vector
 ``lambda`` whose weighted sum of the disjuncts is derivable from the
 hypotheses in the multiplicative fragment, or by exhibiting a countermodel.
 :func:`prove_disjunction` hands the goal to its logic's procedure in
-:mod:`oracles`:
+:mod:`oracles`, and returns the answer once :func:`oracles.check_result`
+accepts it:
 
 * Abelian: :func:`oracles.prove_abelian`, the one exact LP, decides both
   directions at once: its combination gives ``lambda`` and the
@@ -15,9 +16,9 @@ hypotheses in the multiplicative fragment, or by exhibiting a countermodel.
 * Everything else: first a refutation in the model classes the logic is
   sound for (:func:`oracles.class_refutation`: Z through the same LP
   separation, then Sugihara chains), then iterative deepening on
-  ``sum(lambda)``, asking :func:`oracles.decide` (the Hilbert search) for
-  each weighted sum.  Only once the model classes have failed is
-  exhaustion reported, as unknown, never refuted.
+  ``sum(lambda)``, asking :func:`oracles.prove_one_target` (the Hilbert
+  search) for each weighted sum.  Only once the model classes have failed
+  is exhaustion reported, as unknown, never refuted.
 """
 
 from __future__ import annotations
@@ -30,10 +31,12 @@ from .oracles import (
     HilbertBudget,
     ProofResult,
     ToACertificate,
+    check_result,
     class_refutation,
     combination_formula,
-    decide,
+    one_target,
     prove_abelian,
+    prove_one_target,
     prove_subsets,
 )
 from .syntax import Formula, Record
@@ -58,15 +61,15 @@ def prove_disjunction(
     logic: LogicSpec | str, goal: Goal, budget: EngineBudget = DEFAULT_BUDGET
 ) -> ProofResult:
     """Decide one multiplicative disjunction goal with certificates, by the
-    procedure of the logic's oracle kind."""
+    procedure of the logic's oracle kind, checked by :func:`oracles.check_result`."""
     logic = resolve_logic(logic)
     if not logic.has_toa:
         raise LogicWithoutToAError(f"{logic.name} has no theorem of alternatives")
     if logic.oracle_kind == "abelian":
-        return prove_abelian(goal)
+        return check_result(logic, prove_abelian(goal))
     if logic.oracle_kind == "sugihara":
-        return prove_subsets(logic, goal)
-    return _prove_deepening(logic, goal, budget)
+        return check_result(logic, prove_subsets(logic, goal))
+    return check_result(logic, _prove_deepening(logic, goal, budget))
 
 
 # --- generic: iterative deepening ----------------------------------------------
@@ -94,7 +97,7 @@ def _prove_deepening(logic: LogicSpec, goal: Goal, budget: EngineBudget) -> Proo
     for total in range(1, budget.lambda_cap + 1):
         for lambdas in _compositions(total, len(disjuncts)):
             combo = combination_formula(lambdas, disjuncts)
-            verdict = decide(logic, goal.hypotheses, combo, budget=budget.hilbert)
+            verdict = prove_one_target(logic, one_target(goal.hypotheses, combo), budget.hilbert)
             if verdict.status == "proved":
                 cert = ToACertificate(lambdas, verdict.certificate.witness)
                 return ProofResult("proved", goal, certificate=cert)

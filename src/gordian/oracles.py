@@ -1,14 +1,14 @@
 """The decision procedures of the multiplicative fragment, one per oracle kind.
 
 Each procedure settles a goal ``sigma |- d_1 | ... | d_n`` of
-multiplicative formulas with machine-checkable evidence.  The engine reads
-them for its disjunction goals, and :func:`decide`, the one-target entry,
-asks each the one-disjunct question ``sigma |- phi``:
+multiplicative formulas with machine-checkable evidence, unchecked.  The
+engine reads them for its disjunction goals, and :func:`decide`, the
+one-target entry, asks each the one-disjunct question ``sigma |- phi``:
 
 * ``abelian``: :func:`prove_abelian` on :func:`abelian_alternative`, the
   package's one exact LP on the linear readings: weights on the disjuncts
-  and hypotheses that balance, re-checked before they are certified, or
-  else its separation, an integer countermodel in Z.
+  and hypotheses that balance, or else its separation, an integer
+  countermodel in Z.
 * ``sugihara`` (the mingle logics): :func:`prove_subsets`, weights over 0/1
   vectors.  The goal is evaluated once per decision chain over its
   canonical grid (:func:`chains.canonical_grid`, one valuation per class of
@@ -19,10 +19,11 @@ asks each the one-disjunct question ``sigma |- phi``:
   disjuncts' running sum gives the largest valid subset.
 * ``hilbert``: :func:`hilbert_search`, budgeted forward saturation over
   axiom-schema instances with modus ponens and the unperforated rule, for
-  one target at a time; proved by a checked derivation, or unknown.
+  one target at a time; proved by a derivation, or unknown.
 
-Before a Hilbert search, and for :func:`check_toa_condition`, a goal is
-refuted in the model classes a logic declares sound (:func:`class_refutation`)
+Every answer of :func:`decide` and the engine passes one checker,
+:func:`check_result`.  Before a Hilbert search a goal is refuted in the
+model classes a logic declares sound (:func:`class_refutation`)
 with the two complete procedures above: the LP's separation for Z and the
 chain scan (:func:`find_chain_countermodel`) for the Sugihara classes.  A
 declaration is checked against the logic's multiplicative axioms and rules
@@ -159,10 +160,7 @@ def combination_formula(lambdas, disjuncts) -> Formula:
     terms = [scalar(l, d) for l, d in zip(lambdas, disjuncts) if l > 0]
     if not terms:
         raise InvalidCertificateError("weights must not all be zero")
-    acc = terms[-1]
-    for t in reversed(terms[:-1]):
-        acc = plus(t, acc)
-    return acc
+    return reduce(lambda acc, t: plus(t, acc), reversed(terms[:-1]), terms[-1])
 
 
 def countermodel_refutes(cm: Countermodel, sigma, disjuncts) -> bool:
@@ -181,11 +179,12 @@ def countermodel_refutes(cm: Countermodel, sigma, disjuncts) -> bool:
     )
 
 
-def checked_countermodel(cm: Countermodel, sigma, disjuncts) -> Countermodel:
-    """``cm`` itself, once :func:`countermodel_refutes` confirms it; raises
-    InvalidCertificateError otherwise (a check that ``python -O`` keeps)."""
-    if not countermodel_refutes(cm, sigma, disjuncts):
-        raise InvalidCertificateError(f"countermodel {cm} does not refute the goal")
+def checked_countermodel(cm: Countermodel, sigma, disjuncts, classes) -> Countermodel:
+    """``cm`` itself, once it lies in one of ``classes`` and refutes the goal;
+    raises InvalidCertificateError otherwise (a check ``python -O`` keeps)."""
+    declared = cm is not None and cm.chain.rsplit("_", 1)[0] in classes
+    if not (declared and countermodel_refutes(cm, sigma, disjuncts)):
+        raise InvalidCertificateError(f"countermodel {cm} does not refute the goal in {classes}")
     return cm
 
 
@@ -196,8 +195,7 @@ def abelian_alternative(sigma, disjuncts) -> Combination | Countermodel:
     """:func:`linalg.linear_alternative` on the linear readings of
     ``sigma |- disjuncts``: the combination of the disjuncts that weights on
     the hypotheses match, or else its separation, which makes every
-    disjunct negative and no hypothesis negative, as a checked countermodel
-    in Z."""
+    disjunct negative and no hypothesis negative, as a countermodel in Z."""
     d_forms = [translate_abelian(d) for d in disjuncts]
     h_forms = [translate_abelian(h) for h in sigma]
     variables = sorted(frozenset().union(*(f.variables() for f in d_forms + h_forms)))
@@ -209,30 +207,23 @@ def abelian_alternative(sigma, disjuncts) -> Combination | Countermodel:
         return result
     full = {v: 0 for v in variables_of(tuple(sigma) + tuple(disjuncts))}
     full.update(zip(variables, result.y))
-    return checked_countermodel(Countermodel.of("Z", full), sigma, disjuncts)
+    return Countermodel.of("Z", full)
 
 
 def verify_linear_witness(witness: LinearWitness, sigma, phi: Formula) -> bool:
-    combination = LinForm()
-    for mu_j, h in zip(witness.mu, sigma, strict=True):
-        combination = combination + mu_j * translate_abelian(h)
-    return (
-        witness.scale >= 1
-        and min(witness.mu, default=0) >= 0
-        and combination == witness.scale * translate_abelian(phi)
-    )
+    if len(witness.mu) != len(sigma) or witness.scale < 1 or min(witness.mu, default=0) < 0:
+        return False
+    combination = sum((m * translate_abelian(h) for m, h in zip(witness.mu, sigma)), LinForm())
+    return combination == witness.scale * translate_abelian(phi)
 
 
 def prove_abelian(goal: Goal) -> ProofResult:
     """The Abelian logic's procedure: :func:`abelian_alternative`, its
-    combination certified once :func:`verify_linear_witness` confirms it."""
+    combination as the weights and a linear witness of scale 1."""
     result = abelian_alternative(goal.hypotheses, goal.clause.disjuncts)
     if isinstance(result, Countermodel):
         return ProofResult("refuted", goal, countermodel=result)
     cert = ToACertificate(tuple(result.lambdas), LinearWitness(tuple(result.mu), 1))
-    combo = combination_formula(cert.lambdas, goal.clause.disjuncts)
-    if not verify_linear_witness(cert.witness, goal.hypotheses, combo):
-        raise InvalidCertificateError("hypothesis weights do not sum to the combination")
     return ProofResult("proved", goal, certificate=cert)
 
 
@@ -295,19 +286,15 @@ def prove_subsets(logic: LogicSpec, goal: Goal) -> ProofResult:
     the mask of the points that designate them all (the kept points), and
     the disjuncts over the same grid.  A kept point designating no
     disjunct is a countermodel.  Otherwise the largest valid subset is
-    found by greedy elimination (:func:`_largest_valid_subset`), and its
-    combination formula is evaluated at the kept points before it is
-    certified.
+    found by greedy elimination (:func:`_largest_valid_subset`).
     """
     hyps, disjuncts = goal.hypotheses, goal.clause.disjuncts
     hyp_vars = variables_of(hyps)
     disjunct_vars = [variables(d) for d in disjuncts]
-    var_order = sorted(hyp_vars.union(*disjunct_vars))
-    chains = decision_chains(logic, len(var_order))
+    chains = decision_chains(logic, len(hyp_vars.union(*disjunct_vars)))
     tables = find_chain_countermodel(chains, hyps, disjuncts)
     if isinstance(tables, Countermodel):  # no tables: a point refutes the goal
-        cm = checked_countermodel(tables, hyps, disjuncts)
-        return ProofResult("refuted", goal, countermodel=cm)
+        return ProofResult("refuted", goal, countermodel=tables)
     support = _largest_valid_subset(tables, len(disjuncts))
     if not support:
         return ProofResult(
@@ -316,12 +303,6 @@ def prove_subsets(logic: LogicSpec, goal: Goal) -> ProofResult:
             reason="valid on the decision chains but no subset combination proved",
         )
     lambdas = tuple(1 if i in support else 0 for i in range(len(disjuncts)))
-    combo = combination_formula(lambdas, disjuncts)
-    for chain, grid, kept, _ in tables:
-        if kept & ~designated_mask(chain, eval_planes(chain, combo, var_order, grid)):
-            raise InvalidCertificateError(
-                f"subset combination is not designated on {chain.name}"
-            )
     # The combination's own decision chains are subalgebras of the goal's.
     k = len(hyp_vars.union(*(disjunct_vars[i] for i in support)))
     witness = ChainExhaustiveWitness(tuple(c.name for c in decision_chains(logic, k)))
@@ -371,8 +352,11 @@ def _largest_valid_subset(tables, n: int) -> set[int]:
 
 
 def sugihara_decide(logic: LogicSpec | str, sigma, phi: Formula) -> ProofResult:
-    """:func:`prove_subsets` on the one-target goal ``sigma |- phi``."""
-    return prove_subsets(resolve_logic(logic), one_target(sigma, phi))
+    """:func:`decide`, for the mingle logics only."""
+    logic = resolve_logic(logic)
+    if logic.oracle_kind != "sugihara":
+        raise UnsupportedLogicError(f"no chain decision procedure for {logic.name}")
+    return decide(logic, sigma, phi)
 
 
 # --- sound model classes -------------------------------------------------------
@@ -410,12 +394,11 @@ def class_countermodel(classes, sigma, disjuncts) -> Countermodel | None:
     of :func:`class_chains`.  Both searches are complete for their class."""
     sigma, disjuncts = tuple(sigma), tuple(disjuncts)
     k = len(variables_of(sigma + disjuncts))
-    if "Z" in classes and k:
-        result = abelian_alternative(sigma, disjuncts)
-        if isinstance(result, Countermodel):
-            return result
-    cm = find_chain_countermodel(class_chains(classes, k), sigma, disjuncts)
-    return checked_countermodel(cm, sigma, disjuncts) if isinstance(cm, Countermodel) else None
+    cm = abelian_alternative(sigma, disjuncts) if "Z" in classes and k else None
+    if not isinstance(cm, Countermodel):
+        cm = find_chain_countermodel(class_chains(classes, k), sigma, disjuncts)
+    found = isinstance(cm, Countermodel)
+    return checked_countermodel(cm, sigma, disjuncts, classes) if found else None
 
 
 @lru_cache(maxsize=64)
@@ -538,7 +521,7 @@ def hilbert_search(
     subterms are closed under modus ponens and the unperforated rule (from
     ``n*g`` infer ``g``, every n >= 2) until the target appears or the
     budget runs out.  A proof carries a derivation of ``phi`` under the
-    weight (1,) that :func:`verify_derivation` accepts; no answer is refuted.
+    weight (1,), unchecked (see :func:`check_result`); no answer is refuted.
     """
     logic = resolve_logic(logic)
     budget = budget or HilbertBudget()
@@ -596,11 +579,6 @@ def hilbert_search(
         reason = "saturation exhausted without reaching the target"
         return ProofResult("unknown", goal, reason=reason)
     lines = _reconstruct(phi, parents)
-    check = verify_derivation(logic, lines, sigma)
-    if lines[-1].formula != phi:
-        check = DerivationCheck(False, len(lines), "the last line is not the target")
-    if not check:
-        raise InvalidCertificateError(f"derivation of {render(phi)} rejected: {check.message}")
     return ProofResult("proved", goal, certificate=ToACertificate((1,), DerivationWitness(lines)))
 
 
@@ -695,30 +673,75 @@ def verify_derivation(logic: LogicSpec | str, lines, hypotheses=()) -> Derivatio
     return DerivationCheck(True)
 
 
-# --- dispatch -------------------------------------------------------------------
+# --- dispatch and the one certificate check -------------------------------------
 
 
-def decide(
-    logic: LogicSpec | str,
-    sigma,
-    phi: Formula,
-    budget: HilbertBudget | None = None,
-) -> ProofResult:
-    """The one-target question ``sigma |- phi``, asked as the one-disjunct
-    goal of the logic's procedure.  A proof's certificate has the weight
-    (1,) and a witness for ``phi`` itself; an Abelian one carries the LP's
-    weight on ``phi`` as its scale."""
-    logic = resolve_logic(logic)
+def prove_one_target(logic: LogicSpec, goal: Goal, budget: HilbertBudget | None) -> ProofResult:
+    """The one-disjunct ``goal`` asked of the logic's procedure, unchecked.
+    A proof's certificate has the weight (1,) and a witness for the
+    disjunct itself; an Abelian one carries the LP's weight as its scale."""
     if logic.oracle_kind == "sugihara":
-        return sugihara_decide(logic, sigma, phi)
+        return prove_subsets(logic, goal)
     if logic.oracle_kind != "abelian":
-        return hilbert_search(logic, sigma, phi, budget=budget)
-    verdict = prove_abelian(one_target(sigma, phi))
+        return hilbert_search(logic, goal.hypotheses, goal.clause.disjuncts[0], budget=budget)
+    verdict = prove_abelian(goal)
     if verdict.status != "proved":
         return verdict
     cert = verdict.certificate
     witness = LinearWitness(cert.witness.mu, cert.lambdas[0])
-    return ProofResult("proved", verdict.goal, certificate=ToACertificate((1,), witness))
+    return ProofResult("proved", goal, certificate=ToACertificate((1,), witness))
+
+
+def decide(
+    logic: LogicSpec | str, sigma, phi: Formula, budget: HilbertBudget | None = None
+) -> ProofResult:
+    """The one-target question ``sigma |- phi``: for the ``hilbert`` kind a
+    refutation in the declared model classes first, then
+    :func:`prove_one_target`; the answer passes :func:`check_result`."""
+    logic = resolve_logic(logic)
+    goal = one_target(sigma, phi)
+    cm = class_refutation(logic, goal) if logic.oracle_kind == "hilbert" else None
+    if cm is not None:
+        return check_result(logic, ProofResult("refuted", goal, countermodel=cm))
+    return check_result(logic, prove_one_target(logic, goal, budget))
+
+
+WITNESS = dict(abelian=LinearWitness, sugihara=ChainExhaustiveWitness, hilbert=DerivationWitness)
+
+
+def check_result(logic: LogicSpec | str, result: ProofResult) -> ProofResult:
+    """``result`` itself, once its evidence re-checks against its goal alone,
+    else InvalidCertificateError: a countermodel in a declared model class
+    that refutes the goal, or a witness of the logic's own kind for the
+    disjuncts' weighted sum.  A chain-exhaustive witness names the sum's
+    decision chains; their grids and planes are the decision path's own."""
+    logic = resolve_logic(logic)
+    hyps, disjuncts = result.goal.hypotheses, result.goal.clause.disjuncts
+    if result.status == "refuted":
+        checked_countermodel(result.countermodel, hyps, disjuncts, logic.model_classes)
+    if result.status != "proved":
+        return result
+    witness = getattr(result.certificate, "witness", None)
+    if type(witness) is not WITNESS[logic.oracle_kind]:
+        raise InvalidCertificateError(f"{logic.name} certifies no proof by {witness}")
+    combo = combination_formula(result.certificate.lambdas, disjuncts)
+    if witness.kind == "linear":
+        ok = verify_linear_witness(witness, hyps, combo)
+    elif witness.kind == "derivation":
+        lines = witness.lines
+        ok = lines and lines[-1].formula == combo and verify_derivation(logic, lines, hyps)
+    else:
+        var_order = sorted(variables_of(hyps + (combo,)))
+        chains = decision_chains(logic, len(var_order))
+        grids = [canonical_grid(c, len(var_order)) for c in chains]
+        ok = witness.chains == tuple(c.name for c in chains) and not any(
+            kept_mask(c, hyps, var_order, g)
+            & ~designated_mask(c, eval_planes(c, combo, var_order, g))
+            for c, g in zip(chains, grids)
+        )
+    if not ok:
+        raise InvalidCertificateError(f"the {witness.kind} witness does not prove {render(combo)}")
+    return result
 
 
 # --- the scaling side condition ----------------------------------------------
@@ -750,9 +773,8 @@ def check_toa_condition(
     """For each n <= n_max check derivability of (n*p)^k -> m*(p^n) in the
     logic's multiplicative fragment, with candidate (k, m) per n (default
     (1, 1)), under the Hilbert ``budget`` with its family bound raised to
-    ``n_max``.  What the oracle leaves open is refuted in the logic's model
-    classes (:func:`class_refutation`), if they hold a countermodel, and
-    else stays unknown: budget exhaustion is never a failure.
+    ``n_max``, each by :func:`decide`; budget exhaustion is never a
+    failure, only unknown.
     """
     logic = resolve_logic(logic)
     if n_max < 1:  # no entry to check would read as "all proved"
@@ -767,8 +789,5 @@ def check_toa_condition(
             raise ValueError(f"witness for n={n} needs m >= 1 and k >= 0")
         target = Imp(power(scalar(n, p), k), scalar(m, power(p, n)))
         verdict = decide(logic, [], target, budget=budget)
-        cm = verdict.countermodel
-        if verdict.status == "unknown":
-            cm = class_refutation(logic, verdict.goal)
-        entries.append(ToAConditionEntry(n, k, m, verdict.status if cm is None else "refuted", cm))
+        entries.append(ToAConditionEntry(n, k, m, verdict.status, verdict.countermodel))
     return ToAConditionReport(logic.name, tuple(entries))

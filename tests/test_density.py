@@ -9,7 +9,7 @@ from gordian.density import (
 )
 from gordian.engine import ToACertificate, combination_formula, prove_disjunction
 from gordian.errors import InvalidCertificateError, PreconditionFailedError
-from gordian.oracles import LinearWitness, decide
+from gordian.oracles import DerivationWitness, LinearWitness, decide
 from gordian.syntax import parse
 
 
@@ -98,6 +98,16 @@ def test_transform_rejects_invalid_certificate():
         density_transform(
             "A", [], parse("q"), parse("q * q"), None, "p",
             ToACertificate((1, 0), LinearWitness((), 1)),
+        )
+
+
+def test_transform_checks_the_input_certificate_not_its_combination():
+    # q -> p + p -> q is provable in A, but a derivation is no witness the
+    # Abelian procedure makes, and an empty one proves nothing
+    phi = psi = parse("q")
+    with pytest.raises(InvalidCertificateError):
+        density_transform(
+            "A", [], phi, psi, None, "p", ToACertificate((1, 1), DerivationWitness(()))
         )
 
 

@@ -28,6 +28,7 @@ from gordian.linalg import IntMatrix, Kernel, gordan, translate_abelian
 from gordian.logics import lookup_logic
 from gordian.normalize import Goal
 from gordian.oracles import (
+    Countermodel,
     HilbertBudget,
     LinearWitness,
     class_countermodel,
@@ -178,9 +179,8 @@ def test_abelian_without_hypotheses_is_gordan():
 def test_decide_is_the_one_disjunct_goal():
     # decide asks the logic's procedure the one-disjunct question, so it
     # agrees with prove_disjunction on that goal up to where the weight
-    # sits.  BIULm's decide is the Hilbert search alone, which never
-    # refutes: where the engine refutes on a model class, decide must not
-    # prove.
+    # sits.  For BIULm both refute on the declared model classes before the
+    # Hilbert search.
     budget = EngineBudget(lambda_cap=1, hilbert=HilbertBudget(max_lines=200))
     rng = Random(4405)
     for logic in ("A", "RMt", "IUMLm", "BIULm"):
@@ -194,9 +194,6 @@ def test_decide_is_the_one_disjunct_goal():
             one = decide(logic, goal.hypotheses, phi, budget=budget.hilbert)
             result = prove_disjunction(logic, goal, budget)
             statuses.add(result.status)
-            if logic == "BIULm" and result.status == "refuted":
-                assert one.status == "unknown"
-                continue
             assert one.status == result.status
             assert one.countermodel == result.countermodel
             if one.status != "proved":
@@ -209,6 +206,12 @@ def test_decide_is_the_one_disjunct_goal():
             else:
                 assert one.certificate == result.certificate
         assert {"proved", "refuted"} <= statuses, logic
+
+
+def test_decide_refutes_on_the_model_classes_before_the_search():
+    one = decide("BIULm", [], parse("p"))
+    assert one.status == "refuted"
+    assert one.countermodel == Countermodel("Z", (("p", -1),))
 
 
 def test_nonpositive_weight_cap_is_rejected():

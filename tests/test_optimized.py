@@ -96,6 +96,20 @@ rejected(
 )
 oracles.find_chain_countermodel = scan
 
+# A chain-exhaustive witness must name every decision chain: the odd
+# chain designates 1 -> 0, but RMt's even chains refute it.
+subsets = engine.prove_subsets
+engine.prove_subsets = lambda logic, g: oracles.ProofResult(
+    "proved",
+    g,
+    certificate=oracles.ToACertificate((1,), oracles.ChainExhaustiveWitness(("sugihara_odd_1",))),
+)
+rejected(
+    "RMt proof of 1 -> 0 on the odd chain alone",
+    lambda: engine.prove_disjunction("RMt", goal([], ["1 -> 0"])),
+)
+engine.prove_subsets = subsets
+
 # The one Abelian LP: a point that solves nothing, then a Farkas vector
 # that separates nothing, must be caught by every reader of the LP.
 solve = linalg.feasible_point_or_farkas
@@ -154,4 +168,4 @@ def test_certificate_checks_survive_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 15 and all(line.startswith("rejected:") for line in lines), lines
+    assert len(lines) == 16 and all(line.startswith("rejected:") for line in lines), lines

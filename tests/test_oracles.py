@@ -16,10 +16,18 @@ from helpers import (
 
 from gordian import EngineBudget, HilbertBudget, oracles, prove_consequence, prove_disjunction
 
-from gordian.errors import NotMultiplicativeError
+from gordian.errors import InvalidCertificateError, NotMultiplicativeError
 from gordian.logics import instantiate, lookup_logic
+from gordian.normalize import Goal
 from gordian.oracles import (
+    ChainExhaustiveWitness,
     Countermodel,
+    DerivationLine,
+    DerivationWitness,
+    LinearWitness,
+    ProofResult,
+    ToACertificate,
+    check_result,
     class_chains,
     countermodel_refutes,
     decide,
@@ -268,6 +276,60 @@ def test_decide_dispatch():
     assert decide("A", [], parse("p + ~p")).status == "proved"
     assert decide("RMt", [], parse("1 -> 0")).status == "refuted"
     assert decide("BIULm", [], parse("0 -> 1")).status == "proved"
+
+
+def _proved(hyps, phi, witness, lambdas=(1,)):
+    goal = Goal.of([parse(h) for h in hyps], [parse(phi)])
+    return ProofResult("proved", goal, certificate=ToACertificate(lambdas, witness))
+
+
+FORGED = {
+    # balances on the linear readings, but BIULm's procedure makes derivations
+    "wrong witness kind": ("BIULm", _proved([], "p -> p", LinearWitness((), 1))),
+    # the odd chain designates 1 -> 0, RMt's even chains do not
+    "missing decision chain": (
+        "RMt",
+        _proved([], "1 -> 0", ChainExhaustiveWitness(("sugihara_odd_1",))),
+    ),
+    # the even chain refutes 1 -> 0, but IUMLm declares only odd chains
+    "undeclared model class": (
+        "IUMLm",
+        ProofResult(
+            "refuted",
+            Goal.of([], [parse("1 -> 0")]),
+            countermodel=Countermodel.of("sugihara_even_2", {}),
+        ),
+    ),
+    # both lines are axiom instances, but the last is not the target
+    "derivation of another formula": (
+        "BIULm",
+        _proved(
+            [],
+            "p -> p",
+            DerivationWitness(
+                (
+                    DerivationLine(1, parse("p -> p"), "axiom identity"),
+                    DerivationLine(2, parse("q -> q"), "axiom identity"),
+                )
+            ),
+        ),
+    ),
+    # p + p balances p only at scale 2
+    "wrong linear scale": ("A", _proved(["p + p"], "p", LinearWitness((1,), 1))),
+    # one weight per hypothesis
+    "missing hypothesis weight": ("A", _proved(["p"], "p", LinearWitness((), 1))),
+}
+
+
+@pytest.mark.parametrize("label", FORGED)
+def test_check_result_rejects_forged_evidence(label):
+    logic, forged = FORGED[label]
+    with pytest.raises(InvalidCertificateError):
+        check_result(logic, forged)
+    # the logic's own answer to the same goal passes unchanged
+    goal = forged.goal
+    genuine = decide(logic, goal.hypotheses, goal.clause.disjuncts[0])
+    assert genuine.status != "unknown" and check_result(logic, genuine) is genuine
 
 
 def test_rmt_needs_both_chain_parities():
