@@ -12,11 +12,12 @@ contain the self-inverting element 0, which is both the monoid unit and
 the interpretation of the constant 0; even chains interpret the unit as 1
 and the constant 0 as -1.
 
-The decision procedures evaluate on a chain's canonical grid
-(:func:`canonical_grid`), bit-sliced: a formula's planes map each value it
-takes to a Python integer whose bit j is set iff it takes that value at
-grid point j, and each connective is a few integer operations per level of
-absolute values (:func:`eval_planes`), whatever the number of points.
+The decision procedures evaluate multiplicative formulas on a chain's
+canonical grid (:func:`canonical_grid`), which is its variables' planes: a
+formula's planes map each value it takes to a Python integer whose bit j
+is set iff it takes that value at grid point j, and fusion and implication
+are a few integer operations per level of absolute values
+(:func:`eval_planes`), whatever the number of points.
 
 The integers themselves (with fusion as addition and both constants as 0)
 serve as the reference model for the Abelian reading; they are exposed here
@@ -185,25 +186,25 @@ def eval_vector(chain: ChainAlgebra, f: Formula, var_order, grid) -> list[int]:
 
 
 # Grids over at most this many variables are kept for the life of the
-# process; larger ones (424k points at k = 6) are rebuilt on each call.
-CACHED_GRID_MAX_VARS = 4
+# process, so a check reuses the grids its decision built (the odd and even
+# grids for 6 variables hold about 11 MB); larger ones (8.6M points on the
+# odd chain at k = 7) are rebuilt on each call.
+CACHED_GRID_MAX_VARS = 6
 
 
 class CanonicalGrid:
     """The canonical points of a Sugihara chain for ``k`` variables, in
     order, bit-sliced: point j is bit j of every mask.  ``planes[i]`` maps
     each value variable i takes to the mask of the points where it takes
-    it; ``codes[i][j]`` is that value at point j plus ``offset``, to decode
-    a point from its index.  ``full`` has a bit per point.  As a sequence,
-    the grid reads as the points' value tuples.  Grids of up to
+    it, and ``full`` has a bit per point.  As a sequence, the grid reads as
+    the points' value tuples, each read off the planes.  Grids of up to
     ``CACHED_GRID_MAX_VARS`` variables are shared, so no caller changes
     their planes (the plane operations build new ones)."""
 
-    __slots__ = ("size", "full", "planes", "codes", "offset")
+    __slots__ = ("size", "full", "planes")
 
-    def __init__(self, size: int, planes, codes, offset: int):
-        self.size, self.full = size, (1 << size) - 1
-        self.planes, self.codes, self.offset = tuple(planes), tuple(codes), offset
+    def __init__(self, size: int, planes):
+        self.size, self.full, self.planes = size, (1 << size) - 1, tuple(planes)
 
     def __len__(self) -> int:
         return self.size
@@ -211,7 +212,8 @@ class CanonicalGrid:
     def __getitem__(self, j: int) -> tuple[int, ...]:
         if not 0 <= j < self.size:
             raise IndexError(j)
-        return tuple(code[j] - self.offset for code in self.codes)
+        bit = 1 << j
+        return tuple(next(v for v, points in p.items() if points & bit) for p in self.planes)
 
     def __iter__(self):
         return map(self.__getitem__, range(self.size))
@@ -277,10 +279,10 @@ def _sugihara_grid(half_width: int, odd: bool, k: int) -> CanonicalGrid:
                 bit -= 1
             piece.append(_sign_block(z, bit, level, half_width))
         size += 1 << z
-    codes = [b"".join(piece) for piece in pieces]
+    # the codes, one byte per point, only feed the masks and are dropped
     carrier = sugihara_chain(half_width, odd=odd).carrier
-    planes = [_value_planes(code, carrier, half_width) for code in codes]
-    return CanonicalGrid(size, planes, codes, half_width)
+    planes = [_value_planes(b"".join(piece), carrier, half_width) for piece in pieces]
+    return CanonicalGrid(size, planes)
 
 
 _cached_sugihara_grid = lru_cache(maxsize=None)(_sugihara_grid)
@@ -353,34 +355,15 @@ def sum_planes(a: dict, b: dict) -> dict:
     return _negate(fuse_planes(_negate(a), _negate(b)))
 
 
-def meet_planes(a: dict, b: dict) -> dict:
-    """The meet: at each point the value one argument reaches first going
-    up the chain."""
-    out = {}
-    a_below = b_below = 0
-    for v in sorted(a.keys() | b.keys()):
-        av, bv = a.get(v, 0), b.get(v, 0)
-        points = av & ~b_below | bv & ~a_below
-        if points:
-            out[v] = points
-        a_below |= av
-        b_below |= bv
-    return out
-
-
-def join_planes(a: dict, b: dict) -> dict:
-    """The join, through the order-reversing negation."""
-    return _negate(meet_planes(_negate(a), _negate(b)))
-
-
-PLANE_OPERATIONS = {Conj: meet_planes, Disj: join_planes, Fuse: fuse_planes, Imp: imp_planes}
+PLANE_OPERATIONS = {Fuse: fuse_planes, Imp: imp_planes}
 
 
 def eval_planes(chain: ChainAlgebra, f: Formula, var_order, grid: CanonicalGrid, values=None):
-    """The planes of ``f`` on ``grid``, the canonical grid of ``chain``
-    over ``var_order``: :func:`eval_formula` on masks, O(levels) integer
-    operations per node.  ``values`` is :func:`syntax.fold`'s memo, shared
-    by the caller across formulas built from one another."""
+    """The planes of the multiplicative formula ``f`` on ``grid``, the
+    canonical grid of ``chain`` over ``var_order``: :func:`eval_formula` on
+    masks, O(levels) integer operations per node.  ``values`` is
+    :func:`syntax.fold`'s memo, shared by the caller across formulas built
+    from one another."""
     columns = dict(zip(var_order, grid.planes))
     unit, zero = {chain.unit: grid.full}, {chain.zero: grid.full}
     return _evaluate(f, columns, unit, zero, PLANE_OPERATIONS, values)

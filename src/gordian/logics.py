@@ -170,18 +170,9 @@ class LogicSpec(Record):
 
     def mult_axiom_schemas(self) -> tuple[AxiomSchema, ...]:
         """Axiom basis of the multiplicative fragment: the multiplicative
-        core, 0 -> 1 when the logic proves it, and the multiplicative extra
-        schemas (families excluded; fetch those via family_schemas)."""
-        out = list(_MLL_CORE)
-        names = {a.name for a in out}
-        base_mult = [a for a in _BASE_AXIOMS[self.base] if a.template.multiplicative]
-        for a in base_mult + [
-            a for a in self.extra_axioms if a.template.multiplicative
-        ]:
-            if a.name not in names:
-                out.append(a)
-                names.add(a.name)
-        return tuple(out)
+        members of :meth:`axiom_schemas`, in order (families excluded; fetch
+        those via family_schemas)."""
+        return tuple(a for a in self.axiom_schemas() if a.template.multiplicative)
 
     @property
     def mult_rules(self) -> tuple[str, ...]:

@@ -13,10 +13,11 @@ one-target entry, asks each the one-disjunct question ``sigma |- phi``:
   vectors.  The goal is evaluated once per decision chain over its
   canonical grid (:func:`chains.canonical_grid`, one valuation per class of
   valuations equal up to relabelling absolute-value levels), bit-sliced:
-  each formula's planes hold one mask of grid points per value.  A kept
-  point (one designating every hypothesis) that designates no disjunct is
-  the countermodel; otherwise greedy elimination against the masks of the
-  disjuncts' running sum gives the largest valid subset.
+  each formula's planes hold one mask of grid points per value.  The
+  lowest kept point (one designating every hypothesis) outside every
+  disjunct's designated mask is the countermodel; otherwise elimination
+  in rounds against the masks of the disjuncts' running sum gives the
+  largest valid subset.
 * ``hilbert``: :func:`hilbert_search`, budgeted forward saturation over
   axiom-schema instances with modus ponens and the unperforated rule, for
   one target at a time; proved by a derivation, or unknown.
@@ -43,7 +44,6 @@ from .chains import (
     eval_abelian,
     eval_formula,
     eval_planes,
-    join_planes,
     kept_mask,
     sugihara_chain,
     sum_planes,
@@ -164,19 +164,23 @@ def combination_formula(lambdas, disjuncts) -> Formula:
 
 
 def countermodel_refutes(cm: Countermodel, sigma, disjuncts) -> bool:
-    """Exact re-check: the valuation designates every hypothesis and none of
-    the disjuncts."""
+    """Exact re-check: the valuation gives every variable of the goal an
+    integer of the named chain's carrier (any integer in Z), designates
+    every hypothesis and none of the disjuncts.  A name that resolves to no
+    chain refutes nothing."""
     val = cm.mapping
-    if cm.chain == "Z":
-        value = lambda f: eval_abelian(f, val)
-        designated = lambda v: v >= 0
-    else:
-        chain = chain_from_name(cm.chain)
-        value = lambda f: eval_formula(chain, val, f)
-        designated = lambda v: v >= chain.unit
-    return all(designated(value(h)) for h in sigma) and not any(
-        designated(value(d)) for d in disjuncts
+    try:
+        chain = None if cm.chain == "Z" else chain_from_name(cm.chain)
+    except ValueError:
+        return False
+    well_formed = variables_of(tuple(sigma) + tuple(disjuncts)) <= val.keys() and all(
+        type(v) is int and (chain is None or v in chain.carrier) for v in val.values()
     )
+    if chain is None:
+        designated = lambda f: eval_abelian(f, val) >= 0
+    else:
+        designated = lambda f: eval_formula(chain, val, f) >= chain.unit
+    return well_formed and all(map(designated, sigma)) and not any(map(designated, disjuncts))
 
 
 def checked_countermodel(cm: Countermodel, sigma, disjuncts, classes) -> Countermodel:
@@ -245,23 +249,14 @@ def decision_chains(logic: LogicSpec | str, k: int) -> list[ChainAlgebra]:
     return chains
 
 
-def refuting_point(chain: ChainAlgebra, grid, join):
-    """The first point of ``grid`` at which ``join``, the planes of the
-    disjuncts' join at the kept points, is undesignated, or ``None``."""
-    mask = 0
-    for value, points in join.items():
-        if value < chain.unit:
-            mask |= points
-    return grid[(mask & -mask).bit_length() - 1] if mask else None
-
-
 def find_chain_countermodel(chains, sigma, disjuncts):
     """The first canonical valuation, over the given chains in turn, that
-    designates all of ``sigma`` and none of ``disjuncts``.  When there is
-    none, the masks that show it: per chain, ``(chain, grid, kept,
-    planes)``, its canonical grid over the sorted variables, the mask of
-    the points that designate all of ``sigma`` and the disjuncts' planes.
-    Each formula is evaluated once per chain."""
+    designates all of ``sigma`` and none of ``disjuncts``: the lowest kept
+    point outside every disjunct's designated mask.  When there is none,
+    the masks that show it: per chain, ``(chain, grid, kept, planes)``, its
+    canonical grid over the sorted variables, the mask of the points that
+    designate all of ``sigma`` and the disjuncts' planes.  Each formula is
+    evaluated once per chain."""
     sigma, disjuncts = tuple(sigma), tuple(disjuncts)
     var_order = sorted(variables_of(sigma + disjuncts))
     tables = []
@@ -269,9 +264,11 @@ def find_chain_countermodel(chains, sigma, disjuncts):
         grid = canonical_grid(chain, len(var_order))
         kept = kept_mask(chain, sigma, var_order, grid)
         planes = [eval_planes(chain, d, var_order, grid) for d in disjuncts]
-        join = reduce(join_planes, planes, {chain.carrier[0]: grid.full})
-        point = refuting_point(chain, grid, {v: m & kept for v, m in join.items()})
-        if point is not None:
+        refuting = kept
+        for d in planes:
+            refuting &= ~designated_mask(chain, d)
+        if refuting:
+            point = grid[(refuting & -refuting).bit_length() - 1]
             return Countermodel.of(chain.name, dict(zip(var_order, point)))
         tables.append((chain, grid, kept, planes))
     return tables
@@ -325,29 +322,24 @@ def _largest_valid_subset(tables, n: int) -> set[int]:
     taking the value v at x.  Since v is dominant among T's values and S's
     lie among them, v is also the sum of S at x, so S is not valid.  Hence
     dropping every disjunct that takes the value v at such a point x keeps
-    every valid subset inside T; all such points are handled at once, from
-    the planes of T's sum.  When no such point is left, T itself is valid,
-    so it is the largest valid subset (the union of two valid subsets is
-    valid, since at each point its sum is one of the two designated sums).
+    every valid subset inside T; a round handles all such points of every
+    chain at once, from the planes of T's sum.  When a round drops nothing,
+    T itself is valid, so it is the largest valid subset (the union of two
+    valid subsets is valid, since at each point its sum is one of the two
+    designated sums).
     """
     support = set(range(n))
-    changed = True
-    while changed and support:
-        changed = False
+    while support:
+        dropped = set()
         for chain, _, kept, planes in tables:
-            while support:
-                total = reduce(sum_planes, [planes[i] for i in support])
-                refuted = [
-                    (v, points & kept) for v, points in total.items() if v < chain.unit
-                ]
-                if not any(points for _, points in refuted):
-                    break
-                support = {
-                    i
-                    for i in support
-                    if not any(planes[i].get(v, 0) & points for v, points in refuted)
-                }
-                changed = True
+            total = reduce(sum_planes, [planes[i] for i in support])
+            refuted = [(v, points & kept) for v, points in total.items() if v < chain.unit]
+            dropped.update(
+                i for i in support if any(planes[i].get(v, 0) & points for v, points in refuted)
+            )
+        if not dropped:
+            break
+        support -= dropped
     return support
 
 

@@ -90,6 +90,12 @@ def test_mult_axiom_basis():
     assert "prelinearity" not in names  # not multiplicative
     assert lookup_logic("BIULm").mult_rules == ("mp", "u_n")
     assert lookup_logic("MLL").mult_rules == ("mp",)
+    # the basis is the multiplicative axioms in order, each named once
+    for name in registered_logics() + tuple(KNOTTED_PRESETS):
+        spec = lookup_logic(name)
+        basis = spec.mult_axiom_schemas()
+        assert basis == tuple(s for s in spec.axiom_schemas() if s.template.multiplicative), name
+        assert len({s.name for s in basis}) == len(basis), name
 
 
 def _template_designated_everywhere(template, chains) -> bool:

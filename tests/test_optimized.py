@@ -64,15 +64,25 @@ rejected(
 )
 oracles._reconstruct = reconstruct
 
-# a valid goal, so the first canonical point designates a disjunct
+# a valid goal, so every point of a chain designates a disjunct
 excluded_middle = goal([], ["p", "~p"])
-point = oracles.refuting_point
-oracles.refuting_point = lambda chain, points, rows: points[0]
+scan = oracles.find_chain_countermodel
+oracles.find_chain_countermodel = lambda chains, sigma, disjuncts: oracles.Countermodel.of(
+    chains[0].name, {"p": 1}
+)
 rejected(
     "chain countermodel that does not refute",
     lambda: engine.prove_disjunction("RMt", excluded_middle),
 )
-oracles.refuting_point = point
+# a value outside the chain's carrier
+oracles.find_chain_countermodel = lambda chains, sigma, disjuncts: oracles.Countermodel.of(
+    "sugihara_even_2", {"p": 0}
+)
+rejected(
+    "chain countermodel off its carrier",
+    lambda: engine.prove_disjunction("RMt", excluded_middle),
+)
+oracles.find_chain_countermodel = scan
 
 subset = oracles._largest_valid_subset
 oracles._largest_valid_subset = lambda tables, n: {0}
@@ -168,4 +178,4 @@ def test_certificate_checks_survive_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 16 and all(line.startswith("rejected:") for line in lines), lines
+    assert len(lines) == 17 and all(line.startswith("rejected:") for line in lines), lines

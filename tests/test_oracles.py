@@ -16,6 +16,7 @@ from helpers import (
 
 from gordian import EngineBudget, HilbertBudget, oracles, prove_consequence, prove_disjunction
 
+from gordian.chains import _cached_sugihara_grid
 from gordian.errors import InvalidCertificateError, NotMultiplicativeError
 from gordian.logics import instantiate, lookup_logic
 from gordian.normalize import Goal
@@ -283,6 +284,11 @@ def _proved(hyps, phi, witness, lambdas=(1,)):
     return ProofResult("proved", goal, certificate=ToACertificate(lambdas, witness))
 
 
+def _refuted(disjuncts, chain, valuation):
+    goal = Goal.of([], [parse(d) for d in disjuncts])
+    return ProofResult("refuted", goal, countermodel=Countermodel.of(chain, valuation))
+
+
 FORGED = {
     # balances on the linear readings, but BIULm's procedure makes derivations
     "wrong witness kind": ("BIULm", _proved([], "p -> p", LinearWitness((), 1))),
@@ -318,6 +324,14 @@ FORGED = {
     "wrong linear scale": ("A", _proved(["p + p"], "p", LinearWitness((1,), 1))),
     # one weight per hypothesis
     "missing hypothesis weight": ("A", _proved(["p"], "p", LinearWitness((), 1))),
+    # a countermodel's values lie in its chain's carrier, one per variable,
+    # and its chain name resolves
+    "value outside the even carrier": ("RMt", _refuted(["p", "~p"], "sugihara_even_2", {"p": 0})),
+    "value below the odd carrier": ("RMt", _refuted(["p", "~p"], "sugihara_odd_1", {"p": -5})),
+    "variable without a value": ("RMt", _refuted(["p", "~p"], "sugihara_odd_1", {})),
+    "chain without a half-width": ("RMt", _refuted(["p", "~p"], "sugihara_odd_x", {"p": 1})),
+    "chain of half-width 0": ("RMt", _refuted(["p", "~p"], "sugihara_odd_0", {"p": 0})),
+    "non-integer value in Z": ("A", _refuted(["p"], "Z", {"p": "x"})),
 }
 
 
@@ -330,6 +344,16 @@ def test_check_result_rejects_forged_evidence(label):
     goal = forged.goal
     genuine = decide(logic, goal.hypotheses, goal.clause.disjuncts[0])
     assert genuine.status != "unknown" and check_result(logic, genuine) is genuine
+
+
+def test_check_reuses_the_decision_grids():
+    # a 6-variable theorem: the decision builds the odd and even grids, and
+    # the check of its certificate finds both in the cache
+    cycle = " | ".join(f"(p{i} -> p{(i + 1) % 6})" for i in range(6))
+    _cached_sugihara_grid.cache_clear()
+    assert prove_consequence("RMt", [], parse(cycle)).status == "proved"
+    info = _cached_sugihara_grid.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
 
 
 def test_rmt_needs_both_chain_parities():
