@@ -1,13 +1,12 @@
 """Finite chain algebras and their evaluation.
 
 These totally ordered algebras are the independent semantic layer every
-other component is tested against.  A :class:`ChainAlgebra` carries its
-fusion rule; the residual implication is derived from fusion by exhaustive
-residuation, so a wrong fusion table fails the construction-time law check
-rather than silently mis-evaluating.
-
-Sugihara chains live on signed integers: fusion returns the argument of
-strictly larger absolute value and breaks ties with the meet.  Odd chains
+other component is tested against.  A :class:`ChainAlgebra` is a Sugihara
+chain on signed integers, its operations in closed form: fusion returns
+the argument of strictly larger absolute value and breaks ties with the
+meet, its residual ``a -> b`` is ``-a | b`` when ``a <= b`` and ``-a & b``
+otherwise, and negation is ``-a``.  Small chains check these forms against
+the algebra laws, residuation included, when they are built.  Odd chains
 contain the self-inverting element 0, which is both the monoid unit and
 the interpretation of the constant 0; even chains interpret the unit as 1
 and the constant 0 as -1.
@@ -31,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import re
 from functools import lru_cache
 
 from .errors import MissingVariableError
@@ -40,49 +40,38 @@ LAW_CHECK_MAX_SIZE = 16
 
 
 class ChainAlgebra:
-    """Finite totally ordered involutive commutative residuated lattice.
+    """The Sugihara chain of half-width ``k``: on {-k,...,0,...,k} when
+    odd, the element 0 both unit and constant 0; on {-k,...,-1,1,...,k}
+    when even, unit 1 and constant 0 read as -1.  For carriers of size
+    <= 16 the algebra laws (involution, residuation, commutative monoid,
+    order compatibility) are verified exhaustively at construction and a
+    violation raises ``ValueError``."""
 
-    Elements are integers ordered as usual.  ``fuse_rule`` gives the monoid
-    operation; implication is its residual, computed exhaustively at
-    construction.  For carriers of size <= 16 the algebra laws (involution,
-    residuation, commutative monoid, order compatibility) are verified
-    exhaustively and a violation raises ``ValueError``.
-    """
+    __slots__ = ("name", "carrier", "unit", "zero", "_operations")
 
-    __slots__ = ("name", "carrier", "unit", "zero", "_fuse", "_imp", "_operations")
-
-    def __init__(self, name: str, carrier, unit: int, zero: int, fuse_rule):
-        self.name = name
-        self.carrier = tuple(sorted(carrier))
-        self.unit = unit
-        self.zero = zero
-        if unit not in self.carrier or zero not in self.carrier:
-            raise ValueError("unit and zero must lie in the carrier")
-        self._fuse = {
-            (a, b): fuse_rule(a, b)
-            for a in self.carrier
-            for b in self.carrier
-        }
-        self._imp = {}
-        for a in self.carrier:
-            for c in self.carrier:
-                residual = [b for b in self.carrier if self._fuse[(a, b)] <= c]
-                if not residual:
-                    raise ValueError(f"{name}: no residual for {a} -> {c}")
-                self._imp[(a, c)] = max(residual)
+    def __init__(self, k: int, odd: bool):
+        if k < 1:
+            raise ValueError("half-width must be at least 1")
+        self.name = f"sugihara_{'odd' if odd else 'even'}_{k}"
+        self.carrier = tuple(v for v in range(-k, k + 1) if odd or v)
+        self.unit, self.zero = (0, 0) if odd else (1, -1)
         # the connectives' operations, as :func:`eval_formula` applies them
         self._operations = {Conj: min, Disj: max, Fuse: self.fuse, Imp: self.imp}
         if len(self.carrier) <= LAW_CHECK_MAX_SIZE:
             self.check_laws()
 
     def fuse(self, a: int, b: int) -> int:
-        return self._fuse[(a, b)]
+        """The argument of larger absolute value, ties to the meet."""
+        if abs(a) != abs(b):
+            return a if abs(a) > abs(b) else b
+        return min(a, b)
 
     def imp(self, a: int, b: int) -> int:
-        return self._imp[(a, b)]
+        """``-a | b`` when ``a <= b``, else ``-a & b``."""
+        return max(-a, b) if a <= b else min(-a, b)
 
     def neg(self, a: int) -> int:
-        return self._imp[(a, self.zero)]
+        return -a
 
     def designated(self, a: int) -> bool:
         return a >= self.unit
@@ -96,6 +85,8 @@ class ChainAlgebra:
                 raise ValueError(f"{self.name}: {self.unit} is not a unit at {a}")
             if self.neg(self.neg(a)) != a:
                 raise ValueError(f"{self.name}: involution fails at {a}")
+            if self.neg(a) != self.imp(a, self.zero):
+                raise ValueError(f"{self.name}: negation is not {a} -> {self.zero}")
         for a, b in itertools.product(els, repeat=2):
             if self.fuse(a, b) != self.fuse(b, a):
                 raise ValueError(f"{self.name}: fusion not commutative at {a},{b}")
@@ -111,36 +102,22 @@ class ChainAlgebra:
         return f"ChainAlgebra({self.name}, size={len(self.carrier)})"
 
 
-def _sugihara_fuse(a: int, b: int) -> int:
-    if abs(a) > abs(b):
-        return a
-    if abs(b) > abs(a):
-        return b
-    return min(a, b)
+# each chain is built (and its laws checked) once per process
+sugihara_chain = lru_cache(maxsize=None)(ChainAlgebra)
+
+_CHAIN_NAME = re.compile(r"sugihara_(odd|even)_([1-9][0-9]*)")
 
 
-@lru_cache(maxsize=None)
-def sugihara_chain(k: int, odd: bool) -> ChainAlgebra:
-    """The Sugihara chain of half-width ``k``.
-
-    Odd: carrier {-k,...,0,...,k}, unit = constant 0 = the element 0.
-    Even: carrier {-k,...,-1,1,...,k}, unit 1, constant 0 = -1.
-    """
-    if k < 1:
-        raise ValueError("half-width must be at least 1")
-    if odd:
-        carrier = range(-k, k + 1)
-        return ChainAlgebra(f"sugihara_odd_{k}", carrier, 0, 0, _sugihara_fuse)
-    carrier = [v for v in range(-k, k + 1) if v != 0]
-    return ChainAlgebra(f"sugihara_even_{k}", carrier, 1, -1, _sugihara_fuse)
-
-
-def chain_from_name(name: str) -> ChainAlgebra:
-    for parity in ("odd", "even"):
-        prefix = f"sugihara_{parity}_"
-        if name.startswith(prefix):
-            return sugihara_chain(int(name[len(prefix):]), odd=parity == "odd")
-    raise ValueError(f"unknown chain {name!r}")
+def chain_from_name(name: str, widest: int) -> ChainAlgebra:
+    """The chain named exactly ``name``, of half-width at most ``widest``;
+    raises ValueError, before building anything, for any other string."""
+    match = _CHAIN_NAME.fullmatch(name)
+    if match is None:
+        raise ValueError(f"unknown chain {name!r}")
+    k = int(match[2])
+    if k > widest:
+        raise ValueError(f"{name} is wider than {widest}")
+    return sugihara_chain(k, odd=match[1] == "odd")
 
 
 def _evaluate(f: Formula, valuation, unit, zero, connective, values=None):
@@ -174,12 +151,11 @@ def eval_vector(chain: ChainAlgebra, f: Formula, var_order, grid) -> list[int]:
     node."""
     used = variables(f)
     columns = {v: [point[i] for point in grid] for i, v in enumerate(var_order) if v in used}
-    fuse, imp = chain._fuse.__getitem__, chain._imp.__getitem__
     operations = {
         Conj: lambda a, b: list(map(min, a, b)),
         Disj: lambda a, b: list(map(max, a, b)),
-        Fuse: lambda a, b: list(map(fuse, zip(a, b))),
-        Imp: lambda a, b: list(map(imp, zip(a, b))),
+        Fuse: lambda a, b: list(map(chain.fuse, a, b)),
+        Imp: lambda a, b: list(map(chain.imp, a, b)),
     }
     n = len(grid)
     return _evaluate(f, columns, [chain.unit] * n, [chain.zero] * n, operations)
@@ -239,13 +215,7 @@ def canonical_grid(chain: ChainAlgebra, k: int) -> CanonicalGrid:
     owns a block of points, one per choice of signs, and each variable's
     masks are read off those blocks without visiting a point.
     """
-    odd = chain.unit == 0
-    half_width = chain.carrier[-1]
-    reference = sugihara_chain(half_width, odd=odd)
-    if chain is not reference and (
-        chain.carrier != reference.carrier or chain._fuse != reference._fuse
-    ):
-        raise ValueError(f"{chain.name} is not a Sugihara chain")
+    odd, half_width = chain.unit == 0, chain.carrier[-1]
     if k <= CACHED_GRID_MAX_VARS:
         return _cached_sugihara_grid(half_width, odd, k)
     return _sugihara_grid(half_width, odd, k)

@@ -155,9 +155,9 @@ def _enumerate_classes(logic: LogicSpec, x_vars: list[str], depth: int) -> list[
     code = {element: i for i, element in enumerate(elements)}
     fuse_table, imp_table = bytearray(256), bytearray(256)
     for chain in chains:
-        for table, operation in ((fuse_table, chain._fuse), (imp_table, chain._imp)):
-            for (a, b), value in operation.items():
-                table[code[chain, a] * n + code[chain, b]] = code[chain, value]
+        for table, operation in ((fuse_table, chain.fuse), (imp_table, chain.imp)):
+            for a, b in itertools.product(chain.carrier, repeat=2):
+                table[code[chain, a] * n + code[chain, b]] = code[chain, operation(a, b)]
     grids = [
         (chain, list(itertools.product(chain.carrier, repeat=len(x_vars))))
         for chain in chains

@@ -167,13 +167,16 @@ def countermodel_refutes(cm: Countermodel, sigma, disjuncts) -> bool:
     """Exact re-check: the valuation gives every variable of the goal an
     integer of the named chain's carrier (any integer in Z), designates
     every hypothesis and none of the disjuncts.  A name that resolves to no
-    chain refutes nothing."""
+    chain refutes nothing, and neither does a chain wider than any the
+    decisions use (half-width k+2 for k variables, see :func:`class_chains`),
+    which is never built."""
     val = cm.mapping
+    goal_vars = variables_of(tuple(sigma) + tuple(disjuncts))
     try:
-        chain = None if cm.chain == "Z" else chain_from_name(cm.chain)
+        chain = None if cm.chain == "Z" else chain_from_name(cm.chain, len(goal_vars) + 2)
     except ValueError:
         return False
-    well_formed = variables_of(tuple(sigma) + tuple(disjuncts)) <= val.keys() and all(
+    well_formed = goal_vars <= val.keys() and all(
         type(v) is int and (chain is None or v in chain.carrier) for v in val.values()
     )
     if chain is None:
@@ -650,14 +653,13 @@ def verify_derivation(logic: LogicSpec | str, lines, hypotheses=()) -> Derivatio
     implications: dict[Formula, list[Imp]] = {}
     for i, f in enumerate(formulas):
         concluding = implications.get(f, ())
-        ok = f in hypotheses or _matches_axiom(logic, f)
-        if not ok:
-            ok = any(g.left in earlier for g in concluding)
+        ok = f in hypotheses or any(g.left in earlier for g in concluding)
         if not ok and "adj" in rules and isinstance(f, Conj):
             ok = f.left in earlier and f.right in earlier
         if not ok and "u_n" in rules:
             ok = any((_scalar_count(g, f) or 0) >= 2 for g in concluding)
-        if not ok:
+        # the axiom match last: its family walk grows with the line's size
+        if not (ok or _matches_axiom(logic, f)):
             return DerivationCheck(False, i + 1, f"line {i + 1} unjustified: {f}")
         earlier.add(f)
         if isinstance(f, Imp):

@@ -33,6 +33,8 @@ def test_odd_chain_shape():
     assert chain.unit == 0 and chain.zero == 0
     assert chain.fuse(1, -1) == -1  # tie falls to the meet
     assert all(chain.fuse(0, a) == a for a in chain.carrier)  # monoid unit
+    # closed forms build wide chains at once
+    assert sugihara_chain(1000, odd=True).imp(1000, -1000) == -1000
 
 
 def test_even_chain_shape():
@@ -47,23 +49,49 @@ def test_laws_checked_on_construction():
     for k in range(1, 5):
         sugihara_chain(k, odd=True)
         sugihara_chain(k, odd=False)
-    # a join tie-break is not residuated and must be rejected
-    def bad_fuse(a, b):
-        if abs(a) > abs(b):
-            return a
-        if abs(b) > abs(a):
-            return b
-        return max(a, b)
 
-    with pytest.raises(ValueError):
-        ChainAlgebra("bad", range(-2, 3), 0, 0, bad_fuse)
+    # a join tie-break is not residuated and must be rejected
+    class JoinTies(ChainAlgebra):
+        def fuse(self, a, b):
+            return max(a, b) if abs(a) == abs(b) else super().fuse(a, b)
+
+    with pytest.raises(ValueError, match="residuation"):
+        JoinTies(2, odd=True)
+
+
+@pytest.mark.parametrize("odd", [True, False])
+def test_closed_forms_are_the_sugihara_operations(odd):
+    # past LAW_CHECK_MAX_SIZE elements construction checks nothing, so the
+    # closed forms are compared here with fusion's definition, the
+    # exhaustive residual and negation as implication into the constant 0
+    for k in range(1, 16):
+        chain = ChainAlgebra(k, odd)
+        els = chain.carrier
+        for a, b in itertools.product(els, repeat=2):
+            larger = a if abs(a) > abs(b) else b if abs(b) > abs(a) else min(a, b)
+            assert chain.fuse(a, b) == larger, (chain, a, b)
+            residual = max(x for x in els if chain.fuse(a, x) <= b)
+            assert chain.imp(a, b) == residual, (chain, a, b)
+        assert all(chain.neg(a) == chain.imp(a, chain.zero) for a in els), chain
 
 
 def test_chain_from_name():
     chain = sugihara_chain(3, odd=False)
-    assert chain_from_name(chain.name) is chain
+    assert chain_from_name(chain.name, 3) is chain
+    # only a chain's own name resolves, and only up to the width given
+    for name in (
+        "nonsense",
+        "sugihara_odd_0",
+        "sugihara_odd_+3",
+        "sugihara_odd_03",
+        "sugihara_odd_1_0",
+        "sugihara_odd_ 3",
+        "sugihara_odd_3 ",
+    ):
+        with pytest.raises(ValueError):
+            chain_from_name(name, 20)
     with pytest.raises(ValueError):
-        chain_from_name("nonsense")
+        chain_from_name(chain.name, 2)
 
 
 def test_eval_examples():
@@ -141,12 +169,6 @@ def test_canonical_grid_keeps_designation(odd):
     assert len(canonical_grid(sugihara_chain(5, odd=True), 4)) == 1697
     assert len(canonical_grid(sugihara_chain(6, odd=False), 4)) == 2400
     assert len(canonical_grid(sugihara_chain(6, odd=True), 5)) == 24483
-
-
-def test_canonical_grid_rejects_other_chains():
-    lukasiewicz = ChainAlgebra("l3", (-1, 0, 1), 1, -1, lambda a, b: max(-1, a + b - 1))
-    with pytest.raises(ValueError):
-        canonical_grid(lukasiewicz, 2)
 
 
 def _decode(planes, size: int) -> list[int]:

@@ -104,6 +104,15 @@ rejected(
     "chain countermodel that does not refute a BIULm goal",
     lambda: engine.prove_disjunction("BIULm", goal([], ["p -> p"])),
 )
+# p -> q fails at p = 50, q = -50 there, but no decision on two variables
+# uses a chain wider than half-width 4
+oracles.find_chain_countermodel = lambda chains, sigma, disjuncts: oracles.Countermodel.of(
+    "sugihara_odd_50", {"p": 50, "q": -50}
+)
+rejected(
+    "chain countermodel on a chain wider than any decision chain",
+    lambda: engine.prove_disjunction("RMt", goal([], ["p -> q"])),
+)
 oracles.find_chain_countermodel = scan
 
 # A chain-exhaustive witness must name every decision chain: the odd
@@ -178,4 +187,4 @@ def test_certificate_checks_survive_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 17 and all(line.startswith("rejected:") for line in lines), lines
+    assert len(lines) == 18 and all(line.startswith("rejected:") for line in lines), lines

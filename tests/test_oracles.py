@@ -267,6 +267,17 @@ def test_verify_derivation_rule_gating():
     assert not verify_derivation("MLL", lines, hypotheses=[parse("q + q")])
 
 
+def test_verify_derivation_tries_rules_before_axioms(monkeypatch):
+    # an mp line matched against the balance family first would walk it to
+    # n of about size/6
+    calls = []
+    match = oracles.match_template
+    monkeypatch.setattr(oracles, "match_template", lambda *args: calls.append(args) or match(*args))
+    hyps = [parse("p"), parse("p -> p^1000")]
+    assert verify_derivation("BIULm", hyps + [parse("p^1000")], hypotheses=hyps)
+    assert len(calls) == 0
+
+
 def test_countermodel_refutes_is_exact():
     cm = Countermodel.of("Z", {"p": -1})
     assert countermodel_refutes(cm, [], [parse("p")])
@@ -332,7 +343,20 @@ FORGED = {
     "chain without a half-width": ("RMt", _refuted(["p", "~p"], "sugihara_odd_x", {"p": 1})),
     "chain of half-width 0": ("RMt", _refuted(["p", "~p"], "sugihara_odd_0", {"p": 0})),
     "non-integer value in Z": ("A", _refuted(["p"], "Z", {"p": "x"})),
+    # p -> q fails there, but no decision on two variables uses a chain
+    # wider than half-width 4
+    "chain wider than any decision chain": (
+        "RMt",
+        _refuted(["p -> q"], "sugihara_odd_50", {"p": 50, "q": -50}),
+    ),
 }
+# p -> q fails at p = 1, q = -1 on sugihara_odd_3, but only that spelling
+# names it
+for half_width in ("+3", "03", "1_0", " 3"):
+    FORGED[f"chain named sugihara_odd_{half_width}"] = (
+        "RMt",
+        _refuted(["p -> q"], f"sugihara_odd_{half_width}", {"p": 1, "q": -1}),
+    )
 
 
 @pytest.mark.parametrize("label", FORGED)
