@@ -274,13 +274,16 @@ def _cmd_check_toa(args) -> int:
             "logic": logic.name,
             "all_proved": report.all_proved,
             "entries": [
-                {"n": e.n, "k": e.k, "m": e.m, "status": e.status} for e in report.entries
+                {**_fields(e), "countermodel": _countermodel_json(e.countermodel)}
+                for e in report.entries
             ],
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for e in report.entries:
             print(f"n={e.n} (k={e.k}, m={e.m}): {e.status}")
+            if e.countermodel:
+                _print_countermodel(e.countermodel, sys.stdout)
     if all(e.status == "proved" for e in report.entries):
         return EXIT_PROVED
     if any(e.status == "refuted" for e in report.entries):

@@ -19,15 +19,15 @@ Multiplicative level:
   all hypotheses: mask arithmetic on the grids' planes, one plane
   operation per representative, as each is built from earlier ones.
 
-Full-language hypotheses reduce to the multiplicative level by splitting
-conjunctions, recursing over disjunctive clauses, and joining the two
-branch interpolants as one disjunction of their conjunctions.  That is
-the package's one recursion (``recurse``): its depth grows with the clause
-literals, which :data:`MAX_BRANCHES` bounds, not with formula depth.
+Full-language hypotheses reduce to the multiplicative level through the
+branches that :func:`normalize.hypothesis_branches` forks them into, the
+same branches :func:`normalize.decompose_consequence` decides; the
+branches' interpolants join as one disjunction of their conjunctions.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .chains import canonical_grid, designated_mask, eval_planes, eval_vector, kept_mask
@@ -35,12 +35,11 @@ from .engine import DEFAULT_BUDGET, EngineBudget, prove_consequence
 from .errors import (
     EnumerationBudgetExceededError,
     InvalidCertificateError,
-    SizeBudgetExceededError,
     UnsupportedLogicError,
 )
 from .linalg import LinForm, project_fm, translate_abelian
 from .logics import LogicSpec, resolve_logic
-from .normalize import to_mult_clauses
+from .normalize import hypothesis_branches
 from .oracles import decision_chains
 from .syntax import (
     ONE,
@@ -91,20 +90,16 @@ def mult_uniform_interpolant(
     x_vars,
     depth: int = 4,
 ) -> list[Formula]:
-    """Finite interpolant for multiplicative hypotheses over the variable
-    set ``x_vars``.  Fully supported for the Abelian logic; for the mingle
-    logics via semantic enumeration to ``depth`` with at most two
-    variables."""
+    """:func:`lift_interpolant` for multiplicative hypotheses, which it
+    checks are multiplicative."""
     sigma = list(sigma)
-    if not frozenset(x_vars) <= variables_of(sigma):
-        raise ValueError("X must be a subset of the hypotheses' variables")
-    return _mult_interpolant(resolve_logic(logic), sigma, frozenset(x_vars), depth)
+    require_multiplicative(sigma)
+    return lift_interpolant(logic, sigma, x_vars, depth)
 
 
 def _mult_interpolant(
-    logic: LogicSpec, sigma: list[Formula], x_vars: frozenset[str], depth: int = 4
+    logic: LogicSpec, sigma: list[Formula], x_vars: frozenset[str], depth: int
 ) -> list[Formula]:
-    require_multiplicative(sigma)
     if logic.oracle_kind == "abelian":
         rows = project_fm([translate_abelian(f) for f in sigma], x_vars)
         return sorted((_form_to_formula(r) for r in rows), key=render)
@@ -197,49 +192,33 @@ def _enumerate_classes(logic: LogicSpec, x_vars: list[str], depth: int) -> list[
     return list(classes.values())
 
 
-def lift_interpolant(logic: LogicSpec | str, sigma, x_vars) -> list[Formula]:
+def lift_interpolant(logic: LogicSpec | str, sigma, x_vars, depth: int = 4) -> list[Formula]:
     """Interpolant for arbitrary hypotheses.
 
-    Hypotheses normalize to clauses; conjunctions split into separate
-    hypotheses, and each disjunctive clause forks into two subproblems whose
-    interpolants rejoin as (and of one side) | (and of the other).  An empty
-    side means that branch admits only theorems over X, so the join is
-    empty too.  The base case is the multiplicative interpolant.  More
-    than :data:`MAX_BRANCHES` branches raise SizeBudgetExceededError.
+    The hypotheses fork into their multiplicative branches
+    (:func:`normalize.hypothesis_branches`, at most :data:`MAX_BRANCHES`),
+    and each branch gets its multiplicative interpolant, the mingle logics'
+    enumerated to ``depth``.  One branch's interpolant is the answer as it
+    is.  Of several, an empty one means that branch admits only theorems
+    over X, and the answer is empty too; otherwise it is the one formula
+    b1 | (b2 | (... | bn)), each bi the conjunction of branch i's
+    interpolant, in branch order.
     """
     logic = resolve_logic(logic)
     sigma = list(sigma)
     x_vars = frozenset(x_vars)
     if not x_vars <= variables_of(sigma):
         raise ValueError("X must be a subset of the hypotheses' variables")
-    clauses = []
-    for f in sigma:
-        clauses.extend(list(c.disjuncts) for c in to_mult_clauses(f))
-
-    branches = 1
-    for c in clauses:
-        branches *= len(c)
-    if branches > MAX_BRANCHES:
-        raise SizeBudgetExceededError(f"interpolation would fork {branches} branches")
-
-    def recurse(cls: list[list[Formula]]) -> list[Formula]:
-        for i, clause in enumerate(cls):
-            if len(clause) > 1:
-                left = recurse(cls[:i] + [[clause[0]]] + cls[i + 1 :])
-                right = recurse(cls[:i] + [clause[1:]] + cls[i + 1 :])
-                if not left or not right:
-                    return []
-                return [Disj(_conj_fold(left), _conj_fold(right))]
-        return _mult_interpolant(logic, [c[0] for c in cls], x_vars)
-
-    return sorted(recurse(clauses), key=render)
-
-
-def _conj_fold(formulas: list[Formula]) -> Formula:
-    out = formulas[0]
-    for f in formulas[1:]:
-        out = Conj(out, f)
-    return out
+    parts = [
+        _mult_interpolant(logic, list(branch), x_vars, depth)
+        for branch in hypothesis_branches(sigma, MAX_BRANCHES)
+    ]
+    if len(parts) == 1:
+        return parts[0]
+    if not all(parts):
+        return []
+    conjunctions = [functools.reduce(Conj, part) for part in parts]
+    return [functools.reduce(lambda right, left: Disj(left, right), reversed(conjunctions))]
 
 
 class InterpolationCheck(Record):

@@ -14,13 +14,15 @@ it is built, and :func:`match_template` keeps a stack of node pairs.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from functools import lru_cache
 
 from .errors import MissingMetavariableError, UnknownLogicError
 from .syntax import (
+    MAX_REPEAT,
     Binary,
     Formula,
+    Fuse,
     Imp,
     MVar,
     Record,
@@ -60,10 +62,12 @@ _PHI = MVar("PHI")
 
 
 class AxiomFamily(Record):
-    """An axiom-schema family indexed by a natural number."""
+    """An axiom-schema family indexed by a natural number.  ``indices(f)``
+    holds every n whose members the formula ``f`` could instantiate."""
 
     name: str
     schemas: Callable[[int], tuple[AxiomSchema, ...]]
+    indices: Callable[[Formula], Iterable[int]]
 
     def _key(self) -> tuple:  # families compare and hash by name only
         return (self.name,)
@@ -122,7 +126,7 @@ _BASE_RULES: dict[str, tuple[str, ...]] = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _balance_schemas(n: int) -> tuple[AxiomSchema, ...]:
     """``n*PHI -> PHI^n`` and its converse.
 
@@ -137,7 +141,20 @@ def _balance_schemas(n: int) -> tuple[AxiomSchema, ...]:
     )
 
 
-_BALANCE = AxiomFamily("balance", _balance_schemas)
+def _balance_indices(f: Formula) -> set[int]:
+    """0, 1 and, for each side of the implication ``f``, the n with that
+    side ``power(g, n)`` for its last factor g: a member n >= 2 has
+    ``PHI^n`` as one side, and none is built past MAX_REPEAT."""
+    out = {0, 1}
+    for side in (f.left, f.right) if isinstance(f, Imp) else ():
+        n, node = 1, side
+        while isinstance(node, Fuse) and node.right == side.right and n < MAX_REPEAT:
+            n, node = n + 1, node.left
+        out.add(n)
+    return out
+
+
+_BALANCE = AxiomFamily("balance", _balance_schemas, _balance_indices)
 
 
 class LogicSpec(Record):

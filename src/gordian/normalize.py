@@ -9,10 +9,12 @@ multiplicative connectives push through them:
 
 Applying these inside-out leaves a lattice tree over multiplicative
 formulas, which then flattens to a conjunction of disjunctive clauses.
-Hypotheses split on conjunction and fork goals on disjunction.  Both steps
-are loops (:func:`_fold`) over the subformulas above the multiplicative
-ones, so formulas of any depth normalize; the work guard counts one step
-per multiplicative leaf computed and per literal of each clause built.
+Both steps are loops (:func:`_fold`) over the subformulas above the
+multiplicative ones, so formulas of any depth normalize; the work guard
+counts one step per multiplicative leaf computed and per literal of each
+clause built.  Hypotheses split on conjunction and fork on disjunction in
+one place, :func:`hypothesis_branches`, which both the decomposition and
+interpolation's lifting read.
 """
 
 from __future__ import annotations
@@ -187,28 +189,26 @@ def to_mult_clauses(f: Formula) -> list[MultClause]:
     return _drop_subsumed(_cnf(_push(f, budget), budget))
 
 
+def hypothesis_branches(sigma, cap: int) -> list[tuple[Formula, ...]]:
+    """The multiplicative branches of the hypotheses ``sigma``: each is
+    normalized to clauses, and a branch picks one disjunct from every
+    clause, in :func:`itertools.product` order.  More than ``cap``
+    branches raise SizeBudgetExceededError."""
+    choices = [clause.disjuncts for h in sigma for clause in to_mult_clauses(h)]
+    total = 1
+    for disjuncts in choices:
+        total *= len(disjuncts)
+        if total > cap:
+            raise SizeBudgetExceededError(f"the hypotheses fork more than {cap} branches")
+    return list(itertools.product(*choices))
+
+
 def decompose_consequence(sigma, f: Formula) -> list[Goal]:
-    """Equivalent list of multiplicative goals for ``sigma |- f``.
-
-    Every hypothesis is normalized to clauses; conjunctions become separate
-    hypotheses and each disjunctive clause forks the goal once per disjunct.
-    The conclusion contributes one goal per clause; more than
-    :data:`GOAL_CAP` goals raise SizeBudgetExceededError.
+    """Equivalent list of multiplicative goals for ``sigma |- f``: one per
+    hypothesis branch (:func:`hypothesis_branches`) and conclusion clause.
+    More than :data:`GOAL_CAP` goals raise SizeBudgetExceededError.
     """
-    hyp_clauses: list[MultClause] = []
-    for h in sigma:
-        hyp_clauses.extend(to_mult_clauses(h))
     conclusion = to_mult_clauses(f)
-
-    total = len(conclusion)
-    for clause in hyp_clauses:
-        total *= len(clause.disjuncts)
-        if total > GOAL_CAP:
-            raise SizeBudgetExceededError(f"decomposition exceeds {GOAL_CAP} goals")
-
-    goals = []
-    choices = [clause.disjuncts for clause in hyp_clauses]
-    for picked in itertools.product(*choices):
-        for clause in conclusion:
-            goals.append(Goal.of(picked, clause.disjuncts))
+    branches = hypothesis_branches(sigma, GOAL_CAP // len(conclusion))
+    goals = [Goal.of(picked, clause.disjuncts) for picked in branches for clause in conclusion]
     return sorted(set(goals), key=Goal.render)

@@ -445,7 +445,7 @@ def class_refutation(logic: LogicSpec, goal: Goal) -> Countermodel | None:
 
 class HilbertBudget(Record):
     """The search's two settable limits: the lines derived past the seeds,
-    and the largest n of a family's members in the axiom basis."""
+    and the largest n of a family's members in the instance stream."""
 
     max_lines: int = 4000
     family_bound: int = 8
@@ -508,15 +508,16 @@ def hilbert_search(
 ) -> ProofResult:
     """Budgeted proof search in the logic's multiplicative fragment.
 
-    A target that is a hypothesis, or an instance of one of the schemas
-    the search draws on, is its own one-line derivation; every instance
-    the stream below could build is such a match, so nothing is lost by
-    looking no further.  Otherwise, forward saturation: hypotheses and
-    axiom-schema instances built from the :data:`POOL_LIMIT` smallest
-    subterms are closed under modus ponens and the unperforated rule (from
-    ``n*g`` infer ``g``, every n >= 2) until the target appears or the
-    budget runs out.  A proof carries a derivation of ``phi`` under the
-    weight (1,), unchecked (see :func:`check_result`); no answer is refuted.
+    A target that is a hypothesis, or an instance of one of the logic's
+    axiom schemas (a family's members of every n), is its own one-line
+    derivation; every instance the stream below could build is such a
+    match, so nothing is lost by looking no further.  Otherwise, forward
+    saturation: hypotheses and axiom-schema instances built from the
+    :data:`POOL_LIMIT` smallest subterms are closed under modus ponens and
+    the unperforated rule (from ``n*g`` infer ``g``, every n >= 2) until
+    the target appears or the budget runs out.  A proof carries a
+    derivation of ``phi`` under the weight (1,), unchecked (see
+    :func:`check_result`); no answer is refuted.
     """
     logic = resolve_logic(logic)
     budget = budget or HilbertBudget()
@@ -539,7 +540,7 @@ def hilbert_search(
     for h in sigma:
         add(h, ("hyp",))
     if phi not in parents:
-        axiom = next((s.name for s in schemas if match_template(s.template, phi) is not None), None)
+        axiom = _matching_axiom(logic, phi)
         if axiom is not None:
             add(phi, ("axiom", axiom))
         else:
@@ -624,19 +625,13 @@ class DerivationCheck(Record):
         return self.ok
 
 
-def _matches_axiom(logic: LogicSpec, f: Formula) -> bool:
-    for schema in logic.axiom_schemas():
-        if match_template(schema.template, f) is not None:
-            return True
-    limit = f.size
-    for fam in logic.families:
-        for n in itertools.count(0):
-            fam_schemas = fam.schemas(n)
-            if all(s.template.size > limit + 2 for s in fam_schemas):
-                break
-            if any(match_template(s.template, f) is not None for s in fam_schemas):
-                return True
-    return False
+def _matching_axiom(logic: LogicSpec, f: Formula) -> str | None:
+    """The name of the first axiom schema that ``f`` instantiates, or None:
+    the base and extra schemas in order, then of each family the members
+    of the n that its ``indices(f)`` holds, smallest n first."""
+    members = (s for fam in logic.families for n in sorted(fam.indices(f)) for s in fam.schemas(n))
+    schemas = itertools.chain(logic.axiom_schemas(), members)
+    return next((s.name for s in schemas if match_template(s.template, f) is not None), None)
 
 
 def verify_derivation(logic: LogicSpec | str, lines, hypotheses=()) -> DerivationCheck:
@@ -658,8 +653,8 @@ def verify_derivation(logic: LogicSpec | str, lines, hypotheses=()) -> Derivatio
             ok = f.left in earlier and f.right in earlier
         if not ok and "u_n" in rules:
             ok = any((_scalar_count(g, f) or 0) >= 2 for g in concluding)
-        # the axiom match last: its family walk grows with the line's size
-        if not (ok or _matches_axiom(logic, f)):
+        # the axiom match last: it tries every schema in turn
+        if not (ok or _matching_axiom(logic, f)):
             return DerivationCheck(False, i + 1, f"line {i + 1} unjustified: {f}")
         earlier.add(f)
         if isinstance(f, Imp):
@@ -768,17 +763,22 @@ def check_toa_condition(
     logic's multiplicative fragment, with candidate (k, m) per n (default
     (1, 1)), under the Hilbert ``budget`` with its family bound raised to
     ``n_max``, each by :func:`decide`; budget exhaustion is never a
-    failure, only unknown.
+    failure, only unknown.  A witness for an n outside 1..n_max, which
+    would go unchecked, raises ValueError.
     """
     logic = resolve_logic(logic)
     if n_max < 1:  # no entry to check would read as "all proved"
         raise ValueError(f"n_max must be at least 1, not {n_max}")
+    witnesses = witnesses or {}
+    for n in sorted(witnesses):
+        if not 1 <= n <= n_max:
+            raise ValueError(f"witness for n={n} lies outside 1..{n_max}")
     budget = budget or HilbertBudget()
     budget = HilbertBudget(budget.max_lines, max(budget.family_bound, n_max))
     p = Var("p")
     entries = []
     for n in range(1, n_max + 1):
-        k, m = (witnesses or {}).get(n, (1, 1))
+        k, m = witnesses.get(n, (1, 1))
         if m < 1 or k < 0:
             raise ValueError(f"witness for n={n} needs m >= 1 and k >= 0")
         target = Imp(power(scalar(n, p), k), scalar(m, power(p, n)))

@@ -151,6 +151,18 @@ def test_check_toa(capsys):
     for n_max in ("0", "-1"):  # no entries must not read as all proved
         code, out, err = run(capsys, "check-toa", "--logic", "BIULm", "--n-max", n_max)
         assert code == 3 and out == "" and "n_max" in err
+    for witness in ("5:0:1", "0:1:1"):  # a witness no entry would check
+        code, out, err = run(
+            capsys, "check-toa", "--logic", "BIULm", "--n-max", "2", "--witness", witness
+        )
+        assert code == 3 and out == "" and "outside 1..2" in err, err
+    # a refuted entry shows its countermodel, in text and in JSON
+    args = ("check-toa", "--logic", "A", "--n-max", "2", "--witness", "2:0:1")
+    code, out, _ = run(capsys, *args)
+    assert code == 1 and "n=2 (k=0, m=1): refuted\n  countermodel: chain Z, valuation p=-1" in out
+    code, out, _ = run(capsys, *args, "--format", "json")
+    entries = json.loads(out)["entries"]
+    assert [e["countermodel"] for e in entries] == [None, {"chain": "Z", "valuation": {"p": -1}}]
 
 
 def test_check_toa_raises_the_family_bound_under_any_budget(capsys):

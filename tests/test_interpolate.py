@@ -22,7 +22,7 @@ from gordian.interpolate import (
 )
 from gordian.logics import lookup_logic
 from gordian.oracles import decision_chains, sugihara_decide
-from gordian.syntax import ONE, ZERO, Fuse, Imp, Var, parse, render, variables_of
+from gordian.syntax import ONE, ZERO, Disj, Fuse, Imp, Var, parse, render, variables_of
 
 
 def test_abelian_elimination():
@@ -76,6 +76,27 @@ def test_lift_base_case_is_multiplicative_interpolant():
     assert lift_interpolant("A", sigma, {"p", "r"}) == mult_uniform_interpolant(
         "A", sigma, {"p", "r"}
     )
+    assert lift_interpolant("IUMLm", sigma, {"p", "r"}, depth=3) == mult_uniform_interpolant(
+        "IUMLm", sigma, {"p", "r"}, depth=3
+    )
+
+
+def test_lift_joins_branches_in_product_order():
+    # two branching clauses, their disjuncts in rendered order, fork four
+    # branches; their interpolants join right-nested, in product order
+    sigma = [parse("(p -> q) | (p*p -> q)"), parse("(q -> r) | (q -> r*r)")]
+    pi = lift_interpolant("A", sigma, {"p", "r"})
+    clauses = [["p * p -> q", "p -> q"], ["q -> r", "q -> r * r"]]
+    parts = [
+        mult_uniform_interpolant("A", [parse(a), parse(b)], {"p", "r"})
+        for a, b in itertools.product(*clauses)
+    ]
+    assert [len(part) for part in parts] == [1, 1, 1, 1]
+    assert pi == [Disj(parts[0][0], Disj(parts[1][0], Disj(parts[2][0], parts[3][0])))]
+    assert render(pi[0]) == "p * p -> r | (p -> r | (p -> r | p -> r * r))"
+    probes = [parse("p -> r | p*p -> r*r"), parse("p -> r"), parse("p*p -> r | p -> r*r")]
+    report = verify_interpolant("A", sigma, pi, {"p", "r"}, probes)
+    assert report.ok, report.first_failure
 
 
 def test_lift_disjunctive_hypothesis():

@@ -143,6 +143,8 @@ def test_decompose_examples():
 def test_decompose_goal_cap(monkeypatch):
     sigma = [parse("p | q"), parse("r | s")]
     assert len(decompose_consequence(sigma, parse("t & u"))) == 8
+    monkeypatch.setattr(normalize, "GOAL_CAP", 8)  # the boundary: 8 goals pass
+    assert len(decompose_consequence(sigma, parse("t & u"))) == 8
     monkeypatch.setattr(normalize, "GOAL_CAP", 7)
     with pytest.raises(SizeBudgetExceededError):
         decompose_consequence(sigma, parse("t & u"))

@@ -64,6 +64,26 @@ rejected(
 )
 oracles._reconstruct = reconstruct
 
+# A forged one-line derivation whose line is no balance member: the check
+# builds only the members whose n a side's power fixes.
+forged_power = parse("p^1000 -> q")
+rejected(
+    "one-line derivation of p^1000 -> q as a balance axiom",
+    lambda: oracles.check_result(
+        "BIULm",
+        oracles.ProofResult(
+            "proved",
+            goal([], ["p^1000 -> q"]),
+            certificate=oracles.ToACertificate(
+                (1,),
+                oracles.DerivationWitness(
+                    (oracles.DerivationLine(1, forged_power, "axiom balance_down_1000"),)
+                ),
+            ),
+        ),
+    ),
+)
+
 # a valid goal, so every point of a chain designates a disjunct
 excluded_middle = goal([], ["p", "~p"])
 scan = oracles.find_chain_countermodel
@@ -187,4 +207,4 @@ def test_certificate_checks_survive_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 18 and all(line.startswith("rejected:") for line in lines), lines
+    assert len(lines) == 19 and all(line.startswith("rejected:") for line in lines), lines

@@ -1,4 +1,5 @@
 import itertools
+import time
 from random import Random
 
 import pytest
@@ -14,7 +15,7 @@ from helpers import (
     widened,
 )
 
-from gordian import EngineBudget, HilbertBudget, oracles, prove_consequence, prove_disjunction
+from gordian import EngineBudget, HilbertBudget, logics, oracles, prove_consequence, prove_disjunction
 
 from gordian.chains import _cached_sugihara_grid
 from gordian.errors import InvalidCertificateError, NotMultiplicativeError
@@ -164,6 +165,9 @@ def test_hilbert_axiom_instance_in_one_line(monkeypatch):
         ("MLL0", parse("0 -> 1"), "axiom zero_one"),
         ("BIULm", parse("(p + p) -> p^2"), "axiom balance_up_2"),
         ("BIULm", parse("p^3 -> 3*p"), "axiom balance_down_3"),
+        # past the default family bound 8: the member's n is read off phi
+        ("BIULm", parse("9*p -> p^9"), "axiom balance_up_9"),
+        ("BIULm", parse("p^12 -> 12*p"), "axiom balance_down_12"),
     ]
     for logic, phi, just in cases:
         verdict = hilbert_search(logic, [], phi)
@@ -276,6 +280,19 @@ def test_verify_derivation_tries_rules_before_axioms(monkeypatch):
     hyps = [parse("p"), parse("p -> p^1000")]
     assert verify_derivation("BIULm", hyps + [parse("p^1000")], hypotheses=hyps)
     assert len(calls) == 0
+
+
+def test_verify_derivation_reads_the_family_member_off_the_line():
+    # only the balance members whose n a side's power fixes are built, so a
+    # forged line costs about its own size and leaves few members cached
+    logics._balance_schemas.cache_clear()
+    start = time.perf_counter()
+    assert not verify_derivation("BIULm", [parse("p^1000 -> q")])
+    assert time.perf_counter() - start < 0.5
+    assert logics._balance_schemas.cache_info().currsize <= 3
+    assert verify_derivation("BIULm", [parse("9*p -> p^9")])
+    assert verify_derivation("BIULm", [parse("(p * q)^12 -> 12*(p * q)")])
+    assert not verify_derivation("BIULm", [parse("9*p -> p^8")])
 
 
 def test_countermodel_refutes_is_exact():

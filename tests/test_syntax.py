@@ -399,10 +399,10 @@ def test_record_equality_is_class_exact_with_equal_hashes():
 
 
 def test_axiom_family_equality_ignores_schemas():
-    family = AxiomFamily("balance", lambda n: ())
-    same_name = AxiomFamily("balance", tuple)
+    family = AxiomFamily("balance", lambda n: (), lambda f: ())
+    same_name = AxiomFamily("balance", tuple, set)
     assert family == same_name and hash(family) == hash(same_name)
-    assert family != AxiomFamily("other", family.schemas)
+    assert family != AxiomFamily("other", family.schemas, family.indices)
     assert lookup_logic("BIULm").families == (same_name,)
 
 
