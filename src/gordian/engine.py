@@ -17,8 +17,9 @@ accepts it:
   sound for (:func:`oracles.class_refutation`: Z through the same LP
   separation, then Sugihara chains), then iterative deepening on
   ``sum(lambda)``, asking :func:`oracles.prove_one_target` (the Hilbert
-  search) for each weighted sum.  Only once the model classes have failed
-  is exhaustion reported, as unknown, never refuted.
+  search) for each weighted sum that the model classes do not refute.
+  Only once the model classes have failed is exhaustion reported, as
+  unknown, never refuted.
 """
 
 from __future__ import annotations
@@ -96,8 +97,13 @@ def _prove_deepening(logic: LogicSpec, goal: Goal, budget: EngineBudget) -> Proo
     disjuncts = goal.clause.disjuncts
     for total in range(1, budget.lambda_cap + 1):
         for lambdas in _compositions(total, len(disjuncts)):
-            combo = combination_formula(lambdas, disjuncts)
-            verdict = prove_one_target(logic, one_target(goal.hypotheses, combo), budget.hilbert)
+            target = one_target(goal.hypotheses, combination_formula(lambdas, disjuncts))
+            # a sum the sound classes refute has no proof.  With one disjunct
+            # no sum is refuted, as the goal was not: n*x >= 0 iff x >= 0 in
+            # Z, and sums are idempotent on Sugihara chains
+            if len(disjuncts) > 1 and class_refutation(logic, target) is not None:
+                continue
+            verdict = prove_one_target(logic, target, budget.hilbert)
             if verdict.status == "proved":
                 cert = ToACertificate(lambdas, verdict.certificate.witness)
                 return ProofResult("proved", goal, certificate=cert)

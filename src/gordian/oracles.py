@@ -18,9 +18,10 @@ one-target entry, asks each the one-disjunct question ``sigma |- phi``:
   disjunct's designated mask is the countermodel; otherwise elimination
   in rounds against the masks of the disjuncts' running sum gives the
   largest valid subset.
-* ``hilbert``: :func:`hilbert_search`, budgeted forward saturation over
-  axiom-schema instances with modus ponens and the unperforated rule, for
-  one target at a time; proved by a derivation, or unknown.
+* ``hilbert``: :func:`hilbert_search`, for one target at a time: a proof
+  search in MLL with mix (:mod:`mix`) where the logic's units coincide,
+  then budgeted forward saturation over axiom-schema instances with modus
+  ponens and the unperforated rule; proved by a derivation, or unknown.
 
 Every answer of :func:`decide` and the engine passes one checker,
 :func:`check_result`.  Before a Hilbert search a goal is refuted in the
@@ -58,6 +59,7 @@ from .syntax import (
     Conj,
     Formula,
     Imp,
+    MVar,
     Record,
     Var,
     Zero,
@@ -511,11 +513,12 @@ def hilbert_search(
     A target that is a hypothesis, or an instance of one of the logic's
     axiom schemas (a family's members of every n), is its own one-line
     derivation; every instance the stream below could build is such a
-    match, so nothing is lost by looking no further.  Otherwise, forward
-    saturation: hypotheses and axiom-schema instances built from the
-    :data:`POOL_LIMIT` smallest subterms are closed under modus ponens and
-    the unperforated rule (from ``n*g`` infer ``g``, every n >= 2) until
-    the target appears or the budget runs out.  A proof carries a
+    match, so nothing is lost by looking no further.  A target without
+    hypotheses is next searched for in MLL with mix (:func:`mix_lines`).
+    Otherwise, forward saturation: hypotheses and axiom-schema instances
+    built from the :data:`POOL_LIMIT` smallest subterms are closed under
+    modus ponens and the unperforated rule (from ``n*g`` infer ``g``, every
+    n >= 2) until the target appears or the budget runs out.  A proof carries a
     derivation of ``phi`` under the weight (1,), unchecked (see
     :func:`check_result`); no answer is refuted.
     """
@@ -541,6 +544,10 @@ def hilbert_search(
         add(h, ("hyp",))
     if phi not in parents:
         axiom = _matching_axiom(logic, phi)
+        lines = mix_lines(logic, phi) if axiom is None and not sigma else None
+        if lines:
+            cert = ToACertificate((1,), DerivationWitness(lines))
+            return ProofResult("proved", goal, certificate=cert)
         if axiom is not None:
             add(phi, ("axiom", axiom))
         else:
@@ -576,6 +583,19 @@ def hilbert_search(
         return ProofResult("unknown", goal, reason=reason)
     lines = _reconstruct(phi, parents)
     return ProofResult("proved", goal, certificate=ToACertificate((1,), DerivationWitness(lines)))
+
+
+def mix_lines(logic: LogicSpec, phi: Formula) -> tuple[DerivationLine, ...] | None:
+    """The lines of :func:`mix.mix_derivation` for the hypothesis-free
+    multiplicative ``phi``, or None.  It runs only where the logic matches
+    both ``0 -> 1`` and ``1 -> 0`` as axioms, so that its units coincide."""
+    up, down = _matching_axiom(logic, Imp(ZERO, ONE)), _matching_axiom(logic, Imp(ONE, ZERO))
+    if up is None or down is None or not phi.multiplicative:
+        return None
+    from . import mix  # imported on first use: compiling it costs a process about 7 ms
+
+    lines = mix.mix_derivation(phi, up, down)
+    return lines and tuple(DerivationLine(i + 1, f, just) for i, (f, just) in enumerate(lines))
 
 
 def _reconstruct(goal: Formula, parents: dict[Formula, tuple]) -> tuple[DerivationLine, ...]:
@@ -628,10 +648,18 @@ class DerivationCheck(Record):
 def _matching_axiom(logic: LogicSpec, f: Formula) -> str | None:
     """The name of the first axiom schema that ``f`` instantiates, or None:
     the base and extra schemas in order, then of each family the members
-    of the n that its ``indices(f)`` holds, smallest n first."""
+    of the n that its ``indices(f)`` holds, smallest n first.  Only the
+    templates that could match are tried: those whose root is ``f``'s
+    connective (or a metavariable), and for a multiplicative ``f`` no
+    lattice template."""
+    kind, mult = type(f), f.multiplicative
     members = (s for fam in logic.families for n in sorted(fam.indices(f)) for s in fam.schemas(n))
-    schemas = itertools.chain(logic.axiom_schemas(), members)
-    return next((s.name for s in schemas if match_template(s.template, f) is not None), None)
+    for schema in itertools.chain(logic.axiom_schemas(), members):
+        t = schema.template
+        if type(t) in (kind, MVar) and (t.multiplicative or not mult):
+            if match_template(t, f) is not None:
+                return schema.name
+    return None
 
 
 def verify_derivation(logic: LogicSpec | str, lines, hypotheses=()) -> DerivationCheck:

@@ -83,8 +83,12 @@ def test_biul_refuted_in_z_and_prelinearity_unknown(tmp_path, capsys):
     assert cm["chain"] == "Z"
     rebuilt = Countermodel.of(cm["chain"], cm["valuation"])
     assert countermodel_refutes(rebuilt, [], [parse("p * q -> p")])
-    # a theorem the search misses: no model class refutes it
+    # prelinearity, a theorem of MLL with mix: proved by that search
     problem = write(tmp_path, "q.txt", "logic BIULm\nprove (p -> q) | (q -> p)\n")
+    code, out, _ = run(capsys, "prove", problem, "--budget", "2")
+    assert code == 0 and out.startswith("proved (BIULm)")
+    # valid in Z and on odd Sugihara chains, and past both searches
+    problem = write(tmp_path, "r.txt", "logic BIULm\nprove (p -> q) + (p -> q) -> (p + p -> q + q)\n")
     code, out, _ = run(capsys, "prove", problem, "--budget", "2")
     assert code == 2 and out.startswith("unknown")
 

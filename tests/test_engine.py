@@ -14,7 +14,7 @@ from helpers import (
     rmt_chain_family,
 )
 
-from gordian import oracles
+from gordian import engine, oracles
 from gordian.engine import (
     DEFAULT_BUDGET,
     EngineBudget,
@@ -389,8 +389,9 @@ def test_biul_refutations_recheck():
     assert chains == {"Z", "sugihara_odd_"}
 
 
-# Theorems of BIULm that the Hilbert search misses; no model class may
-# refute them.  A search that learns to prove one turns it to "proved".
+# Theorems of BIULm that the forward saturation misses.  They are theorems
+# of MLL with mix, so the search in that system proves them; the test keeps
+# the name it had while they ended unknown.
 MISSED_THEOREMS = [
     "p * (q * r) -> (p * q) * r",
     "(p * q) * r -> p * (q * r)",
@@ -401,7 +402,34 @@ MISSED_THEOREMS = [
 @pytest.mark.parametrize("text", MISSED_THEOREMS)
 @pytest.mark.parametrize("budget", [DEFAULT_BUDGET, WORKLOAD_BUDGET], ids=["default", "workload"])
 def test_missed_theorems_stay_unknown(text, budget):
-    assert prove_consequence("BIULm", [], parse(text), budget).status == "unknown"
+    result = prove_consequence("BIULm", [], parse(text), budget)
+    assert result.status == "proved"
+    for goal in result.results:
+        lines = goal.certificate.witness.lines
+        combo = combination_formula(goal.certificate.lambdas, goal.goal.clause.disjuncts)
+        assert lines[-1].formula == combo
+        assert verify_derivation("BIULm", lines)
+
+
+def test_deepening_skips_the_sums_the_model_classes_refute(monkeypatch):
+    # the sums of the weights (1, 0), (0, 1) and (2, 0) are refuted in Z,
+    # so the Hilbert search is asked only for the sum of (1, 1)
+    asked = []
+    real = engine.prove_one_target
+
+    def recording(logic, goal, budget):
+        asked.append(goal.clause.disjuncts[0])
+        return real(logic, goal, budget)
+
+    monkeypatch.setattr(engine, "prove_one_target", recording)
+    result = prove_consequence("BIULm", [], parse("(p -> q) | (q -> p)"))
+    assert result.status == "proved"
+    assert result.results[0].certificate.lambdas == (1, 1)
+    assert len(asked) == 1
+    # one disjunct: no vector is checked, and the first sum is the goal
+    asked.clear()
+    assert prove_consequence("BIULm", [], parse("p * q -> q * p")).status == "proved"
+    assert len(asked) == 1
 
 
 @pytest.mark.parametrize("n", [17, 40])

@@ -1,0 +1,116 @@
+"""The proof search in MLL with mix (``gordian.mix``) and where it runs."""
+
+import importlib
+import time
+from pathlib import Path
+from random import Random
+
+import pytest
+
+from helpers import random_mult_formula
+
+from gordian import mix, oracles, prove_consequence
+from gordian.logics import lookup_logic, match_template
+from gordian.oracles import (
+    class_countermodel,
+    decide,
+    hilbert_search,
+    mix_lines,
+    verify_derivation,
+)
+from gordian.syntax import parse
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_mix_proofs_verify_and_no_model_class_refutes_them():
+    # every proof found becomes lines the checker accepts, ending at the
+    # target, and no target proved has a countermodel in BIULm's classes
+    rng = Random(5)
+    proved = 0
+    for _ in range(300):
+        phi = random_mult_formula(rng, ["p", "q"], rng.randint(1, 4))
+        lines = mix_lines(lookup_logic("BIULm"), phi)
+        if lines is None:
+            continue
+        proved += 1
+        assert lines[-1].formula == phi
+        assert verify_derivation("BIULm", lines)
+        assert class_countermodel(("Z", "sugihara_odd"), [], [phi]) is None
+    assert proved >= 20
+
+
+# fusion associativity and prelinearity are in test_engine's MISSED_THEOREMS
+@pytest.mark.parametrize("text", ["p * q -> q * p", "~~p -> p", "1 -> 0", "0 -> 1", "1", "0"])
+def test_mix_proves_core_theorems(text):
+    lines = mix_lines(lookup_logic("BIULm"), parse(text))
+    assert lines is not None and len(lines) < 200
+    assert verify_derivation("BIULm", lines)
+
+
+def test_deep_identity_costs_one_link():
+    # the two copies of p^600 are linked as one formula, never split into
+    # 600 atoms; the saturation ended unknown here after about a second
+    phi = parse("p^600 -> p^600 * 1")
+    start = time.perf_counter()
+    verdict = hilbert_search("BIULm", [], phi)
+    assert time.perf_counter() - start < 1.0
+    assert verdict.status == "proved"
+    assert len(verdict.certificate.witness.lines) < 40
+
+
+def test_search_runs_only_where_the_units_coincide():
+    # knotted logics have 0 -> 1 but not 1 -> 0: an ungated search would
+    # cite balance_down_0, which the checker rejects there
+    knotted = "knotted(1,1,1:1:1:1)"
+    assert mix_lines(lookup_logic(knotted), parse("1 -> 0")) is None
+    assert mix_lines(lookup_logic("MLL0"), parse("p * q -> q * p")) is None
+    assert prove_consequence(knotted, [], parse("1 -> 0")).status == "unknown"
+    assert decide(knotted, [], parse("1 -> 0")).status == "unknown"
+
+
+def test_goal_with_hypotheses_never_enters_the_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("search in MLL with mix entered with hypotheses")
+
+    monkeypatch.setattr(mix, "mix_derivation", no_search)
+    verdict = hilbert_search("BIULm", [parse("p")], parse("p * p"))
+    assert verdict.status == "proved"
+    assert prove_consequence("BIULm", [parse("q")], parse("p * q -> q * p")).status == "proved"
+
+
+def _unfiltered_axiom(logic, f):
+    """The reference scan: every base and extra schema in order, then the
+    family members of the n that ``indices(f)`` holds."""
+    for schema in logic.axiom_schemas():
+        if match_template(schema.template, f) is not None:
+            return schema.name
+    for fam in logic.families:
+        for n in sorted(fam.indices(f)):
+            for schema in fam.schemas(n):
+                if match_template(schema.template, f) is not None:
+                    return schema.name
+    return None
+
+
+def test_filtered_axiom_scan_agrees_on_the_hilbert_rounds(monkeypatch):
+    # every line of every derivation in 13 rounds of the benchmark's
+    # hilbert workload (seed 1): the scan that skips templates of another
+    # root connective, and lattice ones for a multiplicative line, names
+    # the same axiom as the scan over all of them
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads, ops = importlib.import_module("workloads"), importlib.import_module("ops")
+    logic = lookup_logic("BIULm")
+    formulas = set()
+    for r in range(13):
+        for problem in workloads.round_problems("hilbert", 1, r):
+            for result in ops.run_library(problem).results:
+                witness = getattr(result.certificate, "witness", None)
+                formulas.update(line.formula for line in getattr(witness, "lines", ()))
+    assert len(formulas) > 100
+    named = 0
+    for f in formulas:
+        name = oracles._matching_axiom(logic, f)
+        assert name == _unfiltered_axiom(logic, f)
+        named += name is not None
+    assert named > 50

@@ -17,7 +17,7 @@ SCRIPT = r'''
 import sys
 from fractions import Fraction
 
-from gordian import engine, linalg, oracles
+from gordian import engine, linalg, mix, oracles
 from gordian.errors import InvalidCertificateError, UnsoundModelClassError
 from gordian.logics import lookup_logic
 from gordian.normalize import Goal
@@ -54,15 +54,23 @@ rejected(
 )
 oracles.abelian_alternative = alternative
 
-# A derivation whose one line is no axiom instance.
-commute = parse("p * q -> q * p")
+# A derivation whose one line, the target, is no axiom instance: from the
+# saturation, which reaches p * p from p, and from the search in MLL with
+# mix, which proves p * q -> q * p.
 reconstruct = oracles._reconstruct
-oracles._reconstruct = lambda phi, parents: (oracles.DerivationLine(1, commute, "axiom identity"),)
+oracles._reconstruct = lambda phi, parents: (oracles.DerivationLine(1, phi, "axiom identity"),)
 rejected(
     "Hilbert derivation with an unjustified line",
-    lambda: engine.prove_disjunction("BIULm", goal([], ["p * q -> q * p"])),
+    lambda: engine.prove_disjunction("BIULm", goal(["p"], ["p * p"])),
 )
 oracles._reconstruct = reconstruct
+search = mix.mix_derivation
+mix.mix_derivation = lambda phi, up, down: [(phi, f"axiom {up}")]
+rejected(
+    "derivation from the search in MLL with mix with an unjustified line",
+    lambda: engine.prove_disjunction("BIULm", goal([], ["p * q -> q * p"])),
+)
+mix.mix_derivation = search
 
 # A forged one-line derivation whose line is no balance member: the check
 # builds only the members whose n a side's power fixes.
@@ -207,4 +215,4 @@ def test_certificate_checks_survive_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 19 and all(line.startswith("rejected:") for line in lines), lines
+    assert len(lines) == 20 and all(line.startswith("rejected:") for line in lines), lines
