@@ -11,19 +11,21 @@ contain the self-inverting element 0, which is both the monoid unit and
 the interpretation of the constant 0; even chains interpret the unit as 1
 and the constant 0 as -1.
 
-The decision procedures evaluate multiplicative formulas on a chain's
-canonical grid (:func:`canonical_grid`), which is its variables' planes: a
-formula's planes map each value it takes to a Python integer whose bit j
-is set iff it takes that value at grid point j, and fusion and implication
-are a few integer operations per level of absolute values
-(:func:`eval_planes`), whatever the number of points.
+The decision procedures ask multiplicative questions of the Sugihara
+chains through one search (:class:`LevelSearch`): a formula's absolute
+value is the highest level among its variables', so the search places the
+variables a level at a time from the top, and each formula is settled at
+the first level that meets its variables.  It finds countermodels, the
+rounds of the mingle logics' subset elimination and the points at which
+interpolation keeps a class, with a few integer operations per level,
+whatever the number of valuations.
 
 The integers themselves (with fusion as addition and both constants as 0)
 serve as the reference model for the Abelian reading; they are exposed here
 through :func:`eval_abelian`.  The evaluators are one :func:`syntax.fold`
-with their own operation tables: at a point of a chain, on planes of a
-canonical grid, on columns of point values (:func:`eval_vector`, the test
-suite's reference) and in the integers.
+with their own operation tables: at a point of a chain, on columns of
+point values (:func:`eval_vector`, the test suite's reference) and in the
+integers.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import re
 from functools import lru_cache
 
 from .errors import MissingVariableError
-from .syntax import Conj, Disj, Formula, Fuse, Imp, One, Var, Zero, fold, variables
+from .syntax import Conj, Disj, Formula, Fuse, Imp, One, Var, Zero, fold, subformulas, variables
 
 LAW_CHECK_MAX_SIZE = 16
 
@@ -161,200 +163,216 @@ def eval_vector(chain: ChainAlgebra, f: Formula, var_order, grid) -> list[int]:
     return _evaluate(f, columns, [chain.unit] * n, [chain.zero] * n, operations)
 
 
-# Grids over at most this many variables are kept for the life of the
-# process, so a check reuses the grids its decision built (the odd and even
-# grids for 6 variables hold about 11 MB); larger ones (8.6M points on the
-# odd chain at k = 7) are rebuilt on each call.
-CACHED_GRID_MAX_VARS = 6
+# --- the level search ----------------------------------------------------------
 
 
-class CanonicalGrid:
-    """The canonical points of a Sugihara chain for ``k`` variables, in
-    order, bit-sliced: point j is bit j of every mask.  ``planes[i]`` maps
-    each value variable i takes to the mask of the points where it takes
-    it, and ``full`` has a bit per point.  As a sequence, the grid reads as
-    the points' value tuples, each read off the planes.  Grids of up to
-    ``CACHED_GRID_MAX_VARS`` variables are shared, so no caller changes
-    their planes (the plane operations build new ones)."""
-
-    __slots__ = ("size", "full", "planes")
-
-    def __init__(self, size: int, planes):
-        self.size, self.full, self.planes = size, (1 << size) - 1, tuple(planes)
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, j: int) -> tuple[int, ...]:
-        if not 0 <= j < self.size:
-            raise IndexError(j)
-        bit = 1 << j
-        return tuple(next(v for v, points in p.items() if points & bit) for p in self.planes)
-
-    def __iter__(self):
-        return map(self.__getitem__, range(self.size))
+def _levels(rest: int):
+    """0 (the base), then the nonempty subsets of ``rest``, largest first."""
+    yield 0
+    top = rest
+    while top:
+        yield top
+        top = (top - 1) & rest
 
 
-def canonical_grid(chain: ChainAlgebra, k: int) -> CanonicalGrid:
-    """Valuations of ``k`` variables into a Sugihara chain, one per class
-    of valuations equal up to relabelling the absolute-value levels.
+def _digit(point: int, bit: int) -> int:
+    """Variable ``bit``'s digit at ``point``: 0 below the level, 1 positive
+    on it, 2 negative on it."""
+    return point // 3**bit % 3
 
-    A Sugihara operation returns one of its arguments, its negation or a
-    constant, so the values a valuation uses, with their negations and the
-    constants, form a subalgebra.  Any bijection between two such level sets
-    that keeps the order of the levels and the signs (and, on even chains,
-    level 1, which holds the constants 1 and -1; on odd chains level 0 is
-    both) is an isomorphism of the subalgebras, and it preserves
-    designation.  So every valuation takes each formula to a designated
-    value exactly when its relabelling does, and a consequence holds on the
-    chain iff it holds at the canonical points: those whose levels, with 1
-    added on even chains, are exactly ``1..m`` (plus 0) for some ``m``.
 
-    The level patterns are generated directly, pruning any prefix whose
-    skipped levels outnumber the variables left to fill them; each pattern
-    owns a block of points, one per choice of signs, and each variable's
-    masks are read off those blocks without visiting a point.
+class LevelSearch:
+    """The question ``sigma |- d_1 | ... | d_n`` of multiplicative formulas,
+    compiled once for a search down the Sugihara chains' absolute values.
+
+    A Sugihara operation returns an argument, its negation or a constant,
+    so a bijection between the levels of two valuations that keeps their
+    order and the signs (and, on even chains, level 1) is an isomorphism
+    of the subalgebras they generate, which keeps designation.  So a
+    question is answered alike at all valuations of one canonical form,
+    their levels renumbered ``1..m`` (0 kept, and level 1 on even chains),
+    which every chain of half-width k (odd) or k+1 (even) holds for k
+    variables: all those chains of a parity answer alike.  The form is a
+    sequence of nonempty sets of signed variables, one per level from the
+    top, and the rest on the base: 0 on odd chains, where all is
+    designated, and level 1 with the constants (1 = +1, 0 = -1) on even
+    ones.
+
+    A state of the search is the bit mask R of the variables still
+    unplaced.  A formula's absolute value is the highest level among its
+    variables' and the constants', so when a subset T of R takes the
+    highest level left, every formula within R that meets T takes it too,
+    with a sign that T's signs alone fix, and the others depend only on
+    the levels below.  So a state's answers depend on R alone, and states
+    are computed in increasing order of R.  The signs are bit masks over
+    the 3**k points that give each variable a digit (:func:`_digit`), the
+    same for every state and every search on the question: a formula's
+    masks hold its sign on a level, for every T and every choice of T's
+    signs at once, and its sign on an even chain's base.
     """
-    odd, half_width = chain.unit == 0, chain.carrier[-1]
-    if k <= CACHED_GRID_MAX_VARS:
-        return _cached_sugihara_grid(half_width, odd, k)
-    return _sugihara_grid(half_width, odd, k)
+
+    __slots__ = ("variables", "disjunct_vars", "_full", "_digits", "_hyps", "_disjuncts", "_supports", "_ways")
+
+    def __init__(self, sigma, disjuncts):
+        # one postorder over every formula: a node is its kind, its
+        # children's positions (a variable's bit instead) and its variables
+        names: dict[str, int] = {}
+        position: dict[Formula, int] = {}
+        nodes: list[tuple] = []
+        for node in (g for f in (*sigma, *disjuncts) for g in subformulas(f)):
+            if node in position:
+                continue
+            kind = type(node)
+            if kind is Fuse or kind is Imp:
+                i, j = position[node.left], position[node.right]
+                nodes.append((kind, i, j, nodes[i][3] | nodes[j][3]))
+            elif kind is Var:
+                bit = names.setdefault(node.name, len(names))
+                nodes.append((Var, bit, 0, 1 << bit))
+            elif kind is One or kind is Zero:
+                nodes.append((kind, 0, 0, 0))
+            else:
+                raise TypeError(f"cannot evaluate {node!r} on a Sugihara chain")
+            position[node] = len(nodes) - 1
+        full = self._full = (1 << 3 ** len(names)) - 1
+        self._digits = []  # per variable, the points where its digit is 1 and where it is 2
+        for bit in range(len(names)):
+            run = 3**bit
+            repeat = full // ((1 << 3 * run) - 1)
+            self._digits.append((repeat * ((1 << run) - 1) << run, repeat * ((1 << run) - 1) << 2 * run))
+        # per node, its variables, (positive, negative) on a level and positive on the even base
+        values: list[tuple] = []
+        for kind, i, j, mask in nodes:
+            if kind is Var:
+                values.append((mask, self._digits[i], self._digits[i][0]))
+                continue
+            if kind is One or kind is Zero:  # below every level, and +1 or -1 on the even base
+                values.append((mask, (0, 0), full if kind is One else 0))
+                continue
+            (ap, an), a = values[i][1:]
+            (bp, bn), b = values[j][1:]
+            if kind is Fuse:  # the argument of larger absolute value, ties to the meet
+                values.append((mask, (ap & (bp | ~(bp | bn)) | bp & ~(ap | an), an | bn), a & b))
+            else:  # a -> b is ~(a * ~b)
+                negative = ap & bn | bn & ~(ap | an) | ap & ~(bp | bn)
+                values.append((mask, (an | bp, negative), full ^ a | b))
+        self.variables = tuple(names)
+        self._hyps = [values[position[f]] for f in sigma]
+        self._disjuncts = [values[position[f]] for f in disjuncts]
+        self.disjunct_vars = tuple(mask for mask, _, _ in self._disjuncts)
+        self._supports: dict[int, int] = {}
+        self._ways: dict[tuple, list] = {}
+
+    def _level(self, odd: bool, rest: int, top: int, wanted: int) -> tuple[int, int, int]:
+        """In state ``rest``, with ``top`` on the highest level left (the
+        base when 0): the points designating every open hypothesis on the
+        level, the bit mask of the open disjuncts of ``wanted`` on it, and
+        the points at which, besides, none of those is designated; the
+        points are those whose nonzero digits are the level's variables."""
+        if odd and not top:  # everything on 0 is designated
+            open_ = [not m & ~rest for m in self.disjunct_vars]
+            closing = sum(1 << d for d, ok in enumerate(open_) if ok and wanted >> d & 1)
+            return 1, closing, int(not closing)
+        placed = top or rest
+        kept = self._supports.get(placed)
+        if kept is None:
+            kept = self._full
+            for bit, (positive, negative) in enumerate(self._digits):
+                kept &= positive | negative if placed >> bit & 1 else ~(positive | negative)
+            self._supports[placed] = kept
+        for mask, (positive, _), one in self._hyps:
+            if not mask & ~rest and (mask & top or not top):
+                kept &= positive if top else one
+        closing, refuting = 0, kept
+        for d, (mask, (_, negative), one) in enumerate(self._disjuncts):
+            if wanted >> d & 1 and not mask & ~rest and (mask & top or not top):
+                closing |= 1 << d
+                refuting &= negative if top else ~one
+        return kept, closing, refuting
+
+    def _placements(self, odd: bool, wanted: int) -> list:
+        """Per state R, a way to designate every open hypothesis and no open
+        disjunct of the bit mask ``wanted``: ``(T, c, h)``, T on level h
+        with the signs of point c (all of R on the base when T is 0), or
+        None.  Kept per parity and ``wanted``."""
+        ways = self._ways.get((odd, wanted))
+        if ways is None:
+            ways = self._ways[odd, wanted] = []
+            for rest in range(1 << len(self.variables)):
+                ways.append(None)
+                for top in _levels(rest):
+                    refuting = (not top or ways[rest ^ top]) and self._level(odd, rest, top, wanted)[2]
+                    if refuting:
+                        height = ways[rest ^ top][2] + 1 if top else 1 - odd
+                        ways[rest] = (top, (refuting & -refuting).bit_length() - 1, height)
+                        break
+        return ways
+
+    def countermodel(self, chain: ChainAlgebra) -> dict[str, int] | None:
+        """A canonical valuation into ``chain`` that designates every
+        hypothesis and no disjunct, or None; its levels are 1..m on odd
+        chains and 2..m+1 on even ones."""
+        ways = self._placements(chain.unit == 0, (1 << len(self.disjunct_vars)) - 1)
+        valuation, rest = {}, len(ways) - 1
+        while ways[rest] is not None:
+            top, point, height = ways[rest]
+            for bit, name in enumerate(self.variables):
+                if (top or rest) >> bit & 1:
+                    valuation[name] = height if _digit(point, bit) == 1 else -height
+            if not top:
+                return valuation
+            rest ^= top
+        return None
+
+    def drops(self, chain: ChainAlgebra, support) -> set[int]:
+        """The disjuncts of ``support`` that take the first level any of
+        them takes, at a valuation into ``chain`` designating every
+        hypothesis and none of them: one round of
+        :func:`oracles._largest_valid_subset`.  Walks the states above it."""
+        odd = chain.unit == 0
+        kept = self._placements(odd, 0)
+        wanted = sum(1 << d for d in support)
+        reached = [False] * len(kept)
+        reached[-1] = True
+        dropped = 0
+        for rest in range(len(kept) - 1, -1, -1):
+            for top in _levels(rest) if reached[rest] else ():
+                designated, closing, refuting = self._level(odd, rest, top, wanted)
+                if top and designated and not closing:
+                    reached[rest ^ top] = True
+                elif refuting and (not top or kept[rest ^ top]):
+                    dropped |= closing
+        return {d for d in range(len(self.disjunct_vars)) if dropped >> d & 1}
+
+    def projections(self, chain: ChainAlgebra, names) -> set[tuple[int, ...]]:
+        """The restrictions to ``names`` of the valuations into ``chain``
+        designating every hypothesis, relabelled to their canonical form.
+        Built per state from those below, variables not yet placed None."""
+        odd = chain.unit == 0
+        bits = [self.variables.index(name) for name in names]
+        found: list[set] = []
+        for rest in range(1 << len(self.variables)):
+            found.append(set())
+            for top in _levels(rest):
+                below = found[rest ^ top] if top else [(None,) * len(bits)]
+                designated = self._level(odd, rest, top, 0)[0] if below else 0
+                placed, signs = top or rest, set()
+                while designated:
+                    c = (designated & -designated).bit_length() - 1
+                    designated &= designated - 1
+                    signs.add(tuple(None if not placed >> b & 1 else 1 if _digit(c, b) == 1 else -1 for b in bits))
+                for point in below:  # a level holding none of names leaves it as it is
+                    levels = [abs(v) for v in point if v is not None]
+                    height = max(levels, default=1 - odd) + 1 if top else 1 - odd
+                    found[rest].update(
+                        tuple(v if s is None else s * height for v, s in zip(point, sign)) for sign in signs
+                    )
+        return found[-1]
 
 
-def _sugihara_grid(half_width: int, odd: bool, k: int) -> CanonicalGrid:
-    # Level patterns first (absolute values, in lexicographic order), then
-    # every choice of signs for each.  A pattern's state is the bit mask of
-    # its levels >= 1 (level 1 preset on even chains) and its highest level.
-    levels = range(0 if odd else 1, half_width + 1)
-    patterns = [((), 0 if odd else 0b10, 0 if odd else 1)]
-    for left in range(k - 1, -1, -1):
-        extended = []
-        for prefix, mask, top in patterns:
-            for level in levels:
-                grown = mask | (1 << level) if level else mask
-                highest = max(top, level)
-                if highest - grown.bit_count() <= left:  # skipped levels
-                    extended.append((prefix + (level,), grown, highest))
-        patterns = extended
-    # A pattern with z nonzero levels owns 2**z points, in the order of
-    # their signs with negative first, its first signed variable's sign the
-    # most significant bit of the point's place in the block.
-    pieces: list[list[bytes]] = [[] for _ in range(k)]
-    size = 0
-    for pattern, _, _ in patterns:
-        z = k - pattern.count(0)
-        bit = z
-        for level, piece in zip(pattern, pieces):
-            if level:
-                bit -= 1
-            piece.append(_sign_block(z, bit, level, half_width))
-        size += 1 << z
-    # the codes, one byte per point, only feed the masks and are dropped
-    carrier = sugihara_chain(half_width, odd=odd).carrier
-    planes = [_value_planes(b"".join(piece), carrier, half_width) for piece in pieces]
-    return CanonicalGrid(size, planes)
-
-
-_cached_sugihara_grid = lru_cache(maxsize=None)(_sugihara_grid)
-
-
-@lru_cache(maxsize=None)
-def _sign_block(z: int, bit: int, level: int, offset: int) -> bytes:
-    """A variable's codes over a pattern's block of 2**z points: ``level``
-    where the block index has ``bit`` set, ``-level`` where not."""
-    return bytes(offset + (level if s >> bit & 1 else -level) for s in range(1 << z))
-
-
-def _value_planes(code: bytes, values, offset: int) -> dict[int, int]:
-    """The mask of each value in ``code``: one mask per bit of the codes,
-    read as a binary numeral (last point first), then one intersection per
-    value."""
-    full = (1 << len(code)) - 1
-    bits = []
-    for b in range((values[-1] + offset).bit_length()):
-        digit = bytes(48 + (c >> b & 1) for c in range(256))  # code -> "0" or "1"
-        bits.append(int(code.translate(digit)[::-1], 2))
-    planes = {}
-    for value in values:
-        points = full
-        for b, plane in enumerate(bits):
-            points &= plane if (value + offset) >> b & 1 else ~plane
-        if points:
-            planes[value] = points
-    return planes
-
-
-# --- bit-sliced evaluation -----------------------------------------------------
-#
-# A formula's planes on a canonical grid map each value it takes to the mask
-# of the points where it takes it.  The Sugihara operations work on the
-# masks a value (or a level of absolute values) at a time, against running
-# masks of the points where an argument lies below it.
-
-
-def fuse_planes(a: dict, b: dict) -> dict:
-    """Fusion: the argument of larger absolute value, ties to the meet."""
-    out = {}
-    a_below = b_below = 0
-    for level in sorted({abs(v) for v in a.keys() | b.keys()}):
-        an, bn = a.get(-level, 0), b.get(-level, 0)
-        ap, bp = (a.get(level, 0), b.get(level, 0)) if level else (0, 0)
-        a_upto, b_upto = a_below | an | ap, b_below | bn | bp
-        negative = an & b_upto | bn & a_upto
-        positive = ap & (b_below | bp) | bp & a_below
-        if negative:
-            out[-level] = negative
-        if positive:
-            out[level] = positive
-        a_below, b_below = a_upto, b_upto
-    return out
-
-
-def _negate(a: dict) -> dict:
-    return {-v: points for v, points in a.items()}
-
-
-def imp_planes(a: dict, b: dict) -> dict:
-    """``a -> b`` is ``~(a * ~b)``, and negation maps v to -v."""
-    return _negate(fuse_planes(a, _negate(b)))
-
-
-def sum_planes(a: dict, b: dict) -> dict:
-    """``a + b`` is ``~(~a * ~b)``: the argument of larger absolute value,
-    ties to the join."""
-    return _negate(fuse_planes(_negate(a), _negate(b)))
-
-
-PLANE_OPERATIONS = {Fuse: fuse_planes, Imp: imp_planes}
-
-
-def eval_planes(chain: ChainAlgebra, f: Formula, var_order, grid: CanonicalGrid, values=None):
-    """The planes of the multiplicative formula ``f`` on ``grid``, the
-    canonical grid of ``chain`` over ``var_order``: :func:`eval_formula` on
-    masks, O(levels) integer operations per node.  ``values`` is
-    :func:`syntax.fold`'s memo, shared by the caller across formulas built
-    from one another."""
-    columns = dict(zip(var_order, grid.planes))
-    unit, zero = {chain.unit: grid.full}, {chain.zero: grid.full}
-    return _evaluate(f, columns, unit, zero, PLANE_OPERATIONS, values)
-
-
-def designated_mask(chain: ChainAlgebra, planes: dict) -> int:
-    """The points at which ``planes`` take a designated value."""
-    mask = 0
-    for value, points in planes.items():
-        if value >= chain.unit:
-            mask |= points
-    return mask
-
-
-def kept_mask(chain: ChainAlgebra, sigma, var_order, grid: CanonicalGrid) -> int:
-    """The points of ``grid`` at which every formula of ``sigma`` is
-    designated."""
-    kept = grid.full
-    for h in sigma:
-        kept &= designated_mask(chain, eval_planes(chain, h, var_order, grid))
-    return kept
+# a question is compiled once: a refutation counts its variables before its
+# scan, the elimination follows the scan and the certificate's check the proof
+level_search = lru_cache(maxsize=64)(LevelSearch)
 
 
 # --- the Abelian reference model ---------------------------------------------

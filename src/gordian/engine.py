@@ -11,8 +11,8 @@ accepts it:
   directions at once: its combination gives ``lambda`` and the
   hypotheses' weights, its separation the integer countermodel.
 * Mingle logics: :func:`oracles.prove_subsets`, ``lambda`` over 0/1
-  vectors, from the bit-sliced planes of one canonical grid per decision
-  chain.
+  vectors, from the level search (:class:`chains.LevelSearch`) on each
+  decision chain.
 * Everything else: first a refutation in the model classes the logic is
   sound for (:func:`oracles.class_refutation`: Z through the same LP
   separation, then Sugihara chains), then iterative deepening on

@@ -14,10 +14,10 @@ Multiplicative level:
   classes of formulas over X are enumerated by their value tables on the
   decision chains for X, each candidate's table computed from its two
   children's through the chain's fusion and implication tables.  A class
-  is kept when its representative is designated at every point of the
-  hypotheses' canonical grids (one per decision chain) that designates
-  all hypotheses: mask arithmetic on the grids' planes, one plane
-  operation per representative, as each is built from earlier ones.
+  is kept when its table is designated at every point of X that a
+  valuation designating all hypotheses restricts to, relabelled: the
+  level search's projections (:meth:`chains.LevelSearch.projections`),
+  which by the relabelling argument lie in the decision chains for X.
 
 Full-language hypotheses reduce to the multiplicative level through the
 branches that :func:`normalize.hypothesis_branches` forks them into, the
@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .chains import canonical_grid, designated_mask, eval_planes, eval_vector, kept_mask
+from .chains import eval_vector, level_search
 from .engine import DEFAULT_BUDGET, EngineBudget, prove_consequence
 from .errors import (
     EnumerationBudgetExceededError,
@@ -108,31 +108,20 @@ def _mult_interpolant(
             raise UnsupportedLogicError(
                 f"{logic.name}: enumeration supports at most 2 shared variables"
             )
-        reps = _enumerate_classes(logic, sorted(x_vars), depth)
-        var_order = sorted(variables_of(sigma))
-        filters = []
-        for chain in decision_chains(logic, len(var_order)):
-            grid = canonical_grid(chain, len(var_order))
-            filters.append((chain, grid, kept_mask(chain, sigma, var_order, grid), {}))
-        # Each representative is a fusion or implication of earlier ones, so
-        # with one memo per chain, in their order, each costs one operation.
-        kept = [
-            f
-            for f in reps
-            if not any(
-                kept & ~designated_mask(chain, eval_planes(chain, f, var_order, grid, memo))
-                for chain, grid, kept, memo in filters
-            )
-        ]
-        return sorted(kept, key=render)
+        x_order = sorted(x_vars)
+        # X's atoms as the disjuncts: a branch may lack a variable of X
+        search = level_search(tuple(sigma), tuple(Var(x) for x in x_order))
+        return sorted(_enumerate_classes(logic, x_order, depth, search), key=render)
     raise UnsupportedLogicError(f"no interpolation procedure for {logic.name}")
 
 
-def _enumerate_classes(logic: LogicSpec, x_vars: list[str], depth: int) -> list[Formula]:
+def _enumerate_classes(logic: LogicSpec, x_vars: list[str], depth: int, search=None) -> list[Formula]:
     """One shortest representative per semantic class of multiplicative
     formulas over ``x_vars``, classes separated by their value vectors over
     the decision chains.  Local finiteness makes this saturate; more than
-    :data:`CLASS_CAP` classes raise EnumerationBudgetExceededError.
+    :data:`CLASS_CAP` classes raise EnumerationBudgetExceededError.  With
+    the ``search`` of some hypotheses, only the classes designated at each
+    of its projections onto ``x_vars`` on the chains.
 
     A signature is the value vector over every chain's full grid, each
     chain's values coded as distinct bytes, so that a candidate's signature
@@ -189,7 +178,13 @@ def _enumerate_classes(logic: LogicSpec, x_vars: list[str], depth: int) -> list[
         fresh_from = len(known)
         if len(classes) == fresh_from:
             break
-    return list(classes.values())
+    if search is None:
+        return list(classes.values())
+    kept = {(chain, point) for chain, _ in grids for point in search.projections(chain, x_vars)}
+    order = [(chain, point) for chain, grid in grids for point in grid]  # the signatures' order
+    at = [i for i, pair in enumerate(order) if pair in kept]
+    designated = bytes(chain.designated(v) for chain, v in elements)
+    return [f for sig, f in classes.items() if all(designated[sig[i]] for i in at)]
 
 
 def lift_interpolant(logic: LogicSpec | str, sigma, x_vars, depth: int = 4) -> list[Formula]:

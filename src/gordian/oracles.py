@@ -10,14 +10,12 @@ one-target entry, asks each the one-disjunct question ``sigma |- phi``:
   and hypotheses that balance, or else its separation, an integer
   countermodel in Z.
 * ``sugihara`` (the mingle logics): :func:`prove_subsets`, weights over 0/1
-  vectors.  The goal is evaluated once per decision chain over its
-  canonical grid (:func:`chains.canonical_grid`, one valuation per class of
-  valuations equal up to relabelling absolute-value levels), bit-sliced:
-  each formula's planes hold one mask of grid points per value.  The
-  lowest kept point (one designating every hypothesis) outside every
-  disjunct's designated mask is the countermodel; otherwise elimination
-  in rounds against the masks of the disjuncts' running sum gives the
-  largest valid subset.
+  vectors.  The goal is compiled once for the level search
+  (:class:`chains.LevelSearch`, which places the variables a level of
+  absolute values at a time, from the top) and asked per decision chain:
+  a canonical valuation designating every hypothesis and no disjunct is
+  the countermodel; otherwise elimination in rounds, each the search's
+  drop set, gives the largest valid subset.
 * ``hilbert``: :func:`hilbert_search`, for one target at a time: a proof
   search in MLL with mix (:mod:`mix`) where the logic's units coincide,
   then budgeted forward saturation over axiom-schema instances with modus
@@ -39,15 +37,12 @@ from functools import lru_cache, reduce
 
 from .chains import (
     ChainAlgebra,
-    canonical_grid,
+    LevelSearch,
     chain_from_name,
-    designated_mask,
     eval_abelian,
     eval_formula,
-    eval_planes,
-    kept_mask,
+    level_search,
     sugihara_chain,
-    sum_planes,
 )
 from .errors import InvalidCertificateError, UnsoundModelClassError, UnsupportedLogicError
 from .linalg import Combination, LinForm, linear_alternative, translate_abelian
@@ -68,7 +63,6 @@ from .syntax import (
     render,
     scalar,
     subformulas,
-    variables,
     variables_of,
 )
 
@@ -254,50 +248,36 @@ def decision_chains(logic: LogicSpec | str, k: int) -> list[ChainAlgebra]:
     return chains
 
 
-def find_chain_countermodel(chains, sigma, disjuncts):
-    """The first canonical valuation, over the given chains in turn, that
-    designates all of ``sigma`` and none of ``disjuncts``: the lowest kept
-    point outside every disjunct's designated mask.  When there is none,
-    the masks that show it: per chain, ``(chain, grid, kept, planes)``, its
-    canonical grid over the sorted variables, the mask of the points that
-    designate all of ``sigma`` and the disjuncts' planes.  Each formula is
-    evaluated once per chain."""
-    sigma, disjuncts = tuple(sigma), tuple(disjuncts)
-    var_order = sorted(variables_of(sigma + disjuncts))
-    tables = []
+def find_chain_countermodel(chains, sigma, disjuncts) -> Countermodel | LevelSearch:
+    """A canonical valuation into the first of the given chains that has
+    one designating all of ``sigma`` and none of ``disjuncts``, found by the
+    level search (:meth:`chains.LevelSearch.countermodel`), which reads
+    only a chain's parity: one narrower than half-width k (odd) or k+1
+    (even) for k variables may not hold it.  When there is none, the
+    compiled search that shows it, which the elimination asks again."""
+    search = level_search(tuple(sigma), tuple(disjuncts))
     for chain in chains:
-        grid = canonical_grid(chain, len(var_order))
-        kept = kept_mask(chain, sigma, var_order, grid)
-        planes = [eval_planes(chain, d, var_order, grid) for d in disjuncts]
-        refuting = kept
-        for d in planes:
-            refuting &= ~designated_mask(chain, d)
-        if refuting:
-            point = grid[(refuting & -refuting).bit_length() - 1]
-            return Countermodel.of(chain.name, dict(zip(var_order, point)))
-        tables.append((chain, grid, kept, planes))
-    return tables
+        valuation = search.countermodel(chain)
+        if valuation is not None:
+            return Countermodel.of(chain.name, valuation)
+    return search
 
 
 def prove_subsets(logic: LogicSpec, goal: Goal) -> ProofResult:
     """The mingle logics' procedure: weights over 0/1 vectors (subset
-    form), settled from the planes of one canonical grid per decision
-    chain.
+    form), settled by the level search on each decision chain.
 
-    The hypotheses are evaluated over each chain's canonical grid, giving
-    the mask of the points that designate them all (the kept points), and
-    the disjuncts over the same grid.  A kept point designating no
-    disjunct is a countermodel.  Otherwise the largest valid subset is
-    found by greedy elimination (:func:`_largest_valid_subset`).
+    A valuation designating every hypothesis and no disjunct is a
+    countermodel; otherwise greedy elimination finds the largest valid
+    subset (:func:`_largest_valid_subset`).
     """
     hyps, disjuncts = goal.hypotheses, goal.clause.disjuncts
-    hyp_vars = variables_of(hyps)
-    disjunct_vars = [variables(d) for d in disjuncts]
-    chains = decision_chains(logic, len(hyp_vars.union(*disjunct_vars)))
-    tables = find_chain_countermodel(chains, hyps, disjuncts)
-    if isinstance(tables, Countermodel):  # no tables: a point refutes the goal
-        return ProofResult("refuted", goal, countermodel=tables)
-    support = _largest_valid_subset(tables, len(disjuncts))
+    search = level_search(hyps, disjuncts)
+    chains = decision_chains(logic, len(search.variables))
+    found = find_chain_countermodel(chains, hyps, disjuncts)
+    if isinstance(found, Countermodel):
+        return ProofResult("refuted", goal, countermodel=found)
+    support = _largest_valid_subset(found, chains)
     if not support:
         return ProofResult(
             "unknown",
@@ -306,15 +286,15 @@ def prove_subsets(logic: LogicSpec, goal: Goal) -> ProofResult:
         )
     lambdas = tuple(1 if i in support else 0 for i in range(len(disjuncts)))
     # The combination's own decision chains are subalgebras of the goal's.
-    k = len(hyp_vars.union(*(disjunct_vars[i] for i in support)))
+    k = len(level_search(hyps, (combination_formula(lambdas, disjuncts),)).variables)
     witness = ChainExhaustiveWitness(tuple(c.name for c in decision_chains(logic, k)))
     return ProofResult("proved", goal, certificate=ToACertificate(lambdas, witness))
 
 
-def _largest_valid_subset(tables, n: int) -> set[int]:
-    """The union of all subsets of the ``n`` disjuncts whose sum is
-    designated at every kept point of ``tables`` (the largest such subset),
-    or the empty set when there is none.
+def _largest_valid_subset(search: LevelSearch, chains) -> set[int]:
+    """The union of all subsets of the ``search``'s disjuncts whose sum is
+    designated at every kept point of ``chains`` (one designating every
+    hypothesis), the largest such subset, or the empty set when none is.
 
     On a Sugihara chain ``a + b = ~(~a * ~b)`` is whichever argument has
     the larger absolute value, ties going to the larger one; so the sum of
@@ -327,21 +307,17 @@ def _largest_valid_subset(tables, n: int) -> set[int]:
     taking the value v at x.  Since v is dominant among T's values and S's
     lie among them, v is also the sum of S at x, so S is not valid.  Hence
     dropping every disjunct that takes the value v at such a point x keeps
-    every valid subset inside T; a round handles all such points of every
-    chain at once, from the planes of T's sum.  When a round drops nothing,
-    T itself is valid, so it is the largest valid subset (the union of two
-    valid subsets is valid, since at each point its sum is one of the two
-    designated sums).
+    every valid subset inside T; a round drops them for all such points of
+    every chain at once (:meth:`chains.LevelSearch.drops`).  When a round
+    drops nothing, T itself is valid, so it is the largest valid subset
+    (the union of two valid subsets is valid, since at each point its sum
+    is one of the two designated sums).
     """
-    support = set(range(n))
+    support = set(range(len(search.disjunct_vars)))
     while support:
         dropped = set()
-        for chain, _, kept, planes in tables:
-            total = reduce(sum_planes, [planes[i] for i in support])
-            refuted = [(v, points & kept) for v, points in total.items() if v < chain.unit]
-            dropped.update(
-                i for i in support if any(planes[i].get(v, 0) & points for v, points in refuted)
-            )
+        for chain in chains:
+            dropped |= search.drops(chain, support)
         if not dropped:
             break
         support -= dropped
@@ -368,7 +344,7 @@ def class_chains(classes, k: int) -> list[ChainAlgebra]:
     half-width k+1 and the even chain of half-width k+2.  A k-variable
     valuation into any chain of a class uses at most k absolute-value
     levels, so its subalgebra embeds in that chain (see
-    :func:`chains.canonical_grid`), and the chain refutes the question
+    :class:`chains.LevelSearch`), and the chain refutes the question
     exactly when the class does."""
     chains = []
     for model_class in classes:
@@ -390,7 +366,7 @@ def class_countermodel(classes, sigma, disjuncts) -> Countermodel | None:
     in their order, through :func:`find_chain_countermodel` on the chains
     of :func:`class_chains`.  Both searches are complete for their class."""
     sigma, disjuncts = tuple(sigma), tuple(disjuncts)
-    k = len(variables_of(sigma + disjuncts))
+    k = len(level_search(sigma, disjuncts).variables)
     cm = abelian_alternative(sigma, disjuncts) if "Z" in classes and k else None
     if not isinstance(cm, Countermodel):
         cm = find_chain_countermodel(class_chains(classes, k), sigma, disjuncts)
@@ -731,7 +707,8 @@ def check_result(logic: LogicSpec | str, result: ProofResult) -> ProofResult:
     else InvalidCertificateError: a countermodel in a declared model class
     that refutes the goal, or a witness of the logic's own kind for the
     disjuncts' weighted sum.  A chain-exhaustive witness names the sum's
-    decision chains; their grids and planes are the decision path's own."""
+    decision chains, on which the level search finds no countermodel to
+    the sum."""
     logic = resolve_logic(logic)
     hyps, disjuncts = result.goal.hypotheses, result.goal.clause.disjuncts
     if result.status == "refuted":
@@ -748,13 +725,10 @@ def check_result(logic: LogicSpec | str, result: ProofResult) -> ProofResult:
         lines = witness.lines
         ok = lines and lines[-1].formula == combo and verify_derivation(logic, lines, hyps)
     else:
-        var_order = sorted(variables_of(hyps + (combo,)))
-        chains = decision_chains(logic, len(var_order))
-        grids = [canonical_grid(c, len(var_order)) for c in chains]
-        ok = witness.chains == tuple(c.name for c in chains) and not any(
-            kept_mask(c, hyps, var_order, g)
-            & ~designated_mask(c, eval_planes(c, combo, var_order, g))
-            for c, g in zip(chains, grids)
+        search = level_search(hyps, (combo,))
+        chains = decision_chains(logic, len(search.variables))
+        ok = witness.chains == tuple(c.name for c in chains) and all(
+            search.countermodel(c) is None for c in chains
         )
     if not ok:
         raise InvalidCertificateError(f"the {witness.kind} witness does not prove {render(combo)}")

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import reduce
 from random import Random
 
-from gordian.chains import canonical_grid, eval_formula, eval_vector, sugihara_chain
+from gordian.chains import eval_formula, eval_vector, sugihara_chain
 from gordian.density import (
     DensityCertificate,
     density_goal,
@@ -253,10 +253,25 @@ def chain_support(chains, sigma, disjuncts) -> set[int] | None:
     """``None`` when a point of ``chains`` refutes the goal, else the
     largest subset of the disjuncts whose sum the chains validate: the
     mingle procedure's two steps on chains the caller chooses."""
-    tables = find_chain_countermodel(chains, sigma, disjuncts)
-    if isinstance(tables, Countermodel):
+    search = find_chain_countermodel(chains, sigma, disjuncts)
+    if isinstance(search, Countermodel):
         return None
-    return _largest_valid_subset(tables, len(disjuncts))
+    return _largest_valid_subset(search, chains)
+
+
+def relabel(point, odd: bool):
+    """Map the levels in use (with 1 on even chains) onto 1..m, in order,
+    keeping signs: the canonical representative of ``point``."""
+    levels = sorted({abs(v) for v in point if v} | (set() if odd else {1}))
+    rank = {level: i + 1 for i, level in enumerate(levels)}
+    return tuple((1 if v > 0 else -1) * rank[abs(v)] if v else 0 for v in point)
+
+
+def canonical_points(chain, k: int) -> list[tuple[int, ...]]:
+    """The canonical valuations of k variables into ``chain``: the
+    relabelled images of all of its points, in sorted order."""
+    odd = chain.unit == 0
+    return sorted({relabel(point, odd) for point in itertools.product(chain.carrier, repeat=k)})
 
 
 def brute_force_support(chains, sigma, disjuncts) -> set[int]:
@@ -269,7 +284,7 @@ def brute_force_support(chains, sigma, disjuncts) -> set[int]:
     var_order = sorted(variables_of(sigma + disjuncts))
     rows = set()
     for chain in chains:
-        for point in canonical_grid(chain, len(var_order)):
+        for point in canonical_points(chain, len(var_order)):
             valuation = dict(zip(var_order, point))
             if all(chain.designated(eval_formula(chain, valuation, h)) for h in sigma):
                 rows.add((chain, tuple(eval_formula(chain, valuation, d) for d in disjuncts)))

@@ -7,24 +7,20 @@ from helpers import (
     abelian_grid_refute,
     brute_force_consequence,
     random_mult_formula,
+    relabel,
 )
 
 from gordian.chains import (
     ChainAlgebra,
-    canonical_grid,
+    LevelSearch,
     chain_from_name,
     eval_abelian,
     eval_formula,
-    eval_planes,
-    eval_vector,
-    fuse_planes,
-    imp_planes,
     sugihara_chain,
-    sum_planes,
 )
 from gordian.errors import MissingVariableError, NotMultiplicativeError
 from gordian.linalg import translate_abelian
-from gordian.syntax import parse
+from gordian.syntax import Disj, parse, variables_of
 
 
 def test_odd_chain_shape():
@@ -138,81 +134,61 @@ def test_grid_refute_rejects_lattice():
         abelian_grid_refute([], parse("p | q"), 1)
 
 
-def _relabel(point, odd: bool):
-    """Map the levels in use (with 1 on even chains) onto 1..m, in order,
-    keeping signs: the canonical representative of ``point``."""
-    levels = sorted({abs(v) for v in point if v} | (set() if odd else {1}))
-    rank = {level: i + 1 for i, level in enumerate(levels)}
-    return tuple((1 if v > 0 else -1) * rank[abs(v)] if v else 0 for v in point)
-
-
 @pytest.mark.parametrize("odd", [True, False])
-def test_canonical_grid_keeps_designation(odd):
+def test_level_search_agrees_with_every_point(odd):
+    # for up to 3 variables, constants and variable-free goals included,
+    # the search finds a countermodel exactly when some point of the full
+    # chain refutes the goal, and its countermodel re-checks there
     rng = Random(5150 + odd)
-    for k in range(5):
+    for k in range(4):
         chain = sugihara_chain(k + 1 if odd else k + 2, odd=odd)
-        names = [f"v{i}" for i in range(k)]
-        canonical = canonical_grid(chain, k)
-        full = list(itertools.product(chain.carrier, repeat=k))
-        assert len(set(canonical)) == len(canonical)
-        assert set(canonical) == {_relabel(point, odd) for point in full}
-        index = {point: i for i, point in enumerate(canonical)}
-        # with no variables, leaves are constants only
-        leaves = 0.2 if k else 1.0
-        for _ in range(12):
-            f = random_mult_formula(rng, names or ["unused"], 4, constant_weight=leaves)
-            on_full = eval_vector(chain, f, names, full)
-            on_canonical = eval_vector(chain, f, names, canonical)
-            for point, value in zip(full, on_full):
-                image = on_canonical[index[_relabel(point, odd)]]
-                assert chain.designated(value) == chain.designated(image), (f, point)
-    assert len(canonical_grid(sugihara_chain(5, odd=True), 4)) == 1697
-    assert len(canonical_grid(sugihara_chain(6, odd=False), 4)) == 2400
-    assert len(canonical_grid(sugihara_chain(6, odd=True), 5)) == 24483
-
-
-def _decode(planes, size: int) -> list[int]:
-    """The value at each of ``size`` points, checking that the masks
-    partition them."""
-    values = [None] * size
-    for value, mask in planes.items():
-        assert mask, value
-        for j in range(size):
-            if mask >> j & 1:
-                assert values[j] is None, j
-                values[j] = value
-    assert None not in values
-    return values
+        names = [f"v{i}" for i in range(k)] or ["unused"]
+        leaves = 0.2 if k else 1.0  # with no variables, leaves are constants only
+        for _ in range(25):
+            sigma = tuple(
+                random_mult_formula(rng, names, rng.randint(1, 3), constant_weight=leaves)
+                for _ in range(rng.randint(0, 2))
+            )
+            disjuncts = tuple(
+                random_mult_formula(rng, names, rng.randint(1, 3), constant_weight=leaves)
+                for _ in range(rng.randint(1, 3))
+            )
+            disjunction = disjuncts[0]
+            for d in disjuncts[1:]:
+                disjunction = Disj(disjunction, d)
+            refuted = brute_force_consequence([chain], sigma, disjunction) is not None
+            found = LevelSearch(sigma, disjuncts).countermodel(chain)
+            assert (found is not None) == refuted, (sigma, disjuncts)
+            if found is not None:
+                assert found.keys() == variables_of(sigma + disjuncts)
+                assert all(v in chain.carrier for v in found.values()), found
+                assert all(chain.designated(eval_formula(chain, found, h)) for h in sigma)
+                assert not any(chain.designated(eval_formula(chain, found, d)) for d in disjuncts)
 
 
 @pytest.mark.parametrize("odd", [True, False])
-def test_plane_operations_match_the_chain_tables(odd):
-    for half_width in range(1, 7):
-        chain = sugihara_chain(half_width, odd=odd)
-        pairs = list(itertools.product(chain.carrier, repeat=2))
-        a, b = {}, {}
-        for j, (x, y) in enumerate(pairs):
-            a[x] = a.get(x, 0) | 1 << j
-            b[y] = b.get(y, 0) | 1 << j
-        plus = lambda x, y: chain.neg(chain.fuse(chain.neg(x), chain.neg(y)))
-        for operation, reference in [
-            (fuse_planes, chain.fuse),
-            (imp_planes, chain.imp),
-            (sum_planes, plus),
-        ]:
-            expected = [reference(x, y) for x, y in pairs]
-            assert _decode(operation(a, b), len(pairs)) == expected, (chain, operation)
-
-
-@pytest.mark.parametrize("odd", [True, False])
-def test_eval_planes_agrees_with_eval_formula(odd):
+def test_projections_are_relabelled_restrictions(odd):
+    # the points over X at which the hypotheses hold, relabelled, are the
+    # restrictions of the full chain's models of the hypotheses
     rng = Random(2718 + odd)
-    for k in range(5):
+    for k in range(1, 4):
         chain = sugihara_chain(k + 1 if odd else k + 2, odd=odd)
         names = [f"v{i}" for i in range(k)]
-        grid = canonical_grid(chain, k)
-        for _ in range(12):
-            # with no variables, leaves are constants only
-            f = random_mult_formula(rng, names or ["unused"], 4, constant_weight=0.2 if k else 1.0)
-            expected = [eval_formula(chain, dict(zip(names, point)), f) for point in grid]
-            assert _decode(eval_planes(chain, f, names, grid), len(grid)) == expected, f
+        for _ in range(8):
+            sigma = tuple(
+                random_mult_formula(rng, names, rng.randint(1, 3))
+                for _ in range(rng.randint(1, 2))
+            )
+            var_order = sorted(variables_of(sigma))
+            models = [
+                point
+                for point in itertools.product(chain.carrier, repeat=len(var_order))
+                if all(chain.designated(eval_formula(chain, dict(zip(var_order, point)), h))
+                       for h in sigma)
+            ]
+            search = LevelSearch(sigma, ())
+            for size in range(len(var_order) + 1):
+                for x_vars in itertools.combinations(range(len(var_order)), size):
+                    expected = {relabel([p[i] for i in x_vars], odd) for p in models}
+                    names_x = [var_order[i] for i in x_vars]
+                    assert search.projections(chain, names_x) == expected, (sigma, names_x)

@@ -113,7 +113,7 @@ rejected(
 oracles.find_chain_countermodel = scan
 
 subset = oracles._largest_valid_subset
-oracles._largest_valid_subset = lambda tables, n: {0}
+oracles._largest_valid_subset = lambda search, chains: {0}
 rejected(
     "subset whose combination is not designated",
     lambda: engine.prove_disjunction("IUMLm", excluded_middle),

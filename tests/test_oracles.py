@@ -17,7 +17,6 @@ from helpers import (
 
 from gordian import EngineBudget, HilbertBudget, logics, oracles, prove_consequence, prove_disjunction
 
-from gordian.chains import _cached_sugihara_grid
 from gordian.errors import InvalidCertificateError, NotMultiplicativeError
 from gordian.logics import instantiate, lookup_logic
 from gordian.normalize import Goal
@@ -115,7 +114,8 @@ def test_sugihara_stable_under_widening():
         for logic in ("RMt", "IUMLm"):
             chains = class_chains(lookup_logic(logic).model_classes, k)
             base = chain_support(chains, sigma, [phi])
-            assert base == chain_support(widened(chains, 2), sigma, [phi])
+            # every point of the wider chains, as the search ignores width
+            assert bool(base) == (brute_force_consequence(widened(chains, 2), sigma, phi) is None)
             assert (sugihara_decide(logic, sigma, phi).status == "proved") == bool(base)
 
 
@@ -389,14 +389,15 @@ def test_check_result_rejects_forged_evidence(label):
     assert genuine.status != "unknown" and check_result(logic, genuine) is genuine
 
 
-def test_check_reuses_the_decision_grids():
-    # a 6-variable theorem: the decision builds the odd and even grids, and
-    # the check of its certificate finds both in the cache
-    cycle = " | ".join(f"(p{i} -> p{(i + 1) % 6})" for i in range(6))
-    _cached_sugihara_grid.cache_clear()
-    assert prove_consequence("RMt", [], parse(cycle)).status == "proved"
-    info = _cached_sugihara_grid.cache_info()
-    assert (info.misses, info.hits) == (2, 2)
+def test_seven_variable_theorem_is_proved():
+    # about 3**7 pairs of a state and its top level per search, where the
+    # canonical grids held 8.6M and 12M points; the sum certified is r + ~r
+    goal = " | ".join([f"(p -> q{i})" for i in range(5)] + ["r", "~r"])
+    result = prove_consequence("RMt", [], parse(goal))
+    assert result.status == "proved", result
+    (proof,) = result.results
+    assert proof.certificate.lambdas == (0, 0, 0, 0, 0, 1, 1)
+    assert proof.certificate.witness.chains == ("sugihara_even_3", "sugihara_odd_2")
 
 
 def test_rmt_needs_both_chain_parities():
