@@ -5,8 +5,9 @@ other component is tested against.  A :class:`ChainAlgebra` is a Sugihara
 chain on signed integers, its operations in closed form: fusion returns
 the argument of strictly larger absolute value and breaks ties with the
 meet, its residual ``a -> b`` is ``-a | b`` when ``a <= b`` and ``-a & b``
-otherwise, and negation is ``-a``.  Small chains check these forms against
-the algebra laws, residuation included, when they are built.  Odd chains
+otherwise, and negation is ``-a``.  A chain checks nothing when it is
+built; the test suite checks these forms against the algebra laws,
+residuation included, on every chain of at most 16 elements.  Odd chains
 contain the self-inverting element 0, which is both the monoid unit and
 the interpretation of the constant 0; even chains interpret the unit as 1
 and the constant 0 as -1.
@@ -18,7 +19,9 @@ variables a level at a time from the top, and each formula is settled at
 the first level that meets its variables.  It finds countermodels, the
 rounds of the mingle logics' subset elimination and the points at which
 interpolation keeps a class, with a few integer operations per level,
-whatever the number of valuations.
+whatever the number of valuations.  Its cost grows about fivefold per
+variable, so it takes at most :data:`VARIABLE_CAP` of them and raises
+SizeBudgetExceededError past that.
 
 The integers themselves (with fusion as addition and both constants as 0)
 serve as the reference model for the Abelian reading; they are exposed here
@@ -30,24 +33,21 @@ integers.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import re
 from functools import lru_cache
 
-from .errors import MissingVariableError
+from .errors import MissingVariableError, SizeBudgetExceededError
 from .syntax import Conj, Disj, Formula, Fuse, Imp, One, Var, Zero, fold, subformulas, variables
 
-LAW_CHECK_MAX_SIZE = 16
+# Read at call time: the most variables one level search takes.
+VARIABLE_CAP = 10
 
 
 class ChainAlgebra:
     """The Sugihara chain of half-width ``k``: on {-k,...,0,...,k} when
     odd, the element 0 both unit and constant 0; on {-k,...,-1,1,...,k}
-    when even, unit 1 and constant 0 read as -1.  For carriers of size
-    <= 16 the algebra laws (involution, residuation, commutative monoid,
-    order compatibility) are verified exhaustively at construction and a
-    violation raises ``ValueError``."""
+    when even, unit 1 and constant 0 read as -1."""
 
     __slots__ = ("name", "carrier", "unit", "zero", "_operations")
 
@@ -59,8 +59,6 @@ class ChainAlgebra:
         self.unit, self.zero = (0, 0) if odd else (1, -1)
         # the connectives' operations, as :func:`eval_formula` applies them
         self._operations = {Conj: min, Disj: max, Fuse: self.fuse, Imp: self.imp}
-        if len(self.carrier) <= LAW_CHECK_MAX_SIZE:
-            self.check_laws()
 
     def fuse(self, a: int, b: int) -> int:
         """The argument of larger absolute value, ties to the meet."""
@@ -78,33 +76,11 @@ class ChainAlgebra:
     def designated(self, a: int) -> bool:
         return a >= self.unit
 
-    def check_laws(self) -> None:
-        """Exhaustively verify involution, residuation, the commutative
-        monoid laws and order compatibility; raises ValueError on failure."""
-        els = self.carrier
-        for a in els:
-            if self.fuse(self.unit, a) != a or self.fuse(a, self.unit) != a:
-                raise ValueError(f"{self.name}: {self.unit} is not a unit at {a}")
-            if self.neg(self.neg(a)) != a:
-                raise ValueError(f"{self.name}: involution fails at {a}")
-            if self.neg(a) != self.imp(a, self.zero):
-                raise ValueError(f"{self.name}: negation is not {a} -> {self.zero}")
-        for a, b in itertools.product(els, repeat=2):
-            if self.fuse(a, b) != self.fuse(b, a):
-                raise ValueError(f"{self.name}: fusion not commutative at {a},{b}")
-        for a, b, c in itertools.product(els, repeat=3):
-            if self.fuse(self.fuse(a, b), c) != self.fuse(a, self.fuse(b, c)):
-                raise ValueError(f"{self.name}: fusion not associative")
-            if (self.fuse(a, b) <= c) != (b <= self.imp(a, c)):
-                raise ValueError(f"{self.name}: residuation fails at {a},{b},{c}")
-            if a <= b and self.fuse(a, c) > self.fuse(b, c):
-                raise ValueError(f"{self.name}: fusion not order-preserving")
-
     def __repr__(self) -> str:
         return f"ChainAlgebra({self.name}, size={len(self.carrier)})"
 
 
-# each chain is built (and its laws checked) once per process
+# each chain is built once per process
 sugihara_chain = lru_cache(maxsize=None)(ChainAlgebra)
 
 _CHAIN_NAME = re.compile(r"sugihara_(odd|even)_([1-9][0-9]*)")
@@ -122,10 +98,9 @@ def chain_from_name(name: str, widest: int) -> ChainAlgebra:
     return sugihara_chain(k, odd=match[1] == "odd")
 
 
-def _evaluate(f: Formula, valuation, unit, zero, connective, values=None):
+def _evaluate(f: Formula, valuation, unit, zero, connective):
     """The value of ``f`` at ``valuation``, the constants read as ``unit``
-    and ``zero``, in the algebra whose operations ``connective`` gives
-    (``values`` as in :func:`syntax.fold`)."""
+    and ``zero``, in the algebra whose operations ``connective`` gives."""
 
     def leaf(node: Formula) -> int:
         if isinstance(node, Var):
@@ -139,7 +114,7 @@ def _evaluate(f: Formula, valuation, unit, zero, connective, values=None):
             return zero
         raise TypeError(f"cannot evaluate {node!r}")
 
-    return fold(f, leaf, connective, values)
+    return fold(f, leaf, connective)
 
 
 def eval_formula(chain: ChainAlgebra, valuation, f: Formula) -> int:
@@ -234,6 +209,11 @@ class LevelSearch:
             else:
                 raise TypeError(f"cannot evaluate {node!r} on a Sugihara chain")
             position[node] = len(nodes) - 1
+        if len(names) > VARIABLE_CAP:
+            raise SizeBudgetExceededError(
+                f"a Sugihara question with {len(names)} variables,"
+                f" past the level search's cap of {VARIABLE_CAP}"
+            )
         full = self._full = (1 << 3 ** len(names)) - 1
         self._digits = []  # per variable, the points where its digit is 1 and where it is 2
         for bit in range(len(names)):
@@ -370,8 +350,8 @@ class LevelSearch:
         return found[-1]
 
 
-# a question is compiled once: a refutation counts its variables before its
-# scan, the elimination follows the scan and the certificate's check the proof
+# a question is compiled once: the elimination follows the scan and the
+# certificate's check the proof
 level_search = lru_cache(maxsize=64)(LevelSearch)
 
 

@@ -32,11 +32,7 @@ import itertools
 
 from .chains import eval_vector, level_search
 from .engine import DEFAULT_BUDGET, EngineBudget, prove_consequence
-from .errors import (
-    EnumerationBudgetExceededError,
-    InvalidCertificateError,
-    UnsupportedLogicError,
-)
+from .errors import EnumerationBudgetExceededError, UnsupportedLogicError
 from .linalg import LinForm, project_fm, translate_abelian
 from .logics import LogicSpec, resolve_logic
 from .normalize import hypothesis_branches
@@ -67,8 +63,6 @@ MAX_BRANCHES = 256
 def _form_to_formula(form: LinForm) -> Formula:
     """A multiplicative formula whose linear reading is ``form``:
     (product of negative-coefficient powers) -> (product of positive ones)."""
-    if form.constant != 0:
-        raise InvalidCertificateError(f"projected row {form} has a constant part")
 
     def monomial(signed: int) -> Formula:
         factors = [

@@ -2,11 +2,13 @@
 
 Everything here runs on arbitrary-precision integers; there is no floating
 point anywhere, so every certificate re-verifies bit-exactly.  The pieces
-are: linear readings of multiplicative formulas, a phase-1 simplex that
-pivots an integer tableau (fraction-free, ``Fraction`` only in what it
-returns) to either a feasible point or a Farkas infeasibility certificate,
-the one theorem-of-alternatives LP over it (read by the strict-dual/kernel
-dichotomy and the Abelian procedure), and Fourier-Motzkin projection.
+are: linear readings of multiplicative formulas (homogeneous forms, since
+both constants read 0), a phase-1 simplex that pivots an integer tableau
+(fraction-free, ``Fraction`` only in what it returns) to either a feasible
+point or a Farkas infeasibility certificate, the one
+theorem-of-alternatives LP over it (read by the strict-dual/kernel
+dichotomy and the Abelian procedure), and Fourier-Motzkin projection,
+which prunes by deduplication alone.
 """
 
 from __future__ import annotations
@@ -20,20 +22,18 @@ from .syntax import Formula, Fuse, Imp, MVar, Record, Var, fold
 
 
 class LinForm(Record):
-    """An integer linear form ``sum(coeffs[v] * v) + constant``.
+    """A homogeneous integer linear form ``sum(coeffs[v] * v)``, as the
+    linear reading of a multiplicative formula is.
 
     Zero coefficients are never stored.  Instances are immutable records
     that support ``+``, ``-`` and integer scaling.
     """
 
-    __slots__ = ("coeffs", "constant")
+    __slots__ = ("coeffs",)
     coeffs: dict[str, int]
-    constant: int
 
-    def __init__(self, coeffs: dict[str, int] | None = None, constant: int = 0):
-        cleaned = {v: c for v, c in (coeffs or {}).items() if c != 0}
-        object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "constant", constant)
+    def __init__(self, coeffs: dict[str, int] | None = None):
+        object.__setattr__(self, "coeffs", {v: c for v, c in (coeffs or {}).items() if c != 0})
 
     def get(self, var: str) -> int:
         return self.coeffs.get(var, 0)
@@ -45,48 +45,44 @@ class LinForm(Record):
         coeffs = dict(self.coeffs)
         for v, c in other.coeffs.items():
             coeffs[v] = coeffs.get(v, 0) + c
-        return LinForm(coeffs, self.constant + other.constant)
+        return LinForm(coeffs)
 
     def __neg__(self) -> "LinForm":
-        return LinForm({v: -c for v, c in self.coeffs.items()}, -self.constant)
+        return LinForm({v: -c for v, c in self.coeffs.items()})
 
     def __sub__(self, other: "LinForm") -> "LinForm":
         return self + (-other)
 
     def __mul__(self, k: int) -> "LinForm":
-        return LinForm({v: k * c for v, c in self.coeffs.items()}, k * self.constant)
+        return LinForm({v: k * c for v, c in self.coeffs.items()})
 
     __rmul__ = __mul__
 
     def evaluate(self, valuation) -> int | Fraction:
-        return sum((c * valuation[v] for v, c in self.coeffs.items()), self.constant)
+        return sum(c * valuation[v] for v, c in self.coeffs.items())
 
     def normalized(self) -> "LinForm":
-        """Divide by the positive gcd of all entries; the zero form is fixed."""
-        g = 0
-        for c in self.coeffs.values():
-            g = gcd(g, c)
-        g = gcd(g, self.constant)
+        """Divide by the positive gcd of the coefficients; the zero form is
+        fixed."""
+        g = gcd(*self.coeffs.values())
         if g in (0, 1):
             return self
-        return LinForm({v: c // g for v, c in self.coeffs.items()}, self.constant // g)
+        return LinForm({v: c // g for v, c in self.coeffs.items()})
 
     def _key(self):
-        return (tuple(sorted(self.coeffs.items())), self.constant)
+        return tuple(sorted(self.coeffs.items()))
 
     def __repr__(self) -> str:
         parts = [f"{c}*{v}" for v, c in sorted(self.coeffs.items())]
-        if self.constant or not parts:
-            parts.append(str(self.constant))
-        return "LinForm(" + " + ".join(parts) + ")"
+        return "LinForm(" + (" + ".join(parts) or "0") + ")"
 
 
 def translate_abelian(f: Formula) -> LinForm:
     """Linear reading of a multiplicative formula over the integers.
 
     Variables map to themselves, both constants to 0, fusion to addition and
-    implication to the difference right-minus-left; the constant part is
-    always 0.  Plain coefficient dicts are folded into one form.
+    implication to the difference right-minus-left.  Plain coefficient
+    dicts are folded into one form.
     """
     if not f.multiplicative:
         raise NotMultiplicativeError(f"not multiplicative: {f}")
@@ -315,8 +311,7 @@ def project_fm(inequalities: list[LinForm], keep) -> list[LinForm]:
 
     Eliminates the other variables one at a time, combining each positive
     occurrence with each negative one; redundant rows are pruned by gcd
-    normalization, exact duplication and pairwise dominance (equal
-    coefficients, weaker constant).
+    normalization and deduplication.
     """
     keep = set(keep)
     rows = [f.normalized() for f in inequalities]
@@ -342,15 +337,6 @@ def _elimination_cost(rows: list[LinForm], var: str) -> tuple[int, str]:
 
 
 def _prune(rows: list[LinForm]) -> list[LinForm]:
-    best: dict[tuple, int] = {}
-    for f in rows:
-        f = f.normalized()
-        if not f.coeffs and f.constant >= 0:
-            continue  # trivially true
-        key = tuple(sorted(f.coeffs.items()))
-        if key not in best or f.constant < best[key]:
-            best[key] = f.constant
-    return sorted(
-        (LinForm(dict(k), c) for k, c in best.items()),
-        key=lambda f: f._key(),
-    )
+    """The distinct nonzero rows, normalized, in key order; the zero row
+    holds trivially."""
+    return sorted({f.normalized() for f in rows if f.coeffs}, key=LinForm._key)

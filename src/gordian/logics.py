@@ -3,7 +3,10 @@
 Templates are ordinary formula trees whose leaves may be metavariables
 (uppercase names, a namespace disjoint from object variables).  A logic is
 a base system plus extra axiom schemas; the registry carries the standard
-presets and parametric knotted extensions.  Each preset also records which
+presets and parametric knotted extensions.  The decision layer derives
+only in a logic's multiplicative fragment: its multiplicative axiom
+schemas and families, modus ponens and, where :attr:`LogicSpec.mult_rules`
+has it, the unperforated rule.  Each preset also records which
 multiplicative-fragment decision procedure applies to it, and the model
 classes its multiplicative fragment is sound for, which the decision layer
 checks (:func:`oracles.check_model_classes`); this module imports nothing
@@ -115,17 +118,6 @@ _BASE_AXIOMS: dict[str, tuple[AxiomSchema, ...]] = {
     "IULstar": _MLL_CORE + _ADDITIVE + (_PRELINEARITY, _EXCLUDED_MIDDLE, _ZERO_ONE),
 }
 
-_BASE_RULES: dict[str, tuple[str, ...]] = {
-    "MLL": ("mp",),
-    "MLL0": ("mp",),
-    "MLLu": ("mp", "u_n"),
-    "MLL0u": ("mp", "u_n"),
-    "MALLm": ("mp", "adj"),
-    "IULm": ("mp", "adj"),
-    "IULstar": ("mp", "adj"),
-}
-
-
 @lru_cache(maxsize=128)
 def _balance_schemas(n: int) -> tuple[AxiomSchema, ...]:
     """``n*PHI -> PHI^n`` and its converse.
@@ -170,10 +162,6 @@ class LogicSpec(Record):
     # this order: "Z" (the integers), "sugihara_odd", "sugihara_even".  A
     # mingle logic's Sugihara classes are also its decision chains.
     model_classes: tuple[str, ...] = ()
-
-    @property
-    def rules(self) -> tuple[str, ...]:
-        return _BASE_RULES[self.base]
 
     def axiom_schemas(self) -> tuple[AxiomSchema, ...]:
         return _BASE_AXIOMS[self.base] + self.extra_axioms

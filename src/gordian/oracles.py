@@ -22,7 +22,11 @@ one-target entry, asks each the one-disjunct question ``sigma |- phi``:
   ponens and the unperforated rule; proved by a derivation, or unknown.
 
 Every answer of :func:`decide` and the engine passes one checker,
-:func:`check_result`.  Before a Hilbert search a goal is refuted in the
+:func:`check_result`.  It checks a derivation (:func:`verify_derivation`)
+in the system the searches derive in: hypotheses, the multiplicative
+axiom schemas and family members, through the matcher of the search's
+one-line shortcut, modus ponens and the unperforated rule.
+Before a Hilbert search a goal is refuted in the
 model classes a logic declares sound (:func:`class_refutation`)
 with the two complete procedures above: the LP's separation for Z and the
 chain scan (:func:`find_chain_countermodel`) for the Sugihara classes.  A
@@ -51,7 +55,6 @@ from .normalize import Goal, MultClause
 from .syntax import (
     ONE,
     ZERO,
-    Conj,
     Formula,
     Imp,
     MVar,
@@ -248,19 +251,18 @@ def decision_chains(logic: LogicSpec | str, k: int) -> list[ChainAlgebra]:
     return chains
 
 
-def find_chain_countermodel(chains, sigma, disjuncts) -> Countermodel | LevelSearch:
+def find_chain_countermodel(chains, sigma, disjuncts) -> Countermodel | None:
     """A canonical valuation into the first of the given chains that has
     one designating all of ``sigma`` and none of ``disjuncts``, found by the
     level search (:meth:`chains.LevelSearch.countermodel`), which reads
     only a chain's parity: one narrower than half-width k (odd) or k+1
-    (even) for k variables may not hold it.  When there is none, the
-    compiled search that shows it, which the elimination asks again."""
+    (even) for k variables may not hold it.  None when there is none."""
     search = level_search(tuple(sigma), tuple(disjuncts))
     for chain in chains:
         valuation = search.countermodel(chain)
         if valuation is not None:
             return Countermodel.of(chain.name, valuation)
-    return search
+    return None
 
 
 def prove_subsets(logic: LogicSpec, goal: Goal) -> ProofResult:
@@ -274,10 +276,10 @@ def prove_subsets(logic: LogicSpec, goal: Goal) -> ProofResult:
     hyps, disjuncts = goal.hypotheses, goal.clause.disjuncts
     search = level_search(hyps, disjuncts)
     chains = decision_chains(logic, len(search.variables))
-    found = find_chain_countermodel(chains, hyps, disjuncts)
-    if isinstance(found, Countermodel):
-        return ProofResult("refuted", goal, countermodel=found)
-    support = _largest_valid_subset(found, chains)
+    cm = find_chain_countermodel(chains, hyps, disjuncts)
+    if cm is not None:
+        return ProofResult("refuted", goal, countermodel=cm)
+    support = _largest_valid_subset(search, chains)
     if not support:
         return ProofResult(
             "unknown",
@@ -364,12 +366,15 @@ def class_countermodel(classes, sigma, disjuncts) -> Countermodel | None:
     it is skipped for a question without variables, whose one valuation
     reads every formula as the designated 0.  The Sugihara classes follow,
     in their order, through :func:`find_chain_countermodel` on the chains
-    of :func:`class_chains`.  Both searches are complete for their class."""
+    of :func:`class_chains`.  Both searches are complete for their class;
+    the chain scan, past :data:`chains.VARIABLE_CAP` variables, raises
+    SizeBudgetExceededError instead."""
     sigma, disjuncts = tuple(sigma), tuple(disjuncts)
-    k = len(level_search(sigma, disjuncts).variables)
+    k = len(variables_of(sigma + disjuncts))
     cm = abelian_alternative(sigma, disjuncts) if "Z" in classes and k else None
-    if not isinstance(cm, Countermodel):
-        cm = find_chain_countermodel(class_chains(classes, k), sigma, disjuncts)
+    chains = class_chains(classes, k)
+    if not isinstance(cm, Countermodel) and chains:
+        cm = find_chain_countermodel(chains, sigma, disjuncts)
     found = isinstance(cm, Countermodel)
     return checked_countermodel(cm, sigma, disjuncts, classes) if found else None
 
@@ -383,16 +388,17 @@ def check_model_classes(logic: LogicSpec) -> tuple[str, ...]:
 
     :func:`class_countermodel`, complete for each class, looks for a
     countermodel to every multiplicative axiom template, its metavariables
-    read as variables, and to every family member up to the default
-    family bound (each family's docstring says why the rest hold too).  It
-    also checks that the rules preserve designation: ``p, p -> q |- q`` for
-    modus ponens and ``n*p |- p`` for u_n, 2 <= n <= ``U_RULE_CHECK_MAX``
-    (in Z, ``n*p`` reads n times ``p``; on a Sugihara chain, ``p``; so the
-    rule holds for every n where it holds for these)."""
+    read as variables, and to every family member up to
+    :data:`FAMILY_BOUND` (each family's docstring says why the rest hold
+    too).  It also checks that the rules preserve designation:
+    ``p, p -> q |- q`` for modus ponens and ``n*p |- p`` for u_n,
+    2 <= n <= ``U_RULE_CHECK_MAX`` (in Z, ``n*p`` reads n times ``p``; on a
+    Sugihara chain, ``p``; so the rule holds for every n where it holds for
+    these)."""
     p, q = Var("p"), Var("q")
     checks = [
         (f"axiom {s.name}", (), instantiate(s, {v: Var(v.lower()) for v in s.occurrences}))
-        for s in logic.mult_axiom_schemas() + logic.family_schemas(HilbertBudget().family_bound)
+        for s in logic.mult_axiom_schemas() + logic.family_schemas(FAMILY_BOUND)
     ]
     checks.append(("rule mp", (p, Imp(p, q)), q))
     if "u_n" in logic.mult_rules:
@@ -422,16 +428,15 @@ def class_refutation(logic: LogicSpec, goal: Goal) -> Countermodel | None:
 
 
 class HilbertBudget(Record):
-    """The search's two settable limits: the lines derived past the seeds,
-    and the largest n of a family's members in the instance stream."""
+    """The search's settable limit: the lines derived past the seeds."""
 
     max_lines: int = 4000
-    family_bound: int = 8
 
 
 # The fixed limits of the instance stream: the subterms it draws arguments
-# from and the instances it holds.
+# from, the largest n of a family's members in it and the instances it holds.
 POOL_LIMIT = 28
+FAMILY_BOUND = 8
 MAX_INSTANCES = 12000
 
 
@@ -503,7 +508,7 @@ def hilbert_search(
     goal = one_target(sigma, phi)
     sigma = list(goal.hypotheses)
 
-    schemas = logic.mult_axiom_schemas() + logic.family_schemas(budget.family_bound)
+    schemas = logic.mult_axiom_schemas() + logic.family_schemas(FAMILY_BOUND)
     use_u = "u_n" in logic.mult_rules
 
     parents: dict[Formula, tuple] = {}
@@ -622,43 +627,42 @@ class DerivationCheck(Record):
 
 
 def _matching_axiom(logic: LogicSpec, f: Formula) -> str | None:
-    """The name of the first axiom schema that ``f`` instantiates, or None:
-    the base and extra schemas in order, then of each family the members
-    of the n that its ``indices(f)`` holds, smallest n first.  Only the
-    templates that could match are tried: those whose root is ``f``'s
-    connective (or a metavariable), and for a multiplicative ``f`` no
-    lattice template."""
-    kind, mult = type(f), f.multiplicative
+    """The name of the first multiplicative axiom schema that the
+    multiplicative ``f`` instantiates, or None: the base and extra schemas
+    in order, then of each family the members of the n that its
+    ``indices(f)`` holds, smallest n first.  Only the templates that could
+    match are tried: multiplicative ones whose root is ``f``'s connective
+    (or a metavariable)."""
+    kind = type(f)
     members = (s for fam in logic.families for n in sorted(fam.indices(f)) for s in fam.schemas(n))
     for schema in itertools.chain(logic.axiom_schemas(), members):
         t = schema.template
-        if type(t) in (kind, MVar) and (t.multiplicative or not mult):
-            if match_template(t, f) is not None:
-                return schema.name
+        if type(t) in (kind, MVar) and t.multiplicative and match_template(t, f) is not None:
+            return schema.name
     return None
 
 
 def verify_derivation(logic: LogicSpec | str, lines, hypotheses=()) -> DerivationCheck:
-    """Independent line-by-line check: each line must be an axiom-schema
-    instance, a hypothesis, or follow from earlier lines by mp (or the
-    unperforated rule / adjunction where the logic has them).  The stated
-    justifications are not trusted."""
+    """Independent line-by-line check in the system the searches derive
+    in, the logic's multiplicative fragment: each line must be a
+    multiplicative formula that is a hypothesis, an instance of a
+    multiplicative axiom schema or family member, or follows from earlier
+    lines by modus ponens (or the unperforated rule where the fragment has
+    it).  The stated justifications are not trusted."""
     logic = resolve_logic(logic)
     formulas = [line.formula if isinstance(line, DerivationLine) else line for line in lines]
     hypotheses = set(hypotheses)
-    rules = set(logic.rules) | set(logic.mult_rules)
+    use_u = "u_n" in logic.mult_rules
     earlier: set[Formula] = set()
     # the earlier implications by consequent: mp and u_n conclude from these
     implications: dict[Formula, list[Imp]] = {}
     for i, f in enumerate(formulas):
         concluding = implications.get(f, ())
         ok = f in hypotheses or any(g.left in earlier for g in concluding)
-        if not ok and "adj" in rules and isinstance(f, Conj):
-            ok = f.left in earlier and f.right in earlier
-        if not ok and "u_n" in rules:
+        if not ok and use_u:
             ok = any((_scalar_count(g, f) or 0) >= 2 for g in concluding)
         # the axiom match last: it tries every schema in turn
-        if not (ok or _matching_axiom(logic, f)):
+        if not (f.multiplicative and (ok or _matching_axiom(logic, f))):
             return DerivationCheck(False, i + 1, f"line {i + 1} unjustified: {f}")
         earlier.add(f)
         if isinstance(f, Imp):
@@ -763,10 +767,11 @@ def check_toa_condition(
 ) -> ToAConditionReport:
     """For each n <= n_max check derivability of (n*p)^k -> m*(p^n) in the
     logic's multiplicative fragment, with candidate (k, m) per n (default
-    (1, 1)), under the Hilbert ``budget`` with its family bound raised to
-    ``n_max``, each by :func:`decide`; budget exhaustion is never a
-    failure, only unknown.  A witness for an n outside 1..n_max, which
-    would go unchecked, raises ValueError.
+    (1, 1)), under the Hilbert ``budget``, each by :func:`decide`; budget
+    exhaustion is never a failure, only unknown.  A target that is a
+    family member past :data:`FAMILY_BOUND` is still matched in one line,
+    its n read off the target (:func:`_matching_axiom`).  A witness for an
+    n outside 1..n_max, which would go unchecked, raises ValueError.
     """
     logic = resolve_logic(logic)
     if n_max < 1:  # no entry to check would read as "all proved"
@@ -775,8 +780,6 @@ def check_toa_condition(
     for n in sorted(witnesses):
         if not 1 <= n <= n_max:
             raise ValueError(f"witness for n={n} lies outside 1..{n_max}")
-    budget = budget or HilbertBudget()
-    budget = HilbertBudget(budget.max_lines, max(budget.family_bound, n_max))
     p = Var("p")
     entries = []
     for n in range(1, n_max + 1):

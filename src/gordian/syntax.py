@@ -296,18 +296,15 @@ def subformulas(f: Formula) -> list[Formula]:
     return list(seen)
 
 
-def fold(f: Formula, leaf, connective, values: dict | None = None):
+def fold(f: Formula, leaf, connective):
     """The value of ``f``, computed bottom-up: ``leaf(node)`` at a leaf, and
     at a connective node ``connective[type(node)]`` applied to its
     children's values, once per node object (a subtree shared by reference,
     as in ``n*f`` and ``f^n``, is computed once).  The stack holds the path
-    from ``f`` to the node whose children are being computed.  ``values``,
-    keyed by node identity, may carry the values of earlier folds over the
-    same nodes, which the caller keeps alive."""
+    from ``f`` to the node whose children are being computed."""
     if not isinstance(f, Binary):
         return leaf(f)
-    if values is None:
-        values = {}  # by id: cheaper than hashing formulas
+    values = {}  # by id: cheaper than hashing formulas
     path = [f]
     while path:
         node = path[-1]

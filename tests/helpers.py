@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import reduce
 from random import Random
 
-from gordian.chains import eval_formula, eval_vector, sugihara_chain
+from gordian.chains import eval_formula, eval_vector, level_search, sugihara_chain
 from gordian.density import (
     DensityCertificate,
     density_goal,
@@ -44,7 +44,6 @@ from gordian.linalg import (
 from gordian.logics import resolve_logic
 from gordian.normalize import Goal
 from gordian.oracles import (
-    Countermodel,
     ProofResult,
     _largest_valid_subset,
     combination_formula,
@@ -241,6 +240,30 @@ def abelian_goal_countermodel(goal: Goal) -> dict[str, Fraction] | None:
     return valuation
 
 
+def check_laws(chain) -> None:
+    """Exhaustively verify the closed forms of ``chain`` against the
+    algebra laws: involution, residuation, the commutative monoid laws and
+    order compatibility; raises ValueError on failure."""
+    els = chain.carrier
+    for a in els:
+        if chain.fuse(chain.unit, a) != a or chain.fuse(a, chain.unit) != a:
+            raise ValueError(f"{chain.name}: {chain.unit} is not a unit at {a}")
+        if chain.neg(chain.neg(a)) != a:
+            raise ValueError(f"{chain.name}: involution fails at {a}")
+        if chain.neg(a) != chain.imp(a, chain.zero):
+            raise ValueError(f"{chain.name}: negation is not {a} -> {chain.zero}")
+    for a, b in itertools.product(els, repeat=2):
+        if chain.fuse(a, b) != chain.fuse(b, a):
+            raise ValueError(f"{chain.name}: fusion not commutative at {a},{b}")
+    for a, b, c in itertools.product(els, repeat=3):
+        if chain.fuse(chain.fuse(a, b), c) != chain.fuse(a, chain.fuse(b, c)):
+            raise ValueError(f"{chain.name}: fusion not associative")
+        if (chain.fuse(a, b) <= c) != (b <= chain.imp(a, c)):
+            raise ValueError(f"{chain.name}: residuation fails at {a},{b},{c}")
+        if a <= b and chain.fuse(a, c) > chain.fuse(b, c):
+            raise ValueError(f"{chain.name}: fusion not order-preserving")
+
+
 def rmt_chain_family(k: int, widen: int = 0):
     return [sugihara_chain(k + 2 + widen, odd=False), sugihara_chain(k + 1 + widen, odd=True)]
 
@@ -253,10 +276,9 @@ def chain_support(chains, sigma, disjuncts) -> set[int] | None:
     """``None`` when a point of ``chains`` refutes the goal, else the
     largest subset of the disjuncts whose sum the chains validate: the
     mingle procedure's two steps on chains the caller chooses."""
-    search = find_chain_countermodel(chains, sigma, disjuncts)
-    if isinstance(search, Countermodel):
+    if find_chain_countermodel(chains, sigma, disjuncts) is not None:
         return None
-    return _largest_valid_subset(search, chains)
+    return _largest_valid_subset(level_search(tuple(sigma), tuple(disjuncts)), chains)
 
 
 def relabel(point, odd: bool):

@@ -6,10 +6,12 @@ import pytest
 from helpers import (
     abelian_grid_refute,
     brute_force_consequence,
+    check_laws,
     random_mult_formula,
     relabel,
 )
 
+from gordian import chains
 from gordian.chains import (
     ChainAlgebra,
     LevelSearch,
@@ -18,9 +20,9 @@ from gordian.chains import (
     eval_formula,
     sugihara_chain,
 )
-from gordian.errors import MissingVariableError, NotMultiplicativeError
+from gordian.errors import MissingVariableError, NotMultiplicativeError, SizeBudgetExceededError
 from gordian.linalg import translate_abelian
-from gordian.syntax import Disj, parse, variables_of
+from gordian.syntax import Disj, Var, parse, variables_of
 
 
 def test_odd_chain_shape():
@@ -41,10 +43,11 @@ def test_even_chain_shape():
     assert not chain.designated(-1)
 
 
-def test_laws_checked_on_construction():
-    for k in range(1, 5):
-        sugihara_chain(k, odd=True)
-        sugihara_chain(k, odd=False)
+def test_laws_hold_on_every_small_chain():
+    # every chain of at most 16 elements, odd and even
+    for chain in (sugihara_chain(k, odd) for k in range(1, 9) for odd in (True, False)):
+        if len(chain.carrier) <= 16:
+            check_laws(chain)
 
     # a join tie-break is not residuated and must be rejected
     class JoinTies(ChainAlgebra):
@@ -52,14 +55,14 @@ def test_laws_checked_on_construction():
             return max(a, b) if abs(a) == abs(b) else super().fuse(a, b)
 
     with pytest.raises(ValueError, match="residuation"):
-        JoinTies(2, odd=True)
+        check_laws(JoinTies(2, odd=True))
 
 
 @pytest.mark.parametrize("odd", [True, False])
 def test_closed_forms_are_the_sugihara_operations(odd):
-    # past LAW_CHECK_MAX_SIZE elements construction checks nothing, so the
-    # closed forms are compared here with fusion's definition, the
-    # exhaustive residual and negation as implication into the constant 0
+    # past 16 elements no law check runs, so the closed forms are compared
+    # here with fusion's definition, the exhaustive residual and negation
+    # as implication into the constant 0
     for k in range(1, 16):
         chain = ChainAlgebra(k, odd)
         els = chain.carrier
@@ -69,6 +72,17 @@ def test_closed_forms_are_the_sugihara_operations(odd):
             residual = max(x for x in els if chain.fuse(a, x) <= b)
             assert chain.imp(a, b) == residual, (chain, a, b)
         assert all(chain.neg(a) == chain.imp(a, chain.zero) for a in els), chain
+
+
+def test_level_search_stops_past_its_variable_cap(monkeypatch):
+    atoms = [Var(f"q{i}") for i in range(chains.VARIABLE_CAP + 1)]
+    assert len(LevelSearch((), atoms[:-1]).variables) == chains.VARIABLE_CAP
+    with pytest.raises(SizeBudgetExceededError, match=f"{len(atoms)} variables"):
+        LevelSearch((), atoms)
+    # the cap is read at call time
+    monkeypatch.setattr(chains, "VARIABLE_CAP", 2)
+    with pytest.raises(SizeBudgetExceededError):
+        LevelSearch((), atoms[:3])
 
 
 def test_chain_from_name():

@@ -170,12 +170,21 @@ def test_check_toa(capsys):
 
 
 def test_check_toa_raises_the_family_bound_under_any_budget(capsys):
-    # the members balance_*_9 and _10 lie past the default family bound 8,
-    # and the command always passes a budget
+    # the targets for n = 9 and 10 are the members balance_up_9 and _10,
+    # past the instance stream's family bound 8: the axiom matcher reads a
+    # member's n off the target, under the default budget and any other
     for extra in ((), ("--budget", "2")):
         code, out, _ = run(capsys, "check-toa", "--logic", "BIULm", "--n-max", "10", *extra)
         assert code == 0, out
         assert out.count(": proved") == 10
+
+
+def test_prove_past_the_level_search_variable_cap_exits_3(tmp_path, capsys):
+    # 14 variables: the level search would take minutes, so it refuses
+    goal = " | ".join([f"(p -> q{i})" for i in range(12)] + ["r", "~r"])
+    problem = write(tmp_path, "wide.txt", f"logic RMt\nprove {goal}\n")
+    code, out, err = run(capsys, "prove", problem)
+    assert (code, out) == (3, "") and "14 variables" in err, err
 
 
 def test_density_refuses_a_fresh_name_that_is_not_a_variable(capsys):

@@ -14,7 +14,7 @@ from helpers import (
     rmt_chain_family,
 )
 
-from gordian import engine, oracles
+from gordian import chains, engine, oracles
 from gordian.engine import (
     DEFAULT_BUDGET,
     EngineBudget,
@@ -23,7 +23,7 @@ from gordian.engine import (
     prove_consequence,
     prove_disjunction,
 )
-from gordian.errors import InvalidCertificateError, LogicWithoutToAError
+from gordian.errors import InvalidCertificateError, LogicWithoutToAError, SizeBudgetExceededError
 from gordian.linalg import IntMatrix, Kernel, gordan, translate_abelian
 from gordian.logics import lookup_logic
 from gordian.normalize import Goal
@@ -76,6 +76,15 @@ def test_abelian_with_hypotheses():
     assert result.status == "proved"
     result = prove_disjunction("A", goal_of(["p -> q"], ["q -> p"]))
     assert result.status == "refuted"
+
+
+def test_goals_past_the_level_search_variable_cap():
+    # one variable too many for a mingle logic's chains; BIULm refutes the
+    # goal in Z and never asks its Sugihara class
+    wide = parse(" | ".join(f"(p -> q{i})" for i in range(chains.VARIABLE_CAP)))
+    with pytest.raises(SizeBudgetExceededError):
+        prove_consequence("RMt", [], wide)
+    assert prove_consequence("BIULm", [], wide).countermodel.chain == "Z"
 
 
 def test_combination_formula_shape():

@@ -138,7 +138,7 @@ def _satisfiable_with_fixed(rows, fixed, free_vars):
         slack = [0] * len(rows)
         slack[i] = -1
         eq_rows.append(coeffs + [-c for c in coeffs] + slack)
-        rhs.append(-(row.constant + sum(row.get(v) * val for v, val in fixed.items())))
+        rhs.append(-sum(row.get(v) * val for v, val in fixed.items()))
     x, _ = feasible_point_or_farkas(eq_rows, rhs)
     return x is not None
 

@@ -273,6 +273,16 @@ def test_verify_derivation_rule_gating():
     assert not verify_derivation("MLL", lines, hypotheses=[parse("q + q")])
 
 
+def test_verify_derivation_checks_the_multiplicative_system_alone():
+    # the system the searches derive in has no adjunction and no lattice
+    # axioms, so lines that need them are unjustified
+    p, q = parse("p"), parse("q")
+    check = verify_derivation("IULm", [p, q, parse("p & q")], hypotheses=[p, q])
+    assert not check and check.bad_index == 3
+    check = verify_derivation("knotted(1,1,1:1:1:1)", [parse("p | ~p")])  # excluded_middle
+    assert not check and check.bad_index == 1
+
+
 def test_verify_derivation_tries_rules_before_axioms(monkeypatch):
     # an mp line matched against the balance family first would walk it to
     # n of about size/6

@@ -341,16 +341,18 @@ def test_results_pickle_and_copy():
 
 
 def test_record_construction_by_position_keyword_and_default():
-    default = HilbertBudget()
-    assert (default.max_lines, default.family_bound) == (4000, 8)
-    assert HilbertBudget(4000) == default == HilbertBudget(family_bound=8, max_lines=4000)
-    budget = HilbertBudget(10, family_bound=3)
-    assert (budget.max_lines, budget.family_bound) == (10, 3)
-    assert HilbertBudget(family_bound=3) == HilbertBudget(4000, 3)
+    hilbert = HilbertBudget()
+    assert hilbert.max_lines == 4000 and HilbertBudget(4000) == hilbert == HilbertBudget(max_lines=4000)
+    default = EngineBudget()
+    assert (default.lambda_cap, default.hilbert) == (16, hilbert)
+    assert EngineBudget(16) == default == EngineBudget(hilbert=hilbert, lambda_cap=16)
+    budget = EngineBudget(10, hilbert=HilbertBudget(3))
+    assert (budget.lambda_cap, budget.hilbert) == (10, HilbertBudget(3))
+    assert EngineBudget(hilbert=HilbertBudget(3)) == EngineBudget(16, HilbertBudget(3))
     cm = Countermodel(valuation=(("p", 1),), chain="Z")
     assert cm == Countermodel("Z", (("p", 1),)) and cm.mapping == {"p": 1}
     # a budget's Hilbert part defaults to one shared, immutable instance
-    assert EngineBudget().hilbert is EngineBudget(lambda_cap=2).hilbert == default
+    assert EngineBudget().hilbert is EngineBudget(lambda_cap=2).hilbert == hilbert
     for build in (
         lambda: Countermodel("Z"),  # missing field
         lambda: Countermodel(chain="Z"),
@@ -358,6 +360,7 @@ def test_record_construction_by_position_keyword_and_default():
         lambda: Countermodel("Z", (), bogus=1),  # unknown
         lambda: Countermodel("Z", (), chain="Z"),  # given twice
         lambda: HilbertBudget(bogus=1),
+        lambda: HilbertBudget(4000, 8),  # too many
     ):
         with pytest.raises(TypeError):
             build()
@@ -407,10 +410,11 @@ def test_axiom_family_equality_ignores_schemas():
 
 
 def test_linear_forms_are_records_keyed_by_sorted_coefficients():
-    form = LinForm({"q": 2, "p": -1, "r": 0}, 3)
-    assert form == LinForm({"p": -1, "q": 2}, 3) and hash(form) == hash(LinForm({"p": -1, "q": 2}, 3))
-    assert form != LinForm({"p": -1, "q": 2}) and repr(form) == "LinForm(-1*p + 2*q + 3)"
-    for name in ("coeffs", "constant"):
+    form = LinForm({"q": 2, "p": -1, "r": 0})
+    assert form == LinForm({"p": -1, "q": 2}) and hash(form) == hash(LinForm({"p": -1, "q": 2}))
+    assert form != LinForm({"p": -1, "q": 3}) and repr(form) == "LinForm(-1*p + 2*q)"
+    assert repr(LinForm()) == "LinForm(0)"
+    for name in ("coeffs", "not_a_field"):
         with pytest.raises(AttributeError):
             setattr(form, name, None)
     for copied in (pickle.loads(pickle.dumps(form)), copy.deepcopy(form)):
@@ -438,7 +442,7 @@ def test_record_reprs():
     )
     assert repr(EngineBudget()) == (
         "EngineBudget(lambda_cap=16, "
-        "hilbert=HilbertBudget(max_lines=4000, family_bound=8))"
+        "hilbert=HilbertBudget(max_lines=4000))"
     )
     assert repr(prove_consequence("A", [], parse("p -> p")).results[0]) == (
         "ProofResult(status='proved', goal=Goal(hypotheses=(), clause=MultClause("
