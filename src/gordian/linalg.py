@@ -81,12 +81,17 @@ def translate_abelian(f: Formula) -> LinForm:
     """Linear reading of a multiplicative formula over the integers.
 
     Variables map to themselves, both constants to 0, fusion to addition and
-    implication to the difference right-minus-left.  Plain coefficient
-    dicts are folded into one form.
+    implication to the difference right-minus-left.
     """
+    return LinForm(linear_coefficients(f))
+
+
+def linear_coefficients(f: Formula) -> dict[str, int]:
+    """The coefficients of :func:`translate_abelian`'s reading of ``f``, one
+    per variable of ``f``, zeros included: plain dicts folded once per node."""
     if not f.multiplicative:
         raise NotMultiplicativeError(f"not multiplicative: {f}")
-    return LinForm(fold(f, _linear_leaf, {Fuse: _combine, Imp: lambda a, b: _combine(b, a, -1)}))
+    return fold(f, _linear_leaf, {Fuse: _combine, Imp: lambda a, b: _combine(b, a, -1)})
 
 
 def _linear_leaf(f: Formula) -> dict[str, int]:

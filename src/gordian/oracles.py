@@ -48,8 +48,13 @@ from .chains import (
     level_search,
     sugihara_chain,
 )
-from .errors import InvalidCertificateError, UnsoundModelClassError, UnsupportedLogicError
-from .linalg import Combination, LinForm, linear_alternative, translate_abelian
+from .errors import (
+    InvalidCertificateError,
+    MissingVariableError,
+    UnsoundModelClassError,
+    UnsupportedLogicError,
+)
+from .linalg import Combination, LinForm, linear_alternative, linear_coefficients, translate_abelian
 from .logics import LogicSpec, instantiate, match_template, resolve_logic
 from .normalize import Goal, MultClause
 from .syntax import (
@@ -168,21 +173,26 @@ def countermodel_refutes(cm: Countermodel, sigma, disjuncts) -> bool:
     every hypothesis and none of the disjuncts.  A name that resolves to no
     chain refutes nothing, and neither does a chain wider than any the
     decisions use (half-width k+2 for k variables, see :func:`class_chains`),
-    which is never built."""
+    which is never built.  A refutation evaluates every formula of the goal,
+    so a valuation missing a goal variable fails there."""
     val = cm.mapping
-    goal_vars = variables_of(tuple(sigma) + tuple(disjuncts))
     try:
-        chain = None if cm.chain == "Z" else chain_from_name(cm.chain, len(goal_vars) + 2)
+        chain = None if cm.chain == "Z" else chain_from_name(
+            cm.chain, len(variables_of(tuple(sigma) + tuple(disjuncts))) + 2
+        )
     except ValueError:
         return False
-    well_formed = goal_vars <= val.keys() and all(
+    well_formed = all(
         type(v) is int and (chain is None or v in chain.carrier) for v in val.values()
     )
     if chain is None:
         designated = lambda f: eval_abelian(f, val) >= 0
     else:
         designated = lambda f: eval_formula(chain, val, f) >= chain.unit
-    return well_formed and all(map(designated, sigma)) and not any(map(designated, disjuncts))
+    try:
+        return well_formed and all(map(designated, sigma)) and not any(map(designated, disjuncts))
+    except MissingVariableError:
+        return False
 
 
 def checked_countermodel(cm: Countermodel, sigma, disjuncts, classes) -> Countermodel:
@@ -202,16 +212,16 @@ def abelian_alternative(sigma, disjuncts) -> Combination | Countermodel:
     ``sigma |- disjuncts``: the combination of the disjuncts that weights on
     the hypotheses match, or else its separation, which makes every
     disjunct negative and no hypothesis negative, as a countermodel in Z."""
-    d_forms = [translate_abelian(d) for d in disjuncts]
-    h_forms = [translate_abelian(h) for h in sigma]
-    variables = sorted(frozenset().union(*(f.variables() for f in d_forms + h_forms)))
+    d_forms = [linear_coefficients(d) for d in disjuncts]
+    h_forms = [linear_coefficients(h) for h in sigma]
+    variables = sorted({v for f in d_forms + h_forms for v, c in f.items() if c})
     result = linear_alternative(
-        [[f.get(v) for v in variables] for f in d_forms],
-        [[f.get(v) for v in variables] for f in h_forms],
+        [[f.get(v, 0) for v in variables] for f in d_forms],
+        [[f.get(v, 0) for v in variables] for f in h_forms],
     )
     if isinstance(result, Combination):
         return result
-    full = {v: 0 for v in variables_of(tuple(sigma) + tuple(disjuncts))}
+    full = dict.fromkeys(itertools.chain(*d_forms, *h_forms), 0)  # every goal variable
     full.update(zip(variables, result.y))
     return Countermodel.of("Z", full)
 

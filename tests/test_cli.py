@@ -317,6 +317,21 @@ def test_deep_formula_verdicts_and_errors(tmp_path):
     assert (code, out) == (3, "") and err.startswith("error: expected ')'"), err
 
 
+def test_prove_refuses_formulas_that_print_past_the_cap(tmp_path, capsys, monkeypatch):
+    # 20 characters that print as 7.2e9 nodes: refused before deciding,
+    # in a fresh interpreter, where printing the answer would not end
+    code, out, err = run_child(tmp_path, "logic A\nprove (p^60000)^60000 -> p\n")
+    assert (code, out) == (3, "") and "past the cap" in err, err
+    # the cap is inclusive, and it covers the hypotheses too
+    monkeypatch.setattr(cli, "PRINT_SIZE_CAP", 7)
+    problem = write(tmp_path, "small.txt", "logic A\nprove p^3 -> p\n")
+    assert run(capsys, "prove", problem)[0] == 1
+    for text in ("logic A\nprove p^4 -> p\n", "logic A\nassume p^4 -> p\nprove p\n"):
+        problem = write(tmp_path, "over.txt", text)
+        code, out, err = run(capsys, "prove", problem)
+        assert (code, out) == (3, "") and "has 9 nodes" in err, err
+
+
 def test_output_does_not_depend_on_hash_seed(tmp_path):
     problems = [
         "logic A\nassume (p -> q) | (q -> r)\nprove (p -> r) | (r -> p) | (q -> q)\n",

@@ -82,18 +82,19 @@ def test_lift_base_case_is_multiplicative_interpolant():
 
 
 def test_lift_joins_branches_in_product_order():
-    # two branching clauses, their disjuncts in rendered order, fork four
-    # branches; their interpolants join right-nested, in product order
+    # two branching clauses, their disjuncts in structural order (the
+    # smaller first), fork four branches; their interpolants join
+    # right-nested, in product order
     sigma = [parse("(p -> q) | (p*p -> q)"), parse("(q -> r) | (q -> r*r)")]
     pi = lift_interpolant("A", sigma, {"p", "r"})
-    clauses = [["p * p -> q", "p -> q"], ["q -> r", "q -> r * r"]]
+    clauses = [["p -> q", "p * p -> q"], ["q -> r", "q -> r * r"]]
     parts = [
         mult_uniform_interpolant("A", [parse(a), parse(b)], {"p", "r"})
         for a, b in itertools.product(*clauses)
     ]
     assert [len(part) for part in parts] == [1, 1, 1, 1]
     assert pi == [Disj(parts[0][0], Disj(parts[1][0], Disj(parts[2][0], parts[3][0])))]
-    assert render(pi[0]) == "p * p -> r | (p -> r | (p -> r | p -> r * r))"
+    assert render(pi[0]) == "p -> r | (p -> r * r | (p * p -> r | p -> r))"
     probes = [parse("p -> r | p*p -> r*r"), parse("p -> r"), parse("p*p -> r | p -> r*r")]
     report = verify_interpolant("A", sigma, pi, {"p", "r"}, probes)
     assert report.ok, report.first_failure

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -10,10 +14,12 @@ from helpers import (
     disj_all,
     iuml_chain_family,
     random_formula,
+    random_mult_formula,
 )
 
 from gordian.chains import eval_abelian, eval_formula, sugihara_chain
-from gordian import normalize
+from gordian import normalize, syntax
+from gordian.engine import prove_consequence
 from gordian.errors import SizeBudgetExceededError
 from gordian.normalize import (
     Goal,
@@ -23,9 +29,12 @@ from gordian.normalize import (
     _drop_subsumed,
     _push,
     decompose_consequence,
+    structural_order,
     to_mult_clauses,
 )
-from gordian.syntax import Conj, Disj, parse, render, variables, variables_of
+from gordian.syntax import Binary, Conj, Disj, parse, render, variables, variables_of
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def clauses_text(clauses):
@@ -74,6 +83,12 @@ def test_long_conjunctions_stay_within_the_work_guard():
         assert len(to_mult_clauses(f)) == 2000
 
 
+def _in_structural_order(clauses):
+    """Clauses sorted as to_mult_clauses sorts them: by their disjuncts' ranks."""
+    key = structural_order(d for c in clauses for d in c.disjuncts)
+    return sorted(clauses, key=lambda c: [key(d) for d in c.disjuncts])
+
+
 def _quadratic_drop_subsumed(raw, max_literals):
     """The earlier all-pairs subsumption, followed by the literal cap."""
     clauses = [MultClause.of(c) for c in raw]
@@ -87,7 +102,7 @@ def _quadratic_drop_subsumed(raw, max_literals):
             if j != i
         )
     ]
-    out = sorted(set(kept), key=MultClause.render)
+    out = _in_structural_order(set(kept))
     if sum(len(c.disjuncts) for c in out) > max_literals:
         raise SizeBudgetExceededError("over the cap")
     return out
@@ -113,7 +128,8 @@ def test_drop_subsumed_matches_all_pairs(monkeypatch):
                 with pytest.raises(SizeBudgetExceededError):
                     _drop_subsumed(raw)
                 continue
-            assert _drop_subsumed(raw) == expected
+            kept = _drop_subsumed(raw)
+            assert _in_structural_order([MultClause.of(c) for c in kept]) == expected
             compared += len(raw) > 1
     assert compared > 100
 
@@ -164,6 +180,103 @@ def test_decompose_idempotent_on_multiplicative_goals():
 def test_clause_canonical_order_and_dedup():
     clause = MultClause.of([parse("q"), parse("p"), parse("q")])
     assert clause.disjuncts == (parse("p"), parse("q"))
+
+
+def _ref_structural_key(f):
+    """The structural order as a nested tuple: size, kind, then the
+    children's keys; a leaf by kind and name."""
+    kind = normalize._KINDS[type(f)]
+    if isinstance(f, Binary):
+        return (f.size, kind, _ref_structural_key(f.left), _ref_structural_key(f.right))
+    return (1, kind, getattr(f, "name", ""))
+
+
+def test_structural_order_matches_the_nested_key():
+    rng = Random(11)
+    formulas = [random_mult_formula(rng, ["p", "q", "r"], rng.randint(0, 4)) for _ in range(300)]
+    formulas += [parse(text) for text in ("p", "q", "1", "0", "p * q", "p -> q", "q -> p")]
+    key = structural_order(formulas)
+    assert sorted(formulas, key=key) == sorted(formulas, key=_ref_structural_key)
+    for f, g in itertools.combinations(formulas[:80], 2):
+        assert (key(f) == key(g)) == (f == g)
+    # the order of two formulas does not depend on what else is ranked
+    for f, g in zip(formulas[::2], formulas[1::2]):
+        pair = structural_order([f, g])
+        assert (pair(f) < pair(g)) == (key(f) < key(g))
+
+
+def _render_raises(monkeypatch):
+    """Replace ``render`` in every gordian module that holds it."""
+
+    def fail(f):
+        raise AssertionError(f"render called on {f!r}")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gordian") and getattr(module, "render", None) is syntax.render:
+            monkeypatch.setattr(module, "render", fail)
+
+
+@pytest.mark.parametrize(
+    "logic, hyps, concl",
+    [
+        ("A", ["(p -> q) | (q -> r)", "p & (r -> s)"], "((p -> r) | (r -> p)) & (s -> q * q)"),
+        ("RMt", ["p & q", "(r -> p) | s"], "(p -> q) | (q * r) | ~p"),
+    ],
+)
+def test_lattice_consequences_decide_without_render(monkeypatch, logic, hyps, concl):
+    sigma, f = [parse(h) for h in hyps], parse(concl)
+    expected = prove_consequence(logic, sigma, f)
+    assert len(expected.results) > 1
+    _render_raises(monkeypatch)
+    with pytest.raises(AssertionError):
+        str(f)
+    assert prove_consequence(logic, sigma, f) == expected
+
+
+def test_shared_formula_decides_in_distinct_nodes():
+    # the printed formula has 18M nodes, and deciding it must cost only its
+    # 6,000 distinct ones
+    f = parse("(p^3000)^3000 -> p")
+    start = time.perf_counter()
+    verdicts = [prove_consequence(logic, [], f).status for logic in ("A", "RMt", "BIULm")]
+    assert verdicts == ["refuted", "proved", "refuted"]
+    assert time.perf_counter() - start < 20.0
+
+
+_ORDER_HYPS = ["(p -> q) | (r * s -> t)", "(q -> r) | (s -> p)", "(1 -> p * p) | t"]
+_ORDER_CONCL = ["(p -> r) & (t -> s)", "(r -> p) & (q * q -> s)", "t -> q", "~p"]
+
+
+def _goal_texts(hyps, disjuncts) -> list[str]:
+    goals = decompose_consequence([parse(h) for h in hyps], disj_all([parse(d) for d in disjuncts]))
+    return [g.render() for g in goals]
+
+
+def test_goal_order_ignores_input_order():
+    expected = _goal_texts(_ORDER_HYPS, _ORDER_CONCL)
+    assert len(expected) == 32
+    rng = Random(5)
+    for _ in range(10):
+        hyps, disjuncts = rng.sample(_ORDER_HYPS, 3), rng.sample(_ORDER_CONCL, 4)
+        assert _goal_texts(hyps, disjuncts) == expected
+
+
+def test_goal_order_ignores_the_hash_seed():
+    child = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import test_normalize as t;"
+        " print(t._goal_texts(t._ORDER_HYPS, t._ORDER_CONCL))"
+    )
+    tests = str(Path(__file__).resolve().parent)
+    outputs = set()
+    for seed in "01":
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), tests]), PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", child, tests], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    assert outputs.pop().strip() == str(_goal_texts(_ORDER_HYPS, _ORDER_CONCL))
 
 
 def _designation_equivalent(f, clauses, chain, names) -> bool:

@@ -201,6 +201,16 @@ rejected(
     lambda: engine.prove_disjunction("BIULm", goal(["p"], ["p"])),
 )
 oracles.linear_alternative = separate
+
+# A Z countermodel is checked by evaluation: a valuation that misses a goal
+# variable or holds a non-integer refutes nothing.
+for label, g, valuation in [
+    ("Z countermodel without a disjunct variable", goal([], ["p -> q"]), {"p": 1}),
+    ("Z countermodel without a hypothesis variable", goal(["q"], ["p"]), {"p": -1}),
+    ("Z countermodel with a fractional value", goal([], ["p"]), {"p": Fraction(-1, 2)}),
+]:
+    forged = oracles.ProofResult("refuted", g, countermodel=oracles.Countermodel.of("Z", valuation))
+    rejected(label, lambda: oracles.check_result("A", forged))
 '''
 
 
@@ -215,4 +225,4 @@ def test_certificate_checks_survive_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 20 and all(line.startswith("rejected:") for line in lines), lines
+    assert len(lines) == 23 and all(line.startswith("rejected:") for line in lines), lines

@@ -1,5 +1,6 @@
 import itertools
 import time
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -372,6 +373,17 @@ FORGED = {
     "chain without a half-width": ("RMt", _refuted(["p", "~p"], "sugihara_odd_x", {"p": 1})),
     "chain of half-width 0": ("RMt", _refuted(["p", "~p"], "sugihara_odd_0", {"p": 0})),
     "non-integer value in Z": ("A", _refuted(["p"], "Z", {"p": "x"})),
+    # each would refute its goal in Z if it were whole and integral
+    "fractional value in Z": ("A", _refuted(["p"], "Z", {"p": Fraction(-1, 2)})),
+    "disjunct variable without a value in Z": ("A", _refuted(["p -> q"], "Z", {"p": 1})),
+    "hypothesis variable without a value in Z": (
+        "A",
+        ProofResult(
+            "refuted",
+            Goal.of([parse("q")], [parse("p")]),
+            countermodel=Countermodel.of("Z", {"p": -1}),
+        ),
+    ),
     # p -> q fails there, but no decision on two variables uses a chain
     # wider than half-width 4
     "chain wider than any decision chain": (
@@ -401,12 +413,15 @@ def test_check_result_rejects_forged_evidence(label):
 
 def test_seven_variable_theorem_is_proved():
     # about 3**7 pairs of a state and its top level per search, where the
-    # canonical grids held 8.6M and 12M points; the sum certified is r + ~r
+    # canonical grids held 8.6M and 12M points; the sum certified is r + ~r,
+    # the first and last disjuncts in the structural order
     goal = " | ".join([f"(p -> q{i})" for i in range(5)] + ["r", "~r"])
     result = prove_consequence("RMt", [], parse(goal))
     assert result.status == "proved", result
     (proof,) = result.results
-    assert proof.certificate.lambdas == (0, 0, 0, 0, 0, 1, 1)
+    disjuncts = proof.goal.clause.disjuncts
+    assert (disjuncts[0], disjuncts[-1]) == (parse("r"), parse("~r"))
+    assert proof.certificate.lambdas == (1, 0, 0, 0, 0, 0, 1)
     assert proof.certificate.witness.chains == ("sugihara_even_3", "sugihara_odd_2")
 
 
