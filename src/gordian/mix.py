@@ -5,29 +5,32 @@ A logic whose multiplicative axioms include ``0 -> 1`` and ``1 -> 0``
 besides the core (``logics._MLL_CORE``) proves every theorem of MLL with
 the mix rules in which ``1`` and ``0`` are the same unit (Fleury and
 Retoré, "The mix rule", MSCS 4(2), 1994).  :func:`mix_derivation` searches
-for such a proof of a hypothesis-free target and returns it as lines of
-axiom instances and modus ponens, which the derivation checker re-checks
-like any other.
+for such a proof of a hypothesis-free target and returns it as the
+justifications of a derivation by axiom instances and modus ponens, in the
+saturation's format, which ``oracles._reconstruct`` turns into lines for
+the derivation checker.
 
 The search works on one-sided sequents: lists of signed formulas, ``(f,
 True)`` for ``f`` asserted and ``(f, False)`` for ``f`` assumed.  A unit
 goes first, since it can always be dropped, then a tensor (below) one of
-whose parts is a unit, the rest of the sequent going with the other part.  A sequent whose atoms do not balance (each
-variable as often asserted as assumed) has no proof.  Otherwise a formula
-both asserted and assumed is first tried as one identity link, the rest
-proved beside it by mix; then the first par (an asserted implication or an
-assumed fusion) is split into its parts, which loses nothing; with no par
-left, each tensor (an asserted fusion or an assumed implication) is tried
-with each split of the rest of the sequent whose two sides balance.  Found
-and failed sequents are memoized.  :data:`WORK_CAP` steps (sequents opened,
-splits tried and combinators built by the abstraction below) end the work.
+whose parts is a unit, the rest of the sequent going with the other part.
+A sequent whose atoms do not balance (each variable as often asserted as
+assumed) has no proof.  Otherwise a formula both asserted and assumed is
+first tried as one identity link, the rest proved beside it by mix; then
+the first par (an asserted implication or an assumed fusion) is split into
+its parts, which loses nothing; with no par left, each tensor (an asserted
+fusion or an assumed implication) is tried with each split of the rest of
+the sequent whose two sides balance.  Found and failed sequents are
+memoized.  :data:`WORK_CAP` steps (sequents opened, splits tried and
+combinators built by the abstraction below) end the work.
 
 A proof of a sequent is read as a linear lambda term of type ``0`` with one
 variable per member: ``f`` for ``(f, False)`` and ``~f`` for ``(f, True)``;
 its constants are instances of ``fusion_intro``, ``uncurry``,
 ``double_negation``, ``unit_intro``, ``unit``, ``0 -> 1`` and ``1 -> 0``.
-Bracket abstraction with ``identity``, ``suffixing`` and ``exchange``
-removes the lambdas, and each application becomes one modus ponens line.
+Each lambda is replaced, as it is built, by the bracket abstraction of its
+body with ``identity``, ``suffixing`` and ``exchange``, so the term is
+constants, each an axiom line, and applications, each a modus ponens line.
 No function here calls itself: the search, the term builder and the
 abstraction keep explicit stacks.
 """
@@ -37,7 +40,8 @@ from __future__ import annotations
 from collections import Counter
 from itertools import count
 
-from .syntax import ONE, ZERO, Formula, Fuse, Imp, One, Var, Zero, fold, neg
+from .linalg import linear_coefficients
+from .syntax import ONE, ZERO, Formula, Fuse, Imp, One, Var, Zero, neg
 
 # Sequents opened, splits tried and combinator applications built before
 # the search gives up.
@@ -47,17 +51,24 @@ _UNITS = (One, Zero)
 _NO_VARIABLES = frozenset()
 
 
-def mix_derivation(phi: Formula, up: str, down: str) -> list[tuple[Formula, str]] | None:
-    """Lines ``(formula, justification)`` deriving the multiplicative
-    ``phi``, the last one ``phi``, from a proof in MLL with mix and one
-    unit; ``up`` and ``down`` name the logic's axioms ``0 -> 1`` and
-    ``1 -> 0``.  None when the search and the abstraction take more than
+class _OutOfWork(Exception):
+    """The abstraction passed :data:`WORK_CAP`."""
+
+
+def mix_derivation(phi: Formula, up: str, down: str) -> dict[Formula, tuple] | None:
+    """The justifications ``("axiom", name)`` or ``("mp", premise,
+    implication)`` of a derivation of the multiplicative ``phi`` from a
+    proof in MLL with mix and one unit, each entered after its premises';
+    ``up`` and ``down`` name the logic's axioms ``0 -> 1`` and ``1 -> 0``.
+    None when the search and the abstraction take more than
     :data:`WORK_CAP` steps."""
     root = (phi, True)
     work = [WORK_CAP]
     proof = _search([root], work)
-    term = proof and _combinators(_term(proof, root, up, down), work)
-    return _lines(term, phi) if term else None
+    try:
+        return _justifications(_term(proof, root, up, down, work)) if proof else None
+    except _OutOfWork:
+        return None
 
 
 # --- the sequent search --------------------------------------------------------
@@ -74,29 +85,18 @@ def _is_par(f: Formula, sign: bool) -> bool:
     return (type(f) is Imp) == sign
 
 
-def _net(f: Formula, nets: dict) -> dict:
-    """Per variable, its asserted minus its assumed occurrences in ``f``
-    asserted; zero entries dropped.  Kept in ``nets``."""
-    if f not in nets:
-        leaf = lambda g: {g.name: 1} if type(g) is Var else {}
-        nets[f] = fold(f, leaf, {Fuse: _sum, Imp: lambda a, b: _sum(b, a, -1)})
-    return nets[f]
-
-
-def _sum(a: dict, b: dict, scale: int = 1) -> dict:
-    out = dict(a)
-    for name, n in b.items():
-        out[name] = out.get(name, 0) + scale * n
-        if not out[name]:
-            del out[name]
-    return out
-
-
-def _balanced(members, nets: dict) -> bool:
+def _balanced(members, readings: dict) -> bool:
+    """Whether each variable occurs in ``members`` as often asserted as
+    assumed: their linear readings, the assumed ones negated, sum to 0.
+    A formula's reading is kept in ``readings``."""
     total: dict = {}
     for f, sign in members:
-        total = _sum(total, _net(f, nets), 1 if sign else -1)
-    return not total
+        reading = readings.get(f)
+        if reading is None:
+            reading = readings[f] = linear_coefficients(f)
+        for name, n in reading.items():
+            total[name] = total.get(name, 0) + (n if sign else -n)
+    return not any(total.values())
 
 
 def _without(seq: list, *members) -> list:
@@ -106,7 +106,7 @@ def _without(seq: list, *members) -> list:
     return rest
 
 
-def _alternatives(seq: list, nets: dict, work: list):
+def _alternatives(seq: list, readings: dict, work: list):
     """The rules that could end a proof of ``seq``, each as ``(rule,
     premises)``, in the order the search tries them; ``work[0]`` counts
     down the splits tried."""
@@ -128,7 +128,7 @@ def _alternatives(seq: list, nets: dict, work: list):
     if not seq:
         yield ("mix0",), []
         return
-    if not _balanced(seq, nets):
+    if not _balanced(seq, readings):
         return
     members = set(seq)
     linked = set()
@@ -152,7 +152,7 @@ def _alternatives(seq: list, nets: dict, work: list):
             if work[0] < 0:
                 return
             left = [m for j, m in enumerate(rest) if mask >> j & 1]
-            if _balanced(left + [first], nets):
+            if _balanced(left + [first], readings):
                 right = [m for j, m in enumerate(rest) if not mask >> j & 1]
                 yield ("tensor", member, tuple(left)), [left + [first], right + [second]]
 
@@ -167,8 +167,8 @@ def _search(root: list, work: list):
     alternative being tried, that alternative's premises and the proofs
     found for them so far."""
     memo: dict = {}
-    nets: dict = {}
-    stack = [[root, _key(root), _alternatives(root, nets, work), None, (), []]]
+    readings: dict = {}
+    stack = [[root, _key(root), _alternatives(root, readings, work), None, (), []]]
     returned = None  # what the last closed frame found
     while stack:
         frame = stack[-1]
@@ -199,7 +199,7 @@ def _search(root: list, work: list):
         work[0] -= 1
         if work[0] < 0:
             return None
-        stack.append([premise, key, _alternatives(premise, nets, work), None, (), []])
+        stack.append([premise, key, _alternatives(premise, readings, work), None, (), []])
     return returned
 
 
@@ -207,8 +207,8 @@ def _search(root: list, work: list):
 #
 # A term is a tuple (kind, a, b, type, free variables): ("v", id, None, ...)
 # for a variable, ("c", axiom name, None, ...) for an axiom instance of its
-# type, ("a", function, argument, ...) for an application and ("l", id,
-# body, ...) for an abstraction.
+# type and ("a", function, argument, ...) for an application.  A lambda is
+# never built: its bracket abstraction (_abstract) stands in for it.
 
 
 def _var(ids, t: Formula) -> tuple:
@@ -224,19 +224,15 @@ def _app(f: tuple, x: tuple) -> tuple:
     return ("a", f, x, f[3].right, f[4] | x[4])
 
 
-def _lam(v: tuple, body: tuple) -> tuple:
-    return ("l", v[1], body, Imp(v[3], body[3]), body[4] - v[4])
-
-
 def _var_type(member: tuple) -> Formula:
     f, sign = member
     return neg(f) if sign else f
 
 
-def _term(proof: tuple, root: tuple, up: str, down: str) -> tuple:
-    """The closed lambda term of type ``phi`` for the proof of ``[root]``,
-    ``root = (phi, True)``, built from an explicit stack of visits and
-    combination steps over a stack of finished terms."""
+def _term(proof: tuple, root: tuple, up: str, down: str, work: list) -> tuple:
+    """The closed abstraction-free term of type ``phi`` for the proof of
+    ``[root]``, ``root = (phi, True)``, built from an explicit stack of
+    visits and combination steps over a stack of finished terms."""
     ids = count()
     unit_intro = _const("unit_intro", Imp(ZERO, Imp(ONE, ZERO)))
     to_one = _const(up, Imp(ZERO, ONE))
@@ -281,20 +277,21 @@ def _term(proof: tuple, root: tuple, up: str, down: str) -> tuple:
                 todo.append(("combine", rule, x, y, z))
                 todo += [("visit", p, e) for p, e in zip(premises[::-1], (env, first_env))]
         else:
-            values.append(_combine(step, values, dn, mix, unit_intro, to_one))
+            values.append(_combine(step, values, work, dn, mix, unit_intro, to_one))
     return values[-1]
 
 
-def _combine(step, values, dn, mix, unit_intro, to_one) -> tuple:
+def _combine(step, values, work, dn, mix, unit_intro, to_one) -> tuple:
     """The term a combination step makes from the finished terms of its
-    premises, taken off ``values``."""
+    premises, taken off ``values``; each lambda in it is abstracted at
+    once, against ``work``."""
 
     def value(x: tuple, t: tuple) -> tuple:
         # a term of a, from t : 0 over x : ~a: double negation, unless t
         # applies x to such a term already
         if t[0] == "a" and t[1] is x and x[1] not in t[2][4]:
             return t[2]
-        return _app(dn(x[3].left), _lam(x, t))
+        return _app(dn(x[3].left), _abstract(x, t, work))
 
     rule = step[1]
     if rule == "root":
@@ -312,56 +309,37 @@ def _combine(step, values, dn, mix, unit_intro, to_one) -> tuple:
     if kind == "par":
         t = values.pop()
         if sign:  # x : ~(a -> b), y : a, z : ~b
-            return _app(x, _lam(y, value(z, t)))
+            return _app(x, _abstract(y, value(z, t), work))
         uncurry = _const("uncurry", Imp(Imp(f.left, Imp(f.right, ZERO)), Imp(f, ZERO)))
-        return _app(_app(uncurry, _lam(y, _lam(z, t))), x)
+        return _app(_app(uncurry, _abstract(y, _abstract(z, t, work), work)), x)
     second, first = values.pop(), values.pop()
     if sign:  # x : ~(a * b), y : ~a, z : ~b
         fusion = _const("fusion_intro", Imp(f.left, Imp(f.right, f)))
         return _app(x, _app(_app(fusion, value(y, first)), value(z, second)))
     # x : a -> b, y : ~a, z : b: the second premise consumes x's value of b
-    return _app(_lam(z, second), _app(x, value(y, first)))
+    return _app(_abstract(z, second, work), _app(x, value(y, first)))
 
 
-def _combinators(term: tuple, work: list) -> tuple | None:
-    """``term`` with every abstraction replaced by its bracket abstraction,
-    children first, so each abstraction's body is already free of them;
-    None once ``work[0]``, less one per application the abstractions add,
-    falls below 0 (each abstraction adds as many as its variable is deep,
-    and that depth grows with every abstraction over its path)."""
-    done: dict = {}  # id of a node -> its abstraction-free form
-    stack = [(term, False)]
-    while stack:
-        node, ready = stack.pop()
-        if node[0] in ("v", "c"):
-            done[id(node)] = node
-        elif not ready:
-            stack.append((node, True))
-            stack += [(child, False) for child in node[1:3] if type(child) is tuple]
-        elif node[0] == "a":
-            done[id(node)] = _app(done[id(node[1])], done[id(node[2])])
-        else:
-            done[id(node)] = _abstract(node[1], node[3].left, done[id(node[2])], work)
-            if work[0] < 0:
-                return None
-    return done[id(term)]
-
-
-def _abstract(v: int, a: Formula, body: tuple, work: list) -> tuple:
+def _abstract(v: tuple, body: tuple, work: list) -> tuple:
     """A term of type ``a -> type(body)`` without the variable ``v`` (of
     type ``a``), which occurs once in the abstraction-free ``body``:
     ``[v]v = identity``, ``[v](M N) = exchange([v]M) N`` when ``v`` is in
-    ``M``, else ``suffixing([v]N) M``, and ``[v](M v) = M``."""
+    ``M``, else ``suffixing([v]N) M``, and ``[v](M v) = M``.  Raises
+    _OutOfWork once ``work[0]``, less two per application on the path to
+    ``v`` (as many as the abstraction adds), falls below 0."""
+    var, a = v[1], v[3]
     path = []
     node = body
     while node[0] == "a":
         path.append(node)
-        node = node[1] if v in node[1][4] else node[2]
+        node = node[1] if var in node[1][4] else node[2]
     work[0] -= 2 * len(path)
+    if work[0] < 0:
+        raise _OutOfWork
     out = None  # [v]v, the identity on a, until an application wraps it
     for f, x in ((n[1], n[2]) for n in reversed(path)):
         inner = out or _const("identity", Imp(a, a))
-        if v in f[4]:  # inner : a -> (b -> c), x : b
+        if var in f[4]:  # inner : a -> (b -> c), x : b
             b, c = f[3].left, f[3].right
             exchange = _const("exchange", Imp(inner[3], Imp(b, Imp(a, c))))
             out = _app(_app(exchange, inner), x)
@@ -373,23 +351,26 @@ def _abstract(v: int, a: Formula, body: tuple, work: list) -> tuple:
     return out or _const("identity", Imp(a, a))
 
 
-def _lines(term: tuple, phi: Formula) -> list[tuple[Formula, str]]:
-    """The derivation of the closed abstraction-free ``term``: each distinct
-    formula once, after its premises; an axiom instance for a constant and
-    modus ponens for an application.  Ends at the line of ``phi``."""
-    index: dict = {}
-    lines: list = []
+def _justifications(term: tuple) -> dict[Formula, tuple]:
+    """Each formula of the closed abstraction-free ``term`` with the
+    justification of its first node in postorder: an axiom instance for a
+    constant, modus ponens for an application, so each is entered after
+    its premises.  A premise is cited as the object entered for it, so
+    reading the map compares no two equal formulas again."""
+    justified: dict = {}
+    entered: dict = {}  # each formula of justified to that object
     stack = [(term, False)]
     while stack:
         node, ready = stack.pop()
-        if node[3] in index:
+        f = node[3]
+        if f in entered:
             continue
         if node[0] == "c":
-            lines.append((node[3], f"axiom {node[1]}"))
+            justified[f] = ("axiom", node[1])
         elif not ready:
             stack += [(node, True), (node[2], False), (node[1], False)]
             continue
         else:
-            lines.append((node[3], f"mp {index[node[2][3]]},{index[node[1][3]]}"))
-        index[node[3]] = len(lines)
-    return lines[: index[phi]]
+            justified[f] = ("mp", entered[node[2][3]], entered[node[1][3]])
+        entered[f] = f
+    return justified

@@ -56,7 +56,7 @@ from .errors import (
 )
 from .linalg import Combination, LinForm, linear_alternative, linear_coefficients, translate_abelian
 from .logics import LogicSpec, instantiate, match_template, resolve_logic
-from .normalize import Goal, MultClause
+from .normalize import Goal, MultClause, structural_order
 from .syntax import (
     ONE,
     ZERO,
@@ -150,9 +150,8 @@ def one_target(sigma, phi: Formula) -> Goal:
     return Goal(tuple(sigma), MultClause((phi,)))
 
 
-def combination_formula(lambdas, disjuncts) -> Formula:
-    """The weighted sum ``l1*f1 + ... + ln*fn`` over the support of
-    ``lambdas``, folded right-nested in disjunct order; raises
+def _weighted(lambdas, disjuncts) -> list[tuple[int, Formula]]:
+    """The positive weights with their disjuncts, in disjunct order; raises
     InvalidCertificateError unless the weights are one per disjunct,
     nonnegative and not all zero."""
     if len(lambdas) != len(disjuncts):
@@ -161,9 +160,17 @@ def combination_formula(lambdas, disjuncts) -> Formula:
         )
     if any(l < 0 for l in lambdas):
         raise InvalidCertificateError("weights must be nonnegative")
-    terms = [scalar(l, d) for l, d in zip(lambdas, disjuncts) if l > 0]
-    if not terms:
+    support = [(l, d) for l, d in zip(lambdas, disjuncts) if l > 0]
+    if not support:
         raise InvalidCertificateError("weights must not all be zero")
+    return support
+
+
+def combination_formula(lambdas, disjuncts) -> Formula:
+    """The weighted sum ``l1*f1 + ... + ln*fn`` over the support of
+    ``lambdas``, folded right-nested in disjunct order; the weights must
+    pass :func:`_weighted`."""
+    terms = [scalar(l, d) for l, d in _weighted(lambdas, disjuncts)]
     return reduce(lambda acc, t: plus(t, acc), reversed(terms[:-1]), terms[-1])
 
 
@@ -226,11 +233,16 @@ def abelian_alternative(sigma, disjuncts) -> Combination | Countermodel:
     return Countermodel.of("Z", full)
 
 
-def verify_linear_witness(witness: LinearWitness, sigma, phi: Formula) -> bool:
+def verify_linear_witness(witness: LinearWitness, sigma, lambdas, disjuncts) -> bool:
+    """Whether ``sum(mu_j * h_j) = scale * sum(l_i * d_i)`` on the linear
+    readings, ``mu`` nonnegative and the scale positive, for weights that
+    pass :func:`_weighted`; the sum is never built as a formula, so a
+    weight may exceed :data:`syntax.MAX_REPEAT`."""
+    target = sum((l * translate_abelian(d) for l, d in _weighted(lambdas, disjuncts)), LinForm())
     if len(witness.mu) != len(sigma) or witness.scale < 1 or min(witness.mu, default=0) < 0:
         return False
     combination = sum((m * translate_abelian(h) for m, h in zip(witness.mu, sigma)), LinForm())
-    return combination == witness.scale * translate_abelian(phi)
+    return combination == witness.scale * target
 
 
 def prove_abelian(goal: Goal) -> ProofResult:
@@ -507,11 +519,13 @@ def hilbert_search(
     match, so nothing is lost by looking no further.  A target without
     hypotheses is next searched for in MLL with mix (:func:`mix_lines`).
     Otherwise, forward saturation: hypotheses and axiom-schema instances
-    built from the :data:`POOL_LIMIT` smallest subterms are closed under
-    modus ponens and the unperforated rule (from ``n*g`` infer ``g``, every
-    n >= 2) until the target appears or the budget runs out.  A proof carries a
-    derivation of ``phi`` under the weight (1,), unchecked (see
-    :func:`check_result`); no answer is refuted.
+    built from the first :data:`POOL_LIMIT` subterms in the structural
+    order (:func:`normalize.structural_order`, smallest first) are closed
+    under modus ponens and the unperforated rule (from ``n*g`` infer ``g``,
+    every n >= 2) until the target appears or the budget runs out.  Both
+    routes justify formulas in one format, which :func:`_reconstruct` turns
+    into lines.  A proof carries a derivation of ``phi`` under the weight
+    (1,), unchecked (see :func:`check_result`); no answer is refuted.
     """
     logic = resolve_logic(logic)
     budget = budget or HilbertBudget()
@@ -543,10 +557,7 @@ def hilbert_search(
             add(phi, ("axiom", axiom))
         else:
             subterms = {g for f in sigma + [phi, ONE, ZERO] for g in subformulas(f)}
-            # render for the tie-break only what can enter the pool
-            cut = sorted(f.size for f in subterms)[:POOL_LIMIT][-1]
-            small = [f for f in subterms if f.size <= cut]
-            pool = sorted(small, key=lambda f: (f.size, render(f)))[:POOL_LIMIT]
+            pool = sorted(subterms, key=structural_order(subterms))[:POOL_LIMIT]
             for name, instance in _axiom_instances(schemas, pool, max(2 * phi.size + 8, 24)):
                 add(instance, ("axiom", name))
 
@@ -585,14 +596,16 @@ def mix_lines(logic: LogicSpec, phi: Formula) -> tuple[DerivationLine, ...] | No
         return None
     from . import mix  # imported on first use: compiling it costs a process about 7 ms
 
-    lines = mix.mix_derivation(phi, up, down)
-    return lines and tuple(DerivationLine(i + 1, f, just) for i, (f, just) in enumerate(lines))
+    proof = mix.mix_derivation(phi, up, down)
+    return proof and _reconstruct(phi, proof)
 
 
 def _reconstruct(goal: Formula, parents: dict[Formula, tuple]) -> tuple[DerivationLine, ...]:
-    """The lines that derive ``goal``, each after its premises: a
-    depth-first postorder from ``goal`` over the justifications, premises
-    in the order they are cited."""
+    """The lines that derive ``goal`` from the saturation's or the search
+    in MLL with mix's justifications (``("hyp",)``, ``("axiom", name)``,
+    ``("mp", premise, implication)`` or ``("u", n, premise)``): a
+    depth-first postorder from ``goal``, premises in the order they are
+    cited, so every line but the last is cited by a later one."""
     order: list[Formula] = []
     seen: set[Formula] = set()
     stack = [(goal, False)]  # (formula, its premises are done)
@@ -720,9 +733,9 @@ def check_result(logic: LogicSpec | str, result: ProofResult) -> ProofResult:
     """``result`` itself, once its evidence re-checks against its goal alone,
     else InvalidCertificateError: a countermodel in a declared model class
     that refutes the goal, or a witness of the logic's own kind for the
-    disjuncts' weighted sum.  A chain-exhaustive witness names the sum's
-    decision chains, on which the level search finds no countermodel to
-    the sum."""
+    disjuncts' weighted sum, which a linear witness reads without building.
+    A chain-exhaustive witness names the sum's decision chains, on which
+    the level search finds no countermodel to the sum."""
     logic = resolve_logic(logic)
     hyps, disjuncts = result.goal.hypotheses, result.goal.clause.disjuncts
     if result.status == "refuted":
@@ -732,10 +745,13 @@ def check_result(logic: LogicSpec | str, result: ProofResult) -> ProofResult:
     witness = getattr(result.certificate, "witness", None)
     if type(witness) is not WITNESS[logic.oracle_kind]:
         raise InvalidCertificateError(f"{logic.name} certifies no proof by {witness}")
-    combo = combination_formula(result.certificate.lambdas, disjuncts)
+    lambdas = result.certificate.lambdas
     if witness.kind == "linear":
-        ok = verify_linear_witness(witness, hyps, combo)
-    elif witness.kind == "derivation":
+        if verify_linear_witness(witness, hyps, lambdas, disjuncts):
+            return result
+        raise InvalidCertificateError(f"the linear witness does not balance the weights {lambdas}")
+    combo = combination_formula(lambdas, disjuncts)
+    if witness.kind == "derivation":
         lines = witness.lines
         ok = lines and lines[-1].formula == combo and verify_derivation(logic, lines, hyps)
     else:

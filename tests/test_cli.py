@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from gordian import cli
+from gordian import cli, prove_consequence
 from gordian.cli import main
 from gordian.engine import combination_formula
 from gordian.normalize import Goal
@@ -385,3 +385,17 @@ def test_internal_error_is_exit_three(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "prove", problem)
     assert code == 3 and out == ""
     assert "internal error: KeyError" in err
+
+
+def test_abelian_weight_past_the_repetition_cap_is_checked(tmp_path, capsys):
+    # 90000 p >= 0 gives p >= 0: the weight lies past syntax.MAX_REPEAT, so
+    # the check reads the weighted sum's linear reading, never the formula
+    # 90000*p, which no formula may hold
+    hyp, concl = parse("(p^300)^300"), parse("p")
+    verdict = prove_consequence("A", [hyp], concl)
+    assert verdict.status == "proved"
+    assert [r.certificate.lambdas for r in verdict.results] == [(90000,)]
+    assert decide("A", [hyp], concl).certificate.witness.scale == 90000
+    problem = write(tmp_path, "weight.txt", "logic A\nassume (p^300)^300\nprove p\n")
+    code, out, _ = run(capsys, "prove", problem)
+    assert code == 0 and out.startswith("proved (A)")

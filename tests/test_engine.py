@@ -273,7 +273,10 @@ def test_proved_certificates_reverify():
                 assert decide(logic, goal.hypotheses, combo).status == "proved"
                 if logic_name == "A":
                     assert verify_linear_witness(
-                        result.certificate.witness, goal.hypotheses, combo
+                        result.certificate.witness,
+                        goal.hypotheses,
+                        result.certificate.lambdas,
+                        goal.clause.disjuncts,
                     )
             else:
                 assert result.status == "refuted"

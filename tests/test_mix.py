@@ -48,6 +48,40 @@ def test_mix_proves_core_theorems(text):
     assert verify_derivation("BIULm", lines)
 
 
+def _uncited(lines) -> list[int]:
+    """The numbers of the lines before the last that no mp or u_n line cites."""
+    cited = set()
+    for line in lines:
+        rule, _, premises = line.justification.partition(" ")
+        if rule == "mp" or rule.startswith("u_"):
+            cited.update(int(n) for n in premises.split(","))
+    return [line.index for line in lines[:-1] if line.index not in cited]
+
+
+def test_every_derivation_line_is_cited():
+    # a derivation ends at its target and holds nothing else: every line
+    # but the last is a premise of a later one
+    biulm = lookup_logic("BIULm")
+    rng = Random(5)
+    derivations = []
+    for _ in range(300):
+        derivations.append(mix_lines(biulm, random_mult_formula(rng, ["p", "q"], rng.randint(1, 4))))
+    for text in ["p * q -> q * p", "~~p -> p", "1 -> 0", "0 -> 1", "1", "0",
+                 "p * (q * r) -> (p * q) * r", "(p * q) * r -> p * (q * r)",
+                 "(p * q)^3 -> (q * p)^3"]:
+        derivations.append(mix_lines(biulm, parse(text)))
+    prelinearity = prove_consequence("BIULm", [], parse("(p -> q) | (q -> p)"))
+    derivations.append(prelinearity.results[0].certificate.witness.lines)
+    for hyps, text in [(["p"], "p * p"), (["p -> q", "q -> r"], "p -> r"),
+                       (["p + p"], "p"), (["p * q"], "q * p"), (["p", "q"], "p * q")]:
+        verdict = hilbert_search("BIULm", [parse(h) for h in hyps], parse(text))
+        assert verdict.status == "proved"
+        derivations.append(verdict.certificate.witness.lines)
+    uncited = [_uncited(lines) for lines in derivations if lines is not None]
+    assert len(uncited) > 50
+    assert [numbers for numbers in uncited if numbers] == []
+
+
 def test_deep_identity_costs_one_link():
     # the two copies of p^600 are linked as one formula, never split into
     # 600 atoms; the saturation ended unknown here after about a second

@@ -65,7 +65,7 @@ rejected(
 )
 oracles._reconstruct = reconstruct
 search = mix.mix_derivation
-mix.mix_derivation = lambda phi, up, down: [(phi, f"axiom {up}")]
+mix.mix_derivation = lambda phi, up, down: {phi: ("axiom", up)}
 rejected(
     "derivation from the search in MLL with mix with an unjustified line",
     lambda: engine.prove_disjunction("BIULm", goal([], ["p * q -> q * p"])),

@@ -1,4 +1,5 @@
 import itertools
+import sys
 import time
 from fractions import Fraction
 from random import Random
@@ -20,7 +21,7 @@ from gordian import EngineBudget, HilbertBudget, logics, oracles, prove_conseque
 
 from gordian.errors import InvalidCertificateError, NotMultiplicativeError
 from gordian.logics import instantiate, lookup_logic
-from gordian.normalize import Goal
+from gordian.normalize import Goal, structural_order
 from gordian.oracles import (
     ChainExhaustiveWitness,
     Countermodel,
@@ -61,7 +62,7 @@ def test_abelian_witnesses_reverify():
         phi = random_mult_formula(rng, ["p", "q", "r"], rng.randint(1, 3))
         verdict = decide("A", sigma, phi)
         if verdict.status == "proved":
-            assert verify_linear_witness(verdict.certificate.witness, sigma, phi)
+            assert verify_linear_witness(verdict.certificate.witness, sigma, (1,), [phi])
         else:
             assert countermodel_refutes(verdict.countermodel, sigma, [phi])
 
@@ -365,6 +366,15 @@ FORGED = {
     "wrong linear scale": ("A", _proved(["p + p"], "p", LinearWitness((1,), 1))),
     # one weight per hypothesis
     "missing hypothesis weight": ("A", _proved(["p"], "p", LinearWitness((), 1))),
+    # a linear witness is read against the weighted sum, so the weights
+    # keep the rules of combination_formula: not all zero, none negative,
+    # one per disjunct
+    "zero weights on a linear witness": ("A", _proved(["p"], "p", LinearWitness((0,), 1), (0,))),
+    "negative weight on a linear witness": (
+        "A",
+        _proved(["p"], "p", LinearWitness((1,), 1), (-1,)),
+    ),
+    "extra weight on a linear witness": ("A", _proved(["p"], "p", LinearWitness((1,), 1), (1, 0))),
     # a countermodel's values lie in its chain's carrier, one per variable,
     # and its chain name resolves
     "value outside the even carrier": ("RMt", _refuted(["p", "~p"], "sugihara_even_2", {"p": 0})),
@@ -556,26 +566,28 @@ def test_axiom_instances_skip_oversized_before_building(monkeypatch):
 
 
 def test_hilbert_pool_renders_only_its_candidates(monkeypatch):
-    # a deep target that is no axiom instance: only the subterms up to the
-    # pool's largest size are rendered for its tie-break, the same pool as
-    # sorting all of them
+    # a deep target that is no axiom instance: the pool is the prefix of
+    # the subterms in the structural order, and building it renders nothing
     phi = parse("p^600 -> p^600 * 1")
     rendered, pools = [], []
-    real_render, real_stream = oracles.render, oracles._axiom_instances
+    real_stream = oracles._axiom_instances
 
     def counting(f):
         rendered.append(f)
-        return real_render(f)
+        return render(f)
 
     def recording(schemas, pool, max_size):
         pools.append(pool)
         return real_stream(schemas, pool, max_size)
 
-    monkeypatch.setattr(oracles, "render", counting)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gordian") and getattr(module, "render", None) is render:
+            monkeypatch.setattr(module, "render", counting)
     monkeypatch.setattr(oracles, "_axiom_instances", recording)
     monkeypatch.setattr(oracles, "mix_lines", lambda logic, phi: None)  # the pool is built
     hilbert_search("BIULm", [], phi)
-    assert len(rendered) < 100
+    assert rendered == []
     subterms = {g for f in (phi, ONE, ZERO) for g in subformulas(f)}
-    key = lambda f: (f.size, real_render(f))
+    key = structural_order(subterms)
     assert pools == [sorted(subterms, key=key)[: oracles.POOL_LIMIT]]
+    assert [f.size for f in pools[0]] == sorted(f.size for f in subterms)[: oracles.POOL_LIMIT]
