@@ -72,14 +72,19 @@ def _parse_problem(text: str) -> tuple[str | None, list[Formula], Formula | None
         rest = rest.strip()
         if keyword == "logic":
             logic_name = rest
-        elif keyword == "assume":
-            assumptions.append(parse(rest))
-        elif keyword == "prove":
-            if conclusion is not None:
-                raise GordianError(f"line {lineno}: only one prove line allowed")
-            conclusion = parse(rest)
-        else:
+            continue
+        if keyword not in ("assume", "prove"):
             raise GordianError(f"line {lineno}: unknown directive {keyword!r}")
+        if keyword == "prove" and conclusion is not None:
+            raise GordianError(f"line {lineno}: only one prove line allowed")
+        try:
+            formula = parse(rest)
+        except GordianError as exc:
+            raise GordianError(f"line {lineno}: {exc}") from exc
+        if keyword == "assume":
+            assumptions.append(formula)
+        else:
+            conclusion = formula
     return logic_name, assumptions, conclusion
 
 

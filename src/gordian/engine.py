@@ -9,7 +9,10 @@ accepts it:
 
 * Abelian: :func:`oracles.prove_abelian`, the one exact LP, decides both
   directions at once: its combination gives ``lambda`` and the
-  hypotheses' weights, its separation the integer countermodel.
+  hypotheses' weights, its separation the integer countermodel.  The
+  goals of one consequence share an :class:`oracles.AbelianMemo`: each
+  literal's linear reading is computed once, and a goal that an earlier
+  goal's countermodel already refutes is answered without the LP.
 * Mingle logics: :func:`oracles.prove_subsets`, ``lambda`` over 0/1
   vectors, from the level search (:class:`chains.LevelSearch`) on each
   decision chain.
@@ -28,6 +31,7 @@ from .errors import LogicWithoutToAError
 from .logics import LogicSpec, resolve_logic
 from .normalize import Goal, decompose_consequence
 from .oracles import (
+    AbelianMemo,
     Countermodel,
     HilbertBudget,
     ProofResult,
@@ -59,15 +63,20 @@ DEFAULT_BUDGET = EngineBudget()
 
 
 def prove_disjunction(
-    logic: LogicSpec | str, goal: Goal, budget: EngineBudget = DEFAULT_BUDGET
+    logic: LogicSpec | str,
+    goal: Goal,
+    budget: EngineBudget = DEFAULT_BUDGET,
+    memo: AbelianMemo | None = None,
 ) -> ProofResult:
     """Decide one multiplicative disjunction goal with certificates, by the
-    procedure of the logic's oracle kind, checked by :func:`oracles.check_result`."""
+    procedure of the logic's oracle kind, checked by :func:`oracles.check_result`.
+    The Abelian procedure reads ``memo``, the consequence's shared readings
+    and countermodels (a fresh one by default); the other kinds ignore it."""
     logic = resolve_logic(logic)
     if not logic.has_toa:
         raise LogicWithoutToAError(f"{logic.name} has no theorem of alternatives")
     if logic.oracle_kind == "abelian":
-        return check_result(logic, prove_abelian(goal))
+        return check_result(logic, prove_abelian(goal, memo))
     if logic.oracle_kind == "sugihara":
         return check_result(logic, prove_subsets(logic, goal))
     return check_result(logic, _prove_deepening(logic, goal, budget))
@@ -144,10 +153,14 @@ def prove_consequence(
 
     Proved iff every goal is proved; any refuted goal refutes the
     consequence (the decomposition is equivalence-preserving over chains).
+    The goals share one :class:`oracles.AbelianMemo`, so in ``A`` each
+    literal is read once and a goal that an earlier goal's countermodel
+    refutes skips the LP; every goal is still decided and checked.
     """
     logic = resolve_logic(logic)
     goals = decompose_consequence(sigma, f)
-    results = tuple(prove_disjunction(logic, g, budget) for g in goals)
+    memo = AbelianMemo()
+    results = tuple(prove_disjunction(logic, g, budget, memo) for g in goals)
     if any(r.status == "refuted" for r in results):
         status = "refuted"
     elif any(r.status == "unknown" for r in results):

@@ -8,7 +8,9 @@ one-target entry, asks each the one-disjunct question ``sigma |- phi``:
 * ``abelian``: :func:`prove_abelian` on :func:`abelian_alternative`, the
   package's one exact LP on the linear readings: weights on the disjuncts
   and hypotheses that balance, or else its separation, an integer
-  countermodel in Z.
+  countermodel in Z.  The goals of one consequence share an
+  :class:`AbelianMemo`: each literal is read once, and an earlier goal's
+  countermodel that refutes a goal answers it before the LP.
 * ``sugihara`` (the mingle logics): :func:`prove_subsets`, weights over 0/1
   vectors.  The goal is compiled once for the level search
   (:class:`chains.LevelSearch`, which places the variables a level of
@@ -214,13 +216,57 @@ def checked_countermodel(cm: Countermodel, sigma, disjuncts, classes) -> Counter
 # --- Abelian ------------------------------------------------------------------
 
 
-def abelian_alternative(sigma, disjuncts) -> Combination | Countermodel:
+class AbelianMemo:
+    """What the Abelian goals of one consequence share: each literal's
+    :func:`linalg.linear_coefficients` reading, keyed by node identity (the
+    node is kept with its reading, so an identity is never reused), and
+    the Z countermodels found so far, the latest hit first."""
+
+    __slots__ = ("readings", "countermodels")
+
+    def __init__(self):
+        self.readings: dict[int, tuple[Formula, dict[str, int]]] = {}
+        self.countermodels: list[dict[str, int]] = []
+
+    def reading(self, f: Formula) -> dict[str, int]:
+        entry = self.readings.get(id(f))
+        if entry is None:
+            entry = self.readings[id(f)] = (f, linear_coefficients(f))
+        return entry[1]
+
+    def refuting(self, d_forms, h_forms, variables) -> dict[str, int] | None:
+        """An earlier countermodel, restricted to ``variables``, under which
+        every hypothesis reads >= 0 and every disjunct < 0, moved to the
+        front; ``None`` when none does.  One lacking a goal variable is
+        skipped."""
+        for i, val in enumerate(self.countermodels):
+            if not variables <= val.keys():
+                continue
+            read = lambda f: sum(c * val[v] for v, c in f.items())
+            if all(read(f) < 0 for f in d_forms) and all(read(f) >= 0 for f in h_forms):
+                self.countermodels.insert(0, self.countermodels.pop(i))
+                return {v: val[v] for v in variables}
+        return None
+
+
+def abelian_alternative(
+    sigma, disjuncts, memo: AbelianMemo | None = None
+) -> Combination | Countermodel:
     """:func:`linalg.linear_alternative` on the linear readings of
     ``sigma |- disjuncts``: the combination of the disjuncts that weights on
     the hypotheses match, or else its separation, which makes every
-    disjunct negative and no hypothesis negative, as a countermodel in Z."""
-    d_forms = [linear_coefficients(d) for d in disjuncts]
-    h_forms = [linear_coefficients(h) for h in sigma]
+    disjunct negative and no hypothesis negative, as a countermodel in Z.
+
+    The readings come from ``memo`` (a fresh one by default), and an
+    earlier countermodel of the memo that refutes the goal is returned
+    without the LP, restricted to the goal's variables."""
+    memo = AbelianMemo() if memo is None else memo
+    d_forms = [memo.reading(d) for d in disjuncts]
+    h_forms = [memo.reading(h) for h in sigma]
+    goal_variables = set().union(*d_forms, *h_forms)
+    earlier = memo.refuting(d_forms, h_forms, goal_variables)
+    if earlier is not None:
+        return Countermodel.of("Z", earlier)
     variables = sorted({v for f in d_forms + h_forms for v, c in f.items() if c})
     result = linear_alternative(
         [[f.get(v, 0) for v in variables] for f in d_forms],
@@ -228,8 +274,9 @@ def abelian_alternative(sigma, disjuncts) -> Combination | Countermodel:
     )
     if isinstance(result, Combination):
         return result
-    full = dict.fromkeys(itertools.chain(*d_forms, *h_forms), 0)  # every goal variable
+    full = dict.fromkeys(goal_variables, 0)
     full.update(zip(variables, result.y))
+    memo.countermodels.insert(0, full)
     return Countermodel.of("Z", full)
 
 
@@ -245,10 +292,11 @@ def verify_linear_witness(witness: LinearWitness, sigma, lambdas, disjuncts) -> 
     return combination == witness.scale * target
 
 
-def prove_abelian(goal: Goal) -> ProofResult:
-    """The Abelian logic's procedure: :func:`abelian_alternative`, its
-    combination as the weights and a linear witness of scale 1."""
-    result = abelian_alternative(goal.hypotheses, goal.clause.disjuncts)
+def prove_abelian(goal: Goal, memo: AbelianMemo | None = None) -> ProofResult:
+    """The Abelian logic's procedure: :func:`abelian_alternative` with the
+    consequence's ``memo``, its combination as the weights and a linear
+    witness of scale 1."""
+    result = abelian_alternative(goal.hypotheses, goal.clause.disjuncts, memo)
     if isinstance(result, Countermodel):
         return ProofResult("refuted", goal, countermodel=result)
     cert = ToACertificate(tuple(result.lambdas), LinearWitness(tuple(result.mu), 1))

@@ -314,7 +314,7 @@ def test_deep_formula_verdicts_and_errors(tmp_path):
         assert code == expected and out.startswith(f"{status} ({logic})"), (logic, conclusion)
     # a malformed deep formula is an input error, never a verdict
     code, out, err = run_child(tmp_path, "logic A\nprove " + "(" * 5000 + "p\n")
-    assert (code, out) == (3, "") and err.startswith("error: expected ')'"), err
+    assert (code, out) == (3, "") and err.startswith("error: line 2: expected ')'"), err
 
 
 def test_prove_refuses_formulas_that_print_past_the_cap(tmp_path, capsys, monkeypatch):
@@ -399,3 +399,16 @@ def test_abelian_weight_past_the_repetition_cap_is_checked(tmp_path, capsys):
     problem = write(tmp_path, "weight.txt", "logic A\nassume (p^300)^300\nprove p\n")
     code, out, _ = run(capsys, "prove", problem)
     assert code == 0 and out.startswith("proved (A)")
+
+
+def test_parse_errors_name_their_line(tmp_path, capsys):
+    # an empty formula on an assume or prove line: the error names the line
+    # as it does for a second prove line
+    for text, lineno in [
+        ("logic A\nassume\nprove p\n", 2),
+        ("logic A\n\nassume p\nprove p ->\n", 4),
+    ]:
+        problem = write(tmp_path, "p.txt", text)
+        code, out, err = run(capsys, "prove", problem)
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: line {lineno}: unexpected 'end of input'"), err

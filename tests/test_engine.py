@@ -39,7 +39,7 @@ from gordian.oracles import (
     verify_derivation,
     verify_linear_witness,
 )
-from gordian.syntax import parse, plus, scalar
+from gordian.syntax import parse, plus, scalar, variables_of
 
 
 def goal_of(hyp_texts, disjunct_texts) -> Goal:
@@ -483,3 +483,73 @@ def test_deepening_agrees_with_linear_on_abelian_goals():
         assert linear.countermodel == deepening.countermodel
         statuses.add(linear.status)
     assert statuses == {"proved", "refuted"}
+
+
+def _abelian_consequences():
+    """Seeded random A consequences without and with hypotheses, and ones
+    of the benchmark's lattice shape (0-2 hypotheses of depth 1-3 and a
+    conclusion of depth 3-5 over four variables), each forking several goals."""
+    rng = Random(2525)
+    out = []
+    for shape in ("no hypotheses", "hypotheses", "lattice"):
+        names = ["p", "q", "r", "s"] if shape == "lattice" else ["p", "q", "r"]
+        while len(out) < {"no hypotheses": 20, "hypotheses": 40, "lattice": 50}[shape]:
+            if shape == "lattice":
+                sigma = [random_formula(rng, names, rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
+                f = random_formula(rng, names, rng.randint(3, 5))
+            else:
+                hyps = 0 if shape == "no hypotheses" else rng.randint(1, 2)
+                sigma = [random_formula(rng, names, rng.randint(1, 3)) for _ in range(hyps)]
+                f = random_formula(rng, names, rng.randint(2, 4), lattice_weight=0.5)
+            try:
+                result = prove_consequence("A", sigma, f)
+            except SizeBudgetExceededError:
+                continue
+            if len(result.results) > 1:
+                out.append(result)
+    return out
+
+
+def test_shared_abelian_memo_changes_no_verdict():
+    # the goals of a consequence share one memo, so a later goal may take an
+    # earlier goal's countermodel; each goal still gets the verdict,
+    # weights and witness of the goal decided alone, the consequence keeps
+    # the first refuted goal's own countermodel, and every goal's
+    # countermodel names exactly that goal's variables
+    reused = 0
+    for result in _abelian_consequences():
+        alone = [prove_disjunction("A", r.goal) for r in result.results]
+        assert [r.status for r in result.results] == [a.status for a in alone]
+        assert [r.certificate for r in result.results] == [a.certificate for a in alone]
+        refuted = [a for a in alone if a.status == "refuted"]
+        assert result.countermodel == (refuted[0].countermodel if refuted else None)
+        for r, a in zip(result.results, alone):
+            if r.status == "refuted":
+                goal = r.goal
+                assert set(r.countermodel.mapping) == variables_of(goal.hypotheses + goal.clause.disjuncts)
+                assert countermodel_refutes(r.countermodel, goal.hypotheses, goal.clause.disjuncts)
+                reused += r.countermodel != a.countermodel
+    assert reused  # some later goal took an earlier goal's countermodel
+
+
+def test_abelian_consequence_reads_each_literal_once(monkeypatch):
+    # four refuted goals: the first and third need the LP, the second and
+    # fourth are refuted by p = -1 and by p = -2, q = -1 from before
+    calls = {"linear_alternative": 0, "linear_coefficients": 0}
+
+    def counting(name):
+        real = getattr(oracles, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(oracles, name, counted)
+
+    counting("linear_alternative")
+    counting("linear_coefficients")
+    result = prove_consequence("A", [], parse("(p & (q -> p)) | (p * p & q)"))
+    assert [r.status for r in result.results] == ["refuted"] * 4
+    assert calls["linear_alternative"] == 2
+    literals = {id(f) for r in result.results for f in r.goal.hypotheses + r.goal.clause.disjuncts}
+    assert calls["linear_coefficients"] == len(literals)

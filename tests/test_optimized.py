@@ -43,7 +43,7 @@ def rejected(label, action, error=InvalidCertificateError):
 # them for the engine and for the one-target question alike.
 transitive = goal(["p -> q", "q -> r"], ["p -> r"])
 alternative = oracles.abelian_alternative
-oracles.abelian_alternative = lambda sigma, disjuncts: linalg.Combination((1,), (1, 0))
+oracles.abelian_alternative = lambda sigma, disjuncts, memo=None: linalg.Combination((1,), (1, 0))
 rejected(
     "abelian weights that do not sum to the combination",
     lambda: engine.prove_disjunction("A", transitive),
@@ -53,6 +53,19 @@ rejected(
     lambda: oracles.decide("A", transitive.hypotheses, parse("p -> r")),
 )
 oracles.abelian_alternative = alternative
+
+# A goal settled by an earlier goal's countermodel is re-checked like any
+# other: a reuse test that takes every earlier valuation gives the proved
+# goal p -> p the countermodel p = -1 of the goal p.
+refuting = oracles.AbelianMemo.refuting
+oracles.AbelianMemo.refuting = lambda memo, d_forms, h_forms, variables: (
+    {v: memo.countermodels[0].get(v, 0) for v in variables} if memo.countermodels else None
+)
+rejected(
+    "earlier countermodel that does not refute a later goal",
+    lambda: engine.prove_consequence("A", [], parse("p & (p -> p)")),
+)
+oracles.AbelianMemo.refuting = refuting
 
 # A derivation whose one line, the target, is no axiom instance: from the
 # saturation, which reaches p * p from p, and from the search in MLL with
@@ -225,4 +238,4 @@ def test_certificate_checks_survive_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 23 and all(line.startswith("rejected:") for line in lines), lines
+    assert len(lines) == 24 and all(line.startswith("rejected:") for line in lines), lines
