@@ -7,6 +7,19 @@ from .chains import (
     eval_formula,
     sugihara_chain,
 )
+from .check import (
+    ChainExhaustiveWitness,
+    Countermodel,
+    DerivationLine,
+    DerivationWitness,
+    LinearWitness,
+    ProofResult,
+    ToACertificate,
+    check_result,
+    combination_formula,
+    countermodel_refutes,
+    verify_derivation,
+)
 from .density import (
     DensityCertificate,
     density_goal,
@@ -59,23 +72,7 @@ from .logics import (
     registered_logics,
 )
 from .normalize import Goal, MultClause, decompose_consequence, to_mult_clauses
-from .oracles import (
-    ChainExhaustiveWitness,
-    Countermodel,
-    DerivationLine,
-    DerivationWitness,
-    HilbertBudget,
-    LinearWitness,
-    ProofResult,
-    ToACertificate,
-    check_result,
-    check_toa_condition,
-    combination_formula,
-    countermodel_refutes,
-    decide,
-    sugihara_decide,
-    verify_derivation,
-)
+from .oracles import HilbertBudget, check_toa_condition, decide, sugihara_decide
 from .syntax import (
     Conj,
     Disj,

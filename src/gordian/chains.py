@@ -37,7 +37,8 @@ import operator
 import re
 from functools import lru_cache
 
-from .errors import MissingVariableError, SizeBudgetExceededError
+from .errors import MissingVariableError, SizeBudgetExceededError, UnsupportedLogicError
+from .logics import LogicSpec, resolve_logic
 from .syntax import Conj, Disj, Formula, Fuse, Imp, One, Var, Zero, fold, subformulas, variables
 
 # Read at call time: the most variables one level search takes.
@@ -96,6 +97,41 @@ def chain_from_name(name: str, widest: int) -> ChainAlgebra:
     if k > widest:
         raise ValueError(f"{name} is wider than {widest}")
     return sugihara_chain(k, odd=match[1] == "odd")
+
+
+# The half-width, past a question's variable count, of the chain that
+# stands for each Sugihara class (:func:`class_chains`).
+CLASS_MARGINS = {"sugihara_odd": 1, "sugihara_even": 2}
+
+
+def class_chains(classes, k: int) -> list[ChainAlgebra]:
+    """One chain per Sugihara class among ``classes``, in their order, that
+    stands for the whole class on a k-variable question: the odd chain of
+    half-width k+1 and the even chain of half-width k+2.  A k-variable
+    valuation into any chain of a class uses at most k absolute-value
+    levels, so its subalgebra embeds in that chain (see
+    :class:`LevelSearch`), and the chain refutes the question exactly when
+    the class does."""
+    return [
+        sugihara_chain(k + CLASS_MARGINS[c], odd=c == "sugihara_odd")
+        for c in classes
+        if c in CLASS_MARGINS
+    ]
+
+
+def decision_chains(logic: LogicSpec | str, k: int) -> list[ChainAlgebra]:
+    """Decision chains for a k-variable question: the chains of a mingle
+    logic's declared Sugihara classes (:func:`class_chains`), which are
+    complete for it.  The odd chains suffice for the odd-unit logic; the
+    mingle logic with separate unit also needs the even ones, since neither
+    parity's chains embed in the other's."""
+    logic = resolve_logic(logic)
+    if logic.oracle_kind != "sugihara":
+        raise UnsupportedLogicError(f"no chain decision procedure for {logic.name}")
+    chains = class_chains(logic.model_classes, k)
+    if not chains:
+        raise UnsupportedLogicError(f"{logic.name} declares no Sugihara class")
+    return chains
 
 
 def _evaluate(f: Formula, valuation, unit, zero, connective):

@@ -21,21 +21,20 @@ import io
 import json
 import sys
 
+from .check import (
+    ChainExhaustiveWitness,
+    Countermodel,
+    DerivationWitness,
+    LinearWitness,
+    ProofResult,
+)
 from .density import density_goal, density_precondition, density_transform
 from .engine import EngineBudget, prove_consequence, prove_disjunction
 from .errors import GordianError
 from .interpolate import lift_interpolant
 from .linalg import IntMatrix, Kernel, gordan
 from .logics import lookup_logic
-from .oracles import (
-    ChainExhaustiveWitness,
-    Countermodel,
-    DerivationWitness,
-    HilbertBudget,
-    LinearWitness,
-    ProofResult,
-    check_toa_condition,
-)
+from .oracles import HilbertBudget, check_toa_condition
 from .syntax import Formula, Record, parse, render
 
 EXIT_PROVED = 0

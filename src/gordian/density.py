@@ -5,23 +5,28 @@ certificate for the goal ``(f -> p) | (p -> g) | h`` with ``p`` fresh
 converts into one for ``(f -> g) | h``: with input weights (a, b, c) the
 output weights are (a*b, a*c) when a, b > 0, (b, c) when a = 0 (substitute
 f for p), and (a, c) when b = 0 (substitute g for p).  The input certificate
-passes :func:`oracles.check_result`; the output witness is re-proved by
+passes :func:`check.check_result`; the output witness is re-proved by
 :func:`oracles.decide` rather than replayed step by step.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+from .check import ProofResult, ToACertificate, check_result, combination_formula
 from .engine import DEFAULT_BUDGET, EngineBudget, prove_consequence
 from .errors import InvalidCertificateError, PreconditionFailedError
 from .logics import LogicSpec, resolve_logic
 from .normalize import Goal, MultClause
-from .oracles import ProofResult, ToACertificate, check_result, combination_formula, decide
+from .oracles import decide
 from .syntax import ONE, VARIABLE, ZERO, Formula, Imp, Record, Var, variables_of
 
 
+@lru_cache(maxsize=64)
 def density_precondition(logic: LogicSpec | str, budget: EngineBudget = DEFAULT_BUDGET) -> bool:
     """True iff the engine proves 1 -> 0 in the logic; the transform is
-    only sound past this gate."""
+    only sound past this gate.  The answer is kept per (logic, budget),
+    both immutable records (or a logic's name)."""
     logic = resolve_logic(logic)
     if not logic.has_toa:
         return False
@@ -61,7 +66,7 @@ def density_transform(
     """Convert a certificate for ``(phi -> p) | (p -> psi) | chi`` into one
     for ``(phi -> psi) | chi`` (``p`` the fresh variable).
 
-    The input certificate must pass :func:`oracles.check_result`; the output
+    The input certificate must pass :func:`check.check_result`; the output
     combination is re-proved by :func:`oracles.decide`."""
     logic = resolve_logic(logic)
     sigma = list(sigma)

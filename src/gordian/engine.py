@@ -4,7 +4,7 @@ A disjunction goal is settled by finding a not-all-zero natural vector
 ``lambda`` whose weighted sum of the disjuncts is derivable from the
 hypotheses in the multiplicative fragment, or by exhibiting a countermodel.
 :func:`prove_disjunction` hands the goal to its logic's procedure in
-:mod:`oracles`, and returns the answer once :func:`oracles.check_result`
+:mod:`oracles`, and returns the answer once :func:`check.check_result`
 accepts it:
 
 * Abelian: :func:`oracles.prove_abelian`, the one exact LP, decides both
@@ -27,18 +27,14 @@ accepts it:
 
 from __future__ import annotations
 
+from .check import Countermodel, ProofResult, ToACertificate, check_result, combination_formula
 from .errors import LogicWithoutToAError
 from .logics import LogicSpec, resolve_logic
 from .normalize import Goal, decompose_consequence
 from .oracles import (
     AbelianMemo,
-    Countermodel,
     HilbertBudget,
-    ProofResult,
-    ToACertificate,
-    check_result,
     class_refutation,
-    combination_formula,
     one_target,
     prove_abelian,
     prove_one_target,
@@ -69,7 +65,7 @@ def prove_disjunction(
     memo: AbelianMemo | None = None,
 ) -> ProofResult:
     """Decide one multiplicative disjunction goal with certificates, by the
-    procedure of the logic's oracle kind, checked by :func:`oracles.check_result`.
+    procedure of the logic's oracle kind, checked by :func:`check.check_result`.
     The Abelian procedure reads ``memo``, the consequence's shared readings
     and countermodels (a fresh one by default); the other kinds ignore it."""
     logic = resolve_logic(logic)

@@ -30,13 +30,12 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .chains import eval_vector, level_search
+from .chains import decision_chains, eval_vector, level_search
 from .engine import DEFAULT_BUDGET, EngineBudget, prove_consequence
 from .errors import EnumerationBudgetExceededError, UnsupportedLogicError
 from .linalg import LinForm, project_fm, translate_abelian
 from .logics import LogicSpec, resolve_logic
 from .normalize import hypothesis_branches
-from .oracles import decision_chains
 from .syntax import (
     ONE,
     Conj,

@@ -16,6 +16,7 @@ it is built, and :func:`match_template` keeps a stack of node pairs.
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections.abc import Callable, Iterable
 from functools import lru_cache
@@ -326,3 +327,18 @@ def match_template(template: Formula, f: Formula) -> dict[str, Formula] | None:
             return None
     return assignment
 
+
+def matching_axiom(logic: LogicSpec, f: Formula) -> str | None:
+    """The name of the first multiplicative axiom schema that the
+    multiplicative ``f`` instantiates, or None: the base and extra schemas
+    in order, then of each family the members of the n that its
+    ``indices(f)`` holds, smallest n first.  Only the templates that could
+    match are tried: multiplicative ones whose root is ``f``'s connective
+    (or a metavariable)."""
+    kind = type(f)
+    members = (s for fam in logic.families for n in sorted(fam.indices(f)) for s in fam.schemas(n))
+    for schema in itertools.chain(logic.axiom_schemas(), members):
+        t = schema.template
+        if type(t) in (kind, MVar) and t.multiplicative and match_template(t, f) is not None:
+            return schema.name
+    return None

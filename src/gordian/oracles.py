@@ -24,14 +24,11 @@ one-target entry, asks each the one-disjunct question ``sigma |- phi``:
   ponens and the unperforated rule; proved by a derivation, or unknown.
 
 Every answer of :func:`decide` and the engine passes one checker,
-:func:`check_result`.  It checks a derivation (:func:`verify_derivation`)
-in the system the searches derive in: hypotheses, the multiplicative
-axiom schemas and family members, through the matcher of the search's
-one-line shortcut, modus ponens and the unperforated rule.
-Before a Hilbert search a goal is refuted in the
-model classes a logic declares sound (:func:`class_refutation`)
-with the two complete procedures above: the LP's separation for Z and the
-chain scan (:func:`find_chain_countermodel`) for the Sugihara classes.  A
+:func:`check.check_result`, which imports none of these procedures.
+Before a Hilbert search a goal is refuted in the model classes a logic
+declares sound (:func:`class_refutation`) with the two complete
+procedures above: the LP's separation for Z and the chain scan
+(:func:`find_chain_countermodel`) for the Sugihara classes.  A
 declaration is checked against the logic's multiplicative axioms and rules
 (:func:`check_model_classes`) once a refutation rests on it.
 """
@@ -39,178 +36,45 @@ declaration is checked against the logic's multiplicative axioms and rules
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, reduce
+from functools import lru_cache
 
-from .chains import (
-    ChainAlgebra,
-    LevelSearch,
-    chain_from_name,
-    eval_abelian,
-    eval_formula,
-    level_search,
-    sugihara_chain,
+from .chains import LevelSearch, class_chains, decision_chains, level_search
+from .check import (
+    ChainExhaustiveWitness,
+    Countermodel,
+    DerivationLine,
+    DerivationWitness,
+    LinearWitness,
+    ProofResult,
+    ToACertificate,
+    check_result,
+    checked_countermodel,
+    combination_formula,
+    countermodel_refutes,  # bench/tracing.py wraps it under this module's name
 )
-from .errors import (
-    InvalidCertificateError,
-    MissingVariableError,
-    UnsoundModelClassError,
-    UnsupportedLogicError,
-)
-from .linalg import Combination, LinForm, linear_alternative, linear_coefficients, translate_abelian
-from .logics import LogicSpec, instantiate, match_template, resolve_logic
+from .errors import UnsoundModelClassError, UnsupportedLogicError
+from .linalg import Combination, linear_alternative, linear_coefficients
+from .logics import LogicSpec, instantiate, matching_axiom, resolve_logic
 from .normalize import Goal, MultClause, structural_order
 from .syntax import (
     ONE,
     ZERO,
     Formula,
     Imp,
-    MVar,
     Record,
     Var,
-    Zero,
-    plus,
     power,
-    render,
     scalar,
+    scalar_count,
     subformulas,
     variables_of,
 )
-
-# --- evidence and results -----------------------------------------------------
-
-
-class LinearWitness(Record):
-    """Nonnegative integer combination: sum(mu_j * hyp_j) = scale * target
-    on the linear readings; the scale is discharged by the unperforated rule."""
-
-    mu: tuple[int, ...]
-    scale: int
-
-    kind = "linear"
-
-
-class ChainExhaustiveWitness(Record):
-    """Every valuation into the named decision chains designates the target."""
-
-    chains: tuple[str, ...]
-
-    kind = "chain_exhaustive"
-
-
-class DerivationLine(Record):
-    index: int
-    formula: Formula
-    justification: str
-
-
-class DerivationWitness(Record):
-    lines: tuple[DerivationLine, ...]
-
-    kind = "derivation"
-
-
-MultWitness = LinearWitness | ChainExhaustiveWitness | DerivationWitness
-
-
-class Countermodel(Record):
-    """A refuting valuation into a named chain ("Z" = the integers)."""
-
-    chain: str
-    valuation: tuple[tuple[str, int], ...]
-
-    @staticmethod
-    def of(chain: str, valuation: dict[str, int]) -> "Countermodel":
-        return Countermodel(chain, tuple(sorted(valuation.items())))
-
-    @property
-    def mapping(self) -> dict[str, int]:
-        return dict(self.valuation)
-
-
-class ToACertificate(Record):
-    """Not-all-zero weights on the disjuncts plus the witness for their
-    weighted sum (:func:`combination_formula`)."""
-
-    lambdas: tuple[int, ...]
-    witness: MultWitness
-
-
-class ProofResult(Record):
-    """What a procedure settled a goal with: a certificate, a countermodel
-    or the reason it stopped."""
-
-    status: str  # proved / refuted / unknown
-    goal: Goal
-    certificate: ToACertificate | None = None
-    countermodel: Countermodel | None = None
-    reason: str | None = None
 
 
 def one_target(sigma, phi: Formula) -> Goal:
     """The one-disjunct goal ``sigma |- phi``, hypotheses in the given order
     (a linear witness weights them in that order)."""
     return Goal(tuple(sigma), MultClause((phi,)))
-
-
-def _weighted(lambdas, disjuncts) -> list[tuple[int, Formula]]:
-    """The positive weights with their disjuncts, in disjunct order; raises
-    InvalidCertificateError unless the weights are one per disjunct,
-    nonnegative and not all zero."""
-    if len(lambdas) != len(disjuncts):
-        raise InvalidCertificateError(
-            f"expected {len(disjuncts)} weights, got {len(lambdas)}"
-        )
-    if any(l < 0 for l in lambdas):
-        raise InvalidCertificateError("weights must be nonnegative")
-    support = [(l, d) for l, d in zip(lambdas, disjuncts) if l > 0]
-    if not support:
-        raise InvalidCertificateError("weights must not all be zero")
-    return support
-
-
-def combination_formula(lambdas, disjuncts) -> Formula:
-    """The weighted sum ``l1*f1 + ... + ln*fn`` over the support of
-    ``lambdas``, folded right-nested in disjunct order; the weights must
-    pass :func:`_weighted`."""
-    terms = [scalar(l, d) for l, d in _weighted(lambdas, disjuncts)]
-    return reduce(lambda acc, t: plus(t, acc), reversed(terms[:-1]), terms[-1])
-
-
-def countermodel_refutes(cm: Countermodel, sigma, disjuncts) -> bool:
-    """Exact re-check: the valuation gives every variable of the goal an
-    integer of the named chain's carrier (any integer in Z), designates
-    every hypothesis and none of the disjuncts.  A name that resolves to no
-    chain refutes nothing, and neither does a chain wider than any the
-    decisions use (half-width k+2 for k variables, see :func:`class_chains`),
-    which is never built.  A refutation evaluates every formula of the goal,
-    so a valuation missing a goal variable fails there."""
-    val = cm.mapping
-    try:
-        chain = None if cm.chain == "Z" else chain_from_name(
-            cm.chain, len(variables_of(tuple(sigma) + tuple(disjuncts))) + 2
-        )
-    except ValueError:
-        return False
-    well_formed = all(
-        type(v) is int and (chain is None or v in chain.carrier) for v in val.values()
-    )
-    if chain is None:
-        designated = lambda f: eval_abelian(f, val) >= 0
-    else:
-        designated = lambda f: eval_formula(chain, val, f) >= chain.unit
-    try:
-        return well_formed and all(map(designated, sigma)) and not any(map(designated, disjuncts))
-    except MissingVariableError:
-        return False
-
-
-def checked_countermodel(cm: Countermodel, sigma, disjuncts, classes) -> Countermodel:
-    """``cm`` itself, once it lies in one of ``classes`` and refutes the goal;
-    raises InvalidCertificateError otherwise (a check ``python -O`` keeps)."""
-    declared = cm is not None and cm.chain.rsplit("_", 1)[0] in classes
-    if not (declared and countermodel_refutes(cm, sigma, disjuncts)):
-        raise InvalidCertificateError(f"countermodel {cm} does not refute the goal in {classes}")
-    return cm
 
 
 # --- Abelian ------------------------------------------------------------------
@@ -280,18 +144,6 @@ def abelian_alternative(
     return Countermodel.of("Z", full)
 
 
-def verify_linear_witness(witness: LinearWitness, sigma, lambdas, disjuncts) -> bool:
-    """Whether ``sum(mu_j * h_j) = scale * sum(l_i * d_i)`` on the linear
-    readings, ``mu`` nonnegative and the scale positive, for weights that
-    pass :func:`_weighted`; the sum is never built as a formula, so a
-    weight may exceed :data:`syntax.MAX_REPEAT`."""
-    target = sum((l * translate_abelian(d) for l, d in _weighted(lambdas, disjuncts)), LinForm())
-    if len(witness.mu) != len(sigma) or witness.scale < 1 or min(witness.mu, default=0) < 0:
-        return False
-    combination = sum((m * translate_abelian(h) for m, h in zip(witness.mu, sigma)), LinForm())
-    return combination == witness.scale * target
-
-
 def prove_abelian(goal: Goal, memo: AbelianMemo | None = None) -> ProofResult:
     """The Abelian logic's procedure: :func:`abelian_alternative` with the
     consequence's ``memo``, its combination as the weights and a linear
@@ -304,21 +156,6 @@ def prove_abelian(goal: Goal, memo: AbelianMemo | None = None) -> ProofResult:
 
 
 # --- Sugihara -----------------------------------------------------------------
-
-
-def decision_chains(logic: LogicSpec | str, k: int) -> list[ChainAlgebra]:
-    """Decision chains for a k-variable question: the chains of a mingle
-    logic's declared Sugihara classes (:func:`class_chains`), which are
-    complete for it.  The odd chains suffice for the odd-unit logic; the
-    mingle logic with separate unit also needs the even ones, since neither
-    parity's chains embed in the other's."""
-    logic = resolve_logic(logic)
-    if logic.oracle_kind != "sugihara":
-        raise UnsupportedLogicError(f"no chain decision procedure for {logic.name}")
-    chains = class_chains(logic.model_classes, k)
-    if not chains:
-        raise UnsupportedLogicError(f"{logic.name} declares no Sugihara class")
-    return chains
 
 
 def find_chain_countermodel(chains, sigma, disjuncts) -> Countermodel | None:
@@ -410,23 +247,6 @@ MODEL_CLASSES = ("Z", "sugihara_odd", "sugihara_even")
 U_RULE_CHECK_MAX = 16  # the largest n of the u_n rule instances checked
 
 
-def class_chains(classes, k: int) -> list[ChainAlgebra]:
-    """One chain per Sugihara class among ``classes``, in their order, that
-    stands for the whole class on a k-variable question: the odd chain of
-    half-width k+1 and the even chain of half-width k+2.  A k-variable
-    valuation into any chain of a class uses at most k absolute-value
-    levels, so its subalgebra embeds in that chain (see
-    :class:`chains.LevelSearch`), and the chain refutes the question
-    exactly when the class does."""
-    chains = []
-    for model_class in classes:
-        if model_class == "sugihara_odd":
-            chains.append(sugihara_chain(k + 1, odd=True))
-        elif model_class == "sugihara_even":
-            chains.append(sugihara_chain(k + 2, odd=False))
-    return chains
-
-
 def class_countermodel(classes, sigma, disjuncts) -> Countermodel | None:
     """A checked valuation in one of the named model classes that
     designates every formula of ``sigma`` and none of ``disjuncts``, or
@@ -436,7 +256,7 @@ def class_countermodel(classes, sigma, disjuncts) -> Countermodel | None:
     it is skipped for a question without variables, whose one valuation
     reads every formula as the designated 0.  The Sugihara classes follow,
     in their order, through :func:`find_chain_countermodel` on the chains
-    of :func:`class_chains`.  Both searches are complete for their class;
+    of :func:`chains.class_chains`.  Both searches are complete for their class;
     the chain scan, past :data:`chains.VARIABLE_CAP` variables, raises
     SizeBudgetExceededError instead."""
     sigma, disjuncts = tuple(sigma), tuple(disjuncts)
@@ -510,25 +330,6 @@ FAMILY_BOUND = 8
 MAX_INSTANCES = 12000
 
 
-def _scalar_count(f: Formula, g: Formula) -> int | None:
-    """Largest n with f == n*g (left-nested sums), or None."""
-    n = 0
-    current = f
-    while True:
-        if current == g:
-            return n + 1
-        if (
-            isinstance(current, Imp)
-            and isinstance(current.left, Imp)
-            and isinstance(current.left.right, Zero)
-            and current.right == g
-        ):
-            current = current.left.left
-            n += 1
-            continue
-        return None
-
-
 def _axiom_instances(schemas, pool, max_size):
     """Deterministic stream of schema instances over the term pool, larger
     metavariable counts drawing from a shorter prefix of the pool, at most
@@ -573,7 +374,7 @@ def hilbert_search(
     every n >= 2) until the target appears or the budget runs out.  Both
     routes justify formulas in one format, which :func:`_reconstruct` turns
     into lines.  A proof carries a derivation of ``phi`` under the weight
-    (1,), unchecked (see :func:`check_result`); no answer is refuted.
+    (1,), unchecked (see :func:`check.check_result`); no answer is refuted.
     """
     logic = resolve_logic(logic)
     budget = budget or HilbertBudget()
@@ -596,7 +397,7 @@ def hilbert_search(
     for h in sigma:
         add(h, ("hyp",))
     if phi not in parents:
-        axiom = _matching_axiom(logic, phi)
+        axiom = matching_axiom(logic, phi)
         lines = mix_lines(logic, phi) if axiom is None and not sigma else None
         if lines:
             cert = ToACertificate((1,), DerivationWitness(lines))
@@ -624,7 +425,7 @@ def hilbert_search(
             add(implication.right, ("mp", f, implication))
         if use_u and isinstance(f, Imp):
             # from n*g conclude g: n*g for n >= 2 is ~(...) -> g
-            n = _scalar_count(f, f.right)
+            n = scalar_count(f, f.right)
             if n is not None:
                 add(f.right, ("u", n, f))
 
@@ -639,7 +440,7 @@ def mix_lines(logic: LogicSpec, phi: Formula) -> tuple[DerivationLine, ...] | No
     """The lines of :func:`mix.mix_derivation` for the hypothesis-free
     multiplicative ``phi``, or None.  It runs only where the logic matches
     both ``0 -> 1`` and ``1 -> 0`` as axioms, so that its units coincide."""
-    up, down = _matching_axiom(logic, Imp(ZERO, ONE)), _matching_axiom(logic, Imp(ONE, ZERO))
+    up, down = matching_axiom(logic, Imp(ZERO, ONE)), matching_axiom(logic, Imp(ONE, ZERO))
     if up is None or down is None or not phi.multiplicative:
         return None
     from . import mix  # imported on first use: compiling it costs a process about 7 ms
@@ -685,63 +486,7 @@ def _reconstruct(goal: Formula, parents: dict[Formula, tuple]) -> tuple[Derivati
     return tuple(lines)
 
 
-# --- derivation checking -------------------------------------------------------
-
-
-class DerivationCheck(Record):
-    ok: bool
-    bad_index: int | None = None
-    message: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _matching_axiom(logic: LogicSpec, f: Formula) -> str | None:
-    """The name of the first multiplicative axiom schema that the
-    multiplicative ``f`` instantiates, or None: the base and extra schemas
-    in order, then of each family the members of the n that its
-    ``indices(f)`` holds, smallest n first.  Only the templates that could
-    match are tried: multiplicative ones whose root is ``f``'s connective
-    (or a metavariable)."""
-    kind = type(f)
-    members = (s for fam in logic.families for n in sorted(fam.indices(f)) for s in fam.schemas(n))
-    for schema in itertools.chain(logic.axiom_schemas(), members):
-        t = schema.template
-        if type(t) in (kind, MVar) and t.multiplicative and match_template(t, f) is not None:
-            return schema.name
-    return None
-
-
-def verify_derivation(logic: LogicSpec | str, lines, hypotheses=()) -> DerivationCheck:
-    """Independent line-by-line check in the system the searches derive
-    in, the logic's multiplicative fragment: each line must be a
-    multiplicative formula that is a hypothesis, an instance of a
-    multiplicative axiom schema or family member, or follows from earlier
-    lines by modus ponens (or the unperforated rule where the fragment has
-    it).  The stated justifications are not trusted."""
-    logic = resolve_logic(logic)
-    formulas = [line.formula if isinstance(line, DerivationLine) else line for line in lines]
-    hypotheses = set(hypotheses)
-    use_u = "u_n" in logic.mult_rules
-    earlier: set[Formula] = set()
-    # the earlier implications by consequent: mp and u_n conclude from these
-    implications: dict[Formula, list[Imp]] = {}
-    for i, f in enumerate(formulas):
-        concluding = implications.get(f, ())
-        ok = f in hypotheses or any(g.left in earlier for g in concluding)
-        if not ok and use_u:
-            ok = any((_scalar_count(g, f) or 0) >= 2 for g in concluding)
-        # the axiom match last: it tries every schema in turn
-        if not (f.multiplicative and (ok or _matching_axiom(logic, f))):
-            return DerivationCheck(False, i + 1, f"line {i + 1} unjustified: {f}")
-        earlier.add(f)
-        if isinstance(f, Imp):
-            implications.setdefault(f.right, []).append(f)
-    return DerivationCheck(True)
-
-
-# --- dispatch and the one certificate check -------------------------------------
+# --- dispatch ---------------------------------------------------------------------
 
 
 def prove_one_target(logic: LogicSpec, goal: Goal, budget: HilbertBudget | None) -> ProofResult:
@@ -765,52 +510,13 @@ def decide(
 ) -> ProofResult:
     """The one-target question ``sigma |- phi``: for the ``hilbert`` kind a
     refutation in the declared model classes first, then
-    :func:`prove_one_target`; the answer passes :func:`check_result`."""
+    :func:`prove_one_target`; the answer passes :func:`check.check_result`."""
     logic = resolve_logic(logic)
     goal = one_target(sigma, phi)
     cm = class_refutation(logic, goal) if logic.oracle_kind == "hilbert" else None
     if cm is not None:
         return check_result(logic, ProofResult("refuted", goal, countermodel=cm))
     return check_result(logic, prove_one_target(logic, goal, budget))
-
-
-WITNESS = dict(abelian=LinearWitness, sugihara=ChainExhaustiveWitness, hilbert=DerivationWitness)
-
-
-def check_result(logic: LogicSpec | str, result: ProofResult) -> ProofResult:
-    """``result`` itself, once its evidence re-checks against its goal alone,
-    else InvalidCertificateError: a countermodel in a declared model class
-    that refutes the goal, or a witness of the logic's own kind for the
-    disjuncts' weighted sum, which a linear witness reads without building.
-    A chain-exhaustive witness names the sum's decision chains, on which
-    the level search finds no countermodel to the sum."""
-    logic = resolve_logic(logic)
-    hyps, disjuncts = result.goal.hypotheses, result.goal.clause.disjuncts
-    if result.status == "refuted":
-        checked_countermodel(result.countermodel, hyps, disjuncts, logic.model_classes)
-    if result.status != "proved":
-        return result
-    witness = getattr(result.certificate, "witness", None)
-    if type(witness) is not WITNESS[logic.oracle_kind]:
-        raise InvalidCertificateError(f"{logic.name} certifies no proof by {witness}")
-    lambdas = result.certificate.lambdas
-    if witness.kind == "linear":
-        if verify_linear_witness(witness, hyps, lambdas, disjuncts):
-            return result
-        raise InvalidCertificateError(f"the linear witness does not balance the weights {lambdas}")
-    combo = combination_formula(lambdas, disjuncts)
-    if witness.kind == "derivation":
-        lines = witness.lines
-        ok = lines and lines[-1].formula == combo and verify_derivation(logic, lines, hyps)
-    else:
-        search = level_search(hyps, (combo,))
-        chains = decision_chains(logic, len(search.variables))
-        ok = witness.chains == tuple(c.name for c in chains) and all(
-            search.countermodel(c) is None for c in chains
-        )
-    if not ok:
-        raise InvalidCertificateError(f"the {witness.kind} witness does not prove {render(combo)}")
-    return result
 
 
 # --- the scaling side condition ----------------------------------------------
@@ -844,7 +550,7 @@ def check_toa_condition(
     (1, 1)), under the Hilbert ``budget``, each by :func:`decide`; budget
     exhaustion is never a failure, only unknown.  A target that is a
     family member past :data:`FAMILY_BOUND` is still matched in one line,
-    its n read off the target (:func:`_matching_axiom`).  A witness for an
+    its n read off the target (:func:`logics.matching_axiom`).  A witness for an
     n outside 1..n_max, which would go unchecked, raises ValueError.
     """
     logic = resolve_logic(logic)

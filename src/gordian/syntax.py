@@ -268,6 +268,25 @@ def scalar(n: int, f: Formula) -> Formula:
     return acc
 
 
+def scalar_count(f: Formula, g: Formula) -> int | None:
+    """Largest n with f == n*g (left-nested sums), or None."""
+    n = 0
+    current = f
+    while True:
+        if current == g:
+            return n + 1
+        if (
+            isinstance(current, Imp)
+            and isinstance(current.left, Imp)
+            and isinstance(current.left.right, Zero)
+            and current.right == g
+        ):
+            current = current.left.left
+            n += 1
+            continue
+        return None
+
+
 def power(f: Formula, n: int) -> Formula:
     """n-fold fusion f^n, left-nested: f^3 = (f * f) * f."""
     if n < 0 or n > MAX_REPEAT:

@@ -43,12 +43,8 @@ from gordian.linalg import (
 )
 from gordian.logics import resolve_logic
 from gordian.normalize import Goal
-from gordian.oracles import (
-    ProofResult,
-    _largest_valid_subset,
-    combination_formula,
-    find_chain_countermodel,
-)
+from gordian.check import ProofResult, combination_formula
+from gordian.oracles import _largest_valid_subset, find_chain_countermodel
 from gordian.syntax import (
     ONE,
     ZERO,

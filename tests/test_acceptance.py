@@ -24,14 +24,14 @@ from helpers import (
 )
 
 from gordian import check_toa_condition
-from gordian.chains import eval_abelian, eval_formula, sugihara_chain
+from gordian.chains import class_chains, eval_abelian, eval_formula, sugihara_chain
+from gordian.check import countermodel_refutes
 from gordian.engine import DEFAULT_BUDGET, _prove_deepening, prove_consequence, prove_disjunction
 from gordian.errors import PreconditionFailedError
 from gordian.interpolate import lift_interpolant, verify_interpolant
 from gordian.linalg import IntMatrix, Kernel, StrictDual, gordan
 from gordian.logics import lookup_logic
 from gordian.normalize import to_mult_clauses
-from gordian.oracles import class_chains, countermodel_refutes
 from gordian.syntax import parse, render, variables, variables_of
 
 

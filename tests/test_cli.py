@@ -6,9 +6,9 @@ from pathlib import Path
 
 from gordian import cli, prove_consequence
 from gordian.cli import main
-from gordian.engine import combination_formula
+from gordian.check import Countermodel, combination_formula, countermodel_refutes
 from gordian.normalize import Goal
-from gordian.oracles import Countermodel, countermodel_refutes, decide
+from gordian.oracles import decide
 from gordian.syntax import parse
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -167,6 +167,16 @@ def test_check_toa(capsys):
     code, out, _ = run(capsys, *args, "--format", "json")
     entries = json.loads(out)["entries"]
     assert [e["countermodel"] for e in entries] == [None, {"chain": "Z", "valuation": {"p": -1}}]
+
+
+def test_logic_without_alternatives(tmp_path, capsys):
+    # MLL decides no consequence, but its one-target questions, by derivation
+    problem = write(tmp_path, "mll.txt", "logic MLL\nprove p -> p\n")
+    code, out, err = run(capsys, "prove", problem)
+    assert code == 3 and out == "" and "MLL has no theorem of alternatives" in err
+    code, out, _ = run(capsys, "check-toa", "--logic", "MLL", "--n-max", "2")
+    assert code == 2
+    assert out.splitlines() == ["n=1 (k=1, m=1): proved", "n=2 (k=1, m=1): unknown"]
 
 
 def test_check_toa_raises_the_family_bound_under_any_budget(capsys):

@@ -2,14 +2,16 @@ import pytest
 
 from helpers import check_density_property
 
+from gordian import density
+from gordian.check import DerivationWitness, LinearWitness, ToACertificate, combination_formula
 from gordian.density import (
     density_goal,
     density_precondition,
     density_transform,
 )
-from gordian.engine import ToACertificate, combination_formula, prove_disjunction
+from gordian.engine import EngineBudget, prove_consequence, prove_disjunction
 from gordian.errors import InvalidCertificateError, PreconditionFailedError
-from gordian.oracles import DerivationWitness, LinearWitness, decide
+from gordian.oracles import decide
 from gordian.syntax import parse
 
 
@@ -19,6 +21,18 @@ def test_preconditions():
     assert not density_precondition("RMt")
     assert density_precondition("BIULm")
     assert not density_precondition("MLL")  # no alternatives theorem at all
+
+
+def test_precondition_is_decided_once_per_logic_and_budget(monkeypatch):
+    decided = []
+    monkeypatch.setattr(
+        density, "prove_consequence", lambda *args: decided.append(args) or prove_consequence(*args)
+    )
+    density_precondition.cache_clear()
+    budget = EngineBudget(lambda_cap=3)
+    assert density_precondition("A", budget) and len(decided) == 1
+    assert density_precondition("A", budget) and len(decided) == 1
+    assert density_precondition("A") and len(decided) == 2  # another budget
 
 
 def test_transform_abelian_example():

@@ -15,11 +15,19 @@ from helpers import (
 )
 
 from gordian import chains, engine, oracles
+from gordian.check import (
+    Countermodel,
+    LinearWitness,
+    check_result,
+    combination_formula,
+    countermodel_refutes,
+    verify_derivation,
+    verify_linear_witness,
+)
 from gordian.engine import (
     DEFAULT_BUDGET,
     EngineBudget,
     _prove_deepening,
-    combination_formula,
     prove_consequence,
     prove_disjunction,
 )
@@ -28,16 +36,11 @@ from gordian.linalg import IntMatrix, Kernel, gordan, translate_abelian
 from gordian.logics import lookup_logic
 from gordian.normalize import Goal
 from gordian.oracles import (
-    Countermodel,
     HilbertBudget,
-    LinearWitness,
     class_countermodel,
-    countermodel_refutes,
     decide,
     hilbert_search,
     sugihara_decide,
-    verify_derivation,
-    verify_linear_witness,
 )
 from gordian.syntax import parse, plus, scalar, variables_of
 
@@ -47,8 +50,15 @@ def goal_of(hyp_texts, disjunct_texts) -> Goal:
 
 
 def test_requires_toa():
+    # MLL has no theorem of alternatives: no consequence or disjunction
+    # goal is decided there, but its one-target question is, by a derivation
     with pytest.raises(LogicWithoutToAError):
         prove_disjunction("MLL", goal_of([], ["p"]))
+    with pytest.raises(LogicWithoutToAError):
+        prove_consequence("MLL", [], parse("p -> p"))
+    verdict = decide("MLL", [], parse("p -> p"))
+    assert verdict.status == "proved" and verdict.certificate.witness.kind == "derivation"
+    assert check_result("MLL", verdict) is verdict
 
 
 def test_rmt_excluded_middle_subset():
@@ -102,7 +112,7 @@ def test_combination_formula_shape():
 
 
 def test_expand_rejects_mismatched_certificates():
-    from gordian.oracles import ChainExhaustiveWitness, ToACertificate
+    from gordian.check import ChainExhaustiveWitness, ToACertificate
 
     # a certificate's weights are combined over the goal's own disjuncts:
     # the wrong number of weights, or all-zero weights, is rejected

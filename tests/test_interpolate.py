@@ -7,6 +7,7 @@ import pytest
 from helpers import random_mult_formula
 
 from gordian.chains import eval_vector
+from gordian.chains import decision_chains
 from gordian.engine import prove_consequence
 from gordian import interpolate
 from gordian.errors import (
@@ -21,7 +22,7 @@ from gordian.interpolate import (
     verify_interpolant,
 )
 from gordian.logics import lookup_logic
-from gordian.oracles import decision_chains, sugihara_decide
+from gordian.oracles import sugihara_decide
 from gordian.syntax import ONE, ZERO, Disj, Fuse, Imp, Var, parse, render, variables_of
 
 

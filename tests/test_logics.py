@@ -6,6 +6,7 @@ from helpers import meta_to_vars, replace
 
 from gordian import check_toa_condition
 from gordian.chains import eval_abelian, eval_formula, sugihara_chain
+from gordian.check import countermodel_refutes
 from gordian.engine import DEFAULT_BUDGET, _prove_deepening, prove_consequence
 from gordian.errors import GordianError, MissingMetavariableError, UnknownLogicError
 from gordian.logics import (
@@ -17,7 +18,7 @@ from gordian.logics import (
     registered_logics,
 )
 from gordian.normalize import Goal
-from gordian.oracles import check_model_classes, countermodel_refutes
+from gordian.oracles import check_model_classes
 from gordian.syntax import parse, parse_template, render, variables
 
 

@@ -9,15 +9,10 @@ import pytest
 
 from helpers import random_mult_formula
 
-from gordian import mix, oracles, prove_consequence
-from gordian.logics import lookup_logic, match_template
-from gordian.oracles import (
-    class_countermodel,
-    decide,
-    hilbert_search,
-    mix_lines,
-    verify_derivation,
-)
+from gordian import mix, prove_consequence
+from gordian.check import verify_derivation
+from gordian.logics import lookup_logic, match_template, matching_axiom
+from gordian.oracles import class_countermodel, decide, hilbert_search, mix_lines
 from gordian.syntax import parse
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -144,7 +139,7 @@ def test_filtered_axiom_scan_agrees_on_the_hilbert_rounds(monkeypatch):
     assert len(formulas) > 100
     named = 0
     for f in formulas:
-        name = oracles._matching_axiom(logic, f)
+        name = matching_axiom(logic, f)
         assert name == _unfiltered_axiom(logic, f)
         named += name is not None
     assert named > 50

@@ -17,11 +17,11 @@ SCRIPT = r'''
 import sys
 from fractions import Fraction
 
-from gordian import engine, linalg, mix, oracles
+from gordian import check, engine, linalg, mix, oracles
 from gordian.errors import InvalidCertificateError, UnsoundModelClassError
 from gordian.logics import lookup_logic
 from gordian.normalize import Goal
-from gordian.syntax import parse
+from gordian.syntax import Fuse, parse
 
 assert False, "asserts are live: this interpreter is not running with -O"
 
@@ -71,7 +71,7 @@ oracles.AbelianMemo.refuting = refuting
 # saturation, which reaches p * p from p, and from the search in MLL with
 # mix, which proves p * q -> q * p.
 reconstruct = oracles._reconstruct
-oracles._reconstruct = lambda phi, parents: (oracles.DerivationLine(1, phi, "axiom identity"),)
+oracles._reconstruct = lambda phi, parents: (check.DerivationLine(1, phi, "axiom identity"),)
 rejected(
     "Hilbert derivation with an unjustified line",
     lambda: engine.prove_disjunction("BIULm", goal(["p"], ["p * p"])),
@@ -90,15 +90,15 @@ mix.mix_derivation = search
 forged_power = parse("p^1000 -> q")
 rejected(
     "one-line derivation of p^1000 -> q as a balance axiom",
-    lambda: oracles.check_result(
+    lambda: check.check_result(
         "BIULm",
-        oracles.ProofResult(
+        check.ProofResult(
             "proved",
             goal([], ["p^1000 -> q"]),
-            certificate=oracles.ToACertificate(
+            certificate=check.ToACertificate(
                 (1,),
-                oracles.DerivationWitness(
-                    (oracles.DerivationLine(1, forged_power, "axiom balance_down_1000"),)
+                check.DerivationWitness(
+                    (check.DerivationLine(1, forged_power, "axiom balance_down_1000"),)
                 ),
             ),
         ),
@@ -108,7 +108,7 @@ rejected(
 # a valid goal, so every point of a chain designates a disjunct
 excluded_middle = goal([], ["p", "~p"])
 scan = oracles.find_chain_countermodel
-oracles.find_chain_countermodel = lambda chains, sigma, disjuncts: oracles.Countermodel.of(
+oracles.find_chain_countermodel = lambda chains, sigma, disjuncts: check.Countermodel.of(
     chains[0].name, {"p": 1}
 )
 rejected(
@@ -116,7 +116,7 @@ rejected(
     lambda: engine.prove_disjunction("RMt", excluded_middle),
 )
 # a value outside the chain's carrier
-oracles.find_chain_countermodel = lambda chains, sigma, disjuncts: oracles.Countermodel.of(
+oracles.find_chain_countermodel = lambda chains, sigma, disjuncts: check.Countermodel.of(
     "sugihara_even_2", {"p": 0}
 )
 rejected(
@@ -134,7 +134,7 @@ rejected(
 oracles._largest_valid_subset = subset
 
 scan = oracles.find_chain_countermodel
-oracles.find_chain_countermodel = lambda chains, sigma, disjuncts: oracles.Countermodel.of(
+oracles.find_chain_countermodel = lambda chains, sigma, disjuncts: check.Countermodel.of(
     "sugihara_odd_2", {"p": 1}
 )
 rejected(
@@ -147,7 +147,7 @@ rejected(
 )
 # p -> q fails at p = 50, q = -50 there, but no decision on two variables
 # uses a chain wider than half-width 4
-oracles.find_chain_countermodel = lambda chains, sigma, disjuncts: oracles.Countermodel.of(
+oracles.find_chain_countermodel = lambda chains, sigma, disjuncts: check.Countermodel.of(
     "sugihara_odd_50", {"p": 50, "q": -50}
 )
 rejected(
@@ -159,10 +159,10 @@ oracles.find_chain_countermodel = scan
 # A chain-exhaustive witness must name every decision chain: the odd
 # chain designates 1 -> 0, but RMt's even chains refute it.
 subsets = engine.prove_subsets
-engine.prove_subsets = lambda logic, g: oracles.ProofResult(
+engine.prove_subsets = lambda logic, g: check.ProofResult(
     "proved",
     g,
-    certificate=oracles.ToACertificate((1,), oracles.ChainExhaustiveWitness(("sugihara_odd_1",))),
+    certificate=check.ToACertificate((1,), check.ChainExhaustiveWitness(("sugihara_odd_1",))),
 )
 rejected(
     "RMt proof of 1 -> 0 on the odd chain alone",
@@ -222,8 +222,25 @@ for label, g, valuation in [
     ("Z countermodel without a hypothesis variable", goal(["q"], ["p"]), {"p": -1}),
     ("Z countermodel with a fractional value", goal([], ["p"]), {"p": Fraction(-1, 2)}),
 ]:
-    forged = oracles.ProofResult("refuted", g, countermodel=oracles.Countermodel.of("Z", valuation))
-    rejected(label, lambda: oracles.check_result("A", forged))
+    forged = check.ProofResult("refuted", g, countermodel=check.Countermodel.of("Z", valuation))
+    rejected(label, lambda: check.check_result("A", forged))
+
+# Float entries: 2**53 + 1 rounds to 2**53, so a float weight, linear
+# witness entry or scale would balance either direction between h and d,
+# whose linear readings differ by p; A refutes both.
+big = parse("p")
+for _ in range(53):
+    big = Fuse(big, big)
+h, d = Fuse(Fuse(big, parse("p")), parse("q")), Fuse(big, parse("q"))
+for label, sigma, phi, lambdas, witness in [
+    ("float linear witness entry", [h], d, (1,), check.LinearWitness((1.0,), 1)),
+    ("float weight", [d], h, (1.0,), check.LinearWitness((1,), 1)),
+    ("float scale", [d], h, (1,), check.LinearWitness((1,), 1.0)),
+]:
+    forged = check.ProofResult(
+        "proved", oracles.one_target(sigma, phi), certificate=check.ToACertificate(lambdas, witness)
+    )
+    rejected(label, lambda: check.check_result("A", forged))
 '''
 
 
@@ -238,4 +255,4 @@ def test_certificate_checks_survive_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 24 and all(line.startswith("rejected:") for line in lines), lines
+    assert len(lines) == 27 and all(line.startswith("rejected:") for line in lines), lines

@@ -19,10 +19,8 @@ from helpers import (
 
 from gordian import EngineBudget, HilbertBudget, logics, oracles, prove_consequence, prove_disjunction
 
-from gordian.errors import InvalidCertificateError, NotMultiplicativeError
-from gordian.logics import instantiate, lookup_logic
-from gordian.normalize import Goal, structural_order
-from gordian.oracles import (
+from gordian.chains import class_chains, decision_chains
+from gordian.check import (
     ChainExhaustiveWitness,
     Countermodel,
     DerivationLine,
@@ -31,15 +29,14 @@ from gordian.oracles import (
     ProofResult,
     ToACertificate,
     check_result,
-    class_chains,
     countermodel_refutes,
-    decide,
-    decision_chains,
-    hilbert_search,
-    sugihara_decide,
     verify_derivation,
     verify_linear_witness,
 )
+from gordian.errors import InvalidCertificateError, NotMultiplicativeError
+from gordian.logics import instantiate, lookup_logic
+from gordian.normalize import Goal, structural_order
+from gordian.oracles import decide, hilbert_search, sugihara_decide
 from gordian.syntax import ONE, ZERO, Imp, metavariables, parse, render, subformulas, variables_of
 
 
@@ -198,14 +195,6 @@ def test_hilbert_matching_agrees_with_the_stream(monkeypatch):
         problems.append(("BIULm", hyps, random_mult_formula(rng, ["p", "q"], rng.randint(1, 3))))
     # (pool size, instance cap, line budget): the defaults, then the cuts
     settings = [(28, 12000, 400), (2, 12000, 100), (28, 40, 100)]
-    real_match, real_verify = oracles.match_template, oracles.verify_derivation
-
-    def verify_unpatched(*args):
-        # the derivation checker matches axioms through the same function
-        with monkeypatch.context() as restored:
-            restored.setattr(oracles, "match_template", real_match)
-            return real_verify(*args)
-
     # the stream and the pool only: no search in MLL with mix
     monkeypatch.setattr(oracles, "mix_lines", lambda logic, phi: None)
     shortcut = missed = 0
@@ -216,8 +205,7 @@ def test_hilbert_matching_agrees_with_the_stream(monkeypatch):
         for logic, sigma, phi in problems:
             fast = hilbert_search(logic, sigma, phi, budget)
             with monkeypatch.context() as patched:
-                patched.setattr(oracles, "match_template", lambda template, f: None)
-                patched.setattr(oracles, "verify_derivation", verify_unpatched)
+                patched.setattr(oracles, "matching_axiom", lambda logic, f: None)
                 slow = hilbert_search(logic, sigma, phi, budget)
             lines = fast.certificate.witness.lines if fast.certificate else ()
             one_axiom = len(lines) == 1 and lines[0].justification.startswith("axiom")
@@ -289,8 +277,8 @@ def test_verify_derivation_tries_rules_before_axioms(monkeypatch):
     # an mp line matched against the balance family first would walk it to
     # n of about size/6
     calls = []
-    match = oracles.match_template
-    monkeypatch.setattr(oracles, "match_template", lambda *args: calls.append(args) or match(*args))
+    match = logics.match_template
+    monkeypatch.setattr(logics, "match_template", lambda *args: calls.append(args) or match(*args))
     hyps = [parse("p"), parse("p -> p^1000")]
     assert verify_derivation("BIULm", hyps + [parse("p^1000")], hypotheses=hyps)
     assert len(calls) == 0

@@ -11,12 +11,13 @@ import pytest
 
 from helpers import random_formula, random_mult_formula
 
+from gordian.check import Countermodel, LinearWitness, ToACertificate
 from gordian.engine import EngineBudget, prove_consequence
 from gordian.errors import ArityError, FormulaSyntaxError, NotMultiplicativeError
 from gordian.linalg import Combination, IntMatrix, Kernel, LinForm, StrictDual
 from gordian.logics import AxiomFamily, knotted_logic, lookup_logic
 from gordian.normalize import Goal, MultClause
-from gordian.oracles import Countermodel, HilbertBudget, LinearWitness, ToACertificate
+from gordian.oracles import HilbertBudget
 from gordian.syntax import (
     Conj,
     Disj,

@@ -20,12 +20,13 @@ from helpers import (
 )
 
 from gordian.chains import eval_abelian, eval_formula, eval_vector, sugihara_chain
+from gordian.check import ProofResult, verify_derivation
 from gordian.engine import _compositions
 from gordian.errors import GordianError
 from gordian.linalg import translate_abelian
 from gordian.logics import AxiomSchema, instantiate, match_template
 from gordian.normalize import Goal, _Budget, _cnf, _push, to_mult_clauses
-from gordian.oracles import ProofResult, hilbert_search, verify_derivation
+from gordian.oracles import hilbert_search
 from gordian.syntax import (
     MVar,
     Var,
