@@ -1,12 +1,7 @@
 """Certificate-producing decision engine for substructural logics that
 reduce to their multiplicative fragment via a theorem of alternatives."""
 
-from .chains import (
-    ChainAlgebra,
-    eval_abelian,
-    eval_formula,
-    sugihara_chain,
-)
+from .chains import ChainAlgebra, eval_formula, sugihara_chain
 from .check import (
     ChainExhaustiveWitness,
     Countermodel,

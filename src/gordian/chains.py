@@ -23,17 +23,15 @@ whatever the number of valuations.  Its cost grows about fivefold per
 variable, so it takes at most :data:`VARIABLE_CAP` of them and raises
 SizeBudgetExceededError past that.
 
-The integers themselves (with fusion as addition and both constants as 0)
-serve as the reference model for the Abelian reading; they are exposed here
-through :func:`eval_abelian`.  The evaluators are one :func:`syntax.fold`
-with their own operation tables: at a point of a chain, on columns of
-point values (:func:`eval_vector`, the test suite's reference) and in the
-integers.
+The evaluators are one :func:`syntax.fold` with their own operation
+tables: at a point of a chain and on columns of point values
+(:func:`eval_vector`, the test suite's reference).  A multiplicative
+formula's value in the integers, the Abelian model, is its linear reading
+(:func:`linalg.linear_coefficients`) at the point.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from functools import lru_cache
 
@@ -389,15 +387,3 @@ class LevelSearch:
 # a question is compiled once: the elimination follows the scan and the
 # certificate's check the proof
 level_search = lru_cache(maxsize=64)(LevelSearch)
-
-
-# --- the Abelian reference model ---------------------------------------------
-
-
-_Z_OPERATIONS = {Conj: min, Disj: max, Fuse: operator.add, Imp: lambda a, b: b - a}
-
-
-def eval_abelian(f: Formula, valuation) -> int:
-    """Evaluate over the integers: fusion is addition, implication is
-    right-minus-left, both constants are 0; designated iff >= 0."""
-    return _evaluate(f, valuation, 0, 0, _Z_OPERATIONS)

@@ -12,30 +12,30 @@ disjuncts' weighted sum (:func:`combination_formula`): a linear witness
 balances it on the linear readings (:func:`verify_linear_witness`), a
 derivation derives it line by line (:func:`verify_derivation`), and a
 chain-exhaustive witness names the sum's decision chains, on which the
-level search finds no countermodel to it.  Every weight, linear-witness
-entry and valuation value must be an int, since float arithmetic rounds a
-forged sum into balance.
+level search finds no countermodel to it.  Evidence must have its
+records' declared types, and every weight, linear-witness entry and
+valuation value must be an int, since float arithmetic rounds a forged
+sum into balance.
+
+A Z value is a formula's linear reading (:func:`linalg.linear_coefficients`)
+at the valuation.  The readings are kept in a dict, by formula, that only
+this module fills: the engine passes one per consequence, so each literal
+is read once for all its goals.  The decision procedures' own readings
+(``oracles.AbelianMemo``) are never consulted.
 
 This module imports no decision procedure, which a test enforces: the
-checks read the goal, the logic's axioms and the chain and integer
-evaluators.  The Sugihara witness check asks :class:`chains.LevelSearch`,
-which is also the decision's evaluator.
+checks read the goal, the logic's axioms, the linear readings and the
+chain evaluators.  The Sugihara witness check asks
+:class:`chains.LevelSearch`, which is also the decision's evaluator.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 
-from .chains import (
-    CLASS_MARGINS,
-    chain_from_name,
-    decision_chains,
-    eval_abelian,
-    eval_formula,
-    level_search,
-)
+from .chains import CLASS_MARGINS, chain_from_name, decision_chains, eval_formula, level_search
 from .errors import InvalidCertificateError, MissingVariableError
-from .linalg import LinForm, translate_abelian
+from .linalg import linear_coefficients
 from .logics import LogicSpec, matching_axiom, resolve_logic
 from .normalize import Goal
 from .syntax import Formula, Imp, Record, plus, render, scalar, scalar_count, variables_of
@@ -137,14 +137,26 @@ def combination_formula(lambdas, disjuncts) -> Formula:
     return reduce(lambda acc, t: plus(t, acc), reversed(terms[:-1]), terms[-1])
 
 
-def countermodel_refutes(cm: Countermodel, sigma, disjuncts) -> bool:
+def _reading(f: Formula, readings: dict) -> dict[str, int]:
+    """The linear coefficients of ``f``, zeros included, kept in
+    ``readings`` (by formula) once read."""
+    reading = readings.get(f)
+    if reading is None:
+        reading = readings[f] = linear_coefficients(f)
+    return reading
+
+
+def countermodel_refutes(cm: Countermodel, sigma, disjuncts, readings=None) -> bool:
     """Exact re-check: the valuation gives every variable of the goal an
     integer of the named chain's carrier (any integer in Z), designates
     every hypothesis and none of the disjuncts.  A name that resolves to no
     chain refutes nothing, and neither does a chain wider than any the
     decisions use (:data:`chains.CLASS_MARGINS` past the variable count),
-    which is never built.  A refutation evaluates every formula of the
-    goal, so a valuation missing a goal variable fails there."""
+    which is never built.  A Z value is the dot product of the formula's
+    linear reading, kept in ``readings`` (a fresh dict by default), with
+    the valuation.  A refutation evaluates every formula of the goal, and
+    a reading keeps its zero coefficients, so a valuation missing a goal
+    variable fails there."""
     val = cm.mapping
     try:
         chain = None if cm.chain == "Z" else chain_from_name(
@@ -157,38 +169,46 @@ def countermodel_refutes(cm: Countermodel, sigma, disjuncts) -> bool:
         type(v) is int and (chain is None or v in chain.carrier) for v in val.values()
     )
     if chain is None:
-        designated = lambda f: eval_abelian(f, val) >= 0
+        readings = {} if readings is None else readings
+        designated = lambda f: sum(c * val[v] for v, c in _reading(f, readings).items()) >= 0
     else:
         designated = lambda f: eval_formula(chain, val, f) >= chain.unit
     try:
         return well_formed and all(map(designated, sigma)) and not any(map(designated, disjuncts))
-    except MissingVariableError:
+    except (KeyError, MissingVariableError):
         return False
 
 
-def checked_countermodel(cm: Countermodel, sigma, disjuncts, classes) -> Countermodel:
-    """``cm`` itself, once it lies in one of ``classes`` and refutes the goal;
-    raises InvalidCertificateError otherwise (a check ``python -O`` keeps)."""
+def checked_countermodel(cm: Countermodel, sigma, disjuncts, classes, readings=None) -> Countermodel:
+    """``cm`` itself, once it lies in one of ``classes`` and refutes the goal
+    (its Z readings kept in ``readings``); raises InvalidCertificateError
+    otherwise (a check ``python -O`` keeps)."""
     declared = cm is not None and cm.chain.rsplit("_", 1)[0] in classes
-    if not (declared and countermodel_refutes(cm, sigma, disjuncts)):
+    if not (declared and countermodel_refutes(cm, sigma, disjuncts, readings)):
         raise InvalidCertificateError(f"countermodel {cm} does not refute the goal in {classes}")
     return cm
 
 
-def verify_linear_witness(witness: LinearWitness, sigma, lambdas, disjuncts) -> bool:
+def verify_linear_witness(witness: LinearWitness, sigma, lambdas, disjuncts, readings=None) -> bool:
     """Whether ``sum(mu_j * h_j) = scale * sum(l_i * d_i)`` on the linear
-    readings, ``mu`` nonnegative ints and the scale a positive int, for
-    weights that pass :func:`_weighted`; the sum is never built as a
-    formula, so a weight may exceed :data:`syntax.MAX_REPEAT`."""
-    target = sum((l * translate_abelian(d) for l, d in _weighted(lambdas, disjuncts)), LinForm())
+    readings, kept in ``readings`` (a fresh dict by default), ``mu``
+    nonnegative ints and the scale a positive int, for weights that pass
+    :func:`_weighted`; the sum is never built as a formula, so a weight
+    may exceed :data:`syntax.MAX_REPEAT`."""
+    weighted = _weighted(lambdas, disjuncts)
     if (
         len(witness.mu) != len(sigma)
         or any(type(v) is not int or v < 0 for v in (*witness.mu, witness.scale))
         or witness.scale < 1
     ):
         return False
-    combination = sum((m * translate_abelian(h) for m, h in zip(witness.mu, sigma)), LinForm())
-    return combination == witness.scale * target
+    readings = {} if readings is None else readings
+    balance: dict[str, int] = {}
+    for k, f in [*zip(witness.mu, sigma), *((-witness.scale * l, d) for l, d in weighted)]:
+        if k:
+            for v, c in _reading(f, readings).items():
+                balance[v] = balance.get(v, 0) + k * c
+    return not any(balance.values())
 
 
 # --- derivation checking -------------------------------------------------------
@@ -236,27 +256,65 @@ def verify_derivation(logic: LogicSpec | str, lines, hypotheses=()) -> Derivatio
 
 WITNESS = dict(abelian=LinearWitness, sugihara=ChainExhaustiveWitness, hilbert=DerivationWitness)
 
+# the tuple field of each witness record
+_WITNESS_FIELD = {LinearWitness: "mu", ChainExhaustiveWitness: "chains", DerivationWitness: "lines"}
 
-def check_result(logic: LogicSpec | str, result: ProofResult) -> ProofResult:
+
+def _well_shaped(result) -> bool:
+    """Whether ``result`` is a :class:`ProofResult` on a :class:`Goal` whose
+    evidence for its status has the records' declared types: a
+    countermodel's chain a string and its valuation a tuple of (name,
+    value) pairs; a certificate's weights and its witness's entries
+    tuples.  The values themselves are checked where they are read."""
+    if type(result) is not ProofResult or type(result.goal) is not Goal:
+        return False
+    cm, cert = result.countermodel, result.certificate
+    if result.status == "refuted":
+        return (
+            type(cm) is Countermodel
+            and type(cm.chain) is str
+            and type(cm.valuation) is tuple
+            and all(type(e) is tuple and len(e) == 2 and type(e[0]) is str for e in cm.valuation)
+        )
+    if result.status == "proved":
+        field = _WITNESS_FIELD.get(type(getattr(cert, "witness", None)))
+        return (
+            type(cert) is ToACertificate
+            and type(cert.lambdas) is tuple
+            and field is not None
+            and type(getattr(cert.witness, field)) is tuple
+        )
+    return True
+
+
+def check_result(logic: LogicSpec | str, result: ProofResult, readings=None) -> ProofResult:
     """``result`` itself, once its evidence re-checks against its goal alone,
-    else InvalidCertificateError: a countermodel in a declared model class
-    that refutes the goal, or a witness of the logic's own kind for the
-    disjuncts' weighted sum, which a linear witness reads without building.
-    A derivation's lines must each be a :class:`DerivationLine` holding a
-    formula.  A chain-exhaustive witness names the sum's decision chains,
-    on which the level search finds no countermodel to the sum."""
+    else InvalidCertificateError: evidence of the records' declared types
+    (:func:`_well_shaped`), and then a countermodel in a declared model
+    class that refutes the goal, or a witness of the logic's own kind for
+    the disjuncts' weighted sum, which a linear witness reads without
+    building.  A derivation's lines must each be a :class:`DerivationLine`
+    holding a formula.  A chain-exhaustive witness names the sum's
+    decision chains, on which the level search finds no countermodel to
+    the sum.
+
+    ``readings`` keeps the linear readings that a Z countermodel and a
+    linear witness are read off: one dict per consequence from the engine,
+    a fresh one by default."""
     logic = resolve_logic(logic)
+    if not _well_shaped(result):
+        raise InvalidCertificateError("the evidence is not of its records' declared types")
     hyps, disjuncts = result.goal.hypotheses, result.goal.clause.disjuncts
     if result.status == "refuted":
-        checked_countermodel(result.countermodel, hyps, disjuncts, logic.model_classes)
+        checked_countermodel(result.countermodel, hyps, disjuncts, logic.model_classes, readings)
     if result.status != "proved":
         return result
-    witness = getattr(result.certificate, "witness", None)
+    witness = result.certificate.witness
     if type(witness) is not WITNESS[logic.oracle_kind]:
         raise InvalidCertificateError(f"{logic.name} certifies no proof by {witness}")
     lambdas = result.certificate.lambdas
     if witness.kind == "linear":
-        if verify_linear_witness(witness, hyps, lambdas, disjuncts):
+        if verify_linear_witness(witness, hyps, lambdas, disjuncts, readings):
             return result
         raise InvalidCertificateError(f"the linear witness does not balance the weights {lambdas}")
     combo = combination_formula(lambdas, disjuncts)

@@ -12,7 +12,9 @@ accepts it:
   hypotheses' weights, its separation the integer countermodel.  The
   goals of one consequence share an :class:`oracles.AbelianMemo`: each
   literal's linear reading is computed once, and a goal that an earlier
-  goal's countermodel already refutes is answered without the LP.
+  goal's countermodel already refutes is answered without the LP.  The
+  check reads each literal once per consequence as well, into a dict of
+  its own that shares nothing with the memo.
 * Mingle logics: :func:`oracles.prove_subsets`, ``lambda`` over 0/1
   vectors, from the level search (:class:`chains.LevelSearch`) on each
   decision chain.
@@ -63,19 +65,24 @@ def prove_disjunction(
     goal: Goal,
     budget: EngineBudget = DEFAULT_BUDGET,
     memo: AbelianMemo | None = None,
+    readings: dict | None = None,
 ) -> ProofResult:
     """Decide one multiplicative disjunction goal with certificates, by the
     procedure of the logic's oracle kind, checked by :func:`check.check_result`.
     The Abelian procedure reads ``memo``, the consequence's shared readings
-    and countermodels (a fresh one by default); the other kinds ignore it."""
+    and countermodels (a fresh one by default); the other kinds ignore it.
+    The check keeps its own linear readings in ``readings``, one dict per
+    consequence (a fresh one by default)."""
     logic = resolve_logic(logic)
     if not logic.has_toa:
         raise LogicWithoutToAError(f"{logic.name} has no theorem of alternatives")
     if logic.oracle_kind == "abelian":
-        return check_result(logic, prove_abelian(goal, memo))
-    if logic.oracle_kind == "sugihara":
-        return check_result(logic, prove_subsets(logic, goal))
-    return check_result(logic, _prove_deepening(logic, goal, budget))
+        result = prove_abelian(goal, memo)
+    elif logic.oracle_kind == "sugihara":
+        result = prove_subsets(logic, goal)
+    else:
+        result = _prove_deepening(logic, goal, budget)
+    return check_result(logic, result, readings)
 
 
 # --- generic: iterative deepening ----------------------------------------------
@@ -151,12 +158,13 @@ def prove_consequence(
     consequence (the decomposition is equivalence-preserving over chains).
     The goals share one :class:`oracles.AbelianMemo`, so in ``A`` each
     literal is read once and a goal that an earlier goal's countermodel
-    refutes skips the LP; every goal is still decided and checked.
+    refutes skips the LP; every goal is still decided and checked, and
+    the check reads each literal once too, into its own dict.
     """
     logic = resolve_logic(logic)
     goals = decompose_consequence(sigma, f)
-    memo = AbelianMemo()
-    results = tuple(prove_disjunction(logic, g, budget, memo) for g in goals)
+    memo, readings = AbelianMemo(), {}
+    results = tuple(prove_disjunction(logic, g, budget, memo, readings) for g in goals)
     if any(r.status == "refuted" for r in results):
         status = "refuted"
     elif any(r.status == "unknown" for r in results):

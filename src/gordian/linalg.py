@@ -5,10 +5,12 @@ point anywhere, so every certificate re-verifies bit-exactly.  The pieces
 are: linear readings of multiplicative formulas (homogeneous forms, since
 both constants read 0), a phase-1 simplex that pivots an integer tableau
 (fraction-free, ``Fraction`` only in what it returns) to either a feasible
-point or a Farkas infeasibility certificate, the one
+point or a Farkas infeasibility certificate, by Dantzig's entering rule
+with the lexicographic ratio test, which terminates, the one
 theorem-of-alternatives LP over it (read by the strict-dual/kernel
-dichotomy and the Abelian procedure), and Fourier-Motzkin projection,
-which prunes by deduplication alone.
+dichotomy and the Abelian procedure), which a zero form answers without
+the simplex, and Fourier-Motzkin projection, which prunes by
+deduplication alone.
 """
 
 from __future__ import annotations
@@ -126,9 +128,20 @@ def feasible_point_or_farkas(
     rational tableau's times ``D``, the previous pivot (the basis
     determinant): pivoting on ``piv = T[r][e]`` keeps row ``r``, sets every
     other entry to ``(piv * T[i][j] - T[i][e] * T[r][j]) // D``, exact by
-    Sylvester's identity, then ``D = piv``.  Pivots are positive, so signs
-    and cross-multiplied ratios read as in the rational tableau, and
-    Bland's rule makes the rational simplex's pivots and terminates.
+    Sylvester's identity, then ``D = piv``.  Pivots are positive, so signs,
+    the order of the reduced costs (one denominator ``D``) and
+    cross-multiplied ratios read as in the rational tableau, whose pivots
+    these are.
+
+    The entering column is Dantzig's: the most negative reduced cost, the
+    lowest index on ties.  The leaving row is the lexicographic minimum of
+    ``(b_i, (B^-1)_i) / a_i`` over the rows with ``a_i > 0``, ``B^-1`` read
+    off the artificial block (Dantzig, Orden and Wolfe 1955).  The rows of
+    ``B^-1`` are independent, so there are no ties; every row starts
+    lexicographically positive (``b >= 0``, ``B^-1 = I``) and stays so.
+    Hence the cost row's ``(b, B^-1)`` entries rise lexicographically at
+    each pivot: no basis repeats, and the simplex terminates whatever the
+    entering rule.
     """
     m, n = len(rows), len(rows[0]) if rows else 0
     if len(rhs) != m or any(len(row) != n for row in rows):
@@ -146,22 +159,24 @@ def feasible_point_or_farkas(
     tab.append([-sum(col) for col in zip(*tab)])
     tab[m][n : n + m] = [0] * m
     basis = [n + i for i in range(m)]
+    # the ratio test reads b, then the artificial block B^-1
+    lex = [n + m, *range(n, n + m)]
     det = 1
     for _ in range(100_000):
         costs = tab[m]
-        entering = next((j for j in range(n + m) if costs[j] < 0), -1)
-        if entering < 0:
+        entering = min(range(n + m), key=costs.__getitem__)
+        if costs[entering] >= 0:
             break
         leaving = -1
-        for i in range(m):
-            a = tab[i][entering]
+        for i, row in enumerate(tab[:m]):
+            a = row[entering]
             if a <= 0:
                 continue
             if leaving >= 0:
-                # b_i / a against b_k / a_k, cross-multiplied: a, a_k > 0
+                # row i's vector / a against the best's / a_k, cross-multiplied
                 best = tab[leaving]
-                diff = tab[i][-1] * best[entering] - best[-1] * a
-                if diff > 0 or (diff == 0 and basis[i] > basis[leaving]):
+                a_k = best[entering]
+                if next((d for j in lex if (d := row[j] * a_k - best[j] * a)), 0) >= 0:
                     continue
             leaving = i
         if leaving < 0:  # pragma: no cover - phase-1 objective is bounded
@@ -219,12 +234,16 @@ def linear_alternative(forms, hyps) -> Combination | Separation:
     sum(lambda) = 1, lambda, mu >= 0}``.  A feasible point, denominators
     cleared, is the combination; a Farkas vector ``y`` has
     ``<y, f> <= -y_sum < 0`` and ``<y, h> >= 0``, so its coordinate part is
-    the separation.  Both are checked before they are returned.
+    the separation.  Both are checked before they are returned.  The first
+    form that is zero is the combination alone, without the LP.
     """
     n, columns = len(forms), list(forms) + [[-v for v in h] for h in hyps]
     m = len(columns[0]) if columns else 0
     if any(len(c) != m for c in columns):
         raise ValueError("column vectors of different lengths")
+    zero = next((i for i, f in enumerate(forms) if not any(f)), None)
+    if zero is not None:
+        return Combination(tuple(int(i == zero) for i in range(n)), (0,) * len(hyps))
     rows = [[c[i] for c in columns] for i in range(m)]
     rows.append([1] * n + [0] * len(hyps))
     x, y = feasible_point_or_farkas(rows, [0] * m + [1])

@@ -1,18 +1,26 @@
-"""The certificate checker ``gordian.check``: its import boundary, and
-malformed evidence, which it rejects rather than accepts or crashes on."""
+"""The certificate checker ``gordian.check``: its import boundary, its
+linear readings, and malformed evidence, which it rejects rather than
+accepts or crashes on."""
 
 import ast
+from collections import Counter
 from pathlib import Path
+from random import Random
 
 import pytest
 
+from helpers import random_mult_formula, ref_eval_abelian
+
+from gordian import engine
 from gordian.check import (
+    Countermodel,
     DerivationLine,
     DerivationWitness,
     LinearWitness,
     ProofResult,
     ToACertificate,
     check_result,
+    countermodel_refutes,
 )
 from gordian.engine import prove_consequence
 from gordian.errors import InvalidCertificateError
@@ -105,3 +113,79 @@ def test_malformed_derivation_lines_are_rejected():
             check_result("MLL", ProofResult("proved", goal, certificate=cert))
     cert = ToACertificate((1,), DerivationWitness((DerivationLine(1, phi, "axiom identity"),)))
     assert check_result("MLL", ProofResult("proved", goal, certificate=cert)).status == "proved"
+
+
+_P = one_target([], parse("p"))
+
+MALFORMED = {
+    "weights not a tuple": ProofResult(
+        "proved", _P, certificate=ToACertificate(1, LinearWitness((), 1))
+    ),
+    "linear witness entries not a tuple": ProofResult(
+        "proved", _P, certificate=ToACertificate((1,), LinearWitness(None, 1))
+    ),
+    "valuation not a tuple": ProofResult("refuted", _P, countermodel=Countermodel("Z", 5)),
+    "chain not a string": ProofResult(
+        "refuted", _P, countermodel=Countermodel(None, (("p", -1),))
+    ),
+    "valuation entry not a pair": ProofResult(
+        "refuted", _P, countermodel=Countermodel("Z", (("p",),))
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(MALFORMED))
+def test_malformed_evidence_is_rejected(label):
+    with pytest.raises(InvalidCertificateError):
+        check_result("A", MALFORMED[label])
+
+
+def test_z_check_agrees_with_the_reference_evaluation():
+    rng, names = Random(41), ["p", "q", "r"]
+    readings, seen = {}, Counter()
+    for _ in range(400):
+        sigma = [random_mult_formula(rng, names, 3) for _ in range(rng.randint(0, 2))]
+        disjuncts = [random_mult_formula(rng, names, 3) for _ in range(rng.randint(1, 3))]
+        valuation = {v: rng.randint(-2, 2) for v in names}
+        expected = all(ref_eval_abelian(h, valuation) >= 0 for h in sigma) and not any(
+            ref_eval_abelian(d, valuation) >= 0 for d in disjuncts
+        )
+        cm = Countermodel.of("Z", valuation)
+        # with the readings of every earlier case kept, and with none
+        assert countermodel_refutes(cm, sigma, disjuncts, readings) == expected
+        assert countermodel_refutes(cm, sigma, disjuncts) == expected
+        seen[expected] += 1
+    assert min(seen[True], seen[False]) >= 30, seen
+
+
+def test_a_valuation_missing_a_zero_coefficient_variable_refutes_nothing():
+    # p -> p reads 0 * p: the reading keeps p, so a valuation without it
+    # refutes nothing, although every coefficient it has is read
+    assert countermodel_refutes(Countermodel.of("Z", {"q": -1}), [], [parse("q"), parse("p -> p")]) is False
+    goal = one_target([], parse("(p -> p) * q"))
+    for valuation, accepted in (({"q": -1}, False), ({"p": 0, "q": -1}, True)):
+        result = ProofResult("refuted", goal, countermodel=Countermodel.of("Z", valuation))
+        if accepted:
+            assert check_result("A", result) is result
+        else:
+            with pytest.raises(InvalidCertificateError):
+                check_result("A", result)
+
+
+def test_forged_countermodel_on_a_later_goal_is_rejected(monkeypatch):
+    # both goals hold the hypothesis q -> p, which the first goal's check reads
+    sigma, f = [parse("q -> p")], parse("p & q")
+    first, second = prove_consequence("A", sigma, f).results
+    assert first.status == second.status == "refuted"
+    # q reads 0 here, so this valuation does not refute the second goal
+    forged = ProofResult("refuted", second.goal, countermodel=Countermodel.of("Z", {"p": 0, "q": 0}))
+    monkeypatch.setattr(
+        engine, "prove_abelian", lambda goal, memo=None: first if goal == first.goal else forged
+    )
+    with pytest.raises(InvalidCertificateError):
+        prove_consequence("A", sigma, f)
+    readings = {}
+    assert check_result("A", first, readings) is first
+    assert parse("q -> p") in readings
+    with pytest.raises(InvalidCertificateError):
+        check_result("A", forged, readings)

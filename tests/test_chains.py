@@ -16,7 +16,6 @@ from gordian.chains import (
     ChainAlgebra,
     LevelSearch,
     chain_from_name,
-    eval_abelian,
     eval_formula,
     sugihara_chain,
 )
@@ -126,12 +125,6 @@ def test_brute_force_examples():
     assert counterexample is not None and counterexample[0] is even
     f = parse("(p -> q) * (q -> p)")
     assert brute_force_consequence(odd_chains, [f], f) is None  # reflexivity
-
-
-def test_eval_abelian():
-    assert eval_abelian(parse("p -> q"), {"p": 3, "q": 1}) == -2
-    assert eval_abelian(parse("p | ~p"), {"p": -2}) == 2
-    assert eval_abelian(parse("1 & 0"), {}) == 0
 
 
 def test_grid_refute_examples():

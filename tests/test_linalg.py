@@ -1,5 +1,6 @@
 import itertools
 import time
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -7,6 +8,8 @@ import pytest
 
 from helpers import form_columns, in_cone
 
+from gordian import linalg
+from gordian.engine import prove_consequence
 from gordian.errors import NotMultiplicativeError
 from gordian.linalg import (
     Combination,
@@ -227,9 +230,11 @@ def test_feasible_point_is_exact():
 
 
 def _fraction_simplex(rows, rhs):
-    """Reference: the phase-1 simplex on a dense ``Fraction`` tableau with
-    Bland's rule, reduced costs recomputed per column.  The integer tableau
-    must make the same pivots, so it must return equal vectors."""
+    """Reference: the phase-1 simplex on a dense ``Fraction`` tableau,
+    reduced costs recomputed per column, with Dantzig's entering rule (the
+    most negative reduced cost, the lowest index on ties) and the
+    lexicographic ratio test on ``(b_i, (B^-1)_i) / a_i``.  The integer
+    tableau must make the same pivots, so it must return equal vectors."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     if m == 0:
@@ -248,16 +253,15 @@ def _fraction_simplex(rows, rhs):
         return cost[j] - sum(cost[basis[i]] * tab[i][j] for i in range(m))
 
     while True:
-        entering = next((j for j in range(n + m) if reduced_cost(j) < 0), -1)
-        if entering < 0:
+        costs = [reduced_cost(j) for j in range(n + m)]
+        entering = costs.index(min(costs))
+        if costs[entering] >= 0:
             break
-        leaving, best = -1, None
-        for i in range(m):
-            a = tab[i][entering]
-            if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best, leaving = ratio, i
+        leaving = min(
+            (i for i in range(m) if tab[i][entering] > 0),
+            key=lambda i: [tab[i][-1] / tab[i][entering]]
+            + [tab[i][n + k] / tab[i][entering] for k in range(m)],
+        )
         piv = tab[leaving][entering]
         tab[leaving] = [c / piv for c in tab[leaving]]
         for i in range(m):
@@ -314,6 +318,44 @@ def test_lp_rejects_malformed_input():
     ):
         with pytest.raises(ValueError):
             feasible_point_or_farkas(rows, rhs)
+
+
+def test_a_zero_form_is_the_combination_without_the_lp(monkeypatch):
+    def no_lp(rows, rhs):
+        raise AssertionError("the LP was solved")
+
+    monkeypatch.setattr(linalg, "feasible_point_or_farkas", no_lp)
+    forms, hyps = [(1, -1), (0, 0), (0, 0)], [(2, 1)]
+    assert linear_alternative(forms, hyps) == Combination((0, 1, 0), (0,))
+    assert gordan(IntMatrix.of([[1, 0, -1], [2, 0, 3]])) == Kernel((0, 1, 0))
+
+
+def test_p_implies_p_alone_proves_its_disjunction():
+    # p -> p reads 0: the weight falls on it, and on q not at all
+    (result,) = prove_consequence("A", [], parse("(p -> p) | q")).results
+    disjuncts = result.goal.clause.disjuncts
+    assert result.status == "proved"
+    assert result.certificate.lambdas == tuple(int(d == parse("p -> p")) for d in disjuncts)
+    assert result.certificate.witness.mu == ()
+
+
+def test_degenerate_gordan_matrices():
+    # entries in {-1, 0, 1}: many ties in the ratio test, which the
+    # lexicographic rule breaks.  Such a matrix mostly has a strict dual, so
+    # every other one gets a kernel: a column and its negation
+    rng, seen = Random(31), Counter()
+    for k in range(200):
+        m, n = rng.randint(15, 30), rng.randint(15, 30)
+        rows = [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(m)]
+        if k % 2:
+            j = rng.randrange(n - 1)
+            for row in rows:
+                row[-1] = -row[j]
+        matrix = IntMatrix.of(rows)
+        result = gordan(matrix)
+        _verify_gordan(matrix, result)
+        seen[type(result).__name__] += 1
+    assert min(seen["Kernel"], seen["StrictDual"]) >= 20, seen
 
 
 def test_gordan_60_by_60_is_fast():

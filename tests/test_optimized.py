@@ -241,6 +241,27 @@ for label, sigma, phi, lambdas, witness in [
         "proved", oracles.one_target(sigma, phi), certificate=check.ToACertificate(lambdas, witness)
     )
     rejected(label, lambda: check.check_result("A", forged))
+
+# Evidence of the wrong shape is rejected before any of it is read.
+p_goal = goal([], ["p"])
+for label, forged in [
+    ("weights not a tuple", check.ProofResult(
+        "proved", p_goal, certificate=check.ToACertificate(1, check.LinearWitness((), 1))
+    )),
+    ("linear witness entries not a tuple", check.ProofResult(
+        "proved", p_goal, certificate=check.ToACertificate((1,), check.LinearWitness(None, 1))
+    )),
+    ("valuation not a tuple", check.ProofResult(
+        "refuted", p_goal, countermodel=check.Countermodel("Z", 5)
+    )),
+    ("chain not a string", check.ProofResult(
+        "refuted", p_goal, countermodel=check.Countermodel(None, (("p", -1),))
+    )),
+    ("valuation entry not a pair", check.ProofResult(
+        "refuted", p_goal, countermodel=check.Countermodel("Z", (("p",),))
+    )),
+]:
+    rejected(label, lambda: check.check_result("A", forged))
 '''
 
 
@@ -255,4 +276,4 @@ def test_certificate_checks_survive_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 27 and all(line.startswith("rejected:") for line in lines), lines
+    assert len(lines) == 32 and all(line.startswith("rejected:") for line in lines), lines
