@@ -48,15 +48,7 @@ from .interpolate import (
     mult_uniform_interpolant,
     verify_interpolant,
 )
-from .linalg import (
-    IntMatrix,
-    Kernel,
-    LinForm,
-    StrictDual,
-    gordan,
-    project_fm,
-    translate_abelian,
-)
+from .linalg import IntMatrix, Kernel, StrictDual, gordan, project_fm
 from .logics import (
     AxiomSchema,
     LogicSpec,

@@ -18,10 +18,12 @@ valuation value must be an int, since float arithmetic rounds a forged
 sum into balance.
 
 A Z value is a formula's linear reading (:func:`linalg.linear_coefficients`)
-at the valuation.  The readings are kept in a dict, by formula, that only
-this module fills: the engine passes one per consequence, so each literal
-is read once for all its goals.  The decision procedures' own readings
-(``oracles.AbelianMemo``) are never consulted.
+at the valuation.  The reading is kept on the formula's node once read, so
+a literal is folded once for every goal and check that reads it.  It is a
+function of the immutable node, like the ``size`` and ``multiplicative``
+fields that :func:`verify_derivation` trusts: only ``linear_coefficients``
+stores it, and the mapping it returns refuses writes, so nothing that a
+decision procedure does with a reading changes what the check reads.
 
 This module imports no decision procedure, which a test enforces: the
 checks read the goal, the logic's axioms, the linear readings and the
@@ -137,26 +139,16 @@ def combination_formula(lambdas, disjuncts) -> Formula:
     return reduce(lambda acc, t: plus(t, acc), reversed(terms[:-1]), terms[-1])
 
 
-def _reading(f: Formula, readings: dict) -> dict[str, int]:
-    """The linear coefficients of ``f``, zeros included, kept in
-    ``readings`` (by formula) once read."""
-    reading = readings.get(f)
-    if reading is None:
-        reading = readings[f] = linear_coefficients(f)
-    return reading
-
-
-def countermodel_refutes(cm: Countermodel, sigma, disjuncts, readings=None) -> bool:
+def countermodel_refutes(cm: Countermodel, sigma, disjuncts) -> bool:
     """Exact re-check: the valuation gives every variable of the goal an
     integer of the named chain's carrier (any integer in Z), designates
     every hypothesis and none of the disjuncts.  A name that resolves to no
     chain refutes nothing, and neither does a chain wider than any the
     decisions use (:data:`chains.CLASS_MARGINS` past the variable count),
     which is never built.  A Z value is the dot product of the formula's
-    linear reading, kept in ``readings`` (a fresh dict by default), with
-    the valuation.  A refutation evaluates every formula of the goal, and
-    a reading keeps its zero coefficients, so a valuation missing a goal
-    variable fails there."""
+    linear reading with the valuation.  A refutation evaluates every
+    formula of the goal, and a reading keeps its zero coefficients, so a
+    valuation missing a goal variable fails there."""
     val = cm.mapping
     try:
         chain = None if cm.chain == "Z" else chain_from_name(
@@ -169,8 +161,7 @@ def countermodel_refutes(cm: Countermodel, sigma, disjuncts, readings=None) -> b
         type(v) is int and (chain is None or v in chain.carrier) for v in val.values()
     )
     if chain is None:
-        readings = {} if readings is None else readings
-        designated = lambda f: sum(c * val[v] for v, c in _reading(f, readings).items()) >= 0
+        designated = lambda f: sum(c * val[v] for v, c in linear_coefficients(f).items()) >= 0
     else:
         designated = lambda f: eval_formula(chain, val, f) >= chain.unit
     try:
@@ -179,22 +170,21 @@ def countermodel_refutes(cm: Countermodel, sigma, disjuncts, readings=None) -> b
         return False
 
 
-def checked_countermodel(cm: Countermodel, sigma, disjuncts, classes, readings=None) -> Countermodel:
-    """``cm`` itself, once it lies in one of ``classes`` and refutes the goal
-    (its Z readings kept in ``readings``); raises InvalidCertificateError
-    otherwise (a check ``python -O`` keeps)."""
+def checked_countermodel(cm: Countermodel, sigma, disjuncts, classes) -> Countermodel:
+    """``cm`` itself, once it lies in one of ``classes`` and refutes the
+    goal; raises InvalidCertificateError otherwise (a check ``python -O``
+    keeps)."""
     declared = cm is not None and cm.chain.rsplit("_", 1)[0] in classes
-    if not (declared and countermodel_refutes(cm, sigma, disjuncts, readings)):
+    if not (declared and countermodel_refutes(cm, sigma, disjuncts)):
         raise InvalidCertificateError(f"countermodel {cm} does not refute the goal in {classes}")
     return cm
 
 
-def verify_linear_witness(witness: LinearWitness, sigma, lambdas, disjuncts, readings=None) -> bool:
+def verify_linear_witness(witness: LinearWitness, sigma, lambdas, disjuncts) -> bool:
     """Whether ``sum(mu_j * h_j) = scale * sum(l_i * d_i)`` on the linear
-    readings, kept in ``readings`` (a fresh dict by default), ``mu``
-    nonnegative ints and the scale a positive int, for weights that pass
-    :func:`_weighted`; the sum is never built as a formula, so a weight
-    may exceed :data:`syntax.MAX_REPEAT`."""
+    readings, ``mu`` nonnegative ints and the scale a positive int, for
+    weights that pass :func:`_weighted`; the sum is never built as a
+    formula, so a weight may exceed :data:`syntax.MAX_REPEAT`."""
     weighted = _weighted(lambdas, disjuncts)
     if (
         len(witness.mu) != len(sigma)
@@ -202,11 +192,10 @@ def verify_linear_witness(witness: LinearWitness, sigma, lambdas, disjuncts, rea
         or witness.scale < 1
     ):
         return False
-    readings = {} if readings is None else readings
     balance: dict[str, int] = {}
     for k, f in [*zip(witness.mu, sigma), *((-witness.scale * l, d) for l, d in weighted)]:
         if k:
-            for v, c in _reading(f, readings).items():
+            for v, c in linear_coefficients(f).items():
                 balance[v] = balance.get(v, 0) + k * c
     return not any(balance.values())
 
@@ -287,7 +276,7 @@ def _well_shaped(result) -> bool:
     return True
 
 
-def check_result(logic: LogicSpec | str, result: ProofResult, readings=None) -> ProofResult:
+def check_result(logic: LogicSpec | str, result: ProofResult) -> ProofResult:
     """``result`` itself, once its evidence re-checks against its goal alone,
     else InvalidCertificateError: evidence of the records' declared types
     (:func:`_well_shaped`), and then a countermodel in a declared model
@@ -296,17 +285,13 @@ def check_result(logic: LogicSpec | str, result: ProofResult, readings=None) -> 
     building.  A derivation's lines must each be a :class:`DerivationLine`
     holding a formula.  A chain-exhaustive witness names the sum's
     decision chains, on which the level search finds no countermodel to
-    the sum.
-
-    ``readings`` keeps the linear readings that a Z countermodel and a
-    linear witness are read off: one dict per consequence from the engine,
-    a fresh one by default."""
+    the sum."""
     logic = resolve_logic(logic)
     if not _well_shaped(result):
         raise InvalidCertificateError("the evidence is not of its records' declared types")
     hyps, disjuncts = result.goal.hypotheses, result.goal.clause.disjuncts
     if result.status == "refuted":
-        checked_countermodel(result.countermodel, hyps, disjuncts, logic.model_classes, readings)
+        checked_countermodel(result.countermodel, hyps, disjuncts, logic.model_classes)
     if result.status != "proved":
         return result
     witness = result.certificate.witness
@@ -314,7 +299,7 @@ def check_result(logic: LogicSpec | str, result: ProofResult, readings=None) -> 
         raise InvalidCertificateError(f"{logic.name} certifies no proof by {witness}")
     lambdas = result.certificate.lambdas
     if witness.kind == "linear":
-        if verify_linear_witness(witness, hyps, lambdas, disjuncts, readings):
+        if verify_linear_witness(witness, hyps, lambdas, disjuncts):
             return result
         raise InvalidCertificateError(f"the linear witness does not balance the weights {lambdas}")
     combo = combination_formula(lambdas, disjuncts)

@@ -10,11 +10,10 @@ accepts it:
 * Abelian: :func:`oracles.prove_abelian`, the one exact LP, decides both
   directions at once: its combination gives ``lambda`` and the
   hypotheses' weights, its separation the integer countermodel.  The
-  goals of one consequence share an :class:`oracles.AbelianMemo`: each
-  literal's linear reading is computed once, and a goal that an earlier
-  goal's countermodel already refutes is answered without the LP.  The
-  check reads each literal once per consequence as well, into a dict of
-  its own that shares nothing with the memo.
+  goals of one consequence share an :class:`oracles.AbelianMemo`, so a
+  goal that an earlier goal's countermodel already refutes is answered
+  without the LP.  A literal's linear reading is kept on its node, so the
+  procedure and the check fold each literal once between them.
 * Mingle logics: :func:`oracles.prove_subsets`, ``lambda`` over 0/1
   vectors, from the level search (:class:`chains.LevelSearch`) on each
   decision chain.
@@ -24,7 +23,8 @@ accepts it:
   ``sum(lambda)``, asking :func:`oracles.prove_one_target` (the Hilbert
   search) for each weighted sum that the model classes do not refute.
   Only once the model classes have failed is exhaustion reported, as
-  unknown, never refuted.
+  unknown, never refuted.  The countermodel that skips a weighted sum is
+  not checked: a wrong one can only turn a proof into unknown.
 """
 
 from __future__ import annotations
@@ -65,14 +65,11 @@ def prove_disjunction(
     goal: Goal,
     budget: EngineBudget = DEFAULT_BUDGET,
     memo: AbelianMemo | None = None,
-    readings: dict | None = None,
 ) -> ProofResult:
     """Decide one multiplicative disjunction goal with certificates, by the
     procedure of the logic's oracle kind, checked by :func:`check.check_result`.
-    The Abelian procedure reads ``memo``, the consequence's shared readings
-    and countermodels (a fresh one by default); the other kinds ignore it.
-    The check keeps its own linear readings in ``readings``, one dict per
-    consequence (a fresh one by default)."""
+    The Abelian procedure reads ``memo``, the consequence's shared
+    countermodels (a fresh one by default); the other kinds ignore it."""
     logic = resolve_logic(logic)
     if not logic.has_toa:
         raise LogicWithoutToAError(f"{logic.name} has no theorem of alternatives")
@@ -82,7 +79,7 @@ def prove_disjunction(
         result = prove_subsets(logic, goal)
     else:
         result = _prove_deepening(logic, goal, budget)
-    return check_result(logic, result, readings)
+    return check_result(logic, result)
 
 
 # --- generic: iterative deepening ----------------------------------------------
@@ -112,7 +109,9 @@ def _prove_deepening(logic: LogicSpec, goal: Goal, budget: EngineBudget) -> Proo
             target = one_target(goal.hypotheses, combination_formula(lambdas, disjuncts))
             # a sum the sound classes refute has no proof.  With one disjunct
             # no sum is refuted, as the goal was not: n*x >= 0 iff x >= 0 in
-            # Z, and sums are idempotent on Sugihara chains
+            # Z, and sums are idempotent on Sugihara chains.  The countermodel
+            # is unchecked: a wrong one skips a sum, so at worst the goal ends
+            # unknown, never in a wrong verdict
             if len(disjuncts) > 1 and class_refutation(logic, target) is not None:
                 continue
             verdict = prove_one_target(logic, target, budget.hilbert)
@@ -156,15 +155,14 @@ def prove_consequence(
 
     Proved iff every goal is proved; any refuted goal refutes the
     consequence (the decomposition is equivalence-preserving over chains).
-    The goals share one :class:`oracles.AbelianMemo`, so in ``A`` each
-    literal is read once and a goal that an earlier goal's countermodel
-    refutes skips the LP; every goal is still decided and checked, and
-    the check reads each literal once too, into its own dict.
+    The goals share one :class:`oracles.AbelianMemo`, so in ``A`` a goal
+    that an earlier goal's countermodel refutes skips the LP; every goal is
+    still decided and checked.
     """
     logic = resolve_logic(logic)
     goals = decompose_consequence(sigma, f)
-    memo, readings = AbelianMemo(), {}
-    results = tuple(prove_disjunction(logic, g, budget, memo, readings) for g in goals)
+    memo = AbelianMemo()
+    results = tuple(prove_disjunction(logic, g, budget, memo) for g in goals)
     if any(r.status == "refuted" for r in results):
         status = "refuted"
     elif any(r.status == "unknown" for r in results):

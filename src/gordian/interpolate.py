@@ -10,6 +10,8 @@ Multiplicative level:
   cone's polar inequality system onto X by Fourier-Motzkin yields rows that
   generate exactly the cone's intersection with the X-subspace, and each
   row renders back as the implication (negative part) -> (positive part).
+  An elimination past :data:`linalg.FM_ROW_CAP` rows raises
+  SizeBudgetExceededError.
 * Mingle logics (X of at most 2 variables): the finitely many semantic
   classes of formulas over X are enumerated by their value tables on the
   decision chains for X, each candidate's table computed from its two
@@ -33,7 +35,7 @@ import itertools
 from .chains import decision_chains, eval_vector, level_search
 from .engine import DEFAULT_BUDGET, EngineBudget, prove_consequence
 from .errors import EnumerationBudgetExceededError, UnsupportedLogicError
-from .linalg import LinForm, project_fm, translate_abelian
+from .linalg import linear_coefficients, project_fm
 from .logics import LogicSpec, resolve_logic
 from .normalize import hypothesis_branches
 from .syntax import (
@@ -59,16 +61,13 @@ CLASS_CAP = 4096
 MAX_BRANCHES = 256
 
 
-def _form_to_formula(form: LinForm) -> Formula:
-    """A multiplicative formula whose linear reading is ``form``:
-    (product of negative-coefficient powers) -> (product of positive ones)."""
+def _form_to_formula(form) -> Formula:
+    """A multiplicative formula whose linear reading is the coefficient
+    mapping ``form``: (product of negative-coefficient powers) -> (product
+    of positive ones)."""
 
     def monomial(signed: int) -> Formula:
-        factors = [
-            power(Var(v), c * signed)
-            for v, c in sorted(form.coeffs.items())
-            if c * signed > 0
-        ]
+        factors = [power(Var(v), c * signed) for v, c in sorted(form.items()) if c * signed > 0]
         out = ONE
         for f in factors:
             out = f if out == ONE else Fuse(out, f)
@@ -94,7 +93,7 @@ def _mult_interpolant(
     logic: LogicSpec, sigma: list[Formula], x_vars: frozenset[str], depth: int
 ) -> list[Formula]:
     if logic.oracle_kind == "abelian":
-        rows = project_fm([translate_abelian(f) for f in sigma], x_vars)
+        rows = project_fm([linear_coefficients(f) for f in sigma], x_vars)
         return sorted((_form_to_formula(r) for r in rows), key=render)
     if logic.oracle_kind == "sugihara":
         if len(x_vars) > 2:

@@ -3,97 +3,47 @@
 Everything here runs on arbitrary-precision integers; there is no floating
 point anywhere, so every certificate re-verifies bit-exactly.  The pieces
 are: linear readings of multiplicative formulas (homogeneous forms, since
-both constants read 0), a phase-1 simplex that pivots an integer tableau
-(fraction-free, ``Fraction`` only in what it returns) to either a feasible
-point or a Farkas infeasibility certificate, by Dantzig's entering rule
-with the lexicographic ratio test, which terminates, the one
-theorem-of-alternatives LP over it (read by the strict-dual/kernel
-dichotomy and the Abelian procedure), which a zero form answers without
-the simplex, and Fourier-Motzkin projection, which prunes by
-deduplication alone.
+both constants read 0), each folded once and kept on its node, a phase-1
+simplex that pivots an integer tableau (fraction-free, ``Fraction`` only
+in what it returns) to either a feasible point or a Farkas infeasibility
+certificate, by Dantzig's entering rule with the lexicographic ratio
+test, which terminates, the one theorem-of-alternatives LP over it (read
+by the strict-dual/kernel dichotomy and the Abelian procedure), which a
+zero form answers without the simplex, and Fourier-Motzkin projection on
+coefficient mappings, which prunes by deduplication alone and refuses an
+elimination past :data:`FM_ROW_CAP` rows.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 
-from .errors import InvalidCertificateError, NotMultiplicativeError
+from .errors import InvalidCertificateError, NotMultiplicativeError, SizeBudgetExceededError
 from .syntax import Formula, Fuse, Imp, MVar, Record, Var, fold
 
 
-class LinForm(Record):
-    """A homogeneous integer linear form ``sum(coeffs[v] * v)``, as the
-    linear reading of a multiplicative formula is.
+def linear_coefficients(f: Formula) -> Mapping[str, int]:
+    """The linear reading of the multiplicative ``f`` over the integers, one
+    coefficient per variable of ``f``, zeros included: variables read as
+    themselves, both constants as 0, fusion as addition and implication as
+    the difference right-minus-left.
 
-    Zero coefficients are never stored.  Instances are immutable records
-    that support ``+``, ``-`` and integer scaling.
-    """
-
-    __slots__ = ("coeffs",)
-    coeffs: dict[str, int]
-
-    def __init__(self, coeffs: dict[str, int] | None = None):
-        object.__setattr__(self, "coeffs", {v: c for v, c in (coeffs or {}).items() if c != 0})
-
-    def get(self, var: str) -> int:
-        return self.coeffs.get(var, 0)
-
-    def variables(self) -> frozenset[str]:
-        return frozenset(self.coeffs)
-
-    def __add__(self, other: "LinForm") -> "LinForm":
-        coeffs = dict(self.coeffs)
-        for v, c in other.coeffs.items():
-            coeffs[v] = coeffs.get(v, 0) + c
-        return LinForm(coeffs)
-
-    def __neg__(self) -> "LinForm":
-        return LinForm({v: -c for v, c in self.coeffs.items()})
-
-    def __sub__(self, other: "LinForm") -> "LinForm":
-        return self + (-other)
-
-    def __mul__(self, k: int) -> "LinForm":
-        return LinForm({v: k * c for v, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def evaluate(self, valuation) -> int | Fraction:
-        return sum(c * valuation[v] for v, c in self.coeffs.items())
-
-    def normalized(self) -> "LinForm":
-        """Divide by the positive gcd of the coefficients; the zero form is
-        fixed."""
-        g = gcd(*self.coeffs.values())
-        if g in (0, 1):
-            return self
-        return LinForm({v: c // g for v, c in self.coeffs.items()})
-
-    def _key(self):
-        return tuple(sorted(self.coeffs.items()))
-
-    def __repr__(self) -> str:
-        parts = [f"{c}*{v}" for v, c in sorted(self.coeffs.items())]
-        return "LinForm(" + (" + ".join(parts) or "0") + ")"
-
-
-def translate_abelian(f: Formula) -> LinForm:
-    """Linear reading of a multiplicative formula over the integers.
-
-    Variables map to themselves, both constants to 0, fusion to addition and
-    implication to the difference right-minus-left.
-    """
-    return LinForm(linear_coefficients(f))
-
-
-def linear_coefficients(f: Formula) -> dict[str, int]:
-    """The coefficients of :func:`translate_abelian`'s reading of ``f``, one
-    per variable of ``f``, zeros included: plain dicts folded once per node."""
-    if not f.multiplicative:
-        raise NotMultiplicativeError(f"not multiplicative: {f}")
-    return fold(f, _linear_leaf, {Fuse: _combine, Imp: lambda a, b: _combine(b, a, -1)})
+    The first call folds ``f`` once and keeps the reading on the node, as a
+    read-only mapping; every later call returns that mapping.  Nodes are
+    immutable, so the reading is a function of the node, and this is the
+    one place that stores it."""
+    reading = getattr(f, "_linear", None)
+    if reading is None:
+        if not f.multiplicative:
+            raise NotMultiplicativeError(f"not multiplicative: {f}")
+        folded = fold(f, _linear_leaf, {Fuse: _combine, Imp: lambda a, b: _combine(b, a, -1)})
+        reading = MappingProxyType(folded)
+        object.__setattr__(f, "_linear", reading)
+    return reading
 
 
 def _linear_leaf(f: Formula) -> dict[str, int]:
@@ -329,38 +279,56 @@ def gordan(matrix: IntMatrix) -> StrictDual | Kernel:
 
 # --- Fourier-Motzkin projection ----------------------------------------------
 
+# Read at call time: the rows one elimination may hold.
+FM_ROW_CAP = 4096
 
-def project_fm(inequalities: list[LinForm], keep) -> list[LinForm]:
+
+def project_fm(inequalities, keep) -> list[dict[str, int]]:
     """Project the solution set of ``{form >= 0}`` onto the ``keep`` variables.
 
-    Eliminates the other variables one at a time, combining each positive
-    occurrence with each negative one; redundant rows are pruned by gcd
-    normalization and deduplication.
+    Each inequality is a coefficient mapping, as
+    :func:`linear_coefficients` returns; so is each row returned, without
+    zero coefficients, divided by the gcd of its coefficients, in the order
+    of its sorted items.  Eliminates the other variables one at a time,
+    combining each positive occurrence with each negative one; redundant
+    rows are pruned by gcd normalization and deduplication.  An elimination
+    that would hold more than :data:`FM_ROW_CAP` rows raises
+    SizeBudgetExceededError before it is built.
     """
     keep = set(keep)
-    rows = [f.normalized() for f in inequalities]
+    rows = [_normalized(f) for f in inequalities]
     eliminate = sorted(
-        {v for f in rows for v in f.variables()} - keep,
+        {v for f in rows for v in f} - keep,
         key=lambda v: _elimination_cost(rows, v),
     )
     for var in eliminate:
-        pos = [f for f in rows if f.get(var) > 0]
-        neg = [f for f in rows if f.get(var) < 0]
-        rest = [f for f in rows if f.get(var) == 0]
+        pos = [f for f in rows if f.get(var, 0) > 0]
+        neg = [f for f in rows if f.get(var, 0) < 0]
+        rest = [f for f in rows if var not in f]
+        if len(rest) + len(pos) * len(neg) > FM_ROW_CAP:
+            raise SizeBudgetExceededError(
+                f"eliminating {var} would make more than {FM_ROW_CAP} rows"
+            )
         for p, q in itertools.product(pos, neg):
-            combined = (-q.get(var)) * p + p.get(var) * q
-            rest.append(combined.normalized())
+            a, b = -q[var], p[var]
+            rest.append(_normalized({v: a * p.get(v, 0) + b * q.get(v, 0) for v in p.keys() | q.keys()}))
         rows = _prune(rest)
     return _prune(rows)
 
 
-def _elimination_cost(rows: list[LinForm], var: str) -> tuple[int, str]:
-    pos = sum(1 for f in rows if f.get(var) > 0)
-    neg = sum(1 for f in rows if f.get(var) < 0)
+def _normalized(form) -> dict[str, int]:
+    """``form`` without its zero coefficients, divided by their positive gcd."""
+    g = gcd(*form.values()) or 1
+    return {v: c // g for v, c in form.items() if c}
+
+
+def _elimination_cost(rows: list[dict[str, int]], var: str) -> tuple[int, str]:
+    pos = sum(1 for f in rows if f.get(var, 0) > 0)
+    neg = sum(1 for f in rows if f.get(var, 0) < 0)
     return (pos * neg - pos - neg, var)
 
 
-def _prune(rows: list[LinForm]) -> list[LinForm]:
-    """The distinct nonzero rows, normalized, in key order; the zero row
-    holds trivially."""
-    return sorted({f.normalized() for f in rows if f.coeffs}, key=LinForm._key)
+def _prune(rows: list[dict[str, int]]) -> list[dict[str, int]]:
+    """The distinct nonzero rows of the normalized ``rows``, in the order of
+    their sorted items; the zero row holds trivially."""
+    return [dict(key) for key in sorted({tuple(sorted(f.items())) for f in rows if f})]

@@ -15,7 +15,8 @@ True)`` for ``f`` asserted and ``(f, False)`` for ``f`` assumed.  A unit
 goes first, since it can always be dropped, then a tensor (below) one of
 whose parts is a unit, the rest of the sequent going with the other part.
 A sequent whose atoms do not balance (each variable as often asserted as
-assumed) has no proof.  Otherwise a formula both asserted and assumed is
+assumed, read off the members' linear readings, which stay on their nodes
+once read) has no proof.  Otherwise a formula both asserted and assumed is
 first tried as one identity link, the rest proved beside it by mix; then
 the first par (an asserted implication or an assumed fusion) is split into
 its parts, which loses nothing; with no par left, each tensor (an asserted
@@ -85,16 +86,12 @@ def _is_par(f: Formula, sign: bool) -> bool:
     return (type(f) is Imp) == sign
 
 
-def _balanced(members, readings: dict) -> bool:
+def _balanced(members) -> bool:
     """Whether each variable occurs in ``members`` as often asserted as
-    assumed: their linear readings, the assumed ones negated, sum to 0.
-    A formula's reading is kept in ``readings``."""
+    assumed: their linear readings, the assumed ones negated, sum to 0."""
     total: dict = {}
     for f, sign in members:
-        reading = readings.get(f)
-        if reading is None:
-            reading = readings[f] = linear_coefficients(f)
-        for name, n in reading.items():
+        for name, n in linear_coefficients(f).items():
             total[name] = total.get(name, 0) + (n if sign else -n)
     return not any(total.values())
 
@@ -106,7 +103,7 @@ def _without(seq: list, *members) -> list:
     return rest
 
 
-def _alternatives(seq: list, readings: dict, work: list):
+def _alternatives(seq: list, work: list):
     """The rules that could end a proof of ``seq``, each as ``(rule,
     premises)``, in the order the search tries them; ``work[0]`` counts
     down the splits tried."""
@@ -128,7 +125,7 @@ def _alternatives(seq: list, readings: dict, work: list):
     if not seq:
         yield ("mix0",), []
         return
-    if not _balanced(seq, readings):
+    if not _balanced(seq):
         return
     members = set(seq)
     linked = set()
@@ -152,7 +149,7 @@ def _alternatives(seq: list, readings: dict, work: list):
             if work[0] < 0:
                 return
             left = [m for j, m in enumerate(rest) if mask >> j & 1]
-            if _balanced(left + [first], readings):
+            if _balanced(left + [first]):
                 right = [m for j, m in enumerate(rest) if not mask >> j & 1]
                 yield ("tensor", member, tuple(left)), [left + [first], right + [second]]
 
@@ -167,8 +164,7 @@ def _search(root: list, work: list):
     alternative being tried, that alternative's premises and the proofs
     found for them so far."""
     memo: dict = {}
-    readings: dict = {}
-    stack = [[root, _key(root), _alternatives(root, readings, work), None, (), []]]
+    stack = [[root, _key(root), _alternatives(root, work), None, (), []]]
     returned = None  # what the last closed frame found
     while stack:
         frame = stack[-1]
@@ -199,7 +195,7 @@ def _search(root: list, work: list):
         work[0] -= 1
         if work[0] < 0:
             return None
-        stack.append([premise, key, _alternatives(premise, readings, work), None, (), []])
+        stack.append([premise, key, _alternatives(premise, work), None, (), []])
     return returned
 
 

@@ -8,8 +8,9 @@ one-target entry, asks each the one-disjunct question ``sigma |- phi``:
 * ``abelian``: :func:`prove_abelian` on :func:`abelian_alternative`, the
   package's one exact LP on the linear readings: weights on the disjuncts
   and hypotheses that balance, or else its separation, an integer
-  countermodel in Z.  The goals of one consequence share an
-  :class:`AbelianMemo`: each literal is read once, and an earlier goal's
+  countermodel in Z.  A literal's reading is kept on its node
+  (:func:`linalg.linear_coefficients`), so it is folded once.  The goals of
+  one consequence share an :class:`AbelianMemo`: an earlier goal's
   countermodel that refutes a goal answers it before the LP.
 * ``sugihara`` (the mingle logics): :func:`prove_subsets`, weights over 0/1
   vectors.  The goal is compiled once for the level search
@@ -30,7 +31,9 @@ declares sound (:func:`class_refutation`) with the two complete
 procedures above: the LP's separation for Z and the chain scan
 (:func:`find_chain_countermodel`) for the Sugihara classes.  A
 declaration is checked against the logic's multiplicative axioms and rules
-(:func:`check_model_classes`) once a refutation rests on it.
+(:func:`check_model_classes`) once a refutation rests on it.  A class
+countermodel is checked once: as the evidence of a refuted verdict, or by
+:func:`check_model_classes` before it reports an unsound class.
 """
 
 from __future__ import annotations
@@ -81,22 +84,13 @@ def one_target(sigma, phi: Formula) -> Goal:
 
 
 class AbelianMemo:
-    """What the Abelian goals of one consequence share: each literal's
-    :func:`linalg.linear_coefficients` reading, keyed by node identity (the
-    node is kept with its reading, so an identity is never reused), and
-    the Z countermodels found so far, the latest hit first."""
+    """What the Abelian goals of one consequence share: the Z countermodels
+    found so far, the latest hit first."""
 
-    __slots__ = ("readings", "countermodels")
+    __slots__ = ("countermodels",)
 
     def __init__(self):
-        self.readings: dict[int, tuple[Formula, dict[str, int]]] = {}
         self.countermodels: list[dict[str, int]] = []
-
-    def reading(self, f: Formula) -> dict[str, int]:
-        entry = self.readings.get(id(f))
-        if entry is None:
-            entry = self.readings[id(f)] = (f, linear_coefficients(f))
-        return entry[1]
 
     def refuting(self, d_forms, h_forms, variables) -> dict[str, int] | None:
         """An earlier countermodel, restricted to ``variables``, under which
@@ -121,12 +115,12 @@ def abelian_alternative(
     the hypotheses match, or else its separation, which makes every
     disjunct negative and no hypothesis negative, as a countermodel in Z.
 
-    The readings come from ``memo`` (a fresh one by default), and an
-    earlier countermodel of the memo that refutes the goal is returned
-    without the LP, restricted to the goal's variables."""
+    An earlier countermodel of ``memo`` (a fresh one by default) that
+    refutes the goal is returned without the LP, restricted to the goal's
+    variables."""
     memo = AbelianMemo() if memo is None else memo
-    d_forms = [memo.reading(d) for d in disjuncts]
-    h_forms = [memo.reading(h) for h in sigma]
+    d_forms = list(map(linear_coefficients, disjuncts))
+    h_forms = list(map(linear_coefficients, sigma))
     goal_variables = set().union(*d_forms, *h_forms)
     earlier = memo.refuting(d_forms, h_forms, goal_variables)
     if earlier is not None:
@@ -248,9 +242,9 @@ U_RULE_CHECK_MAX = 16  # the largest n of the u_n rule instances checked
 
 
 def class_countermodel(classes, sigma, disjuncts) -> Countermodel | None:
-    """A checked valuation in one of the named model classes that
-    designates every formula of ``sigma`` and none of ``disjuncts``, or
-    ``None`` when the classes have none.
+    """A valuation in one of the named model classes that designates every
+    formula of ``sigma`` and none of ``disjuncts``, unchecked, or ``None``
+    when the classes have none.
 
     Z goes first, through the separation of :func:`abelian_alternative`;
     it is skipped for a question without variables, whose one valuation
@@ -265,8 +259,7 @@ def class_countermodel(classes, sigma, disjuncts) -> Countermodel | None:
     chains = class_chains(classes, k)
     if not isinstance(cm, Countermodel) and chains:
         cm = find_chain_countermodel(chains, sigma, disjuncts)
-    found = isinstance(cm, Countermodel)
-    return checked_countermodel(cm, sigma, disjuncts, classes) if found else None
+    return cm if isinstance(cm, Countermodel) else None
 
 
 @lru_cache(maxsize=64)
@@ -284,7 +277,7 @@ def check_model_classes(logic: LogicSpec) -> tuple[str, ...]:
     ``p, p -> q |- q`` for modus ponens and ``n*p |- p`` for u_n,
     2 <= n <= ``U_RULE_CHECK_MAX`` (in Z, ``n*p`` reads n times ``p``; on a
     Sugihara chain, ``p``; so the rule holds for every n where it holds for
-    these)."""
+    these).  A countermodel found is checked before it is reported."""
     p, q = Var("p"), Var("q")
     checks = [
         (f"axiom {s.name}", (), instantiate(s, {v: Var(v.lower()) for v in s.occurrences}))
@@ -297,7 +290,9 @@ def check_model_classes(logic: LogicSpec) -> tuple[str, ...]:
         if model_class not in MODEL_CLASSES:
             raise UnsoundModelClassError(f"{logic.name}: unknown model class {model_class!r}")
         for label, sigma, target in checks:
-            if class_countermodel((model_class,), sigma, (target,)) is not None:
+            cm = class_countermodel((model_class,), sigma, (target,))
+            if cm is not None:
+                checked_countermodel(cm, sigma, (target,), (model_class,))
                 raise UnsoundModelClassError(
                     f"{logic.name} declares {model_class}, where {label} fails"
                 )
@@ -305,9 +300,11 @@ def check_model_classes(logic: LogicSpec) -> tuple[str, ...]:
 
 
 def class_refutation(logic: LogicSpec, goal: Goal) -> Countermodel | None:
-    """The checked countermodel to ``goal`` in the model classes ``logic``
-    declares, or ``None``; the declaration is checked only once a refutation
-    rests on it, so theorems, which no class refutes, never pay for that."""
+    """The countermodel to ``goal`` in the model classes ``logic`` declares,
+    unchecked, or ``None``; the declaration is checked only once a
+    refutation rests on it, so theorems, which no class refutes, never pay
+    for that.  A refuted verdict built on it is checked by
+    :func:`check.check_result`."""
     cm = class_countermodel(logic.model_classes, goal.hypotheses, goal.clause.disjuncts)
     if cm is not None:
         check_model_classes(logic)

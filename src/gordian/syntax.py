@@ -3,12 +3,13 @@
 The tree has exactly six node kinds: variables, the constants 1 and 0, the
 lattice connectives ``&`` and ``|``, fusion ``*`` and implication ``->``.
 A connective node stores its hash, size and multiplicative flag when it is
-built, so no formula-keyed cache exists.  No walker recurses, so formulas
-of any depth are handled: equality, :func:`subformulas` (each distinct
-subformula once, children first) and :func:`fold` (a value per node,
-children first) keep explicit stacks, substitution and schema
-instantiation run a :func:`postorder` (:func:`replace_leaves`), and the
-parser and :func:`render` are loops.
+built, and a node its linear reading once
+:func:`linalg.linear_coefficients` has read it, so no formula-keyed cache
+exists.  No walker recurses, so formulas of any depth are handled:
+equality, :func:`subformulas` (each distinct subformula once, children
+first) and :func:`fold` (a value per node, children first) keep explicit
+stacks, substitution and schema instantiation run a :func:`postorder`
+(:func:`replace_leaves`), and the parser and :func:`render` are loops.
 Negation, sum, scalar multiples and powers are input notation only; they
 elaborate at construction time via
 
@@ -118,7 +119,9 @@ class Formula(Record):
     hash when built.  Nodes compare by structure and print as records, and
     they pickle and copy by being rebuilt (a :class:`Binary` from its
     postorder), so the hash is recomputed in the loading process; none of
-    these recurse, so they take formulas of any depth."""
+    these recurse, so they take formulas of any depth.  The ``_linear`` slot,
+    which only :func:`linalg.linear_coefficients` sets, is no field: it
+    takes no part in any of these, and a rebuilt node has none."""
 
     __slots__ = ()
     size = 1
@@ -152,7 +155,7 @@ class Formula(Record):
 
 
 class Var(Formula):
-    __slots__ = ("name", "_hash")
+    __slots__ = ("name", "_hash", "_linear")
     name: str
 
 
@@ -167,18 +170,18 @@ class MVar(Formula):
 
 
 class One(Formula):
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_linear")
 
 
 class Zero(Formula):
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_linear")
 
 
 class Binary(Formula):
     """A connective applied to ``left`` and ``right``; its hash, ``size``
     and ``multiplicative`` are computed from the children's when it is built."""
 
-    __slots__ = ("left", "right", "size", "multiplicative", "_hash")
+    __slots__ = ("left", "right", "size", "multiplicative", "_hash", "_linear")
     left: Formula
     right: Formula
     lattice = False

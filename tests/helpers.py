@@ -35,11 +35,10 @@ from gordian.errors import (
 )
 from gordian.linalg import (
     Combination,
-    LinForm,
     Separation,
     feasible_point_or_farkas,
     linear_alternative,
-    translate_abelian,
+    linear_coefficients,
 )
 from gordian.logics import resolve_logic
 from gordian.normalize import Goal
@@ -146,14 +145,14 @@ def abelian_grid_refute(sigma, f: Formula, bound: int):
     proves nothing."""
     sigma = list(sigma)
     require_multiplicative(sigma + [f])
-    hyp_forms = [translate_abelian(h) for h in sigma]
-    goal_form = translate_abelian(f)
+    hyp_forms = [linear_coefficients(h) for h in sigma]
+    goal_form = linear_coefficients(f)
     var_order = sorted(variables_of(sigma + [f]))
     values = range(-bound, bound + 1)
     for point in itertools.product(values, repeat=len(var_order)):
         valuation = dict(zip(var_order, point))
-        if goal_form.evaluate(valuation) < 0 and all(
-            h.evaluate(valuation) >= 0 for h in hyp_forms
+        if evaluate_form(goal_form, valuation) < 0 and all(
+            evaluate_form(h, valuation) >= 0 for h in hyp_forms
         ):
             return valuation
     return None
@@ -167,11 +166,23 @@ def disj_all(fs) -> Formula:
     return reduce(Disj, fs)
 
 
+def evaluate_form(form, valuation):
+    """The value of the coefficient mapping ``form`` at ``valuation``, which
+    needs only the variables with a nonzero coefficient."""
+    return sum(c * valuation[v] for v, c in form.items() if c)
+
+
+def form_variables(forms) -> list[str]:
+    """The variables with a nonzero coefficient in some coefficient
+    mapping of ``forms``, sorted."""
+    return sorted({v for f in forms for v, c in f.items() if c})
+
+
 def form_columns(forms) -> list[list[int]]:
-    """The linear forms' coefficient vectors over their sorted variables,
-    as columns for :func:`linalg.linear_alternative`."""
-    variables = sorted(frozenset().union(*(f.variables() for f in forms)))
-    return [[f.get(v) for v in variables] for f in forms]
+    """The coefficient mappings' vectors over their sorted variables, as
+    columns for :func:`linalg.linear_alternative`."""
+    variables = form_variables(forms)
+    return [[f.get(v, 0) for v in variables] for f in forms]
 
 
 def in_cone(target, generators) -> Combination | Separation:
@@ -179,6 +190,20 @@ def in_cone(target, generators) -> Combination | Separation:
     hypotheses: a combination puts a multiple of ``target`` in their cone."""
     target_column, *columns = form_columns([target] + list(generators))
     return linear_alternative([target_column], columns)
+
+
+def fusion_chain_hypotheses() -> list[str]:
+    """Forty hypotheses over x0..x11, each the fusion of some variables
+    implying the fusion of others, as text.  In A their Fourier-Motzkin
+    projection onto {x0, x1} grows from 1,674 to 54,600 rows at its seventh
+    elimination, past :data:`linalg.FM_ROW_CAP`."""
+    rng, names = Random(2), [f"x{i}" for i in range(12)]
+    hyps = []
+    for _ in range(40):
+        k = rng.randint(2, 4)
+        vs = rng.sample(names, k)
+        hyps.append(f"{' * '.join(vs[k // 2:])} -> {' * '.join(vs[:k // 2])}")
+    return hyps
 
 
 def random_goal(
@@ -204,23 +229,21 @@ def abelian_goal_countermodel(goal: Goal) -> dict[str, Fraction] | None:
     """Rational valuation with every hypothesis form >= 0 and every disjunct
     form <= -1, or None.  Strictness is scaled away: the forms are
     homogeneous, so a refuting valuation exists iff one exists at gap 1."""
-    d_forms = [translate_abelian(d) for d in goal.clause.disjuncts]
-    h_forms = [translate_abelian(h) for h in goal.hypotheses]
-    variables = sorted(
-        frozenset().union(*(f.variables() for f in d_forms + h_forms))
-    )
+    d_forms = [linear_coefficients(d) for d in goal.clause.disjuncts]
+    h_forms = [linear_coefficients(h) for h in goal.hypotheses]
+    variables = form_variables(d_forms + h_forms)
     nv, nh, nd = len(variables), len(h_forms), len(d_forms)
     # unknowns: v+ (nv), v- (nv), hyp slacks (nh), disjunct slacks (nd)
     rows = []
     rhs = []
     for j, h in enumerate(h_forms):
-        coeffs = [h.get(v) for v in variables]
+        coeffs = [h.get(v, 0) for v in variables]
         rows.append(
             coeffs + [-c for c in coeffs] + [-1 if t == j else 0 for t in range(nh)] + [0] * nd
         )
         rhs.append(0)
     for i, d in enumerate(d_forms):
-        coeffs = [d.get(v) for v in variables]
+        coeffs = [d.get(v, 0) for v in variables]
         rows.append(
             coeffs + [-c for c in coeffs] + [0] * nh + [1 if t == i else 0 for t in range(nd)]
         )
@@ -231,8 +254,8 @@ def abelian_goal_countermodel(goal: Goal) -> dict[str, Fraction] | None:
     valuation = {
         v: x[idx] - x[nv + idx] for idx, v in enumerate(variables)
     }
-    assert all(h.evaluate(valuation) >= 0 for h in h_forms)
-    assert all(d.evaluate(valuation) <= -1 for d in d_forms)
+    assert all(evaluate_form(h, valuation) >= 0 for h in h_forms)
+    assert all(evaluate_form(d, valuation) <= -1 for d in d_forms)
     return valuation
 
 
@@ -675,15 +698,17 @@ def ref_eval_abelian(f, valuation):
     return right - left
 
 
-def ref_translate_abelian(f):
+def ref_translate_abelian(f) -> dict[str, int]:
+    """The reference linear reading: one coefficient per variable of ``f``,
+    zeros included, by recursion."""
     if isinstance(f, Var):
-        return LinForm({f.name: 1})
+        return {f.name: 1}
     if isinstance(f, (One, Zero)):
-        return LinForm()
-    if isinstance(f, Fuse):
-        return ref_translate_abelian(f.left) + ref_translate_abelian(f.right)
-    if isinstance(f, Imp):
-        return ref_translate_abelian(f.right) - ref_translate_abelian(f.left)
+        return {}
+    if isinstance(f, (Fuse, Imp)):
+        left, right = ref_translate_abelian(f.left), ref_translate_abelian(f.right)
+        sign = 1 if isinstance(f, Fuse) else -1
+        return {v: sign * left.get(v, 0) + right.get(v, 0) for v in left.keys() | right.keys()}
     if isinstance(f, MVar):
         raise NotMultiplicativeError(f"metavariable {f.name} has no linear reading")
     raise NotMultiplicativeError(f"not multiplicative: {f}")

@@ -7,6 +7,7 @@ from helpers import (
     abelian_grid_refute,
     brute_force_consequence,
     check_laws,
+    evaluate_form,
     random_mult_formula,
     relabel,
 )
@@ -20,7 +21,7 @@ from gordian.chains import (
     sugihara_chain,
 )
 from gordian.errors import MissingVariableError, NotMultiplicativeError, SizeBudgetExceededError
-from gordian.linalg import translate_abelian
+from gordian.linalg import linear_coefficients
 from gordian.syntax import Disj, Var, parse, variables_of
 
 
@@ -132,8 +133,8 @@ def test_grid_refute_examples():
     assert abelian_grid_refute([], parse("p + ~p"), 3) is None
     valuation = abelian_grid_refute([parse("p -> q")], parse("p -> r"), 2)
     assert valuation is not None
-    assert translate_abelian(parse("p -> q")).evaluate(valuation) >= 0
-    assert translate_abelian(parse("p -> r")).evaluate(valuation) < 0
+    assert evaluate_form(linear_coefficients(parse("p -> q")), valuation) >= 0
+    assert evaluate_form(linear_coefficients(parse("p -> r")), valuation) < 0
 
 
 def test_grid_refute_rejects_lattice():

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from helpers import fusion_chain_hypotheses
+
 from gordian import cli, prove_consequence
 from gordian.cli import main
 from gordian.check import Countermodel, combination_formula, countermodel_refutes
@@ -422,3 +424,9 @@ def test_parse_errors_name_their_line(tmp_path, capsys):
         code, out, err = run(capsys, "prove", problem)
         assert code == 3 and out == ""
         assert err.startswith(f"error: line {lineno}: unexpected 'end of input'"), err
+
+
+def test_interpolate_past_the_row_cap_exits_three(tmp_path, capsys):
+    body = "logic A\n" + "".join(f"assume {h}\n" for h in fusion_chain_hypotheses())
+    code, out, err = run(capsys, "interpolate", write(tmp_path, "fm.txt", body), "--vars", "x0,x1")
+    assert code == 3 and out == "" and "more than 4096 rows" in err

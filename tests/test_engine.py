@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     abelian_goal_countermodel,
     brute_force_consequence,
+    form_variables,
     goal_holds_brute_force,
     iuml_chain_family,
     random_formula,
@@ -15,7 +16,7 @@ from helpers import (
     rmt_chain_family,
 )
 
-from gordian import chains, engine, oracles
+from gordian import chains, engine, linalg, oracles
 from gordian.check import (
     Countermodel,
     LinearWitness,
@@ -33,7 +34,7 @@ from gordian.engine import (
     prove_disjunction,
 )
 from gordian.errors import InvalidCertificateError, LogicWithoutToAError, SizeBudgetExceededError
-from gordian.linalg import IntMatrix, Kernel, gordan, translate_abelian
+from gordian.linalg import IntMatrix, Kernel, gordan, linear_coefficients
 from gordian.logics import lookup_logic
 from gordian.normalize import Goal
 from gordian.oracles import (
@@ -176,11 +177,11 @@ def test_abelian_without_hypotheses_is_gordan():
     compared, verdicts = 0, set()
     while compared < 300:
         goal = random_goal(rng, names=("p", "q", "r", "s"), max_disjuncts=4, max_hyps=0)
-        forms = [translate_abelian(d) for d in goal.clause.disjuncts]
-        variables = sorted(frozenset().union(*(f.variables() for f in forms)))
+        forms = [linear_coefficients(d) for d in goal.clause.disjuncts]
+        variables = form_variables(forms)
         if not variables:
             continue
-        dichotomy = gordan(IntMatrix.of([[f.get(v) for f in forms] for v in variables]))
+        dichotomy = gordan(IntMatrix.of([[f.get(v, 0) for f in forms] for v in variables]))
         result = prove_disjunction("A", goal)
         verdicts.add(result.status)
         if isinstance(dichotomy, Kernel):
@@ -544,22 +545,24 @@ def test_shared_abelian_memo_changes_no_verdict():
 
 def test_abelian_consequence_reads_each_literal_once(monkeypatch):
     # four refuted goals: the first and third need the LP, the second and
-    # fourth are refuted by p = -1 and by p = -2, q = -1 from before
-    calls = {"linear_alternative": 0, "linear_coefficients": 0}
+    # fourth are refuted by p = -1 and by p = -2, q = -1 from before.  The
+    # decision and the check read the literals' readings, which are folded
+    # once per literal object between them
+    calls = {"linear_alternative": 0, "fold": 0}
 
-    def counting(name):
-        real = getattr(oracles, name)
+    def counting(module, name):
+        real = getattr(module, name)
 
         def counted(*args):
             calls[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(oracles, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
-    counting("linear_alternative")
-    counting("linear_coefficients")
+    counting(oracles, "linear_alternative")
+    counting(linalg, "fold")
     result = prove_consequence("A", [], parse("(p & (q -> p)) | (p * p & q)"))
     assert [r.status for r in result.results] == ["refuted"] * 4
     assert calls["linear_alternative"] == 2
     literals = {id(f) for r in result.results for f in r.goal.hypotheses + r.goal.clause.disjuncts}
-    assert calls["linear_coefficients"] == len(literals)
+    assert calls["fold"] == len(literals)

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from helpers import random_mult_formula
+from helpers import fusion_chain_hypotheses, random_mult_formula
 
 from gordian.chains import eval_vector
 from gordian.chains import decision_chains
@@ -169,18 +169,18 @@ def test_projection_rows_lie_in_the_original_cone():
 
     from helpers import in_cone
 
-    from gordian.linalg import Combination, LinForm, project_fm
+    from gordian.linalg import Combination, project_fm
 
     rng = _Random(7777)
     names = ["p", "q", "r", "s"]
     for _ in range(80):
         gens = [
-            LinForm({v: rng.randint(-3, 3) for v in names})
+            {v: rng.randint(-3, 3) for v in names}
             for _ in range(rng.randint(1, 4))
         ]
         keep = set(rng.sample(names, rng.randint(1, 3)))
         for row in project_fm(gens, keep):
-            assert row.variables() <= keep
+            assert row.keys() <= keep and all(row.values())
             assert isinstance(in_cone(row, gens), Combination), (gens, keep, row)
 
 
@@ -271,3 +271,24 @@ def test_class_and_branch_caps(monkeypatch):
     monkeypatch.setattr(interpolate, "MAX_BRANCHES", 3)
     with pytest.raises(SizeBudgetExceededError):
         lift_interpolant("A", branching, ["q"])
+
+
+def test_a_projection_past_the_row_cap_raises_at_once():
+    sigma = [parse(h) for h in fusion_chain_hypotheses()]
+    start = time.perf_counter()
+    with pytest.raises(SizeBudgetExceededError, match="more than 4096 rows"):
+        lift_interpolant("A", sigma, {"x0", "x1"})
+    assert time.perf_counter() - start < 5
+
+
+def test_the_row_cap_is_read_at_call_time(monkeypatch):
+    from gordian import linalg
+
+    sigma = [parse("p -> q"), parse("q -> r"), parse("s -> q"), parse("q -> t")]
+    assert [render(f) for f in lift_interpolant("A", sigma, {"p", "r", "s", "t"})] == [
+        "p -> r", "p -> t", "s -> r", "s -> t"
+    ]
+    # eliminating q combines two positive rows with two negative ones
+    monkeypatch.setattr(linalg, "FM_ROW_CAP", 3)
+    with pytest.raises(SizeBudgetExceededError):
+        lift_interpolant("A", sigma, {"p", "r", "s", "t"})

@@ -1,12 +1,16 @@
+import ast
+import copy
 import itertools
+import pickle
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
-from helpers import form_columns, in_cone
+from helpers import evaluate_form, form_columns, in_cone
 
 from gordian import linalg
 from gordian.engine import prove_consequence
@@ -15,33 +19,94 @@ from gordian.linalg import (
     Combination,
     IntMatrix,
     Kernel,
-    LinForm,
     Separation,
     StrictDual,
     feasible_point_or_farkas,
     gordan,
     linear_alternative,
+    linear_coefficients,
     project_fm,
-    translate_abelian,
 )
-from gordian.syntax import parse
+from gordian.syntax import ONE, Fuse, Imp, Var, parse
 
 
-def form(**coeffs) -> LinForm:
-    return LinForm(coeffs)
+def form(**coeffs) -> dict[str, int]:
+    return coeffs
 
 
 def test_translate_examples():
-    assert translate_abelian(parse("p -> q")) == form(q=1, p=-1)
-    assert translate_abelian(parse("p + ~p")) == LinForm()
-    assert translate_abelian(parse("(p * p) -> q")) == form(q=1, p=-2)
-    assert translate_abelian(parse("1")) == LinForm()
-    assert translate_abelian(parse("0")) == LinForm()
+    # one coefficient per variable of the formula, zeros included
+    assert linear_coefficients(parse("p -> q")) == form(q=1, p=-1)
+    assert linear_coefficients(parse("p + ~p")) == form(p=0)
+    assert linear_coefficients(parse("(p * p) -> q")) == form(q=1, p=-2)
+    assert linear_coefficients(parse("1")) == {}
+    assert linear_coefficients(parse("0")) == {}
 
 
 def test_translate_rejects_lattice():
     with pytest.raises(NotMultiplicativeError):
-        translate_abelian(parse("p | q"))
+        linear_coefficients(parse("p | q"))
+
+
+# --- the reading kept on the node ------------------------------------------------
+
+
+def test_the_reading_is_folded_once_and_refuses_writes(monkeypatch):
+    folded = []
+    fold = linalg.fold
+    monkeypatch.setattr(linalg, "fold", lambda f, *rest: folded.append(f) or fold(f, *rest))
+    f = parse("(p * q) -> p")
+    reading = linear_coefficients(f)
+    assert reading == {"p": 0, "q": -1} and linear_coefficients(f) is reading
+    assert folded == [f]
+    with pytest.raises(TypeError):
+        reading["q"] = 1
+    with pytest.raises(TypeError):
+        del reading["p"]
+    assert linear_coefficients(f) == {"p": 0, "q": -1}
+    # an equal node built apart keeps its own reading
+    assert linear_coefficients(parse("(p * q) -> p")) == reading and len(folded) == 2
+
+
+def test_a_stored_reading_changes_no_equality_hash_print_or_pickle():
+    p = Var("p")
+    for build in (lambda: Var("p"), lambda: Imp(Fuse(p, ONE), Fuse(p, p)), lambda: parse("~(q -> 0) * p^3")):
+        read, fresh = build(), build()
+        linear_coefficients(read)
+        assert getattr(fresh, "_linear", None) is None
+        assert read == fresh and hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh) and str(read) == str(fresh)
+        assert pickle.dumps(read) == pickle.dumps(fresh)
+        for rebuilt in (pickle.loads(pickle.dumps(read)), copy.deepcopy(read)):
+            assert rebuilt == read and getattr(rebuilt, "_linear", None) is None
+            assert linear_coefficients(rebuilt) == linear_coefficients(read)
+
+
+def test_only_linear_coefficients_touches_the_stored_reading():
+    # every mention of _linear under src/, a slot declaration aside, lies in
+    # linalg.linear_coefficients, the one function that stores the reading
+    src = Path(linalg.__file__).parent
+    found = set()
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        slots = {
+            id(c) for a in ast.walk(tree) if isinstance(a, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in a.targets)
+            for c in ast.walk(a.value)
+        }
+        for func in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]:
+            body = [n for stmt in func.body for n in ast.walk(stmt)]
+            nested = {
+                id(n) for d in body if isinstance(d, ast.FunctionDef) for n in ast.walk(d)
+            }
+            for node in body:
+                if id(node) in nested or id(node) in slots:
+                    continue
+                if (isinstance(node, ast.Constant) and node.value == "_linear") or (
+                    isinstance(node, ast.Attribute) and node.attr == "_linear"
+                ):
+                    found.add((path.name, getattr(func, "name", None)))
+    assert found == {("linalg.py", "linear_coefficients")}
 
 
 def test_gordan_examples():
@@ -137,11 +202,11 @@ def _satisfiable_with_fixed(rows, fixed, free_vars):
     nf = len(free_vars)
     eq_rows, rhs = [], []
     for i, row in enumerate(rows):
-        coeffs = [row.get(v) for v in free_vars]
+        coeffs = [row.get(v, 0) for v in free_vars]
         slack = [0] * len(rows)
         slack[i] = -1
         eq_rows.append(coeffs + [-c for c in coeffs] + slack)
-        rhs.append(-sum(row.get(v) * val for v, val in fixed.items()))
+        rhs.append(-sum(row.get(v, 0) * val for v, val in fixed.items()))
     x, _ = feasible_point_or_farkas(eq_rows, rhs)
     return x is not None
 
@@ -151,7 +216,7 @@ def test_project_fm_is_exact_projection():
     names = ["x", "y", "z"]
     for _ in range(60):
         rows = [
-            LinForm({v: rng.randint(-3, 3) for v in names})
+            {v: rng.randint(-3, 3) for v in names}
             for _ in range(rng.randint(1, 4))
         ]
         keep = set(rng.sample(names, rng.randint(0, 2)))
@@ -160,7 +225,7 @@ def test_project_fm_is_exact_projection():
         for point in itertools.product(range(-2, 3), repeat=len(keep)):
             fixed = dict(zip(sorted(keep), point))
             in_projection = all(
-                f.evaluate({**fixed, **{v: 0 for v in dropped}}) >= 0
+                evaluate_form(f, {**fixed, **{v: 0 for v in dropped}}) >= 0
                 for f in projected
             )
             extends = _satisfiable_with_fixed(rows, fixed, dropped)
@@ -172,7 +237,7 @@ def test_nonneg_combination_examples():
     gens = [form(q=1, p=-1), form(r=1, q=-1)]
     assert in_cone(target, gens) == Combination((1,), (1, 1))
     assert isinstance(in_cone(form(p=1), []), Separation)
-    assert in_cone(LinForm(), [form(q=1, p=-1)]) == Combination((1,), (0,))
+    assert in_cone({}, [form(q=1, p=-1)]) == Combination((1,), (0,))
 
 
 def test_nonneg_combination_scaling():
@@ -187,20 +252,20 @@ def test_cone_alternative_is_exact():
     names = ["x", "y", "z"]
     cases = []
     for _ in range(200):
-        target = LinForm({v: rng.randint(-3, 3) for v in names})
+        target = {v: rng.randint(-3, 3) for v in names}
         gens = [
-            LinForm({v: rng.randint(-3, 3) for v in names})
+            {v: rng.randint(-3, 3) for v in names}
             for _ in range(rng.randint(0, 3))
         ]
         cases.append((target, gens))
     # no variables at all, and a target whose linear reading is 0
-    zero = translate_abelian(parse("p -> p"))
-    cases += [(LinForm(), []), (LinForm(), [LinForm()]), (zero, []), (zero, [form(x=1, y=-2)])]
+    zero = linear_coefficients(parse("p -> p"))
+    cases += [({}, []), ({}, [{}]), (zero, []), (zero, [form(x=1, y=-2)])]
     for target, gens in cases:
         columns = form_columns([target] + gens)
         alternative = in_cone(target, gens)
         _verify_alternative(columns[:1], columns[1:], alternative)
-        if not target.coeffs:
+        if not any(target.values()):
             assert alternative == Combination((1,), (0,) * len(gens))
 
 
@@ -209,13 +274,13 @@ def test_cone_completeness_vs_enumeration():
     rng = Random(23)
     names = ["x", "y"]
     for _ in range(120):
-        target = LinForm({v: rng.randint(-3, 3) for v in names})
+        target = {v: rng.randint(-3, 3) for v in names}
         gens = [
-            LinForm({v: rng.randint(-3, 3) for v in names}) for _ in range(2)
+            {v: rng.randint(-3, 3) for v in names} for _ in range(2)
         ]
         if isinstance(in_cone(target, gens), Separation):
             for mu in itertools.product(range(11), repeat=2):
-                combo = mu[0] * gens[0] + mu[1] * gens[1]
+                combo = {v: mu[0] * gens[0][v] + mu[1] * gens[1][v] for v in names}
                 assert combo != target
 
 

@@ -14,7 +14,7 @@ from helpers import random_formula, random_mult_formula
 from gordian.check import Countermodel, LinearWitness, ToACertificate
 from gordian.engine import EngineBudget, prove_consequence
 from gordian.errors import ArityError, FormulaSyntaxError, NotMultiplicativeError
-from gordian.linalg import Combination, IntMatrix, Kernel, LinForm, StrictDual
+from gordian.linalg import Combination, IntMatrix, Kernel, StrictDual
 from gordian.logics import AxiomFamily, knotted_logic, lookup_logic
 from gordian.normalize import Goal, MultClause
 from gordian.oracles import HilbertBudget
@@ -408,18 +408,6 @@ def test_axiom_family_equality_ignores_schemas():
     assert family == same_name and hash(family) == hash(same_name)
     assert family != AxiomFamily("other", family.schemas, family.indices)
     assert lookup_logic("BIULm").families == (same_name,)
-
-
-def test_linear_forms_are_records_keyed_by_sorted_coefficients():
-    form = LinForm({"q": 2, "p": -1, "r": 0})
-    assert form == LinForm({"p": -1, "q": 2}) and hash(form) == hash(LinForm({"p": -1, "q": 2}))
-    assert form != LinForm({"p": -1, "q": 3}) and repr(form) == "LinForm(-1*p + 2*q)"
-    assert repr(LinForm()) == "LinForm(0)"
-    for name in ("coeffs", "not_a_field"):
-        with pytest.raises(AttributeError):
-            setattr(form, name, None)
-    for copied in (pickle.loads(pickle.dumps(form)), copy.deepcopy(form)):
-        assert copied == form and copied.coeffs == {"p": -1, "q": 2}
 
 
 def test_record_validation_raises():

@@ -9,6 +9,7 @@ from random import Random
 import pytest
 
 from helpers import (
+    evaluate_form,
     ref_cnf,
     ref_eval_abelian,
     ref_eval_formula,
@@ -23,7 +24,7 @@ from gordian.chains import eval_formula, eval_vector, sugihara_chain
 from gordian.check import Countermodel, ProofResult, countermodel_refutes, verify_derivation
 from gordian.engine import _compositions
 from gordian.errors import GordianError
-from gordian.linalg import translate_abelian
+from gordian.linalg import linear_coefficients
 from gordian.logics import AxiomSchema, instantiate, match_template
 from gordian.normalize import Goal, _Budget, _cnf, _push, to_mult_clauses
 from gordian.oracles import hilbert_search
@@ -147,11 +148,11 @@ def test_evaluation_matches_the_recursive_walkers():
             assert eval_formula(chain, dict(zip(NAMES, points[0])), f) == expected[0]
         valuation = {v: rng.randint(-3, 3) for v in NAMES}
         if f.multiplicative:
-            assert translate_abelian(f) == ref_translate_abelian(f)
-            assert translate_abelian(f).evaluate(valuation) == ref_eval_abelian(f, valuation)
+            assert linear_coefficients(f) == ref_translate_abelian(f)
+            assert evaluate_form(linear_coefficients(f), valuation) == ref_eval_abelian(f, valuation)
         else:
             with pytest.raises(GordianError):
-                translate_abelian(f)
+                linear_coefficients(f)
 
 
 def test_instantiation_matches_the_recursive_walker():
@@ -202,7 +203,7 @@ def test_walkers_take_any_depth(name):
     value = eval_formula(chain, {"p": 1}, f)
     assert eval_vector(chain, f, ["p"], [(1,)]) == [value]
     # the checker reads a Z value off the linear reading, at any depth
-    refuted = translate_abelian(f).evaluate({"p": 1}) < 0
+    refuted = evaluate_form(linear_coefficients(f), {"p": 1}) < 0
     assert countermodel_refutes(Countermodel.of("Z", {"p": 1}), [], [f]) == refuted
     assert [c.disjuncts for c in to_mult_clauses(f)] == [(f,)]
     assert pickle.loads(pickle.dumps(f)) == f
