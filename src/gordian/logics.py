@@ -242,9 +242,12 @@ def knotted_logic(t: int, u: int, witnesses) -> LogicSpec:
     (r_i, k_i, m_i, s_i) per residue i < u, with r_i = s_i = i (mod u) and
     r_i, s_i >= t.  Registered with a theorem of alternatives; its
     side-condition check may still come back unknown under the Hilbert
-    oracle.  Sound on odd Sugihara chains, where fusion and sum are
-    idempotent, but not on Z: ``p^t -> p^(t+u)`` reads ``u*p >= 0``, which
-    fails at p < 0."""
+    oracle.  Sound on Sugihara chains of both parities, where fusion and
+    sum are idempotent: ``p^t -> p^(t+u)`` and each scaling axiom read
+    ``p -> p``, and on an even chain, where ``|p| >= 1``, ``0 -> 1`` reads
+    ``-1 -> 1 = 1``; ``1 -> 0``, which an even chain refutes, is no axiom.
+    Not sound on Z: ``p^t -> p^(t+u)`` reads ``u*p >= 0``, which fails at
+    p < 0.  Odd chains are declared first, so they are asked first."""
     witnesses = tuple(tuple(int(v) for v in w) for w in witnesses)
     if t < 1 or u < 1 or len(witnesses) != u:
         raise ValueError("need t,u >= 1 and exactly u witnesses")
@@ -265,7 +268,7 @@ def knotted_logic(t: int, u: int, witnesses) -> LogicSpec:
         extra_axioms=tuple(axioms),
         has_toa=True,
         oracle_kind="hilbert",
-        model_classes=("sugihara_odd",),
+        model_classes=("sugihara_odd", "sugihara_even"),
     )
 
 

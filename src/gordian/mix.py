@@ -22,38 +22,34 @@ the first par (an asserted implication or an assumed fusion) is split into
 its parts, which loses nothing; with no par left, each tensor (an asserted
 fusion or an assumed implication) is tried with each split of the rest of
 the sequent whose two sides balance.  Found and failed sequents are
-memoized.  :data:`WORK_CAP` steps (sequents opened, splits tried and
-combinators built by the abstraction below) end the work.
+memoized.  :data:`WORK_CAP` steps (sequents opened and splits tried) end
+the search.
 
 A proof of a sequent is read as a linear lambda term of type ``0`` with one
 variable per member: ``f`` for ``(f, False)`` and ``~f`` for ``(f, True)``;
 its constants are instances of ``fusion_intro``, ``uncurry``,
 ``double_negation``, ``unit_intro``, ``unit``, ``0 -> 1`` and ``1 -> 0``.
-Each lambda is replaced, as it is built, by the bracket abstraction of its
-body with ``identity``, ``suffixing`` and ``exchange``, so the term is
-constants, each an axiom line, and applications, each a modus ponens line.
-No function here calls itself: the search, the term builder and the
-abstraction keep explicit stacks.
+Each proof node is compiled once, after its premises, and each term as it
+is built: into a derived theorem ``t_1 -> ... -> t_k -> t`` over the types
+of its free variables, a variable being known by its type alone.  An
+application joins two such theorems, and an abstraction moves a variable
+to the back; each costs a few ``identity``, ``suffixing`` and ``exchange``
+instances and modus ponens lines per variable it passes, so a derivation
+grows with the proof times its widest sequent.  No function here calls
+itself: the search and the compiler keep explicit stacks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import count
 
 from .linalg import linear_coefficients
 from .syntax import ONE, ZERO, Formula, Fuse, Imp, One, Var, Zero, neg
 
-# Sequents opened, splits tried and combinator applications built before
-# the search gives up.
+# Sequents opened and splits tried before the search gives up.
 WORK_CAP = 5000
 
 _UNITS = (One, Zero)
-_NO_VARIABLES = frozenset()
-
-
-class _OutOfWork(Exception):
-    """The abstraction passed :data:`WORK_CAP`."""
 
 
 def mix_derivation(phi: Formula, up: str, down: str) -> dict[Formula, tuple] | None:
@@ -61,15 +57,25 @@ def mix_derivation(phi: Formula, up: str, down: str) -> dict[Formula, tuple] | N
     implication)`` of a derivation of the multiplicative ``phi`` from a
     proof in MLL with mix and one unit, each entered after its premises';
     ``up`` and ``down`` name the logic's axioms ``0 -> 1`` and ``1 -> 0``.
-    None when the search and the abstraction take more than
-    :data:`WORK_CAP` steps."""
+    None when the search takes more than :data:`WORK_CAP` steps."""
     root = (phi, True)
-    work = [WORK_CAP]
-    proof = _search([root], work)
-    try:
-        return _justifications(_term(proof, root, up, down, work)) if proof else None
-    except _OutOfWork:
+    proof = _search([root], [WORK_CAP])
+    if not proof:
         return None
+    c = _Compiler(up, down)
+    done: dict = {}  # id of a proof node -> its compiled term
+    stack = [proof]
+    while stack:
+        node = stack[-1]
+        waiting = [p for p in node[1] if id(p) not in done]
+        if waiting:
+            stack += waiting
+            continue
+        stack.pop()
+        if id(node) not in done:
+            done[id(node)] = _combine(node, [done[id(p)] for p in node[1]], c)
+    c.value(_var_type(root), done[id(proof)])
+    return c.justified
 
 
 # --- the sequent search --------------------------------------------------------
@@ -199,25 +205,133 @@ def _search(root: list, work: list):
     return returned
 
 
-# --- lambda terms ----------------------------------------------------------------
+# --- compiled terms ----------------------------------------------------------
 #
-# A term is a tuple (kind, a, b, type, free variables): ("v", id, None, ...)
-# for a variable, ("c", axiom name, None, ...) for an axiom instance of its
-# type and ("a", function, argument, ...) for an application.  A lambda is
-# never built: its bracket abstraction (_abstract) stands in for it.
+# A term is compiled as it is built, into a tuple (types, theorem, head):
+# the derived theorem t_1 -> ... -> t_k -> t stands for a term of type t
+# whose free variables have the types t_1, ..., t_k, and two free variables
+# of one type are interchangeable.  head is "v" for a variable, (its type,
+# the argument) for a variable applied to an argument, and None otherwise.
 
 
-def _var(ids, t: Formula) -> tuple:
-    n = next(ids)
-    return ("v", n, None, t, frozenset((n,)))
+class _Compiler:
+    """The lines of one derivation, each axiom instance and each modus
+    ponens conclusion entered in ``justified`` as it is derived."""
 
+    def __init__(self, up: str, down: str):
+        self.justified: dict = {}
+        self.down = down
+        self.to_one = self.const(up, Imp(ZERO, ONE))
+        self.unit_intro = self.const("unit_intro", Imp(ZERO, Imp(ONE, ZERO)))
 
-def _const(name: str, t: Formula) -> tuple:
-    return ("c", name, None, t, _NO_VARIABLES)
+    def axiom(self, name: str, f: Formula) -> Formula:
+        self.justified.setdefault(f, ("axiom", name))
+        return f
 
+    def mp(self, premise: Formula, implication: Imp) -> Formula:
+        self.justified.setdefault(implication.right, ("mp", premise, implication))
+        return implication.right
 
-def _app(f: tuple, x: tuple) -> tuple:
-    return ("a", f, x, f[3].right, f[4] | x[4])
+    def compose(self, f: Imp, g: Imp) -> Formula:
+        """``a -> c`` from ``f : a -> b`` and ``g : b -> c``."""
+        s = self.axiom("suffixing", Imp(f, Imp(g, Imp(f.left, g.right))))
+        return self.mp(g, self.mp(f, s))
+
+    def prefixing(self, v: Formula, a: Formula, b: Formula) -> Formula:
+        """``(a -> b) -> ((v -> a) -> (v -> b))``."""
+        va, vb = Imp(v, a), Imp(v, b)
+        s = self.axiom("suffixing", Imp(va, Imp(Imp(a, b), vb)))
+        return self.mp(s, self.axiom("exchange", Imp(s, Imp(s.right.left, Imp(va, vb)))))
+
+    def lift(self, v: Formula, k: Imp) -> Formula:
+        """``(v -> a) -> (v -> b)`` from ``k : a -> b``."""
+        return self.mp(k, self.prefixing(v, k.left, k.right))
+
+    def under(self, types: tuple, theorem: Formula, k: Imp) -> Formula:
+        """``types -> b`` from ``theorem : types -> a`` and ``k : a -> b``."""
+        for v in reversed(types[1:]):
+            k = self.lift(v, k)
+        return self.compose(theorem, k) if types else self.mp(theorem, k)
+
+    def inserted(self, types: tuple, theorem: Formula, ab: Imp) -> Formula:
+        """``types[:-1] -> ((a -> b) -> (types[-1] -> b))`` from ``theorem :
+        types -> a``, for at least one type."""
+        last = types[-1]
+        s = self.axiom("suffixing", Imp(Imp(last, ab.left), Imp(ab, Imp(last, ab.right))))
+        return self.under(types[:-1], theorem, s)
+
+    def feeding(self, types: tuple, theorem: Formula, ab: Imp) -> Formula:
+        """``(a -> b) -> (types -> b)`` from ``theorem : types -> a``."""
+        if not types:  # a -> ((a -> b) -> b), from the identity on a -> b
+            i = self.axiom("identity", Imp(ab, ab))
+            e = self.axiom("exchange", Imp(i, Imp(ab.left, Imp(ab, ab.right))))
+            return self.mp(theorem, self.mp(i, e))
+        if len(types) <= 2:  # inserted, then a -> b exchanged to the front
+            t = self.inserted(types, theorem, ab)
+            if len(types) == 1:
+                return t
+            e = self.axiom("exchange", Imp(t, Imp(ab, Imp(types[0], t.right.right))))
+            return self.mp(t, e)
+        # (a -> b) -> ((types -> a) -> (types -> b)), one prefixing per type
+        q = self.prefixing(types[-1], ab.left, ab.right)
+        for v in reversed(types[:-1]):
+            q = self.compose(q, self.prefixing(v, q.right.left, q.right.right))
+        swap = self.axiom("exchange", Imp(q, Imp(q.right.left, Imp(ab, q.right.right))))
+        return self.mp(theorem, self.mp(q, swap))
+
+    def const(self, name: str, f: Formula) -> tuple:
+        return (), self.axiom(name, f), None
+
+    def var(self, t: Formula) -> tuple:
+        return (t,), self.axiom("identity", Imp(t, t)), "v"
+
+    def app(self, f: tuple, x: tuple) -> tuple:
+        """``f x`` over ``f``'s variables, then ``x``'s, except that a
+        variable applied to a term over three or more goes before its last."""
+        (fs, ft, fh), (xs, xt, xh) = f, x
+        if xh == "v":  # ft reads the argument as its last variable already
+            out = fs + xs, ft
+        elif not fs:
+            out = xs, self.under(xs, xt, ft)
+        else:
+            ab = ft
+            for _ in fs:
+                ab = ab.right
+            if fh == "v" and len(xs) > 2:  # the variable goes before xs[-1]
+                out = xs[:-1] + fs + xs[-1:], self.inserted(xs, xt, ab)
+            else:
+                k = self.feeding(xs, xt, ab)
+                out = fs + xs, k if fh == "v" else self.under(fs, ft, k)
+        return (*out, (fs[0], x) if fh == "v" else None)
+
+    def abstract(self, t: Formula, m: tuple) -> tuple:
+        """The term of type ``t -> type(m)`` whose theorem moves the last
+        variable of type ``t`` in ``m`` to the back, past one exchange per
+        variable behind it."""
+        types, theorem = m[0], m[1]
+        i = len(types) - 1 - types[::-1].index(t)
+        suffixes = [theorem]  # suffixes[j] : types[j:] -> type(m)
+        for _ in types:
+            suffixes.append(suffixes[-1].right)
+        b = None  # (t -> suffixes[j]) -> (types[j:] -> t -> type(m))
+        for j in range(len(types) - 1, i, -1):
+            e = Imp(Imp(t, suffixes[j]), Imp(types[j], Imp(t, suffixes[j + 1])))
+            e = self.axiom("exchange", e)
+            b = e if b is None else self.compose(e, self.lift(types[j], b))
+        rest = types[:i] + types[i + 1 :]
+        return rest, theorem if b is None else self.under(types[:i], theorem, b), None
+
+    def value(self, t: Formula, m: tuple) -> tuple:
+        """A term of ``a`` from ``m : 0`` over a variable of type ``t = ~a``:
+        double negation, unless ``m`` applies such a variable to a term of
+        ``a`` already."""
+        if type(m[2]) is tuple and m[2][0] == t:
+            return m[2][1]
+        return self.app(self.const("double_negation", Imp(neg(t), t.left)), self.abstract(t, m))
+
+    def mix(self, t1: tuple, t2: tuple) -> tuple:
+        # two proofs of 0 make one: unit_intro t2 : 1 -> 0, applied to 1
+        return self.app(self.app(self.unit_intro, t2), self.app(self.to_one, t1))
 
 
 def _var_type(member: tuple) -> Formula:
@@ -225,148 +339,33 @@ def _var_type(member: tuple) -> Formula:
     return neg(f) if sign else f
 
 
-def _term(proof: tuple, root: tuple, up: str, down: str, work: list) -> tuple:
-    """The closed abstraction-free term of type ``phi`` for the proof of
-    ``[root]``, ``root = (phi, True)``, built from an explicit stack of
-    visits and combination steps over a stack of finished terms."""
-    ids = count()
-    unit_intro = _const("unit_intro", Imp(ZERO, Imp(ONE, ZERO)))
-    to_one = _const(up, Imp(ZERO, ONE))
-
-    def dn(a: Formula) -> tuple:
-        return _const("double_negation", Imp(neg(neg(a)), a))
-
-    def mix(t1: tuple, t2: tuple) -> tuple:
-        # two proofs of 0 make one: unit_intro t2 : 1 -> 0, applied to 1
-        return _app(_app(unit_intro, t2), _app(to_one, t1))
-
-    x = _var(ids, _var_type(root))
-    values: list = []
-    todo: list = [("combine", "root", x), ("visit", proof, {root: [x]})]
-    while todo:
-        step = todo.pop()
-        if step[0] == "visit":
-            (rule, premises), env = step[1], step[2]
-            kind = rule[0]
-            if kind == "mix0":
-                values.append(_app(_const(down, Imp(ONE, ZERO)), _const("unit", ONE)))
-            elif kind == "link":
-                f = rule[1]
-                pair = _app(env[(f, True)].pop(), env[(f, False)].pop())
-                if premises[0][0] == ("mix0",):
-                    values.append(pair)
-                else:
-                    todo += [("combine", "mix", pair), ("visit", premises[0], env)]
-            elif kind == "unit":
-                todo += [("combine", rule, env[rule[1]].pop()), ("visit", premises[0], env)]
-            else:  # a par or a tensor: variables y and z for its parts
-                member = rule[1]
-                x = env[member].pop()
-                first, second = _parts(*member)
-                y, z = _var(ids, _var_type(first)), _var(ids, _var_type(second))
-                # a tensor's first premise takes its left members and y
-                first_env = env if kind == "par" else {}
-                for m in rule[2] if kind == "tensor" else ():
-                    first_env.setdefault(m, []).append(env[m].pop())
-                first_env.setdefault(first, []).append(y)
-                env.setdefault(second, []).append(z)
-                todo.append(("combine", rule, x, y, z))
-                todo += [("visit", p, e) for p, e in zip(premises[::-1], (env, first_env))]
-        else:
-            values.append(_combine(step, values, work, dn, mix, unit_intro, to_one))
-    return values[-1]
-
-
-def _combine(step, values, work, dn, mix, unit_intro, to_one) -> tuple:
-    """The term a combination step makes from the finished terms of its
-    premises, taken off ``values``; each lambda in it is abstracted at
-    once, against ``work``."""
-
-    def value(x: tuple, t: tuple) -> tuple:
-        # a term of a, from t : 0 over x : ~a: double negation, unless t
-        # applies x to such a term already
-        if t[0] == "a" and t[1] is x and x[1] not in t[2][4]:
-            return t[2]
-        return _app(dn(x[3].left), _abstract(x, t, work))
-
-    rule = step[1]
-    if rule == "root":
-        return value(step[2], values.pop())
-    if rule == "mix":
-        return mix(step[2], values.pop())
-    kind, (f, sign) = rule[0], rule[1]
-    x = step[2]
+def _combine(proof: tuple, values: list, c: _Compiler) -> tuple:
+    """The compiled term of type ``0`` for ``proof``, over one variable per
+    member of its sequent (``f`` for ``(f, False)``, ``~f`` for ``(f,
+    True)``), from the terms of its premises in ``values``."""
+    (rule, premises), kind = proof, proof[0][0]
+    if kind == "mix0":
+        return c.app(c.const(c.down, Imp(ONE, ZERO)), c.const("unit", ONE))
+    if kind == "link":
+        pair = c.app(c.var(neg(rule[1])), c.var(rule[1]))
+        return pair if premises[0][0] == ("mix0",) else c.mix(pair, values[0])
+    (f, sign), x = rule[1], c.var(_var_type(rule[1]))
     if kind == "unit":
-        t = values.pop()
+        t = values[0]
         if type(f) is One:
-            return _app(x, _app(to_one, t)) if sign else _app(_app(unit_intro, t), x)
-        return _app(x, t) if sign else mix(t, x)
-    y, z = step[3], step[4]
+            return c.app(x, c.app(c.to_one, t)) if sign else c.app(c.app(c.unit_intro, t), x)
+        return c.app(x, t) if sign else c.mix(t, x)
+    first, second = _parts(f, sign)
+    y, z = _var_type(first), _var_type(second)
     if kind == "par":
-        t = values.pop()
+        t = values[0]
         if sign:  # x : ~(a -> b), y : a, z : ~b
-            return _app(x, _abstract(y, value(z, t), work))
-        uncurry = _const("uncurry", Imp(Imp(f.left, Imp(f.right, ZERO)), Imp(f, ZERO)))
-        return _app(_app(uncurry, _abstract(y, _abstract(z, t, work), work)), x)
-    second, first = values.pop(), values.pop()
+            return c.app(x, c.abstract(y, c.value(z, t)))
+        uncurry = c.const("uncurry", Imp(Imp(f.left, Imp(f.right, ZERO)), Imp(f, ZERO)))
+        return c.app(c.app(uncurry, c.abstract(y, c.abstract(z, t))), x)
+    first_term, second_term = values
     if sign:  # x : ~(a * b), y : ~a, z : ~b
-        fusion = _const("fusion_intro", Imp(f.left, Imp(f.right, f)))
-        return _app(x, _app(_app(fusion, value(y, first)), value(z, second)))
+        fusion = c.const("fusion_intro", Imp(f.left, Imp(f.right, f)))
+        return c.app(x, c.app(c.app(fusion, c.value(y, first_term)), c.value(z, second_term)))
     # x : a -> b, y : ~a, z : b: the second premise consumes x's value of b
-    return _app(_abstract(z, second, work), _app(x, value(y, first)))
-
-
-def _abstract(v: tuple, body: tuple, work: list) -> tuple:
-    """A term of type ``a -> type(body)`` without the variable ``v`` (of
-    type ``a``), which occurs once in the abstraction-free ``body``:
-    ``[v]v = identity``, ``[v](M N) = exchange([v]M) N`` when ``v`` is in
-    ``M``, else ``suffixing([v]N) M``, and ``[v](M v) = M``.  Raises
-    _OutOfWork once ``work[0]``, less two per application on the path to
-    ``v`` (as many as the abstraction adds), falls below 0."""
-    var, a = v[1], v[3]
-    path = []
-    node = body
-    while node[0] == "a":
-        path.append(node)
-        node = node[1] if var in node[1][4] else node[2]
-    work[0] -= 2 * len(path)
-    if work[0] < 0:
-        raise _OutOfWork
-    out = None  # [v]v, the identity on a, until an application wraps it
-    for f, x in ((n[1], n[2]) for n in reversed(path)):
-        inner = out or _const("identity", Imp(a, a))
-        if var in f[4]:  # inner : a -> (b -> c), x : b
-            b, c = f[3].left, f[3].right
-            exchange = _const("exchange", Imp(inner[3], Imp(b, Imp(a, c))))
-            out = _app(_app(exchange, inner), x)
-        elif out is None:  # f v: the function itself
-            out = f
-        else:  # inner : a -> b, f : b -> c
-            suffixing = _const("suffixing", Imp(inner[3], Imp(f[3], Imp(a, f[3].right))))
-            out = _app(_app(suffixing, inner), f)
-    return out or _const("identity", Imp(a, a))
-
-
-def _justifications(term: tuple) -> dict[Formula, tuple]:
-    """Each formula of the closed abstraction-free ``term`` with the
-    justification of its first node in postorder: an axiom instance for a
-    constant, modus ponens for an application, so each is entered after
-    its premises.  A premise is cited as the object entered for it, so
-    reading the map compares no two equal formulas again."""
-    justified: dict = {}
-    entered: dict = {}  # each formula of justified to that object
-    stack = [(term, False)]
-    while stack:
-        node, ready = stack.pop()
-        f = node[3]
-        if f in entered:
-            continue
-        if node[0] == "c":
-            justified[f] = ("axiom", node[1])
-        elif not ready:
-            stack += [(node, True), (node[2], False), (node[1], False)]
-            continue
-        else:
-            justified[f] = ("mp", entered[node[2][3]], entered[node[1][3]])
-        entered[f] = f
-    return justified
+    return c.app(c.abstract(z, second_term), c.app(x, c.value(y, first_term)))

@@ -41,6 +41,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+from . import chains
 from .chains import LevelSearch, class_chains, decision_chains, level_search
 from .check import (
     ChainExhaustiveWitness,
@@ -250,15 +251,17 @@ def class_countermodel(classes, sigma, disjuncts) -> Countermodel | None:
     it is skipped for a question without variables, whose one valuation
     reads every formula as the designated 0.  The Sugihara classes follow,
     in their order, through :func:`find_chain_countermodel` on the chains
-    of :func:`chains.class_chains`.  Both searches are complete for their class;
-    the chain scan, past :data:`chains.VARIABLE_CAP` variables, raises
-    SizeBudgetExceededError instead."""
+    of :func:`chains.class_chains`.  Both searches are complete for their
+    class.  The chain scan is asked only up to :data:`chains.VARIABLE_CAP`
+    variables, read at call time, past which the level search refuses a
+    question; so past it only Z may refute, and a caller that searches for
+    a proof goes on to decide the question."""
     sigma, disjuncts = tuple(sigma), tuple(disjuncts)
     k = len(variables_of(sigma + disjuncts))
     cm = abelian_alternative(sigma, disjuncts) if "Z" in classes and k else None
-    chains = class_chains(classes, k)
-    if not isinstance(cm, Countermodel) and chains:
-        cm = find_chain_countermodel(chains, sigma, disjuncts)
+    scanned = class_chains(classes, k) if k <= chains.VARIABLE_CAP else ()
+    if not isinstance(cm, Countermodel) and scanned:
+        cm = find_chain_countermodel(scanned, sigma, disjuncts)
     return cm if isinstance(cm, Countermodel) else None
 
 

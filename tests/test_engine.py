@@ -99,6 +99,22 @@ def test_goals_past_the_level_search_variable_cap():
     assert prove_consequence("BIULm", [], wide).countermodel.chain == "Z"
 
 
+def test_wide_theorem_past_the_cap_reaches_the_proof_search(monkeypatch):
+    # past the cap the Sugihara classes are not asked, so only Z may refute
+    # and the Hilbert layer decides: the search in MLL with mix proves these
+    atoms = [f"p{i}" for i in range(1, chains.VARIABLE_CAP + 2)]
+    wide = parse(" * ".join(atoms) + " -> " + " * ".join(reversed(atoms)))
+    result = prove_consequence("BIULm", [], wide)
+    assert result.status == "proved"
+    assert result.results[0].certificate.witness.lines[-1].formula == wide
+    # the cap is read at call time: an odd chain refutes this goal, which Z
+    # does not, until the cap falls below its two variables
+    goal = parse("(p -> q) * (q -> p) -> 1")
+    assert prove_consequence("BIULm", [], goal).countermodel.chain == "sugihara_odd_3"
+    monkeypatch.setattr(chains, "VARIABLE_CAP", 1)
+    assert prove_consequence("BIULm", [], goal).status == "unknown"
+
+
 def test_combination_formula_shape():
     disjuncts = (parse("p"), parse("q"), parse("r"))
     combo = combination_formula((1, 0, 2), disjuncts)

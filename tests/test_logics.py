@@ -210,7 +210,7 @@ def test_declared_model_classes_pass_their_check():
     for name, classes in expected.items():
         assert check_model_classes(lookup_logic(name)) == classes, name
     for name in KNOTTED_PRESETS:
-        assert check_model_classes(lookup_logic(name)) == ("sugihara_odd",), name
+        assert check_model_classes(lookup_logic(name)) == ("sugihara_odd", "sugihara_even"), name
 
 
 @pytest.mark.parametrize(

@@ -20,12 +20,14 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 def test_mix_proofs_verify_and_no_model_class_refutes_them():
     # every proof found becomes lines the checker accepts, ending at the
-    # target, and no target proved has a countermodel in BIULm's classes
+    # target, and no target proved has a countermodel in BIULm's classes;
+    # a derivation comes back exactly when the search finds a proof
     rng = Random(5)
     proved = 0
     for _ in range(300):
         phi = random_mult_formula(rng, ["p", "q"], rng.randint(1, 4))
         lines = mix_lines(lookup_logic("BIULm"), phi)
+        assert (lines is None) == (not mix._search([(phi, True)], [mix.WORK_CAP]))
         if lines is None:
             continue
         proved += 1
@@ -35,11 +37,35 @@ def test_mix_proofs_verify_and_no_model_class_refutes_them():
     assert proved >= 20
 
 
-# fusion associativity and prelinearity are in test_engine's MISSED_THEOREMS
-@pytest.mark.parametrize("text", ["p * q -> q * p", "~~p -> p", "1 -> 0", "0 -> 1", "1", "0"])
+# fusion associativity and prelinearity are in test_engine's MISSED_THEOREMS;
+# the last target applies a compound term to a term over three variables
+@pytest.mark.parametrize(
+    "text",
+    ["p * q -> q * p", "~~p -> p", "1 -> 0", "0 -> 1", "1", "0", "r -> (r -> p) -> 0 -> p"],
+)
 def test_mix_proves_core_theorems(text):
     lines = mix_lines(lookup_logic("BIULm"), parse(text))
     assert lines is not None and len(lines) < 200
+    assert verify_derivation("BIULm", lines)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_fused_pairs_take_quadratically_many_lines(n):
+    # each proof node is compiled once, at a few lines per member of its
+    # sequent, so the lines grow with n squared: 21 to 969 for n = 1..6
+    phi = parse(f"(p * q)^{n} -> (q * p)^{n}")
+    lines = mix_lines(lookup_logic("BIULm"), phi)
+    assert lines is not None and lines[-1].formula == phi
+    assert len(lines) <= 40 * n * n
+    assert verify_derivation("BIULm", lines)
+
+
+@pytest.mark.parametrize("k", range(4, 12))
+def test_reversed_fusions_are_proved(k):
+    atoms = [f"p{i}" for i in range(1, k + 1)]
+    phi = parse(" * ".join(atoms) + " -> " + " * ".join(reversed(atoms)))
+    lines = mix_lines(lookup_logic("BIULm"), phi)
+    assert lines is not None and lines[-1].formula == phi
     assert verify_derivation("BIULm", lines)
 
 
@@ -90,12 +116,15 @@ def test_deep_identity_costs_one_link():
 
 def test_search_runs_only_where_the_units_coincide():
     # knotted logics have 0 -> 1 but not 1 -> 0: an ungated search would
-    # cite balance_down_0, which the checker rejects there
+    # cite balance_down_0, which the checker rejects there; the even chain
+    # of two points refutes 1 -> 0 instead
     knotted = "knotted(1,1,1:1:1:1)"
     assert mix_lines(lookup_logic(knotted), parse("1 -> 0")) is None
     assert mix_lines(lookup_logic("MLL0"), parse("p * q -> q * p")) is None
-    assert prove_consequence(knotted, [], parse("1 -> 0")).status == "unknown"
-    assert decide(knotted, [], parse("1 -> 0")).status == "unknown"
+    verdict = prove_consequence(knotted, [], parse("1 -> 0"))
+    assert verdict.status == "refuted"
+    assert verdict.countermodel.chain == "sugihara_even_2"
+    assert decide(knotted, [], parse("1 -> 0")).status == "refuted"
 
 
 def test_goal_with_hypotheses_never_enters_the_search(monkeypatch):

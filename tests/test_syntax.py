@@ -445,5 +445,5 @@ def test_record_reprs():
         "right=Fuse(left=MVar(name='PHI'), right=MVar(name='PHI')))), "
         "AxiomSchema(name='scaling_1_1_1_1', template=Imp(left=MVar(name='PHI'), "
         "right=MVar(name='PHI')))), families=(), has_toa=True, oracle_kind='hilbert', "
-        "model_classes=('sugihara_odd',))"
+        "model_classes=('sugihara_odd', 'sugihara_even'))"
     )
