@@ -218,7 +218,8 @@ def verify_derivation(logic: LogicSpec | str, lines, hypotheses=()) -> Derivatio
     multiplicative formula that is a hypothesis, an instance of a
     multiplicative axiom schema or family member, or follows from earlier
     lines by modus ponens (or the unperforated rule where the fragment has
-    it).  The stated justifications are not trusted."""
+    it).  A line that is no formula is unjustified.  The stated
+    justifications are not trusted."""
     logic = resolve_logic(logic)
     formulas = [line.formula if isinstance(line, DerivationLine) else line for line in lines]
     hypotheses = set(hypotheses)
@@ -227,6 +228,8 @@ def verify_derivation(logic: LogicSpec | str, lines, hypotheses=()) -> Derivatio
     # the earlier implications by consequent: mp and u_n conclude from these
     implications: dict[Formula, list[Imp]] = {}
     for i, f in enumerate(formulas):
+        if not isinstance(f, Formula):
+            return DerivationCheck(False, i + 1, f"line {i + 1} is no formula: {f!r}")
         concluding = implications.get(f, ())
         ok = f in hypotheses or any(g.left in earlier for g in concluding)
         if not ok and use_u:
@@ -251,10 +254,11 @@ _WITNESS_FIELD = {LinearWitness: "mu", ChainExhaustiveWitness: "chains", Derivat
 
 def _well_shaped(result) -> bool:
     """Whether ``result`` is a :class:`ProofResult` on a :class:`Goal` whose
-    evidence for its status has the records' declared types: a
-    countermodel's chain a string and its valuation a tuple of (name,
-    value) pairs; a certificate's weights and its witness's entries
-    tuples.  The values themselves are checked where they are read."""
+    status is ``proved``, ``refuted`` or ``unknown`` and whose evidence for
+    it has the records' declared types: a countermodel's chain a string and
+    its valuation a tuple of (name, value) pairs; a certificate's weights
+    and its witness's entries tuples.  The values themselves are checked
+    where they are read."""
     if type(result) is not ProofResult or type(result.goal) is not Goal:
         return False
     cm, cert = result.countermodel, result.certificate
@@ -273,7 +277,7 @@ def _well_shaped(result) -> bool:
             and field is not None
             and type(getattr(cert.witness, field)) is tuple
         )
-    return True
+    return result.status == "unknown"
 
 
 def check_result(logic: LogicSpec | str, result: ProofResult) -> ProofResult:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .chains import decision_chains, eval_vector, level_search
+from .chains import decision_chains, level_search
 from .engine import DEFAULT_BUDGET, EngineBudget, prove_consequence
 from .errors import EnumerationBudgetExceededError, UnsupportedLogicError
 from .linalg import linear_coefficients, project_fm
@@ -141,12 +141,11 @@ def _enumerate_classes(logic: LogicSpec, x_vars: list[str], depth: int, search=N
     width = sum(len(grid) for _, grid in grids)
 
     classes: dict[bytes, Formula] = {}
-    for atom in [Var(v) for v in x_vars] + [ONE, ZERO]:
-        sig = bytes(
-            code[chain, value]
-            for chain, grid in grids
-            for value in eval_vector(chain, atom, x_vars, grid)
-        )
+    # the atoms' values at a point: variable i's is point[i]
+    atoms = [(Var(v), lambda chain, point, i=i: point[i]) for i, v in enumerate(x_vars)]
+    atoms += [(ONE, lambda chain, point: chain.unit), (ZERO, lambda chain, point: chain.zero)]
+    for atom, value in atoms:
+        sig = bytes(code[chain, value(chain, point)] for chain, grid in grids for point in grid)
         classes.setdefault(sig, atom)
     fresh_from = 0  # classes at this index and later were found last depth
     for _ in range(depth):

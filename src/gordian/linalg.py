@@ -1,25 +1,25 @@
-"""Exact integer/rational linear algebra.
+"""Exact linear algebra over the integers.
 
-Everything here runs on arbitrary-precision integers; there is no floating
-point anywhere, so every certificate re-verifies bit-exactly.  The pieces
-are: linear readings of multiplicative formulas (homogeneous forms, since
-both constants read 0), each folded once and kept on its node, a phase-1
-simplex that pivots an integer tableau (fraction-free, ``Fraction`` only
-in what it returns) to either a feasible point or a Farkas infeasibility
-certificate, by Dantzig's entering rule with the lexicographic ratio
-test, which terminates, the one theorem-of-alternatives LP over it (read
-by the strict-dual/kernel dichotomy and the Abelian procedure), which a
-zero form answers without the simplex, and Fourier-Motzkin projection on
-coefficient mappings, which prunes by deduplication alone and refuses an
-elimination past :data:`FM_ROW_CAP` rows.
+Everything here runs on arbitrary-precision integers; there is no rational
+or floating-point value anywhere, so every certificate re-verifies
+bit-exactly.  The pieces are: linear readings of multiplicative formulas
+(homogeneous forms, since both constants read 0), each folded once and
+kept on its node, a phase-1 simplex that pivots an integer tableau
+(fraction-free) to either a feasible point or a Farkas infeasibility
+certificate, in integers over its basis determinant, by Dantzig's entering
+rule with the lexicographic ratio test, which terminates, the one
+theorem-of-alternatives LP over it (read by the strict-dual/kernel
+dichotomy and the Abelian procedure), which a zero form answers without
+the simplex, and Fourier-Motzkin projection on coefficient mappings, which
+prunes by deduplication alone and refuses an elimination past
+:data:`FM_ROW_CAP` rows.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from types import MappingProxyType
 
 from .errors import InvalidCertificateError, NotMultiplicativeError, SizeBudgetExceededError
@@ -65,13 +65,17 @@ def _combine(a: dict[str, int], b: dict[str, int], sign: int = 1) -> dict[str, i
 
 def feasible_point_or_farkas(
     rows: list[list[int]], rhs: list[int]
-) -> tuple[list[Fraction] | None, list[Fraction] | None]:
-    """Decide ``{A x = b, x >= 0}`` exactly over the rationals.
+) -> tuple[list[int] | None, list[int] | None, int]:
+    """Decide ``{A x = b, x >= 0}`` exactly over the rationals, answering in
+    integers over the final basis determinant ``d >= 1``.
 
-    Returns ``(x, None)`` with a feasible point, or ``(None, y)`` with a
+    Returns ``(x, None, d)`` with an integer ``x >= 0`` and ``A x = d b``,
+    so ``x / d`` is a feasible point, or ``(None, y, d)`` with an integer
     Farkas certificate satisfying ``y^T A <= 0`` componentwise and
-    ``y^T b > 0``.  The rows must have one length, ``rhs`` one entry per
-    row, and every entry must be an ``int`` (``ValueError`` otherwise).
+    ``y^T b > 0``, conditions that hold at any positive scale.  With no
+    rows the answer is ``([], None, 1)``.  The rows must have one length,
+    ``rhs`` one entry per row, and every entry must be an ``int``
+    (``ValueError`` otherwise).
 
     Phase 1 pivots a fraction-free integer tableau (Edmonds 1967, Bareiss
     1968) whose last row holds the reduced costs.  Every entry is the
@@ -99,7 +103,7 @@ def feasible_point_or_farkas(
     if not all(isinstance(v, int) for row in [*rows, rhs] for v in row):
         raise ValueError("feasible_point_or_farkas needs integer entries")
     if m == 0:
-        return [], None
+        return [], None, 1
     flip = [-1 if b < 0 else 1 for b in rhs]
     # columns: n original, m artificial, then b; row m: reduced costs
     tab = [
@@ -143,19 +147,13 @@ def feasible_point_or_farkas(
         raise RuntimeError("simplex iteration limit exceeded")
 
     if tab[m][-1] == 0:  # the objective, the sum of the artificials, is 0
-        x = [Fraction(0)] * n
+        x = [0] * n
         for i, b in enumerate(basis):
             if b < n:
-                x[b] = Fraction(tab[i][-1], det)
-        return x, None
-    # y_i = flip_i * (1 - reduced cost of artificial i)
-    y = [Fraction(flip[i] * (det - tab[m][n + i]), det) for i in range(m)]
-    return None, y
-
-
-def _clear_denominators(values: list[Fraction]) -> list[int]:
-    denom = lcm(*(v.denominator for v in values))
-    return [int(v * denom) for v in values]
+                x[b] = tab[i][-1]
+        return x, None, det
+    # y_i = flip_i * (1 - reduced cost of artificial i), times det
+    return None, [flip[i] * (det - tab[m][n + i]) for i in range(m)], det
 
 
 # --- the theorem of alternatives ---------------------------------------------
@@ -181,11 +179,12 @@ def linear_alternative(forms, hyps) -> Combination | Separation:
     exactly one of a :class:`Combination` or a :class:`Separation`.
 
     Decided by exact feasibility of ``{sum(lambda_i f_i) - sum(mu_j h_j) = 0,
-    sum(lambda) = 1, lambda, mu >= 0}``.  A feasible point, denominators
-    cleared, is the combination; a Farkas vector ``y`` has
-    ``<y, f> <= -y_sum < 0`` and ``<y, h> >= 0``, so its coordinate part is
-    the separation.  Both are checked before they are returned.  The first
-    form that is zero is the combination alone, without the LP.
+    sum(lambda) = 1, lambda, mu >= 0}``.  The simplex's point ``x / d``,
+    as ``x // gcd(*x, d)``, the smallest integer multiple, is the
+    combination; a Farkas vector ``y`` has ``<y, f> <= -y_sum < 0`` and
+    ``<y, h> >= 0``, so its coordinate part, divided by its gcd, is the
+    separation.  Both are checked before they are returned.  The first form
+    that is zero is the combination alone, without the LP.
     """
     n, columns = len(forms), list(forms) + [[-v for v in h] for h in hyps]
     m = len(columns[0]) if columns else 0
@@ -196,9 +195,10 @@ def linear_alternative(forms, hyps) -> Combination | Separation:
         return Combination(tuple(int(i == zero) for i in range(n)), (0,) * len(hyps))
     rows = [[c[i] for c in columns] for i in range(m)]
     rows.append([1] * n + [0] * len(hyps))
-    x, y = feasible_point_or_farkas(rows, [0] * m + [1])
+    x, y, d = feasible_point_or_farkas(rows, [0] * m + [1])
     if x is not None:
-        ints = _clear_denominators(x)
+        g = gcd(*x, d)  # d >= 1
+        ints = [v // g for v in x]
         if (
             len(ints) != len(columns)
             or not any(ints[:n])
@@ -209,9 +209,8 @@ def linear_alternative(forms, hyps) -> Combination | Separation:
         return Combination(tuple(ints[:n]), tuple(ints[n:]))
     if y is None:
         raise InvalidCertificateError("the LP returned neither a point nor a Farkas vector")
-    ints = _clear_denominators(y[:m])
-    g = gcd(*ints) or 1  # the primitive multiple: coprime entries, same signs
-    sep = tuple(v // g for v in ints)
+    g = gcd(*y[:m]) or 1  # the primitive multiple: coprime entries, same signs
+    sep = tuple(v // g for v in y[:m])
     if (
         len(sep) != m
         or any(_dot(sep, f) >= 0 for f in forms)

@@ -13,7 +13,6 @@ decision procedures are validated against.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import reduce
 from random import Random
 
@@ -225,10 +224,11 @@ def random_goal(
     return Goal.of(hyps, disjuncts)
 
 
-def abelian_goal_countermodel(goal: Goal) -> dict[str, Fraction] | None:
-    """Rational valuation with every hypothesis form >= 0 and every disjunct
+def abelian_goal_countermodel(goal: Goal) -> dict[str, int] | None:
+    """Integer valuation with every hypothesis form >= 0 and every disjunct
     form <= -1, or None.  Strictness is scaled away: the forms are
-    homogeneous, so a refuting valuation exists iff one exists at gap 1."""
+    homogeneous, so a refuting valuation exists iff one exists at gap 1,
+    and the LP's point times its determinant ``d >= 1`` is one at gap d."""
     d_forms = [linear_coefficients(d) for d in goal.clause.disjuncts]
     h_forms = [linear_coefficients(h) for h in goal.hypotheses]
     variables = form_variables(d_forms + h_forms)
@@ -248,7 +248,7 @@ def abelian_goal_countermodel(goal: Goal) -> dict[str, Fraction] | None:
             coeffs + [-c for c in coeffs] + [0] * nh + [1 if t == i else 0 for t in range(nd)]
         )
         rhs.append(-1)
-    x, _ = feasible_point_or_farkas(rows, rhs)
+    x, _, _ = feasible_point_or_farkas(rows, rhs)
     if x is None:
         return None
     valuation = {

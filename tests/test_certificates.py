@@ -21,6 +21,7 @@ from gordian.check import (
     ToACertificate,
     check_result,
     countermodel_refutes,
+    verify_derivation,
 )
 from gordian.engine import prove_consequence
 from gordian.errors import InvalidCertificateError
@@ -115,6 +116,14 @@ def test_malformed_derivation_lines_are_rejected():
     assert check_result("MLL", ProofResult("proved", goal, certificate=cert)).status == "proved"
 
 
+def test_a_line_that_is_no_formula_is_unjustified():
+    phi = parse("p -> p")
+    for lines in (["p -> p"], [None], [phi, [phi]], [phi, DerivationLine(2, {}, "axiom identity")]):
+        check = verify_derivation("BIULm", lines)
+        assert not check and check.bad_index == len(lines), lines
+    assert verify_derivation("BIULm", [phi])
+
+
 _P = one_target([], parse("p"))
 
 MALFORMED = {
@@ -131,6 +140,10 @@ MALFORMED = {
     "valuation entry not a pair": ProofResult(
         "refuted", _P, countermodel=Countermodel("Z", (("p",),))
     ),
+    # a status the CLI maps to no exit code
+    "status bogus": ProofResult("bogus", _P),
+    "status Proved": ProofResult("Proved", _P),
+    "status None": ProofResult(None, _P),
 }
 
 

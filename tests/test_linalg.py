@@ -207,7 +207,7 @@ def _satisfiable_with_fixed(rows, fixed, free_vars):
         slack[i] = -1
         eq_rows.append(coeffs + [-c for c in coeffs] + slack)
         rhs.append(-sum(row.get(v, 0) * val for v, val in fixed.items()))
-    x, _ = feasible_point_or_farkas(eq_rows, rhs)
+    x, _, _ = feasible_point_or_farkas(eq_rows, rhs)
     return x is not None
 
 
@@ -287,11 +287,11 @@ def test_cone_completeness_vs_enumeration():
 def test_feasible_point_is_exact():
     rows = [[3, 1, 0], [1, 2, 1]]
     rhs = [1, 1]
-    x, farkas = feasible_point_or_farkas(rows, rhs)
-    assert farkas is None
+    x, farkas, d = feasible_point_or_farkas(rows, rhs)
+    assert farkas is None and d >= 1
     for row, b in zip(rows, rhs):
-        assert sum(Fraction(a) * v for a, v in zip(row, x)) == b
-    assert all(v >= 0 for v in x)
+        assert sum(a * v for a, v in zip(row, x)) == d * b
+    assert all(type(v) is int and v >= 0 for v in x)
 
 
 def _fraction_simplex(rows, rhs):
@@ -299,7 +299,8 @@ def _fraction_simplex(rows, rhs):
     reduced costs recomputed per column, with Dantzig's entering rule (the
     most negative reduced cost, the lowest index on ties) and the
     lexicographic ratio test on ``(b_i, (B^-1)_i) / a_i``.  The integer
-    tableau must make the same pivots, so it must return equal vectors."""
+    tableau must make the same pivots, so its vectors over its determinant
+    must equal these."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     if m == 0:
@@ -359,9 +360,11 @@ def _seeded_systems(rng):
 def test_integer_pivoting_equals_fraction_reference():
     seen = {"point": 0, "farkas": 0, "no rows": 0, "zero row": 0, "negative rhs": 0}
     for rows, rhs in _seeded_systems(Random(29)):
-        x, y = feasible_point_or_farkas(rows, rhs)
-        assert (x, y) == _fraction_simplex(rows, rhs), (rows, rhs)
-        assert all(type(v) is Fraction for v in (x if y is None else y))
+        x, y, d = feasible_point_or_farkas(rows, rhs)
+        assert type(d) is int and d >= 1
+        assert all(type(v) is int for v in (x if y is None else y))
+        scaled = [None if v is None else [Fraction(e, d) for e in v] for v in (x, y)]
+        assert tuple(scaled) == _fraction_simplex(rows, rhs), (rows, rhs)
         seen["point" if y is None else "farkas"] += 1
         seen["no rows"] += not rows
         seen["zero row"] += any(not any(r) for r in rows)

@@ -177,13 +177,13 @@ single = goal([], ["p"])
 for label, fake, matrix, hyps in [
     (
         "LP point that solves nothing",
-        lambda rows, rhs: ([Fraction(1)] * len(rows[0]), None),
+        lambda rows, rhs: ([1] * len(rows[0]), None, 1),
         [[1, 1]],
         [],
     ),
     (
         "Farkas vector that separates nothing",
-        lambda rows, rhs: (None, [Fraction(1)] * len(rows)),
+        lambda rows, rhs: (None, [1] * len(rows), 1),
         [[1, -1]],
         [parse("p")],
     ),
@@ -260,6 +260,9 @@ for label, forged in [
     ("valuation entry not a pair", check.ProofResult(
         "refuted", p_goal, countermodel=check.Countermodel("Z", (("p",),))
     )),
+    ("status bogus", check.ProofResult("bogus", p_goal)),
+    ("status Proved", check.ProofResult("Proved", p_goal)),
+    ("status None", check.ProofResult(None, p_goal)),
 ]:
     rejected(label, lambda: check.check_result("A", forged))
 '''
@@ -276,4 +279,4 @@ def test_certificate_checks_survive_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 32 and all(line.startswith("rejected:") for line in lines), lines
+    assert len(lines) == 35 and all(line.startswith("rejected:") for line in lines), lines

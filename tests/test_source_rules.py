@@ -52,3 +52,25 @@ def test_no_function_calls_itself():
                 if hit:
                     found.append(f"{path}:{call.lineno}: {func.name} calls itself")
     assert found == []
+
+
+def test_integer_arithmetic_only():
+    # every number the package computes is an int: a float rounds a forged
+    # sum into balance, and a rational has an exact integer form over a
+    # common denominator
+    found = []
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if any(m.split(".")[0] in ("fractions", "decimal") for m in modules):
+                found.append(f"{path}:{node.lineno}: imports {', '.join(modules)}")
+            elif isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+                found.append(f"{path}:{node.lineno}: constant {node.value!r}")
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"{path}:{node.lineno}: true division")
+    assert found == []
