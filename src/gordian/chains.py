@@ -16,8 +16,9 @@ The decision procedures ask multiplicative questions of the Sugihara
 chains through one search (:class:`LevelSearch`): a formula's absolute
 value is the highest level among its variables', so the search places the
 variables a level at a time from the top, and each formula is settled at
-the first level that meets its variables.  It finds countermodels, the
-rounds of the mingle logics' subset elimination and the points at which
+the first level that meets its variables.  It holds both halves of Avron's
+dichotomy for the mingle logics, a countermodel or else the largest subset
+of the disjuncts whose sum is valid, and finds the points at which
 interpolation keeps a class, with a few integer operations per level,
 whatever the number of valuations.  Its cost grows about fivefold per
 variable, so it takes at most :data:`VARIABLE_CAP` of them and raises
@@ -338,25 +339,46 @@ class LevelSearch:
             rest ^= top
         return None
 
-    def drops(self, chain: ChainAlgebra, support) -> set[int]:
-        """The disjuncts of ``support`` that take the first level any of
-        them takes, at a valuation into ``chain`` designating every
-        hypothesis and none of them: one round of
-        :func:`oracles._largest_valid_subset`.  Walks the states above it."""
-        odd = chain.unit == 0
-        kept = self._placements(odd, 0)
-        wanted = sum(1 << d for d in support)
-        reached = [False] * len(kept)
-        reached[-1] = True
-        dropped = 0
-        for rest in range(len(kept) - 1, -1, -1):
-            for top in _levels(rest) if reached[rest] else ():
-                designated, closing, refuting = self._level(odd, rest, top, wanted)
-                if top and designated and not closing:
-                    reached[rest ^ top] = True
-                elif refuting and (not top or kept[rest ^ top]):
-                    dropped |= closing
-        return {d for d in range(len(self.disjunct_vars)) if dropped >> d & 1}
+    def largest_valid_subset(self, chains) -> set[int]:
+        """The union of all subsets of the disjuncts whose sum is designated
+        at every valuation into ``chains`` designating every hypothesis:
+        the largest valid subset, which Avron's dichotomy for the mingle
+        logics makes nonempty when :meth:`countermodel` finds none there.
+
+        On a Sugihara chain the sum of a subset S at a point is its
+        dominant value: ``a + b = ~(~a * ~b)`` is the argument of larger
+        absolute value, ties to the larger.  Elimination keeps a set T
+        holding every valid subset, from all disjuncts.  Where a valuation
+        x designating every hypothesis gives T an undesignated sum v, the
+        disjuncts of T on the first level any of them takes are all
+        negative, and they are the ones taking v; a subset of T holding one
+        of them has the sum v at x too, so it is not valid.  A round drops
+        them for every such x on every chain at once: it walks down the
+        levels that designate the hypotheses they settle and hold no
+        disjunct of T, and at a level holding some drops them where they
+        can all be negative and the levels below can designate the other
+        hypotheses.  When a round drops nothing, T is valid, and so it is
+        the largest valid subset: the union of two valid subsets is valid,
+        since at each point its sum is one of theirs."""
+        support = (1 << len(self.disjunct_vars)) - 1
+        while support:
+            dropped = 0
+            for chain in chains:
+                odd = chain.unit == 0
+                kept = self._placements(odd, 0)
+                reached = [False] * len(kept)
+                reached[-1] = True
+                for rest in range(len(kept) - 1, -1, -1):
+                    for top in _levels(rest) if reached[rest] else ():
+                        designated, closing, refuting = self._level(odd, rest, top, support)
+                        if top and designated and not closing:
+                            reached[rest ^ top] = True
+                        elif refuting and (not top or kept[rest ^ top]):
+                            dropped |= closing
+            if not dropped:
+                break
+            support &= ~dropped
+        return {d for d in range(len(self.disjunct_vars)) if support >> d & 1}
 
     def projections(self, chain: ChainAlgebra, names) -> set[tuple[int, ...]]:
         """The restrictions to ``names`` of the valuations into ``chain``

@@ -212,7 +212,7 @@ def _cmd_interpolate(args) -> int:
         logic_name = args.logic
     if logic_name is None:
         raise GordianError("interpolate needs a logic (flag or directive)")
-    x_vars = [v.strip() for v in args.vars.split(",") if v.strip()]
+    x_vars = list(dict.fromkeys(v.strip() for v in args.vars.split(",") if v.strip()))
     interpolant = lift_interpolant(lookup_logic(logic_name), assumptions, x_vars)
     if args.format == "json":
         payload = {
@@ -283,7 +283,12 @@ def _cmd_check_toa(args) -> int:
     logic = lookup_logic(args.logic)
     witnesses = {}
     for spec in args.witness or []:
-        n, k, m = (int(v) for v in spec.split(":"))
+        try:
+            n, k, m = map(int, spec.split(":"))
+        except ValueError:  # a wrong count or a non-integer
+            raise GordianError(f"--witness takes n:k:m, three integers, not {spec!r}") from None
+        if n in witnesses:
+            raise GordianError(f"--witness gives n={n} twice")
         witnesses[n] = (k, m)
     report = check_toa_condition(logic, args.n_max, witnesses, budget=args.budget.hilbert)
     if args.format == "json":

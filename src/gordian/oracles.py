@@ -15,10 +15,10 @@ one-target entry, asks each the one-disjunct question ``sigma |- phi``:
 * ``sugihara`` (the mingle logics): :func:`prove_subsets`, weights over 0/1
   vectors.  The goal is compiled once for the level search
   (:class:`chains.LevelSearch`, which places the variables a level of
-  absolute values at a time, from the top) and asked per decision chain:
-  a canonical valuation designating every hypothesis and no disjunct is
-  the countermodel; otherwise elimination in rounds, each the search's
-  drop set, gives the largest valid subset.
+  absolute values at a time, from the top), which holds both halves of
+  Avron's dichotomy on the decision chains: a canonical valuation
+  designating every hypothesis and no disjunct is the countermodel;
+  otherwise the largest valid subset of the disjuncts proves.
 * ``hilbert``: :func:`hilbert_search`, for one target at a time: a proof
   search in MLL with mix (:mod:`mix`) where the logic's units coincide,
   then budgeted forward saturation over axiom-schema instances with modus
@@ -30,8 +30,9 @@ Before a Hilbert search a goal is refuted in the model classes a logic
 declares sound (:func:`class_refutation`) with the two complete
 procedures above: the LP's separation for Z and the chain scan
 (:func:`find_chain_countermodel`) for the Sugihara classes.  A
-declaration is checked against the logic's multiplicative axioms and rules
-(:func:`check_model_classes`) once a refutation rests on it.  A class
+declaration is checked against the logic's multiplicative axioms
+(:func:`check_model_classes`; every class preserves designation under the
+rules) once a refutation rests on it.  A class
 countermodel is checked once: as the evidence of a refuted verdict, or by
 :func:`check_model_classes` before it reports an unsound class.
 """
@@ -42,7 +43,7 @@ import itertools
 from functools import lru_cache
 
 from . import chains
-from .chains import LevelSearch, class_chains, decision_chains, level_search
+from .chains import class_chains, decision_chains, level_search
 from .check import (
     ChainExhaustiveWitness,
     Countermodel,
@@ -53,7 +54,6 @@ from .check import (
     ToACertificate,
     check_result,
     checked_countermodel,
-    combination_formula,
     countermodel_refutes,  # bench/tracing.py wraps it under this module's name
 )
 from .errors import UnsoundModelClassError, UnsupportedLogicError
@@ -61,6 +61,7 @@ from .linalg import Combination, linear_alternative, linear_coefficients
 from .logics import LogicSpec, instantiate, matching_axiom, resolve_logic
 from .normalize import Goal, MultClause, structural_order
 from .syntax import (
+    MAX_REPEAT,
     ONE,
     ZERO,
     Formula,
@@ -168,64 +169,25 @@ def find_chain_countermodel(chains, sigma, disjuncts) -> Countermodel | None:
 
 
 def prove_subsets(logic: LogicSpec, goal: Goal) -> ProofResult:
-    """The mingle logics' procedure: weights over 0/1 vectors (subset
-    form), settled by the level search on each decision chain.
-
-    A valuation designating every hypothesis and no disjunct is a
-    countermodel; otherwise greedy elimination finds the largest valid
-    subset (:func:`_largest_valid_subset`).
-    """
+    """The mingle logics' procedure, Avron's dichotomy on the decision
+    chains: a valuation designating every hypothesis and no disjunct
+    (:func:`find_chain_countermodel`, asked first) refutes; otherwise the
+    largest subset of the disjuncts whose sum is valid
+    (:meth:`chains.LevelSearch.largest_valid_subset`), which is then
+    nonempty, proves with 0/1 weights.  The sum's decision chains, which
+    the certificate names, are those of its own variables and the
+    hypotheses'."""
     hyps, disjuncts = goal.hypotheses, goal.clause.disjuncts
     search = level_search(hyps, disjuncts)
     chains = decision_chains(logic, len(search.variables))
     cm = find_chain_countermodel(chains, hyps, disjuncts)
     if cm is not None:
         return ProofResult("refuted", goal, countermodel=cm)
-    support = _largest_valid_subset(search, chains)
-    if not support:
-        return ProofResult(
-            "unknown",
-            goal,
-            reason="valid on the decision chains but no subset combination proved",
-        )
-    lambdas = tuple(1 if i in support else 0 for i in range(len(disjuncts)))
-    # The combination's own decision chains are subalgebras of the goal's.
-    k = len(level_search(hyps, (combination_formula(lambdas, disjuncts),)).variables)
+    support = search.largest_valid_subset(chains)
+    lambdas = tuple(int(i in support) for i in range(len(disjuncts)))
+    k = len(variables_of(hyps + tuple(disjuncts[i] for i in support)))
     witness = ChainExhaustiveWitness(tuple(c.name for c in decision_chains(logic, k)))
     return ProofResult("proved", goal, certificate=ToACertificate(lambdas, witness))
-
-
-def _largest_valid_subset(search: LevelSearch, chains) -> set[int]:
-    """The union of all subsets of the ``search``'s disjuncts whose sum is
-    designated at every kept point of ``chains`` (one designating every
-    hypothesis), the largest such subset, or the empty set when none is.
-
-    On a Sugihara chain ``a + b = ~(~a * ~b)`` is whichever argument has
-    the larger absolute value, ties going to the larger one; so the sum of
-    a subset S at a point is its dominant value there, the maximum of S's
-    values under that order.
-
-    Elimination keeps a set T that contains every valid subset, starting
-    from all disjuncts.  Let x be a kept point where the sum of T is an
-    undesignated value v, and S a subset of T that contains a disjunct
-    taking the value v at x.  Since v is dominant among T's values and S's
-    lie among them, v is also the sum of S at x, so S is not valid.  Hence
-    dropping every disjunct that takes the value v at such a point x keeps
-    every valid subset inside T; a round drops them for all such points of
-    every chain at once (:meth:`chains.LevelSearch.drops`).  When a round
-    drops nothing, T itself is valid, so it is the largest valid subset
-    (the union of two valid subsets is valid, since at each point its sum
-    is one of the two designated sums).
-    """
-    support = set(range(len(search.disjunct_vars)))
-    while support:
-        dropped = set()
-        for chain in chains:
-            dropped |= search.drops(chain, support)
-        if not dropped:
-            break
-        support -= dropped
-    return support
 
 
 def sugihara_decide(logic: LogicSpec | str, sigma, phi: Formula) -> ProofResult:
@@ -239,7 +201,6 @@ def sugihara_decide(logic: LogicSpec | str, sigma, phi: Formula) -> ProofResult:
 # --- sound model classes -------------------------------------------------------
 
 MODEL_CLASSES = ("Z", "sugihara_odd", "sugihara_even")
-U_RULE_CHECK_MAX = 16  # the largest n of the u_n rule instances checked
 
 
 def class_countermodel(classes, sigma, disjuncts) -> Countermodel | None:
@@ -268,36 +229,32 @@ def class_countermodel(classes, sigma, disjuncts) -> Countermodel | None:
 @lru_cache(maxsize=64)
 def check_model_classes(logic: LogicSpec) -> tuple[str, ...]:
     """The model classes ``logic`` declares, once each is shown sound for
-    its multiplicative fragment; raises UnsoundModelClassError naming the
-    first axiom or rule that fails in a class.  A passed check is kept per
-    spec.
+    its multiplicative fragment; raises UnsoundModelClassError naming an
+    unknown class, or the first axiom that fails in a class.  A passed
+    check is kept per spec.
 
     :func:`class_countermodel`, complete for each class, looks for a
     countermodel to every multiplicative axiom template, its metavariables
     read as variables, and to every family member up to
     :data:`FAMILY_BOUND` (each family's docstring says why the rest hold
-    too).  It also checks that the rules preserve designation:
-    ``p, p -> q |- q`` for modus ponens and ``n*p |- p`` for u_n,
-    2 <= n <= ``U_RULE_CHECK_MAX`` (in Z, ``n*p`` reads n times ``p``; on a
-    Sugihara chain, ``p``; so the rule holds for every n where it holds for
-    these).  A countermodel found is checked before it is reported."""
-    p, q = Var("p"), Var("q")
+    too).  No rule needs a check: modus ponens and u_n preserve
+    designation in each of :data:`MODEL_CLASSES` (in Z ``p -> q`` reads
+    ``q - p`` and ``n*p`` n times ``p``; on a Sugihara chain
+    ``e <= p -> q`` is ``p <= q``, and ``n*p`` reads ``p``).  A
+    countermodel found is checked before it is reported."""
     checks = [
-        (f"axiom {s.name}", (), instantiate(s, {v: Var(v.lower()) for v in s.occurrences}))
+        (s.name, instantiate(s, {v: Var(v.lower()) for v in s.occurrences}))
         for s in logic.mult_axiom_schemas() + logic.family_schemas(FAMILY_BOUND)
     ]
-    checks.append(("rule mp", (p, Imp(p, q)), q))
-    if "u_n" in logic.mult_rules:
-        checks += [(f"rule u_{n}", (scalar(n, p),), p) for n in range(2, U_RULE_CHECK_MAX + 1)]
     for model_class in logic.model_classes:
         if model_class not in MODEL_CLASSES:
             raise UnsoundModelClassError(f"{logic.name}: unknown model class {model_class!r}")
-        for label, sigma, target in checks:
-            cm = class_countermodel((model_class,), sigma, (target,))
+        for name, target in checks:
+            cm = class_countermodel((model_class,), (), (target,))
             if cm is not None:
-                checked_countermodel(cm, sigma, (target,), (model_class,))
+                checked_countermodel(cm, (), (target,), (model_class,))
                 raise UnsoundModelClassError(
-                    f"{logic.name} declares {model_class}, where {label} fails"
+                    f"{logic.name} declares {model_class}, where axiom {name} fails"
                 )
     return logic.model_classes
 
@@ -550,22 +507,25 @@ def check_toa_condition(
     (1, 1)), under the Hilbert ``budget``, each by :func:`decide`; budget
     exhaustion is never a failure, only unknown.  A target that is a
     family member past :data:`FAMILY_BOUND` is still matched in one line,
-    its n read off the target (:func:`logics.matching_axiom`).  A witness for an
-    n outside 1..n_max, which would go unchecked, raises ValueError.
+    its n read off the target (:func:`logics.matching_axiom`).  Before the
+    first entry is decided, ValueError refuses an n_max outside
+    1..:data:`syntax.MAX_REPEAT`, a witness for an n outside 1..n_max,
+    which would go unchecked, and one whose k or m lies outside
+    0..MAX_REPEAT or 1..MAX_REPEAT, which no formula could hold.
     """
     logic = resolve_logic(logic)
-    if n_max < 1:  # no entry to check would read as "all proved"
-        raise ValueError(f"n_max must be at least 1, not {n_max}")
+    if not 1 <= n_max <= MAX_REPEAT:  # no entry would read as "all proved"; past it none is built
+        raise ValueError(f"n_max must lie in 1..{MAX_REPEAT}, not {n_max}")
     witnesses = witnesses or {}
-    for n in sorted(witnesses):
+    for n, (k, m) in sorted(witnesses.items()):
         if not 1 <= n <= n_max:
             raise ValueError(f"witness for n={n} lies outside 1..{n_max}")
+        if not (0 <= k <= MAX_REPEAT and 1 <= m <= MAX_REPEAT):
+            raise ValueError(f"witness for n={n} needs k in 0..{MAX_REPEAT} and m in 1..{MAX_REPEAT}")
     p = Var("p")
     entries = []
     for n in range(1, n_max + 1):
         k, m = witnesses.get(n, (1, 1))
-        if m < 1 or k < 0:
-            raise ValueError(f"witness for n={n} needs m >= 1 and k >= 0")
         target = Imp(power(scalar(n, p), k), scalar(m, power(p, n)))
         verdict = decide(logic, [], target, budget=budget)
         entries.append(ToAConditionEntry(n, k, m, verdict.status, verdict.countermodel))

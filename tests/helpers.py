@@ -42,7 +42,7 @@ from gordian.linalg import (
 from gordian.logics import resolve_logic
 from gordian.normalize import Goal
 from gordian.check import ProofResult, combination_formula
-from gordian.oracles import _largest_valid_subset, find_chain_countermodel
+from gordian.oracles import find_chain_countermodel
 from gordian.syntax import (
     ONE,
     ZERO,
@@ -297,7 +297,7 @@ def chain_support(chains, sigma, disjuncts) -> set[int] | None:
     mingle procedure's two steps on chains the caller chooses."""
     if find_chain_countermodel(chains, sigma, disjuncts) is not None:
         return None
-    return _largest_valid_subset(level_search(tuple(sigma), tuple(disjuncts)), chains)
+    return level_search(tuple(sigma), tuple(disjuncts)).largest_valid_subset(chains)
 
 
 def relabel(point, odd: bool):

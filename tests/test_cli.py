@@ -171,6 +171,29 @@ def test_check_toa(capsys):
     assert [e["countermodel"] for e in entries] == [None, {"chain": "Z", "valuation": {"p": -1}}]
 
 
+def test_check_toa_refuses_bad_arguments_before_any_entry(capsys):
+    cases = {
+        "2:1": "n:k:m",  # two fields
+        "1:x:2": "n:k:m",  # not an integer
+        "1:2:3:4": "n:k:m",  # four fields
+        "2:-1:1": "k in 0..",
+        "2:1:0": "m in 1..",
+        "2:1:70000": "m in 1..65536",
+        "2:70000:1": "k in 0..65536",
+    }
+    for witness, message in cases.items():
+        code, out, err = run(capsys, "check-toa", "--logic", "A", "--witness", witness)
+        assert (code, out) == (3, "") and message in err, (witness, err)
+    # a repeated n kept only its last witness
+    code, out, err = run(
+        capsys, "check-toa", "--logic", "A", "--witness", "2:1:1", "--witness", "2:0:1"
+    )
+    assert (code, out) == (3, "") and "n=2 twice" in err, err
+    # an entry past the largest repetition could only end in an error
+    code, out, err = run(capsys, "check-toa", "--logic", "A", "--n-max", "70000")
+    assert (code, out) == (3, "") and "n_max must lie in 1..65536" in err, err
+
+
 def test_logic_without_alternatives(tmp_path, capsys):
     # MLL decides no consequence, but its one-target questions, by derivation
     problem = write(tmp_path, "mll.txt", "logic MLL\nprove p -> p\n")
@@ -280,6 +303,15 @@ def test_bad_directive_logic_is_input_error(tmp_path, capsys):
     problem = write(tmp_path, "p.txt", "logic bogus\nprove p -> p\n")
     code, _, err = run(capsys, "prove", problem)
     assert code == 3 and "unknown logic" in err
+
+
+def test_interpolate_lists_a_repeated_variable_once(tmp_path, capsys):
+    problem = write(tmp_path, "i.txt", "assume p -> q\nassume q -> r\n")
+    code, out, _ = run(capsys, "interpolate", problem, "--logic", "A", "--vars", "p,p")
+    assert code == 0 and out.splitlines()[0] == "interpolant over {p}:", out
+    args = ("interpolate", problem, "--logic", "A", "--vars", "r,p,r", "--format", "json")
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and json.loads(out)["vars"] == ["p", "r"], out
 
 
 def test_interpolate_bad_vars_is_input_error(tmp_path, capsys):

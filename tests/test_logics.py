@@ -4,7 +4,7 @@ import pytest
 
 from helpers import meta_to_vars, ref_eval_abelian, replace
 
-from gordian import check_toa_condition
+from gordian import check_toa_condition, oracles
 from gordian.chains import eval_formula, sugihara_chain
 from gordian.check import countermodel_refutes
 from gordian.engine import DEFAULT_BUDGET, _prove_deepening, prove_consequence
@@ -18,8 +18,8 @@ from gordian.logics import (
     registered_logics,
 )
 from gordian.normalize import Goal
-from gordian.oracles import check_model_classes
-from gordian.syntax import parse, parse_template, render, variables
+from gordian.oracles import MODEL_CLASSES, check_model_classes, class_countermodel
+from gordian.syntax import MAX_REPEAT, Imp, Var, parse, parse_template, render, scalar, variables
 
 
 def test_lookup_abelian_extras():
@@ -181,6 +181,25 @@ def test_toa_condition_rejects_bad_witness():
         check_toa_condition(lookup_logic("A"), 1, {1: (1, 0)})
 
 
+@pytest.mark.parametrize(
+    "n_max, witnesses",
+    [
+        (3, {3: (-1, 1)}),  # k below 0
+        (3, {3: (1, 0)}),  # m below 1
+        (3, {3: (MAX_REPEAT + 1, 1)}),  # k past the largest repetition
+        (3, {3: (1, MAX_REPEAT + 1)}),  # m past it
+        (3, {4: (1, 1)}),  # an n no entry would check
+        (MAX_REPEAT + 1, {}),  # n_max past it, which no entry could reach
+    ],
+)
+def test_toa_condition_checks_its_arguments_before_any_entry(monkeypatch, n_max, witnesses):
+    decided = []
+    monkeypatch.setattr(oracles, "decide", lambda *args, **kwargs: decided.append(args))
+    with pytest.raises(ValueError):
+        check_toa_condition("A", n_max, witnesses)
+    assert decided == []
+
+
 def test_knotted_registration():
     spec = knotted_logic(2, 1, [(4, 5, 6, 7)])
     assert spec.has_toa and spec.oracle_kind == "hilbert"
@@ -232,6 +251,16 @@ def test_unsound_declaration_is_rejected(name, classes, failing):
     goal = Goal.of([], [parse("p * q -> p")])
     with pytest.raises(GordianError, match=failing):
         _prove_deepening(spec, goal, DEFAULT_BUDGET)
+
+
+def test_every_model_class_preserves_designation_under_the_rules():
+    # the declaration check asks no rule question: in each class modus
+    # ponens and u_n (from n*p infer p) have no countermodel
+    p, q = Var("p"), Var("q")
+    for model_class in MODEL_CLASSES:
+        assert class_countermodel((model_class,), (p, Imp(p, q)), (q,)) is None, model_class
+        for n in range(2, 17):
+            assert class_countermodel((model_class,), (scalar(n, p),), (p,)) is None, (model_class, n)
 
 
 def test_unknown_model_class_is_rejected():

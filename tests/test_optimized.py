@@ -17,7 +17,7 @@ SCRIPT = r'''
 import sys
 from fractions import Fraction
 
-from gordian import check, engine, linalg, mix, oracles
+from gordian import chains, check, engine, linalg, mix, oracles
 from gordian.errors import InvalidCertificateError, UnsoundModelClassError
 from gordian.logics import lookup_logic
 from gordian.normalize import Goal
@@ -125,13 +125,13 @@ rejected(
 )
 oracles.find_chain_countermodel = scan
 
-subset = oracles._largest_valid_subset
-oracles._largest_valid_subset = lambda search, chains: {0}
+subset = chains.LevelSearch.largest_valid_subset
+chains.LevelSearch.largest_valid_subset = lambda search, chain_list: {0}
 rejected(
     "subset whose combination is not designated",
     lambda: engine.prove_disjunction("IUMLm", excluded_middle),
 )
-oracles._largest_valid_subset = subset
+chains.LevelSearch.largest_valid_subset = subset
 
 scan = oracles.find_chain_countermodel
 oracles.find_chain_countermodel = lambda chains, sigma, disjuncts: check.Countermodel.of(

@@ -19,7 +19,7 @@ from helpers import (
 
 from gordian import EngineBudget, HilbertBudget, logics, oracles, prove_consequence, prove_disjunction
 
-from gordian.chains import class_chains, decision_chains
+from gordian.chains import class_chains, decision_chains, level_search
 from gordian.check import (
     ChainExhaustiveWitness,
     Countermodel,
@@ -122,7 +122,7 @@ def test_sugihara_stable_under_widening():
 def test_subset_weights_are_the_union_of_valid_subsets(logic):
     """The weights ``prove_subsets`` certifies are exactly the union of the
     subsets whose sum every kept canonical point designates, tried one by
-    one; none is valid when it refutes or gives up."""
+    one; none is valid when it refutes, and it has no third answer."""
     rng = Random(1313 + len(logic))
     for _ in range(40):
         goal = random_goal(rng, max_disjuncts=6, max_hyps=2, max_depth=3)
@@ -134,7 +134,17 @@ def test_subset_weights_are_the_union_of_valid_subsets(logic):
             lambdas = result.certificate.lambdas
             assert {i for i, weight in enumerate(lambdas) if weight} == expected, goal
         else:
-            assert expected == set(), goal
+            assert result.status == "refuted" and expected == set(), goal
+
+
+def test_prove_subsets_compiles_only_its_goal():
+    # the certificate's chains are read off the variables; the check, not
+    # the procedure, compiles the sum's own question
+    goal = Goal.of([parse("p -> q")], [parse("p -> r"), parse("r -> q"), parse("q -> p")])
+    level_search.cache_clear()
+    result = oracles.prove_subsets(lookup_logic("RMt"), goal)
+    assert result.status == "proved" and level_search.cache_info().misses == 1
+    assert check_result("RMt", result) is result
 
 
 def test_decision_chain_sizes():
