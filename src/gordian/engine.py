@@ -17,14 +17,19 @@ accepts it:
 * Mingle logics: :func:`oracles.prove_subsets`, ``lambda`` over 0/1
   vectors, from the level search (:class:`chains.LevelSearch`) on each
   decision chain.
-* Everything else: first a refutation in the model classes the logic is
-  sound for (:func:`oracles.class_refutation`: Z through the same LP
-  separation, then Sugihara chains), then iterative deepening on
-  ``sum(lambda)``, asking :func:`oracles.prove_one_target` (the Hilbert
-  search) for each weighted sum that the model classes do not refute.
-  Only once the model classes have failed is exhaustion reported, as
-  unknown, never refuted.  The countermodel that skips a weighted sum is
-  not checked: a wrong one can only turn a proof into unknown.
+* Everything else: :func:`oracles.refute_or_propose` first, a refutation
+  in the model classes the logic is sound for
+  (:func:`oracles.class_refutation`: Z through the same LP separation,
+  then Sugihara chains).  Where no class refutes and Z is declared, the
+  LP's combination proposes ``lambda`` and the hypotheses' weights, and
+  the search in MLL with mix is asked for that one weighted sum, its
+  hypotheses curried in and taken off by modus ponens.  Only where that
+  fails, iterative deepening on ``sum(lambda)`` up to the budget's cap,
+  asking :func:`oracles.prove_one_target` (the Hilbert search) for each
+  weighted sum that the model classes do not refute.  Only once the
+  model classes have failed is exhaustion reported, as unknown, never
+  refuted.  The countermodel that skips a weighted sum is not checked: a
+  wrong one can only turn a proof into unknown.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .oracles import (
     prove_abelian,
     prove_one_target,
     prove_subsets,
+    refute_or_propose,
 )
 from .syntax import Formula, Record
 
@@ -100,9 +106,9 @@ def _compositions(total: int, parts: int):
 
 
 def _prove_deepening(logic: LogicSpec, goal: Goal, budget: EngineBudget) -> ProofResult:
-    cm = class_refutation(logic, goal)
-    if cm is not None:
-        return ProofResult("refuted", goal, countermodel=cm)
+    verdict = refute_or_propose(logic, goal, budget.hilbert)
+    if verdict is not None:
+        return verdict
     disjuncts = goal.clause.disjuncts
     for total in range(1, budget.lambda_cap + 1):
         for lambdas in _compositions(total, len(disjuncts)):
@@ -112,7 +118,7 @@ def _prove_deepening(logic: LogicSpec, goal: Goal, budget: EngineBudget) -> Proo
             # Z, and sums are idempotent on Sugihara chains.  The countermodel
             # is unchecked: a wrong one skips a sum, so at worst the goal ends
             # unknown, never in a wrong verdict
-            if len(disjuncts) > 1 and class_refutation(logic, target) is not None:
+            if len(disjuncts) > 1 and isinstance(class_refutation(logic, target), Countermodel):
                 continue
             verdict = prove_one_target(logic, target, budget.hilbert)
             if verdict.status == "proved":

@@ -19,10 +19,16 @@ one-target entry, asks each the one-disjunct question ``sigma |- phi``:
   Avron's dichotomy on the decision chains: a canonical valuation
   designating every hypothesis and no disjunct is the countermodel;
   otherwise the largest valid subset of the disjuncts proves.
-* ``hilbert``: :func:`hilbert_search`, for one target at a time: a proof
-  search in MLL with mix (:mod:`mix`) where the logic's units coincide,
-  then budgeted forward saturation over axiom-schema instances with modus
-  ponens and the unperforated rule; proved by a derivation, or unknown.
+* ``hilbert``: :func:`refute_or_propose` first.  Where the logic declares
+  Z and no class refutes the goal, the Z LP's combination proposes the
+  weights on the disjuncts and the hypotheses, and :func:`hilbert_search`
+  searches for that one weighted sum in MLL with mix (:mod:`mix`) only,
+  the hypotheses curried into the target and taken off by modus ponens.
+  Otherwise, and where that search fails, :func:`hilbert_search` for one
+  target at a time: the search in MLL with mix for a target without
+  hypotheses where the logic's units coincide, then budgeted forward
+  saturation over axiom-schema instances with modus ponens and the
+  unperforated rule; proved by a derivation, or unknown.
 
 Every answer of :func:`decide` and the engine passes one checker,
 :func:`check.check_result`, which imports none of these procedures.
@@ -54,6 +60,7 @@ from .check import (
     ToACertificate,
     check_result,
     checked_countermodel,
+    combination_formula,
     countermodel_refutes,  # bench/tracing.py wraps it under this module's name
 )
 from .errors import UnsoundModelClassError, UnsupportedLogicError
@@ -206,24 +213,32 @@ MODEL_CLASSES = ("Z", "sugihara_odd", "sugihara_even")
 def class_countermodel(classes, sigma, disjuncts) -> Countermodel | None:
     """A valuation in one of the named model classes that designates every
     formula of ``sigma`` and none of ``disjuncts``, unchecked, or ``None``
-    when the classes have none.
+    when the classes have none: :func:`_class_answer` without its
+    combination."""
+    answer = _class_answer(classes, sigma, disjuncts)
+    return answer if isinstance(answer, Countermodel) else None
 
-    Z goes first, through the separation of :func:`abelian_alternative`;
-    it is skipped for a question without variables, whose one valuation
-    reads every formula as the designated 0.  The Sugihara classes follow,
-    in their order, through :func:`find_chain_countermodel` on the chains
-    of :func:`chains.class_chains`.  Both searches are complete for their
+
+def _class_answer(classes, sigma, disjuncts) -> Countermodel | Combination | None:
+    """The countermodel of :func:`class_countermodel`, or else the Z LP's
+    combination where Z was asked, or else ``None``.
+
+    Z goes first, through :func:`abelian_alternative`; it is skipped for a
+    question without variables, whose one valuation reads every formula as
+    the designated 0.  The Sugihara classes follow, in their order, through
+    :func:`find_chain_countermodel` on the chains of
+    :func:`chains.class_chains`.  Both searches are complete for their
     class.  The chain scan is asked only up to :data:`chains.VARIABLE_CAP`
     variables, read at call time, past which the level search refuses a
     question; so past it only Z may refute, and a caller that searches for
     a proof goes on to decide the question."""
     sigma, disjuncts = tuple(sigma), tuple(disjuncts)
     k = len(variables_of(sigma + disjuncts))
-    cm = abelian_alternative(sigma, disjuncts) if "Z" in classes and k else None
+    answer = abelian_alternative(sigma, disjuncts) if "Z" in classes and k else None
     scanned = class_chains(classes, k) if k <= chains.VARIABLE_CAP else ()
-    if not isinstance(cm, Countermodel) and scanned:
-        cm = find_chain_countermodel(scanned, sigma, disjuncts)
-    return cm if isinstance(cm, Countermodel) else None
+    if not isinstance(answer, Countermodel) and scanned:
+        answer = find_chain_countermodel(scanned, sigma, disjuncts) or answer
+    return answer
 
 
 @lru_cache(maxsize=64)
@@ -259,16 +274,17 @@ def check_model_classes(logic: LogicSpec) -> tuple[str, ...]:
     return logic.model_classes
 
 
-def class_refutation(logic: LogicSpec, goal: Goal) -> Countermodel | None:
+def class_refutation(logic: LogicSpec, goal: Goal) -> Countermodel | Combination | None:
     """The countermodel to ``goal`` in the model classes ``logic`` declares,
-    unchecked, or ``None``; the declaration is checked only once a
-    refutation rests on it, so theorems, which no class refutes, never pay
-    for that.  A refuted verdict built on it is checked by
-    :func:`check.check_result`."""
-    cm = class_countermodel(logic.model_classes, goal.hypotheses, goal.clause.disjuncts)
-    if cm is not None:
+    unchecked, or else the combination of their Z LP (:func:`_class_answer`),
+    which the ``hilbert`` procedure proposes as its weights, or ``None``.
+    The declaration is checked only once a refutation rests on it, so
+    theorems, which no class refutes, never pay for that.  A refuted
+    verdict built on it is checked by :func:`check.check_result`."""
+    answer = _class_answer(logic.model_classes, goal.hypotheses, goal.clause.disjuncts)
+    if isinstance(answer, Countermodel):
         check_model_classes(logic)
-    return cm
+    return answer
 
 
 # --- Hilbert ------------------------------------------------------------------
@@ -285,6 +301,19 @@ class HilbertBudget(Record):
 POOL_LIMIT = 28
 FAMILY_BOUND = 8
 MAX_INSTANCES = 12000
+
+# The largest n_max of :func:`check_toa_condition`, whose run time grows
+# faster than n_max: BIULm took 1.5 s at 200 and 5.5 s at 400 on one Xeon
+# core, and A 0.46 s and 0.78 s.
+N_MAX_CAP = 200
+
+# The largest weighted size of a proposal (:func:`refute_or_propose`): the
+# size of each disjunct times its weight plus that of each hypothesis times
+# its weight.  A derivation from the search in MLL with mix grows with the
+# square of it: (p^6)^6 |- p, of weighted size 107 at the weight 36, took
+# 22,310 lines and 0.47 s with the check on one Xeon core, and (p^20)^20
+# |- p, 1,199, took 46 s.  The benchmark's proposals stay under 30.
+PROPOSAL_CAP = 100
 
 
 def _axiom_instances(schemas, pool, max_size):
@@ -315,23 +344,30 @@ def _axiom_instances(schemas, pool, max_size):
 
 
 def hilbert_search(
-    logic: LogicSpec | str, sigma, phi: Formula, budget: HilbertBudget | None = None
+    logic: LogicSpec | str,
+    sigma,
+    phi: Formula,
+    budget: HilbertBudget | None = None,
+    mu: tuple[int, ...] | None = None,
 ) -> ProofResult:
     """Budgeted proof search in the logic's multiplicative fragment.
 
     A target that is a hypothesis, or an instance of one of the logic's
     axiom schemas (a family's members of every n), is its own one-line
     derivation; every instance the stream below could build is such a
-    match, so nothing is lost by looking no further.  A target without
-    hypotheses is next searched for in MLL with mix (:func:`mix_lines`).
-    Otherwise, forward saturation: hypotheses and axiom-schema instances
-    built from the first :data:`POOL_LIMIT` subterms in the structural
-    order (:func:`normalize.structural_order`, smallest first) are closed
-    under modus ponens and the unperforated rule (from ``n*g`` infer ``g``,
-    every n >= 2) until the target appears or the budget runs out.  Both
-    routes justify formulas in one format, which :func:`_reconstruct` turns
-    into lines.  A proof carries a derivation of ``phi`` under the weight
-    (1,), unchecked (see :func:`check.check_result`); no answer is refuted.
+    match, so nothing is lost by looking no further.  Next, a proposal
+    (``mu``, the hypotheses' weights from the Z LP) or a target without
+    hypotheses (``mu = ()``) is searched for in MLL with mix
+    (:func:`_mix_with_hypotheses`); a proposal ends there, unknown where
+    that search fails.  Otherwise, forward saturation: hypotheses and
+    axiom-schema instances built from the first :data:`POOL_LIMIT`
+    subterms in the structural order (:func:`normalize.structural_order`,
+    smallest first) are closed under modus ponens and the unperforated
+    rule (from ``n*g`` infer ``g``, every n >= 2) until the target appears
+    or the budget runs out.  Both routes justify formulas in one format,
+    which :func:`_reconstruct` turns into lines.  A proof carries a
+    derivation of ``phi`` under the weight (1,), unchecked (see
+    :func:`check.check_result`); no answer is refuted.
     """
     logic = resolve_logic(logic)
     budget = budget or HilbertBudget()
@@ -355,13 +391,17 @@ def hilbert_search(
         add(h, ("hyp",))
     if phi not in parents:
         axiom = matching_axiom(logic, phi)
-        lines = mix_lines(logic, phi) if axiom is None and not sigma else None
-        if lines:
-            cert = ToACertificate((1,), DerivationWitness(lines))
-            return ProofResult("proved", goal, certificate=cert)
         if axiom is not None:
             add(phi, ("axiom", axiom))
         else:
+            if mu is not None or not sigma:
+                lines = _mix_with_hypotheses(logic, sigma, mu or (), phi)
+                if lines:
+                    cert = ToACertificate((1,), DerivationWitness(lines))
+                    return ProofResult("proved", goal, certificate=cert)
+                if mu is not None:
+                    reason = "no proof of the proposal in MLL with mix"
+                    return ProofResult("unknown", goal, reason=reason)
             subterms = {g for f in sigma + [phi, ONE, ZERO] for g in subformulas(f)}
             pool = sorted(subterms, key=structural_order(subterms))[:POOL_LIMIT]
             for name, instance in _axiom_instances(schemas, pool, max(2 * phi.size + 8, 24)):
@@ -393,17 +433,56 @@ def hilbert_search(
     return ProofResult("proved", goal, certificate=ToACertificate((1,), DerivationWitness(lines)))
 
 
+def _mix_with_hypotheses(
+    logic: LogicSpec, sigma, mu, phi: Formula
+) -> tuple[DerivationLine, ...] | None:
+    """The lines of :func:`mix_lines` for the curried target ``h_1 -> ...
+    -> h_1 -> h_2 -> ... -> phi``, each hypothesis ``h_j`` repeated
+    ``mu_j`` times, then one hypothesis line per ``h_j`` with ``mu_j > 0``
+    and the modus ponens lines that take the copies off in turn, down to
+    ``phi``; None when the search fails.  With no copies the target is
+    ``phi`` itself."""
+    copies = [h for h, m in zip(sigma, mu) for _ in range(m)]
+    curried = phi
+    for h in reversed(copies):
+        curried = Imp(h, curried)
+    lines = mix_lines(logic, curried)
+    if not lines:
+        return None
+    out = list(lines)
+    cited: dict[Formula, int] = {}
+    for h in copies:
+        if h not in cited:
+            out.append(DerivationLine(len(out) + 1, h, "hypothesis"))
+            cited[h] = len(out)
+    at = len(lines)  # the line of the implication that the next copy leaves
+    for h in copies:
+        curried = curried.right
+        out.append(DerivationLine(len(out) + 1, curried, f"mp {cited[h]},{at}"))
+        at = len(out)
+    return tuple(out)
+
+
 def mix_lines(logic: LogicSpec, phi: Formula) -> tuple[DerivationLine, ...] | None:
     """The lines of :func:`mix.mix_derivation` for the hypothesis-free
     multiplicative ``phi``, or None.  It runs only where the logic matches
-    both ``0 -> 1`` and ``1 -> 0`` as axioms, so that its units coincide."""
-    up, down = matching_axiom(logic, Imp(ZERO, ONE)), matching_axiom(logic, Imp(ONE, ZERO))
-    if up is None or down is None or not phi.multiplicative:
+    both ``0 -> 1`` and ``1 -> 0`` as axioms (:func:`_unit_axioms`), so
+    that its units coincide."""
+    units = _unit_axioms(logic)
+    if units is None or not phi.multiplicative:
         return None
     from . import mix  # imported on first use: compiling it costs a process about 7 ms
 
-    proof = mix.mix_derivation(phi, up, down)
+    proof = mix.mix_derivation(phi, *units)
     return proof and _reconstruct(phi, proof)
+
+
+@lru_cache(maxsize=64)
+def _unit_axioms(logic: LogicSpec) -> tuple[str, str] | None:
+    """The names of the axioms of ``logic`` that ``0 -> 1`` and ``1 -> 0``
+    match, kept per spec, or None unless both match."""
+    up, down = matching_axiom(logic, Imp(ZERO, ONE)), matching_axiom(logic, Imp(ONE, ZERO))
+    return None if up is None or down is None else (up, down)
 
 
 def _reconstruct(goal: Formula, parents: dict[Formula, tuple]) -> tuple[DerivationLine, ...]:
@@ -462,18 +541,55 @@ def prove_one_target(logic: LogicSpec, goal: Goal, budget: HilbertBudget | None)
     return ProofResult("proved", goal, certificate=ToACertificate((1,), witness))
 
 
+def refute_or_propose(
+    logic: LogicSpec, goal: Goal, budget: HilbertBudget | None
+) -> ProofResult | None:
+    """The first step of the ``hilbert`` procedure, unchecked: the goal
+    refuted by :func:`class_refutation`, or proved at the weights of its Z
+    LP's combination, or ``None`` for the caller to go on.
+
+    Where Z is sound, a derivable weighted sum reads >= 0 wherever the
+    hypotheses do, so by Farkas' lemma some weights balance it against
+    them on the linear readings; the LP's vertex ``sum(lambda_i d_i) =
+    sum(mu_j h_j)`` proposes such weights, and :func:`hilbert_search` is
+    asked for that sum with the hypotheses' weights ``mu`` and searches it
+    in MLL with mix only.
+    No proposal is made past :data:`PROPOSAL_CAP`, so weights that no
+    formula can hold are never built."""
+    answer = class_refutation(logic, goal)
+    if isinstance(answer, Countermodel):
+        return ProofResult("refuted", goal, countermodel=answer)
+    if answer is None:
+        return None
+    weighted = [*zip(answer.lambdas, goal.clause.disjuncts), *zip(answer.mu, goal.hypotheses)]
+    if sum(w * f.size for w, f in weighted) > PROPOSAL_CAP:
+        return None
+    target = combination_formula(answer.lambdas, goal.clause.disjuncts)
+    verdict = hilbert_search(logic, goal.hypotheses, target, budget, mu=answer.mu)
+    if verdict.status != "proved":
+        return None
+    cert = ToACertificate(answer.lambdas, verdict.certificate.witness)
+    return ProofResult("proved", goal, certificate=cert)
+
+
 def decide(
     logic: LogicSpec | str, sigma, phi: Formula, budget: HilbertBudget | None = None
 ) -> ProofResult:
-    """The one-target question ``sigma |- phi``: for the ``hilbert`` kind a
-    refutation in the declared model classes first, then
-    :func:`prove_one_target`; the answer passes :func:`check.check_result`."""
+    """The one-target question ``sigma |- phi``: for the ``hilbert`` kind
+    first :func:`refute_or_propose`, the engine's first step, whose proof
+    of ``n*phi`` is read as a proof of ``phi`` by one closing ``u_n`` line;
+    otherwise, or where it does not settle the question,
+    :func:`prove_one_target`.  The answer passes :func:`check.check_result`."""
     logic = resolve_logic(logic)
     goal = one_target(sigma, phi)
-    cm = class_refutation(logic, goal) if logic.oracle_kind == "hilbert" else None
-    if cm is not None:
-        return check_result(logic, ProofResult("refuted", goal, countermodel=cm))
-    return check_result(logic, prove_one_target(logic, goal, budget))
+    verdict = refute_or_propose(logic, goal, budget) if logic.oracle_kind == "hilbert" else None
+    n = verdict.certificate.lambdas[0] if verdict and verdict.certificate else 1
+    if n > 1:  # a derivation of n*phi, and phi from it where the logic has u_n
+        lines = verdict.certificate.witness.lines
+        lines += (DerivationLine(len(lines) + 1, phi, f"u_{n} {len(lines)}"),)
+        cert = ToACertificate((1,), DerivationWitness(lines))
+        verdict = ProofResult("proved", goal, certificate=cert) if "u_n" in logic.mult_rules else None
+    return check_result(logic, verdict or prove_one_target(logic, goal, budget))
 
 
 # --- the scaling side condition ----------------------------------------------
@@ -509,13 +625,13 @@ def check_toa_condition(
     family member past :data:`FAMILY_BOUND` is still matched in one line,
     its n read off the target (:func:`logics.matching_axiom`).  Before the
     first entry is decided, ValueError refuses an n_max outside
-    1..:data:`syntax.MAX_REPEAT`, a witness for an n outside 1..n_max,
-    which would go unchecked, and one whose k or m lies outside
-    0..MAX_REPEAT or 1..MAX_REPEAT, which no formula could hold.
+    1..:data:`N_MAX_CAP`, a witness for an n outside 1..n_max, which would
+    go unchecked, and one whose k or m lies outside 0..MAX_REPEAT or
+    1..MAX_REPEAT, which no formula could hold.
     """
     logic = resolve_logic(logic)
-    if not 1 <= n_max <= MAX_REPEAT:  # no entry would read as "all proved"; past it none is built
-        raise ValueError(f"n_max must lie in 1..{MAX_REPEAT}, not {n_max}")
+    if not 1 <= n_max <= N_MAX_CAP:  # no entry would read as "all proved"; past it, a long run
+        raise ValueError(f"n_max must lie in 1..{N_MAX_CAP}, not {n_max}")
     witnesses = witnesses or {}
     for n, (k, m) in sorted(witnesses.items()):
         if not 1 <= n <= n_max:

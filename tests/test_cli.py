@@ -10,7 +10,7 @@ from gordian import cli, prove_consequence
 from gordian.cli import main
 from gordian.check import Countermodel, combination_formula, countermodel_refutes
 from gordian.normalize import Goal
-from gordian.oracles import decide
+from gordian.oracles import N_MAX_CAP, decide
 from gordian.syntax import parse
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -93,6 +93,21 @@ def test_biul_refuted_in_z_and_prelinearity_unknown(tmp_path, capsys):
     problem = write(tmp_path, "r.txt", "logic BIULm\nprove (p -> q) + (p -> q) -> (p + p -> q + q)\n")
     code, out, _ = run(capsys, "prove", problem, "--budget", "2")
     assert code == 2 and out.startswith("unknown")
+
+
+def test_biul_goal_with_a_hypothesis_proved_at_the_proposed_weights(tmp_path, capsys):
+    # the Z LP's weights (2, 1) lie past the weight-sum cap of --budget 2,
+    # and the search in MLL with mix proves their sum with q taken off by
+    # modus ponens; the deepening and the saturation ended unknown here
+    problem = write(tmp_path, "p.txt", "logic BIULm\nassume q\nprove (p*q)*(1->p) | (p -> 0)\n")
+    code, out, _ = run(capsys, "prove", problem, "--budget", "2")
+    assert code == 0 and out.startswith("proved (BIULm)")
+    assert "lambdas: 2 1" in out
+    # the weight 90,000 on p, which no formula holds, is not proposed: the
+    # deepening ends unknown, where building the sum raised an error
+    problem = write(tmp_path, "w.txt", "logic BIULm\nassume (p^300)^300\nprove p\n")
+    code, out, err = run(capsys, "prove", problem, "--budget", "1")
+    assert (code, err) == (2, "") and out.startswith("unknown (BIULm)")
 
 
 def test_prove_flag_overrides_directive(tmp_path, capsys):
@@ -189,9 +204,11 @@ def test_check_toa_refuses_bad_arguments_before_any_entry(capsys):
         capsys, "check-toa", "--logic", "A", "--witness", "2:1:1", "--witness", "2:0:1"
     )
     assert (code, out) == (3, "") and "n=2 twice" in err, err
-    # an entry past the largest repetition could only end in an error
-    code, out, err = run(capsys, "check-toa", "--logic", "A", "--n-max", "70000")
-    assert (code, out) == (3, "") and "n_max must lie in 1..65536" in err, err
+    # an entry past the largest repetition could only end in an error, and
+    # one past the cap on n_max would run for long
+    for n_max in ("70000", str(N_MAX_CAP + 1)):
+        code, out, err = run(capsys, "check-toa", "--logic", "A", "--n-max", n_max)
+        assert (code, out) == (3, "") and f"n_max must lie in 1..{N_MAX_CAP}" in err, err
 
 
 def test_logic_without_alternatives(tmp_path, capsys):

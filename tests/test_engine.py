@@ -217,12 +217,12 @@ def test_decide_is_the_one_disjunct_goal():
     # decide asks the logic's procedure the one-disjunct question, so it
     # agrees with prove_disjunction on that goal up to where the weight
     # sits.  For BIULm both refute on the declared model classes before the
-    # Hilbert search.
+    # Hilbert search, or both prove at the weight the Z LP proposes.
     budget = EngineBudget(lambda_cap=1, hilbert=HilbertBudget(max_lines=200))
     rng = Random(4405)
     for logic in ("A", "RMt", "IUMLm", "BIULm"):
         statuses = set()
-        # in A the LP puts weight 2 on p
+        # in A and BIULm the LP puts weight 2 on p
         goals = [goal_of(["p + p"], ["p"])] + [
             random_goal(rng, max_disjuncts=1, max_depth=3) for _ in range(60)
         ]
@@ -235,11 +235,19 @@ def test_decide_is_the_one_disjunct_goal():
             assert one.countermodel == result.countermodel
             if one.status != "proved":
                 continue
+            n = result.certificate.lambdas[0]
+            if logic in ("A", "BIULm") and goal is goals[0]:
+                assert n == 2
             if logic == "A":  # the LP's weight on phi is decide's scale
                 assert one.certificate.lambdas == (1,) and result.certificate.witness.scale == 1
                 assert one.certificate.witness == LinearWitness(
                     result.certificate.witness.mu, result.certificate.lambdas[0]
                 )
+            elif logic == "BIULm" and n > 1:  # a proof of n*phi and one u_n line
+                lines = one.certificate.witness.lines
+                assert one.certificate.lambdas == (1,)
+                assert lines[:-1] == result.certificate.witness.lines
+                assert (lines[-1].formula, lines[-1].justification) == (phi, f"u_{n} {len(lines) - 1}")
             else:
                 assert one.certificate == result.certificate
         assert {"proved", "refuted"} <= statuses, logic
@@ -380,13 +388,16 @@ def test_end_to_end_abelian_grid_consistency():
             assert ref_eval_abelian(f, valuation) < 0
 
 
-def test_lambda_cap_yields_unknown():
-    from gordian.engine import EngineBudget
+# A knotted logic declares no Z, so no LP proposes weights there: its goals
+# go to the deepening at once.
+KNOTTED = "knotted(1,1,1:1:1:1)"
 
+
+def test_lambda_cap_yields_unknown():
     goal = goal_of([], ["p", "~p"])
-    result = prove_disjunction("BIULm", goal, EngineBudget(lambda_cap=1))
+    result = prove_disjunction(KNOTTED, goal, EngineBudget(lambda_cap=1))
     assert result.status == "unknown"
-    result = prove_disjunction("BIULm", goal, EngineBudget(lambda_cap=2))
+    result = prove_disjunction(KNOTTED, goal, EngineBudget(lambda_cap=2))
     assert result.status == "proved"
 
 
@@ -414,6 +425,61 @@ def test_model_classes_never_refute_what_the_search_proves(monkeypatch):
             counts["refuted"] += 1
         counts["proved"] += proved
     assert counts["proved"] >= 25 and counts["refuted"] >= 100, counts
+
+
+def test_proposals_leave_no_goal_unknown(monkeypatch):
+    # 600 goals of two variables: the Z LP's weights, proved by the search
+    # in MLL with mix, settle every goal that no model class refutes; the
+    # deepening and the saturation, which left 42 of them unknown, take the
+    # two proposals that fail (the fallback)
+    proposals, failed = [], []
+    real = oracles.hilbert_search
+
+    def recording(logic, sigma, phi, budget=None, mu=None):
+        verdict = real(logic, sigma, phi, budget, mu)
+        if mu is not None:
+            proposals.append(phi)
+            if verdict.status != "proved":
+                failed.append(phi)
+        return verdict
+
+    monkeypatch.setattr(oracles, "hilbert_search", recording)
+    budget = EngineBudget(lambda_cap=4, hilbert=HilbertBudget(max_lines=400))
+    rng = Random(11)
+    counts = {"proved": 0, "refuted": 0, "unknown": 0}
+    logic = lookup_logic("BIULm")
+    for _ in range(600):
+        goal = random_goal(rng, names=("p", "q"), max_disjuncts=2, max_hyps=2, max_depth=2)
+        result = prove_disjunction(logic, goal, budget)
+        assert check_result(logic, result) is result
+        counts[result.status] += 1
+    assert counts == {"proved": 250, "refuted": 350, "unknown": 0}
+    assert (len(proposals), len(failed)) == (239, 2)
+
+
+def test_no_proposal_past_the_cap(monkeypatch):
+    # (p^300)^300 |- p has the weight 90,000 on p, past the largest
+    # repetition a formula holds: no sum is built, and the goal falls back
+    # to the deepening, as (p^20)^20 |- p, whose proof by the search in MLL
+    # with mix took 46 s, does too
+    proposed = []
+    real = oracles.hilbert_search
+
+    def recording(logic, sigma, phi, budget=None, mu=None):
+        if mu is not None:
+            proposed.append(phi)
+        return real(logic, sigma, phi, budget, mu)
+
+    monkeypatch.setattr(oracles, "hilbert_search", recording)
+    budget = EngineBudget(lambda_cap=1, hilbert=HilbertBudget(max_lines=100))
+    for text in ["(p^300)^300", "(p^20)^20"]:
+        result = prove_consequence("BIULm", [parse(text)], parse("p"), budget)
+        assert result.status == "unknown"
+    assert proposed == []
+    # at (p^5)^5, of weighted size 74, the proposal is made and proves
+    result = prove_consequence("BIULm", [parse("(p^5)^5")], parse("p"), budget)
+    assert result.status == "proved" and result.results[0].certificate.lambdas == (25,)
+    assert len(proposed) == 1
 
 
 def test_biul_refutations_recheck():
@@ -452,8 +518,8 @@ def test_missed_theorems_stay_unknown(text, budget):
 
 
 def test_deepening_skips_the_sums_the_model_classes_refute(monkeypatch):
-    # the sums of the weights (1, 0), (0, 1) and (2, 0) are refuted in Z,
-    # so the Hilbert search is asked only for the sum of (1, 1)
+    # the sums of the weights (1, 0), (0, 1) and (2, 0) are refuted on the
+    # Sugihara chains, so the Hilbert search is asked only for the sum of (1, 1)
     asked = []
     real = engine.prove_one_target
 
@@ -462,23 +528,24 @@ def test_deepening_skips_the_sums_the_model_classes_refute(monkeypatch):
         return real(logic, goal, budget)
 
     monkeypatch.setattr(engine, "prove_one_target", recording)
-    result = prove_consequence("BIULm", [], parse("(p -> q) | (q -> p)"))
+    result = prove_consequence(KNOTTED, [], parse("p | ~p"))
     assert result.status == "proved"
     assert result.results[0].certificate.lambdas == (1, 1)
     assert len(asked) == 1
     # one disjunct: no vector is checked, and the first sum is the goal
     asked.clear()
-    assert prove_consequence("BIULm", [], parse("p * q -> q * p")).status == "proved"
+    assert prove_consequence(KNOTTED, [], parse("p * q -> q * p")).status == "proved"
     assert len(asked) == 1
 
 
 @pytest.mark.parametrize("n", [17, 40])
 def test_unperforation_holds_for_every_n(n):
-    # u_n applies for every n >= 2, not only up to a bound
+    # u_n applies for every n >= 2, not only up to a bound: decide proves
+    # n*p at the LP's weight n and closes it by u_n
     sigma = [scalar(n, parse("p"))]
-    result = prove_consequence("BIULm", sigma, parse("p"))
+    result = decide("BIULm", sigma, parse("p"))
     assert result.status == "proved"
-    lines = result.results[0].certificate.witness.lines
+    lines = result.certificate.witness.lines
     assert verify_derivation("BIULm", lines, hypotheses=sigma)
     assert lines[-1].justification == f"u_{n} 1"
 

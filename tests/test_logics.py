@@ -190,6 +190,7 @@ def test_toa_condition_rejects_bad_witness():
         (3, {3: (1, MAX_REPEAT + 1)}),  # m past it
         (3, {4: (1, 1)}),  # an n no entry would check
         (MAX_REPEAT + 1, {}),  # n_max past it, which no entry could reach
+        (oracles.N_MAX_CAP + 1, {}),  # n_max past the cap on the run's length
     ],
 )
 def test_toa_condition_checks_its_arguments_before_any_entry(monkeypatch, n_max, witnesses):

@@ -9,11 +9,11 @@ import pytest
 
 from helpers import random_mult_formula
 
-from gordian import mix, prove_consequence
-from gordian.check import verify_derivation
+from gordian import EngineBudget, HilbertBudget, mix, oracles, prove_consequence
+from gordian.check import combination_formula, verify_derivation
 from gordian.logics import lookup_logic, match_template, matching_axiom
 from gordian.oracles import class_countermodel, decide, hilbert_search, mix_lines
-from gordian.syntax import parse
+from gordian.syntax import Imp, parse
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -127,14 +127,65 @@ def test_search_runs_only_where_the_units_coincide():
     assert decide(knotted, [], parse("1 -> 0")).status == "refuted"
 
 
-def test_goal_with_hypotheses_never_enters_the_search(monkeypatch):
-    def no_search(*args):
-        raise AssertionError("search in MLL with mix entered with hypotheses")
+def test_unit_axioms_are_looked_up_once_per_logic(monkeypatch):
+    # every proposal reaches mix_lines, and each lookup of 0 -> 1 and
+    # 1 -> 0 tries the logic's schemas in turn: the names are kept per spec
+    biulm = lookup_logic("BIULm")
+    assert mix_lines(biulm, parse("p * q -> q * p")) is not None
+    looked = []
+    monkeypatch.setattr(oracles, "matching_axiom", lambda logic, f: looked.append(f))
+    assert mix_lines(biulm, parse("q * p -> p * q")) is not None
+    assert looked == []
 
-    monkeypatch.setattr(mix, "mix_derivation", no_search)
-    verdict = hilbert_search("BIULm", [parse("p")], parse("p * p"))
-    assert verdict.status == "proved"
-    assert prove_consequence("BIULm", [parse("q")], parse("p * q -> q * p")).status == "proved"
+
+def test_goal_with_hypotheses_enters_the_search(monkeypatch):
+    # the Z LP proposes the weights (2, 1) on the disjuncts and 1 on q: the
+    # search proves the curried sum, and modus ponens on the hypothesis
+    # line takes q off; the saturation left this goal unknown
+    searched = []
+    real = mix.mix_derivation
+
+    def recording(phi, up, down):
+        searched.append(phi)
+        return real(phi, up, down)
+
+    monkeypatch.setattr(mix, "mix_derivation", recording)
+    q = parse("q")
+    disjuncts = [parse("p -> 0"), parse("(p * q) * (1 -> p)")]
+    budget = EngineBudget(lambda_cap=2, hilbert=HilbertBudget(max_lines=400))
+    result = prove_consequence("BIULm", [q], parse("(p * q) * (1 -> p) | (p -> 0)"), budget)
+    assert result.status == "proved"
+    (goal,) = result.results
+    assert goal.certificate.lambdas == (2, 1)
+    combo = combination_formula((2, 1), disjuncts)
+    assert searched == [Imp(q, combo)]
+    lines = goal.certificate.witness.lines
+    assert [(line.formula, line.justification) for line in lines[-2:]] == [
+        (q, "hypothesis"),
+        (combo, f"mp {len(lines) - 1},{len(lines) - 2}"),
+    ]
+    assert lines[-3].formula == Imp(q, combo)
+    assert verify_derivation("BIULm", lines, hypotheses=[q])
+    assert prove_consequence("BIULm", [q], parse("p * q -> q * p")).status == "proved"
+
+
+def test_each_copy_of_a_hypothesis_is_taken_off_by_modus_ponens():
+    # p, p |- p * p: the search proves p -> p -> p * p, one hypothesis line
+    # stands for both copies, and two mp lines take them off in turn
+    p, target = parse("p"), parse("p * p")
+    verdict = hilbert_search("BIULm", [p], target, mu=(2,))
+    lines = verdict.certificate.witness.lines
+    n = len(lines)
+    assert lines[n - 4].formula == Imp(p, Imp(p, target))
+    assert [(line.formula, line.justification) for line in lines[n - 3 :]] == [
+        (p, "hypothesis"),
+        (Imp(p, target), f"mp {n - 2},{n - 3}"),
+        (target, f"mp {n - 2},{n - 1}"),
+    ]
+    assert verify_derivation("BIULm", lines, hypotheses=[p])
+    assert _uncited(lines) == []
+    # without a proposal, a goal with hypotheses goes to the saturation
+    assert hilbert_search("BIULm", [p], target).certificate.witness.lines[-1].formula == target
 
 
 def _unfiltered_axiom(logic, f):

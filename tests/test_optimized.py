@@ -68,13 +68,15 @@ rejected(
 oracles.AbelianMemo.refuting = refuting
 
 # A derivation whose one line, the target, is no axiom instance: from the
-# saturation, which reaches p * p from p, and from the search in MLL with
-# mix, which proves p * q -> q * p.
+# saturation, which reaches p * p from p in a knotted logic (it declares no
+# Z, so no LP proposes weights there), and from the search in MLL with mix,
+# which proves p * q -> q * p, and p -> q -> q * p, the curried target of
+# p, q |- q * p, whose hypothesis lines modus ponens then takes off.
 reconstruct = oracles._reconstruct
 oracles._reconstruct = lambda phi, parents: (check.DerivationLine(1, phi, "axiom identity"),)
 rejected(
     "Hilbert derivation with an unjustified line",
-    lambda: engine.prove_disjunction("BIULm", goal(["p"], ["p * p"])),
+    lambda: engine.prove_disjunction("knotted(1,1,1:1:1:1)", goal(["p"], ["p * p"])),
 )
 oracles._reconstruct = reconstruct
 search = mix.mix_derivation
@@ -82,6 +84,10 @@ mix.mix_derivation = lambda phi, up, down: {phi: ("axiom", up)}
 rejected(
     "derivation from the search in MLL with mix with an unjustified line",
     lambda: engine.prove_disjunction("BIULm", goal([], ["p * q -> q * p"])),
+)
+rejected(
+    "curried derivation from the search in MLL with mix with an unjustified line",
+    lambda: engine.prove_disjunction("BIULm", goal(["p", "q"], ["q * p"])),
 )
 mix.mix_derivation = search
 
@@ -279,4 +285,4 @@ def test_certificate_checks_survive_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 35 and all(line.startswith("rejected:") for line in lines), lines
+    assert len(lines) == 36 and all(line.startswith("rejected:") for line in lines), lines

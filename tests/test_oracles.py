@@ -319,6 +319,17 @@ def test_decide_dispatch():
     assert decide("BIULm", [], parse("0 -> 1")).status == "proved"
 
 
+def test_decide_closes_a_scaled_proposal_only_by_u_n():
+    # a logic that declares Z but has no unperforated rule: the LP's
+    # proposal proves p + p, its weight 2, but nothing there derives p
+    # from it, so decide goes on to the search at the weight 1
+    spec = logics.LogicSpec("MLL with Z", "MLL", model_classes=("Z",))
+    verdict = decide(spec, [parse("p + p")], parse("p"), HilbertBudget(max_lines=100))
+    assert verdict.status == "unknown"
+    lines = decide("BIULm", [parse("p + p")], parse("p")).certificate.witness.lines
+    assert [line.justification for line in lines] == ["hypothesis", "u_2 1"]
+
+
 def _proved(hyps, phi, witness, lambdas=(1,)):
     goal = Goal.of([parse(h) for h in hyps], [parse(phi)])
     return ProofResult("proved", goal, certificate=ToACertificate(lambdas, witness))
