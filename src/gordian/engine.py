@@ -25,11 +25,13 @@ accepts it:
   the search in MLL with mix is asked for that one weighted sum, its
   hypotheses curried in and taken off by modus ponens.  Only where that
   fails, iterative deepening on ``sum(lambda)`` up to the budget's cap,
-  asking :func:`oracles.prove_one_target` (the Hilbert search) for each
-  weighted sum that the model classes do not refute.  Only once the
-  model classes have failed is exhaustion reported, as unknown, never
-  refuted.  The countermodel that skips a weighted sum is not checked: a
-  wrong one can only turn a proof into unknown.
+  asking :func:`oracles.prove_one_target` for each weighted sum: the
+  same first step on the sum, whose own LP weights the hypotheses for it
+  and whose refutation leaves the sum unproved, then the Hilbert search,
+  which alone is asked for a one-disjunct goal's first sum, the goal.
+  Only once the model classes have failed is exhaustion reported, as
+  unknown, never refuted.  The countermodel that skips a weighted sum is
+  not checked: a wrong one can only turn a proof into unknown.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .normalize import Goal, decompose_consequence
 from .oracles import (
     AbelianMemo,
     HilbertBudget,
-    class_refutation,
+    hilbert_search,
     one_target,
     prove_abelian,
     prove_one_target,
@@ -106,21 +108,17 @@ def _compositions(total: int, parts: int):
 
 
 def _prove_deepening(logic: LogicSpec, goal: Goal, budget: EngineBudget) -> ProofResult:
-    verdict = refute_or_propose(logic, goal, budget.hilbert)
+    verdict = refute_or_propose(logic, goal)
     if verdict is not None:
         return verdict
     disjuncts = goal.clause.disjuncts
     for total in range(1, budget.lambda_cap + 1):
         for lambdas in _compositions(total, len(disjuncts)):
-            target = one_target(goal.hypotheses, combination_formula(lambdas, disjuncts))
-            # a sum the sound classes refute has no proof.  With one disjunct
-            # no sum is refuted, as the goal was not: n*x >= 0 iff x >= 0 in
-            # Z, and sums are idempotent on Sugihara chains.  The countermodel
-            # is unchecked: a wrong one skips a sum, so at worst the goal ends
-            # unknown, never in a wrong verdict
-            if len(disjuncts) > 1 and isinstance(class_refutation(logic, target), Countermodel):
-                continue
-            verdict = prove_one_target(logic, target, budget.hilbert)
+            if lambdas == (1,):  # the goal itself, whose first step was just taken
+                verdict = hilbert_search(logic, goal.hypotheses, disjuncts[0], budget.hilbert)
+            else:
+                target = one_target(goal.hypotheses, combination_formula(lambdas, disjuncts))
+                verdict = prove_one_target(logic, target, budget.hilbert)
             if verdict.status == "proved":
                 cert = ToACertificate(lambdas, verdict.certificate.witness)
                 return ProofResult("proved", goal, certificate=cert)

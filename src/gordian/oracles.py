@@ -19,16 +19,17 @@ one-target entry, asks each the one-disjunct question ``sigma |- phi``:
   Avron's dichotomy on the decision chains: a canonical valuation
   designating every hypothesis and no disjunct is the countermodel;
   otherwise the largest valid subset of the disjuncts proves.
-* ``hilbert``: :func:`refute_or_propose` first.  Where the logic declares
-  Z and no class refutes the goal, the Z LP's combination proposes the
-  weights on the disjuncts and the hypotheses, and :func:`hilbert_search`
-  searches for that one weighted sum in MLL with mix (:mod:`mix`) only,
-  the hypotheses curried into the target and taken off by modus ponens.
-  Otherwise, and where that search fails, :func:`hilbert_search` for one
-  target at a time: the search in MLL with mix for a target without
-  hypotheses where the logic's units coincide, then budgeted forward
-  saturation over axiom-schema instances with modus ponens and the
-  unperforated rule; proved by a derivation, or unknown.
+* ``hilbert``: :func:`prove_one_target`, whose first step is
+  :func:`refute_or_propose`: a countermodel in a class the logic declares
+  sound refutes; where the logic declares Z, the Z LP's combination
+  proposes the weights on the disjuncts and the hypotheses, and that one
+  weighted sum is a hypothesis or an axiom instance, or is searched for in
+  MLL with mix (:mod:`mix`), the hypotheses curried into the target and
+  taken off by modus ponens; a proof of ``n*phi`` is closed by one
+  ``u_n`` line.  Where that step does not settle the goal,
+  :func:`hilbert_search`: budgeted forward saturation over axiom-schema
+  instances with modus ponens and the unperforated rule; proved by a
+  derivation, or unknown.
 
 Every answer of :func:`decide` and the engine passes one checker,
 :func:`check.check_result`, which imports none of these procedures.
@@ -223,9 +224,11 @@ def _class_answer(classes, sigma, disjuncts) -> Countermodel | Combination | Non
     """The countermodel of :func:`class_countermodel`, or else the Z LP's
     combination where Z was asked, or else ``None``.
 
-    Z goes first, through :func:`abelian_alternative`; it is skipped for a
-    question without variables, whose one valuation reads every formula as
-    the designated 0.  The Sugihara classes follow, in their order, through
+    Z goes first, through :func:`abelian_alternative`; a question without
+    variables, whose one valuation reads every formula as the designated 0,
+    gets the first disjunct alone as its combination
+    (:func:`linalg.linear_alternative`'s zero form), without the LP.  The
+    Sugihara classes follow, in their order, through
     :func:`find_chain_countermodel` on the chains of
     :func:`chains.class_chains`.  Both searches are complete for their
     class.  The chain scan is asked only up to :data:`chains.VARIABLE_CAP`
@@ -234,7 +237,7 @@ def _class_answer(classes, sigma, disjuncts) -> Countermodel | Combination | Non
     a proof goes on to decide the question."""
     sigma, disjuncts = tuple(sigma), tuple(disjuncts)
     k = len(variables_of(sigma + disjuncts))
-    answer = abelian_alternative(sigma, disjuncts) if "Z" in classes and k else None
+    answer = abelian_alternative(sigma, disjuncts) if "Z" in classes else None
     scanned = class_chains(classes, k) if k <= chains.VARIABLE_CAP else ()
     if not isinstance(answer, Countermodel) and scanned:
         answer = find_chain_countermodel(scanned, sigma, disjuncts) or answer
@@ -307,12 +310,13 @@ MAX_INSTANCES = 12000
 # core, and A 0.46 s and 0.78 s.
 N_MAX_CAP = 200
 
-# The largest weighted size of a proposal (:func:`refute_or_propose`): the
-# size of each disjunct times its weight plus that of each hypothesis times
-# its weight.  A derivation from the search in MLL with mix grows with the
-# square of it: (p^6)^6 |- p, of weighted size 107 at the weight 36, took
-# 22,310 lines and 0.47 s with the check on one Xeon core, and (p^20)^20
-# |- p, 1,199, took 46 s.  The benchmark's proposals stay under 30.
+# The largest size a proposal (:func:`refute_or_propose`) adds to its goal at
+# weight 1 without hypotheses: each disjunct's size times its weight less
+# one, plus each hypothesis's times its weight; the goal itself is never
+# capped.  A derivation from the search in MLL with mix grows with the square
+# of the weighted size: (p^6)^6 |- p, adding 106 at the weight 36, took 22,310
+# lines and 0.47 s with the check on one Xeon core, and (p^20)^20 |- p,
+# adding 1,198, took 46 s.  The benchmark's proposals add under 30.
 PROPOSAL_CAP = 100
 
 
@@ -343,36 +347,39 @@ def _axiom_instances(schemas, pool, max_size):
                 return
 
 
-def hilbert_search(
-    logic: LogicSpec | str,
-    sigma,
-    phi: Formula,
-    budget: HilbertBudget | None = None,
-    mu: tuple[int, ...] | None = None,
-) -> ProofResult:
-    """Budgeted proof search in the logic's multiplicative fragment.
+def _one_line(logic: LogicSpec, sigma, phi: Formula) -> tuple[DerivationLine, ...] | None:
+    """``phi`` derived in one line: a hypothesis, or an instance of one of
+    the logic's axiom schemas (a family's members of every n); None
+    otherwise."""
+    if phi in sigma:
+        return (DerivationLine(1, phi, "hypothesis"),)
+    axiom = matching_axiom(logic, phi)
+    return None if axiom is None else (DerivationLine(1, phi, f"axiom {axiom}"),)
 
-    A target that is a hypothesis, or an instance of one of the logic's
-    axiom schemas (a family's members of every n), is its own one-line
-    derivation; every instance the stream below could build is such a
-    match, so nothing is lost by looking no further.  Next, a proposal
-    (``mu``, the hypotheses' weights from the Z LP) or a target without
-    hypotheses (``mu = ()``) is searched for in MLL with mix
-    (:func:`_mix_with_hypotheses`); a proposal ends there, unknown where
-    that search fails.  Otherwise, forward saturation: hypotheses and
-    axiom-schema instances built from the first :data:`POOL_LIMIT`
-    subterms in the structural order (:func:`normalize.structural_order`,
-    smallest first) are closed under modus ponens and the unperforated
-    rule (from ``n*g`` infer ``g``, every n >= 2) until the target appears
-    or the budget runs out.  Both routes justify formulas in one format,
-    which :func:`_reconstruct` turns into lines.  A proof carries a
-    derivation of ``phi`` under the weight (1,), unchecked (see
+
+def hilbert_search(
+    logic: LogicSpec | str, sigma, phi: Formula, budget: HilbertBudget | None = None
+) -> ProofResult:
+    """Budgeted forward saturation in the logic's multiplicative fragment.
+
+    A target that is a hypothesis or an axiom instance is its own one-line
+    derivation (:func:`_one_line`); every instance the stream below could
+    build is such a match, so nothing is lost by looking no further.
+    Otherwise hypotheses and axiom-schema instances built from the first
+    :data:`POOL_LIMIT` subterms in the structural order
+    (:func:`normalize.structural_order`, smallest first) are closed under
+    modus ponens and the unperforated rule (from ``n*g`` infer ``g``, every
+    n >= 2) until the target appears or the budget runs out.  A proof
+    carries a derivation of ``phi`` under the weight (1,), unchecked (see
     :func:`check.check_result`); no answer is refuted.
     """
     logic = resolve_logic(logic)
     budget = budget or HilbertBudget()
     goal = one_target(sigma, phi)
     sigma = list(goal.hypotheses)
+    lines = _one_line(logic, sigma, phi)
+    if lines:
+        return ProofResult("proved", goal, certificate=ToACertificate((1,), DerivationWitness(lines)))
 
     schemas = logic.mult_axiom_schemas() + logic.family_schemas(FAMILY_BOUND)
     use_u = "u_n" in logic.mult_rules
@@ -389,23 +396,10 @@ def hilbert_search(
 
     for h in sigma:
         add(h, ("hyp",))
-    if phi not in parents:
-        axiom = matching_axiom(logic, phi)
-        if axiom is not None:
-            add(phi, ("axiom", axiom))
-        else:
-            if mu is not None or not sigma:
-                lines = _mix_with_hypotheses(logic, sigma, mu or (), phi)
-                if lines:
-                    cert = ToACertificate((1,), DerivationWitness(lines))
-                    return ProofResult("proved", goal, certificate=cert)
-                if mu is not None:
-                    reason = "no proof of the proposal in MLL with mix"
-                    return ProofResult("unknown", goal, reason=reason)
-            subterms = {g for f in sigma + [phi, ONE, ZERO] for g in subformulas(f)}
-            pool = sorted(subterms, key=structural_order(subterms))[:POOL_LIMIT]
-            for name, instance in _axiom_instances(schemas, pool, max(2 * phi.size + 8, 24)):
-                add(instance, ("axiom", name))
+    subterms = {g for f in sigma + [phi, ONE, ZERO] for g in subformulas(f)}
+    pool = sorted(subterms, key=structural_order(subterms))[:POOL_LIMIT]
+    for name, instance in _axiom_instances(schemas, pool, max(2 * phi.size + 8, 24)):
+        add(instance, ("axiom", name))
 
     seeded = len(parents)
     head = 0
@@ -525,25 +519,7 @@ def _reconstruct(goal: Formula, parents: dict[Formula, tuple]) -> tuple[Derivati
 # --- dispatch ---------------------------------------------------------------------
 
 
-def prove_one_target(logic: LogicSpec, goal: Goal, budget: HilbertBudget | None) -> ProofResult:
-    """The one-disjunct ``goal`` asked of the logic's procedure, unchecked.
-    A proof's certificate has the weight (1,) and a witness for the
-    disjunct itself; an Abelian one carries the LP's weight as its scale."""
-    if logic.oracle_kind == "sugihara":
-        return prove_subsets(logic, goal)
-    if logic.oracle_kind != "abelian":
-        return hilbert_search(logic, goal.hypotheses, goal.clause.disjuncts[0], budget=budget)
-    verdict = prove_abelian(goal)
-    if verdict.status != "proved":
-        return verdict
-    cert = verdict.certificate
-    witness = LinearWitness(cert.witness.mu, cert.lambdas[0])
-    return ProofResult("proved", goal, certificate=ToACertificate((1,), witness))
-
-
-def refute_or_propose(
-    logic: LogicSpec, goal: Goal, budget: HilbertBudget | None
-) -> ProofResult | None:
+def refute_or_propose(logic: LogicSpec, goal: Goal) -> ProofResult | None:
     """The first step of the ``hilbert`` procedure, unchecked: the goal
     refuted by :func:`class_refutation`, or proved at the weights of its Z
     LP's combination, or ``None`` for the caller to go on.
@@ -551,45 +527,67 @@ def refute_or_propose(
     Where Z is sound, a derivable weighted sum reads >= 0 wherever the
     hypotheses do, so by Farkas' lemma some weights balance it against
     them on the linear readings; the LP's vertex ``sum(lambda_i d_i) =
-    sum(mu_j h_j)`` proposes such weights, and :func:`hilbert_search` is
-    asked for that sum with the hypotheses' weights ``mu`` and searches it
-    in MLL with mix only.
-    No proposal is made past :data:`PROPOSAL_CAP`, so weights that no
-    formula can hold are never built."""
+    sum(mu_j h_j)`` proposes such weights.  That sum is proved in one line
+    where it is a hypothesis or an axiom instance (:func:`_one_line`), or
+    else searched for in MLL with mix, each hypothesis curried in ``mu_j``
+    times (:func:`_mix_with_hypotheses`).  A goal without variables reads
+    0 in Z, so its proposal is its first disjunct alone.
+    No proposal that adds more than :data:`PROPOSAL_CAP` to the goal is
+    made, so weights that no formula can hold are never built."""
     answer = class_refutation(logic, goal)
     if isinstance(answer, Countermodel):
         return ProofResult("refuted", goal, countermodel=answer)
     if answer is None:
         return None
-    weighted = [*zip(answer.lambdas, goal.clause.disjuncts), *zip(answer.mu, goal.hypotheses)]
-    if sum(w * f.size for w, f in weighted) > PROPOSAL_CAP:
+    added = sum((w - 1) * d.size for w, d in zip(answer.lambdas, goal.clause.disjuncts) if w)
+    added += sum(w * h.size for w, h in zip(answer.mu, goal.hypotheses))
+    if added > PROPOSAL_CAP:
         return None
     target = combination_formula(answer.lambdas, goal.clause.disjuncts)
-    verdict = hilbert_search(logic, goal.hypotheses, target, budget, mu=answer.mu)
-    if verdict.status != "proved":
+    lines = _one_line(logic, goal.hypotheses, target) or _mix_with_hypotheses(
+        logic, goal.hypotheses, answer.mu, target
+    )
+    if not lines:
         return None
-    cert = ToACertificate(answer.lambdas, verdict.certificate.witness)
+    cert = ToACertificate(answer.lambdas, DerivationWitness(lines))
     return ProofResult("proved", goal, certificate=cert)
 
 
-def decide(
-    logic: LogicSpec | str, sigma, phi: Formula, budget: HilbertBudget | None = None
-) -> ProofResult:
-    """The one-target question ``sigma |- phi``: for the ``hilbert`` kind
-    first :func:`refute_or_propose`, the engine's first step, whose proof
-    of ``n*phi`` is read as a proof of ``phi`` by one closing ``u_n`` line;
-    otherwise, or where it does not settle the question,
-    :func:`prove_one_target`.  The answer passes :func:`check.check_result`."""
-    logic = resolve_logic(logic)
-    goal = one_target(sigma, phi)
-    verdict = refute_or_propose(logic, goal, budget) if logic.oracle_kind == "hilbert" else None
+def prove_one_target(logic: LogicSpec, goal: Goal, budget: HilbertBudget | None) -> ProofResult:
+    """The one-disjunct ``goal`` asked of the logic's procedure, unchecked.
+    A proof's certificate has the weight (1,) and a witness for the
+    disjunct itself: an Abelian one carries the LP's weight as its scale,
+    and a ``hilbert`` proof of ``n*phi`` at the weight n that
+    :func:`refute_or_propose` proposes is closed by one ``u_n`` line.
+    Where that step does not settle the goal, or the logic has no ``u_n``
+    for its weight, :func:`hilbert_search` is asked."""
+    if logic.oracle_kind == "sugihara":
+        return prove_subsets(logic, goal)
+    phi = goal.clause.disjuncts[0]
+    if logic.oracle_kind == "abelian":
+        verdict = prove_abelian(goal)
+        if verdict.status != "proved":
+            return verdict
+        cert = verdict.certificate
+        witness = LinearWitness(cert.witness.mu, cert.lambdas[0])
+        return ProofResult("proved", goal, certificate=ToACertificate((1,), witness))
+    verdict = refute_or_propose(logic, goal)
     n = verdict.certificate.lambdas[0] if verdict and verdict.certificate else 1
     if n > 1:  # a derivation of n*phi, and phi from it where the logic has u_n
         lines = verdict.certificate.witness.lines
         lines += (DerivationLine(len(lines) + 1, phi, f"u_{n} {len(lines)}"),)
         cert = ToACertificate((1,), DerivationWitness(lines))
         verdict = ProofResult("proved", goal, certificate=cert) if "u_n" in logic.mult_rules else None
-    return check_result(logic, verdict or prove_one_target(logic, goal, budget))
+    return verdict or hilbert_search(logic, goal.hypotheses, phi, budget)
+
+
+def decide(
+    logic: LogicSpec | str, sigma, phi: Formula, budget: HilbertBudget | None = None
+) -> ProofResult:
+    """The one-target question ``sigma |- phi``: :func:`prove_one_target`,
+    whose answer passes :func:`check.check_result`."""
+    logic = resolve_logic(logic)
+    return check_result(logic, prove_one_target(logic, one_target(sigma, phi), budget))
 
 
 # --- the scaling side condition ----------------------------------------------

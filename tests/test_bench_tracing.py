@@ -32,10 +32,13 @@ def test_traced_calls_are_counted():
         for logic in ("A", "RMt", "BIULm"):
             prove_consequence(logic, [], parse("p -> p"))
         prove_consequence("BIULm", [], parse("p * q -> p"))
+        # no BIULm goal above reaches the saturation; a knotted logic
+        # declares no Z, so its goals have no proposal
+        prove_consequence("knotted(1,1,1:1:1:1)", [], parse("p * q -> q * p"))
         metrics = tracer.metrics(0.0, 0.0, 0.0)
     finally:
         tracer.uninstall()
     assert set(metrics) == set(tracing.METRICS)
-    assert metrics["engine.goals"]["value"] == 4
+    assert metrics["engine.goals"]["value"] == 5
     assert metrics["oracles.hilbert_calls"]["value"] >= 1
     assert metrics["oracles.countermodel_scans"]["value"] >= 1

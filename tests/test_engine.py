@@ -403,6 +403,8 @@ def test_lambda_cap_yields_unknown():
 
 # The hilbert benchmark workload's budget.
 WORKLOAD_BUDGET = EngineBudget(lambda_cap=2, hilbert=HilbertBudget(max_lines=400))
+# The fuzz tests' budget.
+FUZZ_BUDGET = EngineBudget(lambda_cap=4, hilbert=HilbertBudget(max_lines=400))
 
 
 def test_model_classes_never_refute_what_the_search_proves(monkeypatch):
@@ -429,32 +431,32 @@ def test_model_classes_never_refute_what_the_search_proves(monkeypatch):
 
 def test_proposals_leave_no_goal_unknown(monkeypatch):
     # 600 goals of two variables: the Z LP's weights, proved by the search
-    # in MLL with mix, settle every goal that no model class refutes; the
-    # deepening and the saturation, which left 42 of them unknown, take the
-    # two proposals that fail (the fallback)
+    # in MLL with mix, settle every goal that no model class refutes, where
+    # the deepening and the saturation left 42 of them unknown.  150
+    # proposals reach that search (the rest are a hypothesis or an axiom
+    # instance); the two that fail fall back to the deepening, whose first
+    # sum, of the weights (1, 0), its own LP proposes and the search proves
     proposals, failed = [], []
-    real = oracles.hilbert_search
+    real = oracles._mix_with_hypotheses
 
-    def recording(logic, sigma, phi, budget=None, mu=None):
-        verdict = real(logic, sigma, phi, budget, mu)
-        if mu is not None:
-            proposals.append(phi)
-            if verdict.status != "proved":
-                failed.append(phi)
-        return verdict
+    def recording(logic, sigma, mu, phi):
+        lines = real(logic, sigma, mu, phi)
+        proposals.append(phi)
+        if lines is None:
+            failed.append(phi)
+        return lines
 
-    monkeypatch.setattr(oracles, "hilbert_search", recording)
-    budget = EngineBudget(lambda_cap=4, hilbert=HilbertBudget(max_lines=400))
+    monkeypatch.setattr(oracles, "_mix_with_hypotheses", recording)
     rng = Random(11)
     counts = {"proved": 0, "refuted": 0, "unknown": 0}
     logic = lookup_logic("BIULm")
     for _ in range(600):
         goal = random_goal(rng, names=("p", "q"), max_disjuncts=2, max_hyps=2, max_depth=2)
-        result = prove_disjunction(logic, goal, budget)
+        result = prove_disjunction(logic, goal, FUZZ_BUDGET)
         assert check_result(logic, result) is result
         counts[result.status] += 1
     assert counts == {"proved": 250, "refuted": 350, "unknown": 0}
-    assert (len(proposals), len(failed)) == (239, 2)
+    assert (len(proposals), len(failed)) == (150, 2)
 
 
 def test_no_proposal_past_the_cap(monkeypatch):
@@ -463,23 +465,61 @@ def test_no_proposal_past_the_cap(monkeypatch):
     # to the deepening, as (p^20)^20 |- p, whose proof by the search in MLL
     # with mix took 46 s, does too
     proposed = []
-    real = oracles.hilbert_search
+    real = oracles._mix_with_hypotheses
 
-    def recording(logic, sigma, phi, budget=None, mu=None):
-        if mu is not None:
-            proposed.append(phi)
-        return real(logic, sigma, phi, budget, mu)
+    def recording(logic, sigma, mu, phi):
+        proposed.append(phi)
+        return real(logic, sigma, mu, phi)
 
-    monkeypatch.setattr(oracles, "hilbert_search", recording)
+    monkeypatch.setattr(oracles, "_mix_with_hypotheses", recording)
     budget = EngineBudget(lambda_cap=1, hilbert=HilbertBudget(max_lines=100))
     for text in ["(p^300)^300", "(p^20)^20"]:
         result = prove_consequence("BIULm", [parse(text)], parse("p"), budget)
         assert result.status == "unknown"
     assert proposed == []
-    # at (p^5)^5, of weighted size 74, the proposal is made and proves
+    # at (p^5)^5, which adds 73 to the goal (the weight 25 on p less one,
+    # and (p^5)^5 once), the proposal is made and proves
     result = prove_consequence("BIULm", [parse("(p^5)^5")], parse("p"), budget)
     assert result.status == "proved" and result.results[0].certificate.lambdas == (25,)
     assert len(proposed) == 1
+
+
+def test_weighted_sums_get_their_own_proposals():
+    # 2,000 goals of up to three disjuncts: the deepening asks each
+    # weighted sum as its own one-target question, whose LP weights the
+    # hypotheses for that sum; the 16 goals proved past the 940 that the
+    # goal's own proposal and the saturation proved need those weights
+    rng = Random(12)
+    counts = {"proved": 0, "refuted": 0, "unknown": 0}
+    logic = lookup_logic("BIULm")
+    for _ in range(2000):
+        goal = random_goal(rng, names=("p", "q"), max_disjuncts=3, max_hyps=2, max_depth=3)
+        counts[prove_disjunction(logic, goal, FUZZ_BUDGET).status] += 1
+    assert counts == {"proved": 956, "refuted": 1027, "unknown": 17}
+
+
+def test_verdicts_respect_the_inclusions_between_logics():
+    # RMt's theorems are IUMLm's; BIULm's are A's and IUMLm's, and its
+    # model classes are theirs, so each of its refutations is one of
+    # theirs; the knotted logic is read on the same Sugihara chains as
+    # RMt.  A BIULm unknown that A or IUMLm refutes would be a missing
+    # refutation, not a missing proof
+    logics = [lookup_logic(name) for name in ("A", "RMt", "IUMLm", "BIULm", KNOTTED)]
+    rng = Random(7)
+    unknown = {"BIULm": 0, KNOTTED: 0}
+    for _ in range(200):
+        goal = random_goal(rng, names=("p", "q"), max_disjuncts=2, max_hyps=2, max_depth=2)
+        verdicts = [prove_disjunction(logic, goal, FUZZ_BUDGET).status for logic in logics]
+        a, rmt, iumlm, biulm, knotted = verdicts
+        text = goal.render()
+        assert not (rmt == "proved" and iumlm == "refuted"), text
+        assert not (biulm == "proved" and "refuted" in (a, iumlm)), text
+        assert biulm != "refuted" or "refuted" in (a, iumlm), text
+        assert biulm != "unknown" or a == iumlm == "proved", text
+        assert (knotted == "refuted") == (rmt == "refuted"), text
+        unknown["BIULm"] += biulm == "unknown"
+        unknown[KNOTTED] += knotted == "unknown"
+    assert unknown == {"BIULm": 0, KNOTTED: 23}
 
 
 def test_biul_refutations_recheck():
@@ -521,18 +561,20 @@ def test_deepening_skips_the_sums_the_model_classes_refute(monkeypatch):
     # the sums of the weights (1, 0), (0, 1) and (2, 0) are refuted on the
     # Sugihara chains, so the Hilbert search is asked only for the sum of (1, 1)
     asked = []
-    real = engine.prove_one_target
+    real = oracles.hilbert_search
 
-    def recording(logic, goal, budget):
-        asked.append(goal.clause.disjuncts[0])
-        return real(logic, goal, budget)
+    def recording(logic, sigma, phi, budget=None):
+        asked.append(phi)
+        return real(logic, sigma, phi, budget)
 
-    monkeypatch.setattr(engine, "prove_one_target", recording)
+    monkeypatch.setattr(oracles, "hilbert_search", recording)
+    monkeypatch.setattr(engine, "hilbert_search", recording)
     result = prove_consequence(KNOTTED, [], parse("p | ~p"))
     assert result.status == "proved"
     assert result.results[0].certificate.lambdas == (1, 1)
     assert len(asked) == 1
-    # one disjunct: no vector is checked, and the first sum is the goal
+    # one disjunct: the first sum is the goal, whose first step the
+    # deepening does not repeat, so the saturation is asked for it directly
     asked.clear()
     assert prove_consequence(KNOTTED, [], parse("p * q -> q * p")).status == "proved"
     assert len(asked) == 1

@@ -105,13 +105,16 @@ def test_every_derivation_line_is_cited():
 
 def test_deep_identity_costs_one_link():
     # the two copies of p^600 are linked as one formula, never split into
-    # 600 atoms; the saturation ended unknown here after about a second
+    # 600 atoms; the saturation ended unknown here after about a second.
+    # The goal is far larger than PROPOSAL_CAP, which caps only what a
+    # proposal adds to it, so the proposal at the weight 1 is searched
     phi = parse("p^600 -> p^600 * 1")
     start = time.perf_counter()
-    verdict = hilbert_search("BIULm", [], phi)
+    verdict = decide("BIULm", [], phi)
     assert time.perf_counter() - start < 1.0
     assert verdict.status == "proved"
     assert len(verdict.certificate.witness.lines) < 40
+    assert prove_consequence("BIULm", [], phi).status == "proved"
 
 
 def test_search_runs_only_where_the_units_coincide():
@@ -173,7 +176,7 @@ def test_each_copy_of_a_hypothesis_is_taken_off_by_modus_ponens():
     # p, p |- p * p: the search proves p -> p -> p * p, one hypothesis line
     # stands for both copies, and two mp lines take them off in turn
     p, target = parse("p"), parse("p * p")
-    verdict = hilbert_search("BIULm", [p], target, mu=(2,))
+    verdict = decide("BIULm", [p], target)
     lines = verdict.certificate.witness.lines
     n = len(lines)
     assert lines[n - 4].formula == Imp(p, Imp(p, target))

@@ -597,7 +597,6 @@ def test_hilbert_pool_renders_only_its_candidates(monkeypatch):
         if name.startswith("gordian") and getattr(module, "render", None) is render:
             monkeypatch.setattr(module, "render", counting)
     monkeypatch.setattr(oracles, "_axiom_instances", recording)
-    monkeypatch.setattr(oracles, "mix_lines", lambda logic, phi: None)  # the pool is built
     hilbert_search("BIULm", [], phi)
     assert rendered == []
     subterms = {g for f in (phi, ONE, ZERO) for g in subformulas(f)}
